@@ -142,7 +142,7 @@ class BaseTuner:
                 self._record(result, module, seq, float("inf"), False, outcome.status)
                 self.observe(module, seq, task.penalty_runtime)
                 continue
-            compiled, _stats = outcome.value
+            compiled = outcome.value
             link = dict(self._best_compiled)
             link[module] = compiled
             cfg = dict(self._best_seq)

@@ -31,7 +31,7 @@ scenario rotates through distinct optimisation variants with revisits,
 so the ``bytecode`` engine row exercises the full default path (fusion +
 IR-identity execution memo) while ``bytecode_base`` isolates raw
 dispatch; ``e2e_multi`` drives :meth:`AutotuningTask.measure_batch` at
-several worker counts over one shared artifact store and asserts the
+several compile-worker counts and asserts the
 measured histories are jobs-invariant.  Both suites share
 :func:`diff_bench`/``repro diff`` gating (the interp gates are the
 bytecode end-to-end wall ratio and, when both payloads carry it, the
@@ -739,8 +739,7 @@ def bench_interp_e2e(
         mods = [
             run_opt(m, prefix, target=plat.target_info()).module for m in prog.modules
         ]
-        keys = [("v", v, prog.name, m.name) for m in mods]
-        variants.append((mods, keys))
+        variants.append(mods)
     schedule = [i % len(variants) for i in range(n_measurements)]
 
     configs = {
@@ -762,8 +761,7 @@ def bench_interp_e2e(
         vsigs: List[object] = [None] * len(variants)
         with _Stopwatch() as t:
             for v in schedule:
-                mods, keys = variants[v]
-                m = prof.measure(mods, entry=prog.entry, keys=keys)
+                m = prof.measure(variants[v], entry=prog.entry)
                 steps += m.result.steps
                 vsigs[v] = m.output_signature()
         sigs[name] = vsigs
@@ -772,8 +770,8 @@ def bench_interp_e2e(
             "cpu": t.cpu,
             "per_sec": n_measurements / t.wall if t.wall > 0 else float("inf"),
             "steps_per_sec": steps / t.wall if t.wall > 0 else float("inf"),
-            "bytecode_compiles": prof.bytecode_compiles,
-            "bytecode_cache_hits": prof.bytecode_cache_hits,
+            "bytecode_compiles": prof.artifacts.misses,
+            "bytecode_cache_hits": prof.artifacts.hits,
             "execution_memo_hits": prof.execution_memo_hits,
             "fused_kernels": prof.fused_kernels,
             "fused_ops": prof.fused_ops,
@@ -797,8 +795,8 @@ def bench_interp_e2e_multi(
     jobs_levels: Sequence[int] = (1, 2, 4),
 ) -> Dict[str, object]:
     """Multi-worker e2e: one :meth:`AutotuningTask.measure_batch` sweep per
-    worker count, full default measurement path (fusion + execution memo +
-    process-shared artifact store).
+    worker count, full default measurement path (fused bytecode and the
+    execution memo).
 
     The same seeded candidate population is measured at every ``jobs``
     level; ``histories_identical`` asserts the ``(runtime, ok)`` streams
@@ -833,7 +831,6 @@ def bench_interp_e2e_multi(
                 results = task.measure_batch(configs)
             tb = task.timing_breakdown()
         histories[jobs] = [(float(v), bool(ok)) for v, ok in results]
-        art = tb.get("artifact_store") or {}
         out["jobs"][str(jobs)] = {
             "wall": t.wall,
             "cpu": t.cpu,
@@ -841,8 +838,7 @@ def bench_interp_e2e_multi(
             "compile_cache_hits": tb["compile_cache_hits"],
             "execution_memo_hits": tb["execution_memo_hits"],
             "fused_kernels": tb["fused_kernels"],
-            "artifact_hits": art.get("hits", 0),
-            "artifact_puts": art.get("puts", 0),
+            "artifact_hits": tb["bytecode_cache_hits"],
         }
     first = histories[jobs_levels[0]]
     out["histories_identical"] = all(histories[j] == first for j in jobs_levels)

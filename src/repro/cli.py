@@ -130,7 +130,6 @@ _MANIFEST_ARGS = (
     "jobs",
     "measure_engine",
     "inject_faults",
-    "compile_cache_size",
     "fault_rate",
     "fault_seed",
     "fault_hang_seconds",
@@ -140,9 +139,6 @@ _MANIFEST_ARGS = (
     "prior_bank",
     "pipeline_trace",
     "fuse",
-    "execution_memo",
-    "shared_artifacts",
-    "artifact_store",
 )
 
 
@@ -190,7 +186,6 @@ def _make_task(
         seed=args.seed,
         seq_length=getattr(args, "seq_length", 32),
         jobs=args.jobs,
-        compile_cache_size=args.compile_cache_size,
         fault_injector=injector,
         compile_timeout=compile_timeout,
         tracer=recorder.tracer if recorder is not None else None,
@@ -201,9 +196,6 @@ def _make_task(
         wal=wal,
         kill_after_iter=getattr(args, "kill_after_iter", None),
         fuse=getattr(args, "fuse", True),
-        execution_memo=getattr(args, "execution_memo", True),
-        shared_artifacts=getattr(args, "shared_artifacts", True),
-        artifact_spill_dir=getattr(args, "artifact_store", None),
     )
 
 
@@ -865,10 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
         "proposals are identical at any setting)",
     )
     tune.add_argument(
-        "--compile-cache-size", type=int, default=2048,
-        help="bounded LRU compilation cache entries (0 disables)",
-    )
-    tune.add_argument(
         "--measure-engine", choices=["tree", "bytecode"], default="bytecode",
         help="measurement backend: the flat register-bytecode VM (default) "
         "or the reference tree-walking interpreter; results are "
@@ -878,23 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-fuse", dest="fuse", action="store_false", default=True,
         help="disable fused superblock kernels in the bytecode VM "
         "(measurements are bit-identical either way)",
-    )
-    tune.add_argument(
-        "--no-execution-memo", dest="execution_memo", action="store_false",
-        default=True,
-        help="disable the IR-identity execution memo (byte-identical final "
-        "IR re-executes instead of replaying the recorded execution; "
-        "measured values are bit-identical either way)",
-    )
-    tune.add_argument(
-        "--no-shared-artifacts", dest="shared_artifacts", action="store_false",
-        default=True,
-        help="disable the process-shared bytecode artifact cache",
-    )
-    tune.add_argument(
-        "--artifact-store", default=None, metavar="DIR",
-        help="spill compiled bytecode artifacts to DIR so resumed/daemon "
-        "sessions start warm (implies shared artifacts)",
     )
     _add_fault_flags(tune)
     _add_obs_flags(tune)
@@ -916,7 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--platform", choices=["arm-a57", "amd-x86"], default="arm-a57")
     compare.add_argument("--seed", type=int, default=0)
     compare.add_argument("--jobs", type=_positive_int, default=1)
-    compare.add_argument("--compile-cache-size", type=int, default=2048)
     compare.add_argument(
         "--measure-engine", choices=["tree", "bytecode"], default="bytecode",
         help="measurement backend (see `tune --measure-engine`)",

@@ -46,6 +46,7 @@ from repro.core.cost_model import CitroenCostModel
 from repro.core.generator import CandidateGenerator, base_strategy
 from repro.core.result import Measurement, TuningResult
 from repro.core.task import AutotuningTask
+from repro.machine.artifacts import CompiledModule
 from repro.utils.rng import SeedLike, as_generator, spawn
 
 __all__ = ["Citroen"]
@@ -142,8 +143,7 @@ class Citroen:
 
         # incumbent configuration (per hot module)
         self._best_seq: Dict[str, np.ndarray] = {}
-        self._best_stats: Dict[str, Dict[str, int]] = {}
-        self._best_compiled: Dict[str, Module] = {}
+        self._best_compiled: Dict[str, CompiledModule] = {}
         self._best_feats_cache: Dict[str, Dict[str, int]] = {}
         self._best_runtime = float("inf")
         self._sig_runtime: Dict[Tuple, float] = {}
@@ -238,7 +238,7 @@ class Citroen:
             self.model_seconds += time.perf_counter() - t0
             with tracer.span("propose", iteration=it) as sp:
                 chosen = self._propose(result)
-                sp.set(outcome="fallback" if chosen is None else chosen[4])
+                sp.set(outcome="fallback" if chosen is None else chosen[3])
             prev_best = self._best_runtime
             if chosen is None:
                 # model not ready or no fresh candidates: random fallback
@@ -248,7 +248,7 @@ class Citroen:
                 self._measure_config(cfg, result, winner="random-fallback", module=m)
                 self._record_decision(result, it, m, "random-fallback", prev_best)
             else:
-                module_name, seq, compiled, stats, provenance, cov = chosen
+                module_name, seq, compiled, provenance, cov = chosen
                 cfg = dict(self._best_seq)
                 cfg[module_name] = seq
                 self._measure_config(
@@ -256,7 +256,7 @@ class Citroen:
                     result,
                     winner=provenance,
                     module=module_name,
-                    precompiled=(module_name, compiled, stats),
+                    precompiled=(module_name, compiled),
                     coverage=cov,
                 )
                 self._record_decision(result, it, module_name, provenance, prev_best)
@@ -409,8 +409,8 @@ class Citroen:
                     result.extras.get("compile_failures", 0) + 1
                 )
                 continue
-            compiled, stats = outcome.value
-            feats = self._features_of(module_name, seq, compiled, stats)
+            compiled = outcome.value
+            feats = self._features_of(module_name, seq, compiled.module, compiled.stats)
             merged = dict(base_without[module_name])
             merged.update(self.model.prefix_stats(module_name, feats))
             # full-config signature: the stored runtime belongs to the whole
@@ -424,7 +424,7 @@ class Citroen:
                 self.generators[module_name].tell(seq, self._sig_runtime[sig])
                 result.extras["dedup_hits"] += 1
                 continue
-            scored.append((module_name, seq, compiled, stats, provenance, merged, sig))
+            scored.append((module_name, seq, compiled, provenance, merged, sig))
         span_feat.set(
             scored=len(scored),
             dedup_hits=result.extras["dedup_hits"] - dedup_before,
@@ -439,7 +439,7 @@ class Citroen:
         span_af.__enter__()
         # the whole surviving population scores in two batched array ops —
         # one design-matrix fill for the GP posterior, one for coverage
-        merged_all = [s[5] for s in scored]
+        merged_all = [s[4] for s in scored]
         mu, sigma = self.model.predict_merged(merged_all)
         coverages = self.model.coverage_many(merged_all)
         if self.use_coverage:
@@ -459,14 +459,14 @@ class Citroen:
             if novel_mask.any() and self.rng.random() < self.novelty_epsilon:
                 af_novel = -mu + np.sqrt(self.beta) * sigma
                 af_novel = af_novel + 0.25 * np.asarray(
-                    [1.0 if s[4] in ("des", "ga") else 0.0 for s in scored]
+                    [1.0 if s[3] in ("des", "ga") else 0.0 for s in scored]
                 )
                 af_novel[~novel_mask] = -np.inf
                 best = int(np.argmax(af_novel))
                 self.model_seconds += time.perf_counter() - t0
                 span_af.set(channel="novelty")
                 span_af.__exit__(None, None, None)
-                module_name, seq, compiled, stats, provenance, _pm, _sig = scored[best]
+                module_name, seq, compiled, provenance, _pm, _sig = scored[best]
                 if self.diagnostics:
                     self._pending_decision = {
                         "channel": "novelty",
@@ -482,7 +482,6 @@ class Citroen:
                     module_name,
                     seq,
                     compiled,
-                    stats,
                     f"novel-{provenance}",
                     float(coverages[best]),
                 )
@@ -492,7 +491,7 @@ class Citroen:
         span_af.set(channel="ucb")
         span_af.__exit__(None, None, None)
         best = int(np.argmax(af))
-        module_name, seq, compiled, stats, provenance, _pm, _sig = scored[best]
+        module_name, seq, compiled, provenance, _pm, _sig = scored[best]
         if self.diagnostics:
             self._pending_decision = {
                 "channel": "ucb",
@@ -504,7 +503,7 @@ class Citroen:
                 "n_candidates": len(scored),
                 "proposed": proposed,
             }
-        return module_name, seq, compiled, stats, provenance, float(coverages[best])
+        return module_name, seq, compiled, provenance, float(coverages[best])
 
     def _modules_to_consider(self) -> List[str]:
         if self.module_policy == "adaptive":
@@ -530,19 +529,18 @@ class Citroen:
         result: TuningResult,
         winner: str,
         module: Optional[str] = None,
-        precompiled: Optional[Tuple[str, Module, Dict[str, int]]] = None,
+        precompiled: Optional[Tuple[str, CompiledModule]] = None,
         coverage: float = float("nan"),
     ) -> None:
         task = self.task
-        compiled: Dict[str, Module] = {}
-        stats_all: Dict[str, Dict[str, int]] = {}
+        compiled: Dict[str, CompiledModule] = {}
         feats_all: Dict[str, Dict[str, int]] = {}
         missing: List[Tuple[str, np.ndarray]] = []
         for name, seq in cfg.items():
             if precompiled is not None and precompiled[0] == name:
-                compiled[name], stats_all[name] = precompiled[1], precompiled[2]
+                compiled[name] = precompiled[1]
             elif name in self._best_seq and np.array_equal(seq, self._best_seq[name]) and name in self._best_compiled:
-                compiled[name], stats_all[name] = self._best_compiled[name], self._best_stats[name]
+                compiled[name] = self._best_compiled[name]
             else:
                 missing.append((name, seq))
         status = "ok"
@@ -554,12 +552,12 @@ class Citroen:
                     if status == "ok":
                         status = outcome.status
                     continue
-                compiled[name], stats_all[name] = outcome.value
+                compiled[name] = outcome.value
         per_module_seqs = {name: tuple(task.decode(seq)) for name, seq in cfg.items()}
         if status == "ok":
             for name, seq in cfg.items():
                 feats_all[name] = self._features_of(
-                    name, seq, compiled[name], stats_all[name]
+                    name, seq, compiled[name].module, compiled[name].stats
                 )
             runtime, ok = task.measure(compiled, sequences=per_module_seqs)
             if not ok:
@@ -631,5 +629,4 @@ class Citroen:
             self._best_runtime = runtime
             self._best_seq = {n: np.asarray(s, dtype=int).copy() for n, s in cfg.items()}
             self._best_compiled = dict(compiled)
-            self._best_stats = dict(stats_all)
             self._best_feats_cache = dict(feats_all)

@@ -112,22 +112,17 @@ def _timed_invoke(fn: Callable, name: str, seq) -> Tuple[object, float]:
 
 
 def _attempt_invoke(
-    fn: Callable, max_retries: int, backoff: float, artifact_fn: Optional[Callable],
-    submit_t: float, name: str, seq
-) -> Tuple[str, object, str, int, float, float, object]:
+    fn: Callable, max_retries: int, backoff: float, submit_t: float, name: str, seq
+) -> Tuple[str, object, str, int, float, float]:
     """Run ``fn(name, seq)`` with bounded retry-with-backoff, inside the
     worker (module-level so process pools can pickle it).
 
-    Returns ``(status, value, error, attempts, seconds, queue_wait,
-    artifacts)`` — never raises, so one bad candidate cannot take its batch
-    siblings down with it.  ``queue_wait`` is how long the item sat between
-    batch submit (``submit_t``, the caller's ``perf_counter``) and its
-    worker picking it up — on Linux ``perf_counter`` is
-    ``CLOCK_MONOTONIC``, comparable across processes; clamped at zero
-    elsewhere.  ``artifact_fn(value)`` runs after a successful compile and
-    its result (e.g. freshly-built bytecode artifacts) rides back with the
-    batch so the parent cache accretes; it is a pure optimisation — if it
-    fails the compile still counts as ok with no artifacts.
+    Returns ``(status, value, error, attempts, seconds, queue_wait)`` —
+    never raises, so one bad candidate cannot take its batch siblings down
+    with it.  ``queue_wait`` is how long the item sat between batch submit
+    (``submit_t``, the caller's ``perf_counter``) and its worker picking it
+    up — on Linux ``perf_counter`` is ``CLOCK_MONOTONIC``, comparable
+    across processes; clamped at zero elsewhere.
     """
     t0 = time.perf_counter()
     wait = max(0.0, t0 - submit_t)
@@ -139,16 +134,10 @@ def _attempt_invoke(
         except Exception as exc:  # noqa: BLE001 - fault boundary by design
             if attempts > max_retries:
                 err = f"{type(exc).__name__}: {exc}"
-                return ("error", None, err, attempts, time.perf_counter() - t0, wait, None)
+                return ("error", None, err, attempts, time.perf_counter() - t0, wait)
             time.sleep(backoff * (2 ** (attempts - 1)))
             continue
-        artifacts = None
-        if artifact_fn is not None:
-            try:
-                artifacts = artifact_fn(out)
-            except Exception:  # noqa: BLE001 - artifacts must never fail a compile
-                artifacts = None
-        return ("ok", out, "", attempts, time.perf_counter() - t0, wait, artifacts)
+        return ("ok", out, "", attempts, time.perf_counter() - t0, wait)
 
 
 class CompileEngine:
@@ -207,8 +196,6 @@ class CompileEngine:
         retry_backoff: float = 0.01,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        shared_artifacts: Optional[object] = None,
-        artifact_fn: Optional[Callable[[object], object]] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -226,11 +213,6 @@ class CompileEngine:
         self.timeout = timeout
         self.max_retries = int(max_retries)
         self.retry_backoff = float(retry_backoff)
-        # process-shared bytecode artifact plumbing: workers run artifact_fn
-        # after each successful compile, fresh artifacts ride back with the
-        # batch and are absorbed here; process pools start warm-seeded
-        self.shared_artifacts = shared_artifacts
-        self.artifact_fn = artifact_fn
 
         self._cache: "OrderedDict[Hashable, object]" = OrderedDict()
         self._quarantine: Dict[Hashable, CompileOutcome] = {}
@@ -256,7 +238,6 @@ class CompileEngine:
         self._m_batch_wall = m.histogram("engine.batch_wall_seconds")
         self._m_batch_size = m.histogram("engine.batch_size")
         self._m_queue_wait = m.histogram("engine.queue_wait_seconds")
-        self._m_artifacts = m.counter("engine.artifacts_absorbed")
 
     # -- legacy counter attributes (now registry-backed, read-only) ------------
     # Deprecated: these exist for back-compat with pre-observability callers;
@@ -314,16 +295,7 @@ class CompileEngine:
     def _get_pool(self) -> Executor:
         if self._pool is None:
             if self.executor == "process":
-                if self.shared_artifacts is not None:
-                    from repro.machine.artifacts import seed_worker_store
-
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.jobs,
-                        initializer=seed_worker_store,
-                        initargs=(self.shared_artifacts.warm_entries(),),
-                    )
-                else:
-                    self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
             else:
                 self._pool = ThreadPoolExecutor(
                     max_workers=self.jobs, thread_name_prefix="compile-engine"
@@ -482,7 +454,6 @@ class CompileEngine:
                 self.compile_fn,
                 self.max_retries,
                 self.retry_backoff,
-                self.artifact_fn,
                 time.perf_counter(),
             )
             if self.timeout is None:
@@ -493,9 +464,8 @@ class CompileEngine:
                     outs = list(pool.map(worker, *zip(*work)))
             else:
                 outs = self._run_with_timeout(worker, work)
-            b_artifacts = []
             with self._lock:
-                for (key, slots), (status, out, err, attempts, dt, wait, arts) in zip(
+                for (key, slots), (status, out, err, attempts, dt, wait) in zip(
                     pending.items(), outs
                 ):
                     b_cpu += dt
@@ -503,8 +473,6 @@ class CompileEngine:
                     b_retries += max(0, attempts - 1)
                     self._m_compile_hist.observe(dt)
                     self._m_queue_wait.observe(wait)
-                    if arts:
-                        b_artifacts.extend(arts)
                     if status == "ok":
                         b_compiles += 1
                         self._cache_put(key, out)
@@ -523,10 +491,6 @@ class CompileEngine:
                     for i in slots:
                         results[i] = outcome
                 self._m_qsize.set(len(self._quarantine))
-            if b_artifacts and self.shared_artifacts is not None:
-                absorbed = self.shared_artifacts.absorb(b_artifacts)
-                if absorbed:
-                    self._m_artifacts.inc(absorbed)
             self._m_cpu.inc(b_cpu)
             self._m_compiles.inc(b_compiles)
             self._m_failures.inc(b_failures)
@@ -584,7 +548,7 @@ class CompileEngine:
 
     def _run_with_timeout(
         self, worker: Callable, work: List[Tuple[str, Sequence[int]]]
-    ) -> List[Tuple[str, object, str, int, float, float, object]]:
+    ) -> List[Tuple[str, object, str, int, float, float]]:
         """Run work items as individual futures with a per-candidate timeout.
 
         The timeout clock for item *i* starts when the engine begins
@@ -596,7 +560,7 @@ class CompileEngine:
         """
         pool = self._get_pool()
         futs = [pool.submit(worker, n, s) for n, s in work]
-        outs: List[Tuple[str, object, str, int, float, float, object]] = [None] * len(work)
+        outs: List[Tuple[str, object, str, int, float, float]] = [None] * len(work)
         for i in range(len(work)):
             try:
                 outs[i] = futs[i].result(timeout=self.timeout)
@@ -608,7 +572,6 @@ class CompileEngine:
                     1,
                     float(self.timeout),
                     0.0,
-                    None,
                 )
                 with self._lock:
                     old, self._pool = self._pool, None

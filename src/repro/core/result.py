@@ -158,9 +158,10 @@ class TuningResult:
             m: tuple(s) for m, s in (data.get("best_config") or {}).items()
         }
         # timing is mostly numeric, but carries annotation strings
-        # (e.g. ``measure_engine``), toggle bools, and nested stats dicts
-        # (``artifact_store``) — only numerics and the stringified
-        # non-finite floats are coerced; everything else stays verbatim
+        # (e.g. ``measure_engine``), toggle bools, and (in older results)
+        # nested stats dicts such as ``artifact_store`` — only numerics and
+        # the stringified non-finite floats are coerced; everything else
+        # stays verbatim
         def _timing_value(v):
             if isinstance(v, str):
                 return _float(v) if v in ("inf", "-inf", "nan") else v

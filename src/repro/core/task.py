@@ -12,7 +12,8 @@
   parallelisable" claim of §5.3 made real;
 * **expensive measurement** — ``measure`` links per-module binaries and
   runs the program on the simulated platform with noisy timing, with
-  memoisation keyed by the full configuration;
+  memoisation keyed by the full configuration and, below it, the
+  profiler's fingerprint-keyed measurement store;
 * **correctness** — differential testing of every measured binary against
   the unoptimised program's output (§1.1).
 
@@ -27,8 +28,7 @@ import signal
 import threading
 import time
 from collections import deque
-from functools import partial
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from repro.machine.interp import InterpError
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.machine.artifacts import ArtifactStore, harvest_compile_result
+from repro.machine.artifacts import ArtifactStore, CompiledModule
 from repro.machine.platforms import Platform, get_platform
 from repro.machine.profiler import Profiler
 from repro.utils.rng import SeedLike, as_generator
@@ -51,16 +51,10 @@ from repro.workloads.program import Program
 __all__ = ["AutotuningTask"]
 
 
-def _harvest_value(store: ArtifactStore, value) -> list:
-    """Serial/thread-executor ``artifact_fn``: compile straight into the
-    task's own store (same process, so no pickling and no merge step)."""
-    module = getattr(value, "module", None)
-    if module is None and isinstance(value, (tuple, list)) and value:
-        module = value[0]
-    if not isinstance(module, Module):
-        return []
-    store.harvest([module])
-    return []
+def _corrupt_compiled(compiled: CompiledModule) -> CompiledModule:
+    """The fault injector's ``miscompile`` hook for the task's compile
+    results (module-level so process pools can pickle it)."""
+    return CompiledModule(*corrupt_module(compiled))
 
 
 class AutotuningTask:
@@ -78,7 +72,6 @@ class AutotuningTask:
         check_outputs: bool = True,
         objective: str = "runtime",
         jobs: int = 1,
-        compile_cache_size: int = 2048,
         executor: str = "auto",
         fault_injector: Optional[FaultInjector] = None,
         compile_timeout: Optional[float] = None,
@@ -92,20 +85,17 @@ class AutotuningTask:
         wal: Optional["WriteAheadLog"] = None,  # noqa: F821 (forward ref)
         kill_after_iter: Optional[int] = None,
         fuse: bool = True,
-        execution_memo: bool = True,
-        shared_artifacts: bool = True,
-        artifact_spill_dir: Optional[str] = None,
     ) -> None:
         """``objective``: ``"runtime"`` (the paper's focus) or ``"codesize"``
         (the simpler static objective discussed in §1 — evaluated without
         executing the program, though differential testing still runs it
         once for correctness).
 
-        ``jobs``/``compile_cache_size``/``executor`` configure the
-        :class:`~repro.core.eval_engine.CompileEngine` behind
-        :meth:`compile_module`/:meth:`compile_batch`: worker count
-        (``jobs=1`` is a deterministic serial loop), the bounded LRU
-        compilation cache, and the pool flavour (``"auto"``, ``"serial"``,
+        ``jobs``/``executor`` configure the
+        :class:`~repro.core.eval_engine.CompileEngine` (and its 2048-entry
+        LRU compilation cache) behind :meth:`compile_module`/
+        :meth:`compile_batch`: worker count (``jobs=1`` is a deterministic
+        serial loop) and the pool flavour (``"auto"``, ``"serial"``,
         ``"thread"``, ``"process"``).
 
         ``fault_injector`` wraps candidate compiles with seeded chaos
@@ -129,8 +119,9 @@ class AutotuningTask:
         produce bit-identical tuner histories at the same seed.
 
         ``measure_engine`` selects the execution backend for measurements:
-        ``"bytecode"`` (default) runs the flat register VM with a per-module
-        bytecode cache keyed by the compile-cache config signature;
+        ``"bytecode"`` (default) runs the flat register VM on bytecode
+        served by the profiler's fingerprint-keyed
+        :class:`~repro.machine.artifacts.ArtifactStore`;
         ``"tree"`` runs the reference tree-walking interpreter.  Both are
         bit-identical in results and RNG consumption, so tuner histories do
         not depend on the engine.
@@ -156,16 +147,8 @@ class AutotuningTask:
         *live* measurement's WAL record is durable (so the harness kills at
         a point the log provably covers).
 
-        ``fuse``/``execution_memo``/``shared_artifacts`` are the measurement
-        throughput toggles: superblock-fused bytecode kernels, the
-        IR-identity execution memo (skip re-executing byte-identical final
-        IR; noise is still drawn exactly as live, so histories are
-        bit-identical with each toggle on or off), and the content-addressed
-        :class:`~repro.machine.artifacts.ArtifactStore` shared between the
-        profiler and the compile engine's pool workers.
-        ``artifact_spill_dir`` persists store entries on disk (one pickle
-        per IR fingerprint) so ``--resume`` and daemon sessions start
-        warm."""
+        ``fuse`` selects superblock-fused bytecode kernels (histories are
+        bit-identical with it on or off)."""
         if objective not in ("runtime", "codesize"):
             raise ValueError(f"unknown objective {objective!r}")
         self.objective = objective
@@ -174,22 +157,14 @@ class AutotuningTask:
         self.target = self.platform.target_info()
         self.measure_engine = measure_engine
         self.fuse = bool(fuse)
-        self.execution_memo = bool(execution_memo)
-        # a spill dir implies the shared store: spilling IS sharing (on disk)
-        self.artifacts: Optional[ArtifactStore] = (
-            ArtifactStore(spill_dir=artifact_spill_dir)
-            if shared_artifacts or artifact_spill_dir
-            else None
-        )
         self.profiler = Profiler(
             self.platform,
             seed=as_generator(seed),
             fuel=program.fuel,
             engine=measure_engine,
             fuse=self.fuse,
-            execution_memo=self.execution_memo,
-            artifacts=self.artifacts,
         )
+        self.artifacts: ArtifactStore = self.profiler.artifacts
         self.passes: List[str] = list(passes) if passes is not None else list(SEARCH_PASSES)
         self.seq_length = seq_length
         self.repeats = repeats
@@ -197,30 +172,28 @@ class AutotuningTask:
 
         # one-off reference + O3/O0 anchors
         self._reference_sig = program.reference_output().output_signature()
-        self._o3_modules: Dict[str, Module] = {}
-        self._o3_stats: Dict[str, Dict[str, int]] = {}
+        self._o3: Dict[str, CompiledModule] = {}
         o3 = pipeline("-O3")
         for mod in program.modules:
             cr = run_opt(mod, o3, target=self.target)
-            self._o3_modules[mod.name] = cr.module
-            self._o3_stats[mod.name] = cr.stats_json()
+            self._o3[mod.name] = CompiledModule(cr.module, cr.stats_json())
+        o3_linked = [self._o3[m.name].module for m in program.modules]
+        # the -O3 binaries are linked into every measurement: fingerprint
+        # them once, here
+        o3_fps = [self._o3[m.name].fingerprint for m in program.modules]
         if self.objective == "codesize":
-            self.o3_runtime = float(
-                sum(self._o3_modules[m.name].num_instrs() for m in program.modules)
-            )
+            self.o3_runtime = float(sum(m.num_instrs() for m in o3_linked))
             self.o0_runtime = float(sum(m.num_instrs() for m in program.modules))
         else:
             self.o3_runtime = self.profiler.measure(
-                [self._o3_modules[m.name] for m in program.modules], repeats=repeats
+                o3_linked, repeats=repeats, fingerprints=o3_fps
             ).seconds
             self.o0_runtime = self.profiler.measure(
                 list(program.modules), repeats=repeats
             ).seconds
 
         # hot module identification from the -O3 profile (perf stand-in)
-        prof = self.profiler.function_profile(
-            [self._o3_modules[m.name] for m in program.modules]
-        )
+        prof = self.profiler.function_profile(o3_linked, fingerprints=o3_fps)
         self.hot_modules: List[str] = prof.hot_modules(hot_coverage)
         self.module_weights: Dict[str, float] = {
             name: prof.module_seconds.get(name, 0.0) / max(prof.total_seconds, 1e-12)
@@ -242,7 +215,7 @@ class AutotuningTask:
                 )
         self.fault_injector = fault_injector
         if fault_injector is not None and fault_injector.corrupt_fn is None:
-            fault_injector.corrupt_fn = corrupt_module
+            fault_injector.corrupt_fn = _corrupt_compiled
         compile_fn = (
             fault_injector.wrap(self._compile_uncached)
             if fault_injector is not None
@@ -260,27 +233,15 @@ class AutotuningTask:
         self._m_crashes = self.metrics.counter("task.measure_crashes")
         self._m_incorrect = self.metrics.counter("task.measure_incorrect")
         self._m_memo_hits = self.metrics.counter("task.execution_memo_hits")
-        self._m_artifact_hits = self.metrics.counter("task.artifact_hits")
         self._m_measure_hist = self.metrics.histogram("task.measure_seconds")
 
         # compile engine: parallel workers + bounded LRU compilation cache.
         # Keyed by the decoded pass-name tuple so distinct index encodings of
         # the same pipeline share one cache entry.
         self.jobs = int(jobs)
-        artifact_fn = None
-        if self.artifacts is not None:
-            # Process pools need a picklable module-level fn harvesting into
-            # the worker's own store (fresh artifacts ride back with the
-            # batch result); serial/thread workers share our store directly.
-            artifact_fn = (
-                harvest_compile_result
-                if executor == "process"
-                else partial(_harvest_value, self.artifacts)
-            )
         self.engine = CompileEngine(
             compile_fn,
             jobs=self.jobs,
-            cache_size=compile_cache_size,
             executor=executor,
             key_fn=lambda name, seq: (name, tuple(self.decode(seq))),
             timeout=compile_timeout,
@@ -288,8 +249,6 @@ class AutotuningTask:
             retry_backoff=retry_backoff,
             metrics=self.metrics,
             tracer=self.tracer,
-            shared_artifacts=self.artifacts,
-            artifact_fn=artifact_fn,
         )
 
         # pipeline observability: sampled per-pass trace replays
@@ -424,26 +383,29 @@ class AutotuningTask:
 
     def _compile_uncached(
         self, module_name: str, seq_indices: Sequence[int]
-    ) -> Tuple[Module, Dict[str, int]]:
+    ) -> CompiledModule:
         """The raw compile — a pure function of its arguments, as the
         engine's cache and parallel executor both require."""
         src = self.program.get_module(module_name)
         cr = run_opt(src, self.decode(seq_indices), target=self.target)
-        return cr.module, cr.stats_json()
+        return CompiledModule(cr.module, cr.stats_json())
 
     def compile_module(
         self, module_name: str, seq_indices: Sequence[int]
-    ) -> Tuple[Module, Dict[str, int]]:
-        """Compile one source module; returns optimised IR + statistics.
+    ) -> CompiledModule:
+        """Compile one source module; returns optimised IR + statistics
+        (a :class:`~repro.machine.artifacts.CompiledModule`, which unpacks
+        as ``module, stats``).
 
         Served through the engine's LRU cache: repeated candidates (DES/GA
         resampling, O3 re-seeds) never recompile.  Returned modules are
-        shared with the cache and must be treated as immutable."""
+        shared with the cache and must be treated as immutable; the result
+        carries the module's IR fingerprint once it has been measured."""
         return self.engine.compile_one(module_name, seq_indices)
 
     def compile_batch(
         self, items: Sequence[Tuple[str, Sequence[int]]], outcomes: bool = False
-    ) -> List[Tuple[Module, Dict[str, int]]]:
+    ) -> List[CompiledModule]:
         """Compile a batch of ``(module_name, sequence)`` candidates.
 
         Results come back in input order regardless of ``jobs``, so tuner
@@ -456,47 +418,44 @@ class AutotuningTask:
 
     def o3_module(self, module_name: str) -> Module:
         """The module's reference -O3 binary."""
-        return self._o3_modules[module_name]
+        return self._o3[module_name].module
 
     def o3_stats(self, module_name: str) -> Dict[str, int]:
         """Compilation statistics of the module's -O3 build."""
-        return self._o3_stats[module_name]
+        return self._o3[module_name].stats
 
     # -- expensive measurement ------------------------------------------------------
-    def _bytecode_keys(
-        self,
-        compiled: Dict[str, Module],
-        sequences: Optional[Dict[str, Tuple[str, ...]]],
-    ) -> List[object]:
-        """Per-module bytecode-cache keys for the linked module list.
-
-        -O3 defaults get a stable per-program key; candidate modules are
-        keyed by their compile-cache config signature when known, falling
-        back to object identity (safe: the profiler cache holds a strong
-        reference to the keyed module)."""
-        keys: List[object] = []
+    def _link(
+        self, compiled: Dict[str, Union[CompiledModule, Module]]
+    ) -> Tuple[List[Module], List[Optional[str]]]:
+        """The linked module list and each module's IR fingerprint (``None``
+        for a bare :class:`Module`, which the profiler fingerprints)."""
+        modules: List[Module] = []
+        fps: List[Optional[str]] = []
         for m in self.program.modules:
-            if m.name not in compiled:
-                keys.append(("o3", self.program.name, m.name))
-            elif sequences is not None and m.name in sequences:
-                keys.append(("cfg", m.name, sequences[m.name]))
+            c = compiled.get(m.name, self._o3[m.name])
+            if isinstance(c, CompiledModule):
+                modules.append(c.module)
+                fps.append(c.fingerprint)
             else:
-                keys.append(None)
-        return keys
+                modules.append(c)
+                fps.append(None)
+        return modules, fps
 
     def measure(
         self,
-        compiled: Dict[str, Module],
+        compiled: Dict[str, Union[CompiledModule, Module]],
         config_key: Optional[Tuple] = None,
         sequences: Optional[Dict[str, Tuple[str, ...]]] = None,
     ) -> Tuple[float, bool]:
         """Link ``compiled`` modules over the -O3 defaults and measure.
 
-        Modules not present in ``compiled`` use their -O3 binary (the
-        default for non-hot modules).  Returns ``(seconds, outputs_ok)``.
-        ``sequences`` (module name -> decoded pass tuple) keys the bytecode
-        engine's compile cache so revisited configurations skip bytecode
-        compilation.
+        ``compiled`` maps module names to compile results (or bare
+        modules); modules not present use their -O3 binary (the default for
+        non-hot modules).  Returns ``(seconds, outputs_ok)``.  Each compile
+        result's IR fingerprint is computed here, on its first live
+        measurement, and kept on the result.  ``sequences`` (module name ->
+        decoded pass tuple) names the configuration for pipeline tracing.
 
         A binary that crashes or exhausts its fuel during execution
         (``InterpError``/``FuelExhausted`` — rare pass orders really do
@@ -553,23 +512,20 @@ class AutotuningTask:
             repeats=self.repeats,
             engine=self.measure_engine,
         ) as sp:
-            linked = [
-                compiled.get(m.name, self._o3_modules[m.name])
-                for m in self.program.modules
-            ]
-            keys = self._bytecode_keys(compiled, sequences)
+            linked, fps = self._link(compiled)
             failure = ""
             memo0 = self.profiler.execution_memo_hits
-            art0 = self.artifacts.hits if self.artifacts is not None else 0
             try:
                 if self.objective == "codesize":
                     value = float(sum(mod.num_instrs() for mod in linked))
                     ok = True
                     if self.check_outputs:  # still verify semantics once
-                        result = self.profiler.execute(linked, keys=keys)
+                        result = self.profiler.execute(linked, fingerprints=fps)
                         ok = result.output_signature() == self._reference_sig
                 else:
-                    m = self.profiler.measure(linked, repeats=self.repeats, keys=keys)
+                    m = self.profiler.measure(
+                        linked, repeats=self.repeats, fingerprints=fps
+                    )
                     value = m.seconds
                     ok = True
                     if self.check_outputs:
@@ -587,11 +543,6 @@ class AutotuningTask:
             memo_d = self.profiler.execution_memo_hits - memo0
             if memo_d:
                 self._m_memo_hits.inc(memo_d)
-            art_d = (
-                self.artifacts.hits - art0 if self.artifacts is not None else 0
-            )
-            if art_d:
-                self._m_artifact_hits.inc(art_d)
             sp.set(status=failure or "ok", memo_hits=memo_d)
         dt = time.perf_counter() - t0
         self.n_measurements += 1
@@ -706,7 +657,7 @@ class AutotuningTask:
             if not outcome.ok:
                 self.last_failure = outcome.status
                 return self.penalty_runtime, False
-            compiled[name], _stats = outcome.value
+            compiled[name] = outcome.value
         key = tuple(sorted((n, tuple(int(i) for i in s)) for n, s in config.items()))
         sequences = {n: tuple(self.decode(s)) for n, s in config.items()}
         return self.measure(compiled, config_key=key, sequences=sequences)
@@ -731,7 +682,7 @@ class AutotuningTask:
                 self.last_failure = bad.status
                 results.append((self.penalty_runtime, False))
                 continue
-            compiled = {name: o.value[0] for name, o in outcomes.items()}
+            compiled = {name: o.value for name, o in outcomes.items()}
             key = tuple(
                 sorted((n, tuple(int(i) for i in s)) for n, s in config.items())
             )
@@ -767,17 +718,12 @@ class AutotuningTask:
             "measure_crashes": self.n_crashes,
             "measure_incorrect": self.n_incorrect,
             "measure_engine": self.measure_engine,
-            "bytecode_compiles": self.profiler.bytecode_compiles,
-            "bytecode_cache_hits": self.profiler.bytecode_cache_hits,
+            "bytecode_compiles": self.artifacts.misses,
+            "bytecode_cache_hits": self.artifacts.hits,
             "fuse": self.fuse,
-            "execution_memo": self.execution_memo,
-            "shared_artifacts": self.artifacts is not None,
             "execution_memo_hits": self.profiler.execution_memo_hits,
             "fused_kernels": self.profiler.fused_kernels,
             "fused_ops": self.profiler.fused_ops,
-            "artifact_store": (
-                self.artifacts.stats() if self.artifacts is not None else None
-            ),
             "pipeline_trace": self.pipeline_trace,
             "n_pass_traces": self.n_pass_traces,
             "pass_trace_seconds": self.pass_trace_seconds,

@@ -1,277 +1,132 @@
-"""Content-addressed, process-shared bytecode artifact cache.
+"""The measurement store: one content-addressed cache between a compiled
+module and its measured verdict.
 
-Compiled :class:`~repro.machine.bytecode.BytecodeModule` artifacts are keyed
-by an **IR fingerprint** — a digest of the module's
-:func:`~repro.compiler.analysis.module_profile` summary plus its printed
-text — rather than by compile-config signature.  Distinct pass sequences
-frequently lower to byte-identical IR, so fingerprint keying deduplicates
-silent recompiles, lets pool workers ship freshly-compiled artifacts back to
-the parent with batch results, and lets warm entries travel to workers via
-the executor initializer.
+Everything is keyed by the **IR fingerprint** — a digest of the module's
+printed text (:func:`~repro.compiler.textual.print_module` round-trips and
+includes the module name, so the text alone determines the IR).  Distinct
+pass sequences frequently lower to byte-identical IR, so fingerprint
+keying shares one entry between them.
 
-The store only ever holds **unfused** artifacts: fused code embeds function
-objects and is not picklable.  Fusion is re-applied (and memoized) by the
-:class:`~repro.machine.profiler.Profiler` on retrieval.
+One :class:`ArtifactStore` LRU, owned by the
+:class:`~repro.machine.profiler.Profiler`, holds two kinds of entry:
 
-An optional ``spill_dir`` persists entries under the run directory (atomic
-``tmp`` + ``os.replace`` writes, one pickle per fingerprint) so ``--resume``
-and daemon sessions start warm.
+* ``fingerprint -> executable bytecode`` (fused when the profiler fuses),
+  built on demand by :meth:`ArtifactStore.harvest`;
+* ``(entry, fuel, fingerprints) -> recorded execution outcome``, the
+  profiler's execution memo.
+
+Fingerprints are computed once per compiled module and only when it is
+first measured: :class:`CompiledModule` carries the fingerprint next to
+the module it digests, so nothing is memoized on the (mutable) module.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
-from repro.compiler.analysis import module_profile
 from repro.compiler.ir import Module
 from repro.compiler.textual import print_module
 from repro.machine.bytecode import BytecodeModule, compile_module
 
-__all__ = [
-    "ArtifactStore",
-    "ir_fingerprint",
-    "seed_worker_store",
-    "harvest_compile_result",
-    "local_store",
-    "set_local_store",
-]
-
-_FP_ATTR = "_repro_ir_fp"
-
-
-def _module_shape(module: Module) -> Tuple[int, int]:
-    """Cheap ``(blocks, instrs)`` mutation signal guarding the memo."""
-    blocks = 0
-    instrs = 0
-    for fn in module.functions.values():
-        blocks += len(fn.blocks)
-        for blk in fn.blocks.values():
-            instrs += len(blk.instrs)
-    return blocks, instrs
+__all__ = ["ArtifactStore", "CompiledModule", "ir_fingerprint"]
 
 
 def ir_fingerprint(module: Module) -> str:
-    """Stable content digest of a module's final IR.
+    """Stable content digest of a module's IR (blake2b of its printed text).
 
-    Memoized on the module object: compiled modules are immutable by
-    contract, and :meth:`Module.clone` rebuilds from constructors so the
-    memo never leaks onto a mutable copy.  The contract is not blindly
-    trusted — the memo is stored with a ``(blocks, instrs)`` shape guard and
-    recomputed if a pass mutated the module in place after fingerprinting
-    (a stale fingerprint would silently alias artifact-store and
-    execution-memo entries).
-    """
-    shape = _module_shape(module)
-    memo = getattr(module, _FP_ATTR, None)
-    if memo is not None and memo[0] == shape:
-        return memo[1]
-    prof = module_profile(module)
-    summary = "{}|{}|{}|{}".format(
-        prof["instrs"], prof["blocks"],
-        sorted(prof["functions"].items()), sorted(prof["mix"].items()),
-    )
-    h = hashlib.blake2b(digest_size=20)
-    h.update(summary.encode())
-    h.update(b"\x00")
-    h.update(print_module(module).encode())
-    fp = h.hexdigest()
-    try:
-        setattr(module, _FP_ATTR, (shape, fp))
-    except AttributeError:  # slotted/immutable module variants
-        pass
-    return fp
+    A pure function: a module mutated in place gets a new fingerprint."""
+    return hashlib.blake2b(print_module(module).encode(), digest_size=20).hexdigest()
+
+
+class CompiledModule:
+    """One compile result: the optimised module and its statistics.
+
+    Unpacks and indexes as ``(module, stats)``.  :attr:`fingerprint` is
+    computed on first access — when the result is first measured — and
+    kept with the result; the module is shared with the compile cache and
+    must not be mutated."""
+
+    __slots__ = ("module", "stats", "_fingerprint")
+
+    def __init__(self, module: Module, stats: Dict[str, int]) -> None:
+        self.module = module
+        self.stats = stats
+        self._fingerprint: Optional[str] = None
+
+    def __iter__(self):
+        return iter((self.module, self.stats))
+
+    def __getitem__(self, index: int):
+        return (self.module, self.stats)[index]
+
+    @property
+    def fingerprint(self) -> str:
+        if self._fingerprint is None:
+            self._fingerprint = ir_fingerprint(self.module)
+        return self._fingerprint
 
 
 class ArtifactStore:
-    """Thread-safe bounded map ``fingerprint -> unfused BytecodeModule``.
+    """Thread-safe bounded LRU over bytecode artifacts and execution outcomes.
 
-    Counters (``hits``/``misses``/``puts``/``spill_hits``) feed
-    ``timing_breakdown()`` and ``repro analyze``.
+    ``hits``/``misses`` count bytecode lookups in :meth:`harvest` (a miss
+    builds the artifact); outcome lookups go through :meth:`get`/:meth:`put`
+    and are counted by the profiler as ``execution_memo_hits``.
     """
 
-    def __init__(self, max_entries: int = 512, spill_dir: Optional[str] = None) -> None:
+    def __init__(self, max_entries: int = 1024) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
-        self.spill_dir = spill_dir
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, BytecodeModule]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.puts = 0
-        self.spill_hits = 0
-        self.spill_writes = 0
-        if spill_dir:
-            os.makedirs(spill_dir, exist_ok=True)
 
-    # -- core map -----------------------------------------------------------
-    def get(self, fp: str) -> Optional[BytecodeModule]:
+    def get(self, key: Hashable) -> Optional[object]:
         with self._lock:
-            bc = self._entries.get(fp)
-            if bc is not None:
-                self._entries.move_to_end(fp)
-                self.hits += 1
-                return bc
-        bc = self._spill_load(fp)
-        with self._lock:
-            if bc is not None:
-                self.spill_hits += 1
-                self._put_locked(fp, bc)
-            else:
-                self.misses += 1
-        return bc
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
 
-    def put(self, fp: str, bc: BytecodeModule) -> None:
+    def put(self, key: Hashable, value: object) -> None:
         with self._lock:
-            fresh = fp not in self._entries
-            self._put_locked(fp, bc)
-        if fresh:
-            self._spill_write(fp, bc)
-
-    def _put_locked(self, fp: str, bc: BytecodeModule) -> None:
-        self._entries[fp] = bc
-        self._entries.move_to_end(fp)
-        self.puts += 1
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, fp: str) -> bool:
-        with self._lock:
-            return fp in self._entries
-
-    # -- compile-through ----------------------------------------------------
-    def bytecode_for(self, module: Module) -> Tuple[str, BytecodeModule, bool]:
-        """``(fingerprint, unfused artifact, compiled_here)`` for a module."""
-        fp = ir_fingerprint(module)
-        bc = self.get(fp)
-        if bc is not None:
-            return fp, bc, False
-        bc = compile_module(module)
-        self.put(fp, bc)
-        return fp, bc, True
-
-    def harvest(self, modules: Iterable[Module]) -> List[Tuple[str, BytecodeModule]]:
-        """Compile any missing artifacts for ``modules``; return fresh ones.
-
-        Used as the engine's ``artifact_fn``: workers precompile bytecode for
-        candidate modules and the fresh ``(fingerprint, artifact)`` pairs ride
-        back with the batch result so the parent store accretes.
-        """
-        fresh: List[Tuple[str, BytecodeModule]] = []
-        for module in modules:
-            fp, bc, compiled = self.bytecode_for(module)
-            if compiled:
-                fresh.append((fp, bc))
-        return fresh
-
-    # -- cross-process plumbing --------------------------------------------
-    def warm_entries(self, limit: int = 128) -> List[Tuple[str, BytecodeModule]]:
-        """Most-recently-used entries, picklable, for worker warm-seeding."""
-        with self._lock:
-            items = list(self._entries.items())
-        return items[-limit:]
-
-    def absorb(self, entries: Iterable[Tuple[str, BytecodeModule]]) -> int:
-        """Merge ``(fingerprint, artifact)`` pairs; returns new-entry count."""
-        added = 0
-        for fp, bc in entries or ():
+    def harvest(
+        self,
+        modules: Sequence[Module],
+        fingerprints: Sequence[str],
+        build: Callable[[Module], BytecodeModule] = compile_module,
+    ) -> List[BytecodeModule]:
+        """Executable bytecode for one linked program: each module's
+        artifact is served from the store, or built with ``build`` and
+        stored under its fingerprint."""
+        out: List[BytecodeModule] = []
+        for module, fp in zip(modules, fingerprints):
+            bc = self.get(fp)
             with self._lock:
-                fresh = fp not in self._entries
-                if fresh:
-                    self._put_locked(fp, bc)
-            if fresh:
-                added += 1
-                self._spill_write(fp, bc)
-        return added
+                if bc is None:
+                    self.misses += 1
+                else:
+                    self.hits += 1
+            if bc is None:
+                bc = build(module)
+                self.put(fp, bc)
+            out.append(bc)
+        return out
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
-            return {
-                "size": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "puts": self.puts,
-                "spill_hits": self.spill_hits,
-                "spill_writes": self.spill_writes,
-            }
-
-    # -- disk spill ---------------------------------------------------------
-    def _spill_path(self, fp: str) -> Optional[str]:
-        if not self.spill_dir:
-            return None
-        return os.path.join(self.spill_dir, f"{fp}.bc.pkl")
-
-    def _spill_load(self, fp: str) -> Optional[BytecodeModule]:
-        path = self._spill_path(fp)
-        if path is None or not os.path.exists(path):
-            return None
-        try:
-            with open(path, "rb") as fh:
-                return pickle.load(fh)
-        except Exception:
-            return None  # corrupt spill entries are simply recompiled
-
-    def _spill_write(self, fp: str, bc: BytecodeModule) -> None:
-        path = self._spill_path(fp)
-        if path is None or os.path.exists(path):
-            return
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as fh:
-                pickle.dump(bc, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-            with self._lock:
-                self.spill_writes += 1
-        except Exception:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-
-# -- per-process store (pool workers and module-level artifact_fn) ----------
-_LOCAL_STORE: Optional[ArtifactStore] = None
-
-
-def set_local_store(store: Optional[ArtifactStore]) -> None:
-    global _LOCAL_STORE
-    _LOCAL_STORE = store
-
-
-def local_store(create: bool = True) -> Optional[ArtifactStore]:
-    global _LOCAL_STORE
-    if _LOCAL_STORE is None and create:
-        _LOCAL_STORE = ArtifactStore()
-    return _LOCAL_STORE
-
-
-def seed_worker_store(entries: List[Tuple[str, BytecodeModule]]) -> None:
-    """Process-pool initializer: start each worker with a warm store."""
-    store = ArtifactStore()
-    store.absorb(entries)
-    store.hits = store.misses = store.puts = 0
-    set_local_store(store)
-
-
-def harvest_compile_result(value) -> List[Tuple[str, BytecodeModule]]:
-    """Module-level (picklable) ``artifact_fn`` for process pools.
-
-    Compile results are ``CompileResult`` or ``(module, ...)`` shaped; any
-    object exposing ``.module`` or indexable first element works.
-    """
-    module = getattr(value, "module", None)
-    if module is None and isinstance(value, (tuple, list)) and value:
-        module = value[0]
-    if not isinstance(module, Module):
-        return []
-    store = local_store()
-    return store.harvest([module])
+            return {"size": len(self._entries), "hits": self.hits, "misses": self.misses}

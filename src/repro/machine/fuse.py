@@ -34,8 +34,9 @@ Lowering rules
   (program order can interleave levels arbitrarily, so neither holds by
   construction).
 
-Fused code holds function objects and is **not picklable**; the shared
-artifact store ships unfused modules and fusion is re-applied on retrieval.
+Fused code holds function objects and is **not picklable**, so fused
+artifacts live only in the in-process measurement store
+(:class:`~repro.machine.artifacts.ArtifactStore`).
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ callees), aggregated by module.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -72,11 +71,18 @@ class Profiler:
     """Executes linked modules on a simulated platform.
 
     ``engine`` selects the execution backend: ``"bytecode"`` (default)
-    compiles modules once to the flat register VM and caches the compiled
-    form; ``"tree"`` keeps the reference tree-walker (the differential
-    oracle).  Both produce bit-identical :class:`ExecutionResult`s, so the
-    seeded noise stream — and therefore every measurement — is engine
+    runs the flat register VM on artifacts served by :attr:`artifacts`;
+    ``"tree"`` keeps the reference tree-walker (the differential oracle).
+    Both produce bit-identical :class:`ExecutionResult`s, so the seeded
+    noise stream — and therefore every measurement — is engine
     independent.
+
+    :attr:`artifacts` is the one :class:`ArtifactStore` between a module
+    and its verdict: executable bytecode per IR fingerprint (fused when
+    ``fuse``) and, with ``execution_memo``, the recorded execution outcome
+    per ``(entry, fuel, fingerprints)``.  Every method that runs a program
+    takes optional ``fingerprints`` (one per module, ``None`` where
+    unknown) so callers that already hold them skip re-printing the IR.
     """
 
     def __init__(
@@ -85,11 +91,8 @@ class Profiler:
         seed: SeedLike = None,
         fuel: int = 5_000_000,
         engine: str = "bytecode",
-        bytecode_cache_size: int = 256,
         fuse: bool = True,
         execution_memo: bool = True,
-        execution_memo_size: int = 1024,
-        artifacts: Optional[ArtifactStore] = None,
     ) -> None:
         if engine not in MEASURE_ENGINES:
             raise ValueError(f"unknown measure engine {engine!r}, expected one of {MEASURE_ENGINES}")
@@ -99,89 +102,73 @@ class Profiler:
         self.engine = engine
         self.fuse = fuse
         self.execution_memo = execution_memo
-        self.artifacts = artifacts
-        # IR fingerprint -> executable (fused when fuse=True) compiled form
-        self._bc_cache: "OrderedDict[str, BytecodeModule]" = OrderedDict()
-        self._bc_cache_size = bytecode_cache_size
-        # compile-config key -> fingerprint: revisited configs skip rehashing
-        self._fp_alias: "OrderedDict[object, str]" = OrderedDict()
-        self._fp_alias_size = max(4 * bytecode_cache_size, 64)
-        # (entry, fuel, fingerprints) -> recorded execution outcome
-        self._memo: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._memo_size = execution_memo_size
-        self.bytecode_compiles = 0
-        self.bytecode_cache_hits = 0
+        self.artifacts = ArtifactStore()
         self.execution_memo_hits = 0
         self.fused_kernels = 0
         self.fused_ops = 0
 
-    # -- bytecode compilation cache -------------------------------------------
-    def _fingerprint(self, module: Module, key: object = None) -> str:
-        """IR fingerprint of ``module``, via the config alias map if keyed.
+    # -- executable artifacts -------------------------------------------------
+    def _fingerprints(
+        self, modules: List[Module], fingerprints: Optional[Sequence[Optional[str]]]
+    ) -> List[str]:
+        if fingerprints is None:
+            return [ir_fingerprint(m) for m in modules]
+        return [
+            fp if fp is not None else ir_fingerprint(m)
+            for m, fp in zip(modules, fingerprints)
+        ]
 
-        Callers that compile modules per pass-sequence (the autotuning task)
-        pass the PR 1 config signature ``(module name, decoded sequence)``;
-        revisited configs then skip rehashing while keeping counters exact.
-        """
-        if key is not None:
-            fp = self._fp_alias.get(key)
-            if fp is not None:
-                self._fp_alias.move_to_end(key)
-                return fp
-        fp = ir_fingerprint(module)
-        if key is not None:
-            self._fp_alias[key] = fp
-            while len(self._fp_alias) > self._fp_alias_size:
-                self._fp_alias.popitem(last=False)
-        return fp
-
-    def bytecode_for(self, module: Module, key: object = None) -> BytecodeModule:
-        """Executable compiled form of ``module``, content-addressed.
-
-        The local LRU is keyed by IR fingerprint, so distinct configs that
-        lower to byte-identical IR share one artifact.  On a local miss the
-        process-shared :class:`ArtifactStore` (unfused artifacts) is
-        consulted before compiling; fusion is applied on the way into the
-        local cache.
-        """
-        fp = self._fingerprint(module, key)
-        bc = self._bc_cache.get(fp)
-        if bc is not None:
-            self._bc_cache.move_to_end(fp)
-            self.bytecode_cache_hits += 1
-            return bc
-        base = None
-        if self.artifacts is not None:
-            base = self.artifacts.get(fp)
-        if base is None:
-            base = compile_module(module)
-            self.bytecode_compiles += 1
-            if self.artifacts is not None:
-                self.artifacts.put(fp, base)
+    def _build(self, module: Module) -> BytecodeModule:
+        """Compile one module to its executable (fused when ``fuse``) form."""
+        bc = compile_module(module)
         if self.fuse:
-            bc, stats = fuse_module(base)
+            bc, stats = fuse_module(bc)
             self.fused_kernels += stats["kernels"]
             self.fused_ops += stats["fused_ops"]
-        else:
-            bc = base
-        self._bc_cache[fp] = bc
-        while len(self._bc_cache) > self._bc_cache_size:
-            self._bc_cache.popitem(last=False)
         return bc
 
     def _execute(
         self,
         modules: List[Module],
         entry: str,
-        keys: Optional[Sequence[object]] = None,
+        fingerprints: Optional[Sequence[Optional[str]]] = None,
     ) -> ExecutionResult:
         if self.engine == "tree":
             return Interpreter(modules, fuel=self.fuel).run(entry)
-        bcs = [
-            self.bytecode_for(m, keys[i] if keys is not None else None)
-            for i, m in enumerate(modules)
-        ]
+        fps = self._fingerprints(modules, fingerprints)
+        bcs = self.artifacts.harvest(modules, fps, self._build)
         return BytecodeVM(bcs, fuel=self.fuel).run(entry)
+
+    def _outcome(
+        self,
+        modules: List[Module],
+        entry: str,
+        fingerprints: Optional[Sequence[Optional[str]]],
+    ) -> Tuple[float, ExecutionResult]:
+        """``(cycles, result)`` of one execution.
+
+        With ``execution_memo`` on, byte-identical IR (same entry and fuel)
+        replays the recorded outcome — including a recorded
+        :class:`InterpError`, re-raised — instead of re-executing."""
+        if not self.execution_memo:
+            result = self._execute(modules, entry, fingerprints)
+            return estimate_cycles(modules, result.block_counts, self.platform), result
+        fps = self._fingerprints(modules, fingerprints)
+        key = (entry, self.fuel, tuple(fps))
+        hit = self.artifacts.get(key)
+        if hit is not None:
+            self.execution_memo_hits += 1
+            if hit[0] == "err":
+                raise hit[1](hit[2])
+            return hit[1], hit[2]
+        try:
+            result = self._execute(modules, entry, fps)
+        except InterpError as exc:
+            self.artifacts.put(key, ("err", type(exc), str(exc)))
+            raise
+        cycles = estimate_cycles(modules, result.block_counts, self.platform)
+        self.artifacts.put(key, ("ok", cycles, result))
+        return cycles, result
 
     # -- runtime measurement -------------------------------------------------
     def measure(
@@ -189,67 +176,36 @@ class Profiler:
         modules: List[Module],
         repeats: int = 3,
         entry: str = "main",
-        keys: Optional[Sequence[object]] = None,
+        fingerprints: Optional[Sequence[Optional[str]]] = None,
     ) -> Measurement:
         """Run the program and return an averaged noisy runtime.
 
-        With ``execution_memo`` on, byte-identical final IR (same entry and
-        fuel) skips re-execution: the recorded cycles/result — or the
-        recorded :class:`InterpError` — are replayed.  Noise is still drawn
-        exactly as for a live run (a crash raises before any draw, live or
-        memoized), so the seeded value stream, and therefore every tuning
-        history, is bit-identical with the memo on or off.
+        Noise is drawn exactly as for a live run whether or not the
+        execution memo served the outcome (a crash raises before any draw,
+        live or memoized), so the seeded value stream, and therefore every
+        tuning history, is bit-identical with the memo on or off.
         """
-        if not self.execution_memo:
-            result = self._execute(modules, entry, keys)
-            cycles = estimate_cycles(modules, result.block_counts, self.platform)
-            return self._noisy(cycles, result, repeats)
-        mkey = (entry, self.fuel, tuple(
-            self._fingerprint(m, keys[i] if keys is not None else None)
-            for i, m in enumerate(modules)
-        ))
-        hit = self._memo.get(mkey)
-        if hit is not None:
-            self._memo.move_to_end(mkey)
-            self.execution_memo_hits += 1
-            if hit[0] == "err":
-                raise hit[1](hit[2])
-            return self._noisy(hit[1], hit[2], repeats)
-        try:
-            result = self._execute(modules, entry, keys)
-        except InterpError as exc:
-            self._memo_put(mkey, ("err", type(exc), str(exc)))
-            raise
-        cycles = estimate_cycles(modules, result.block_counts, self.platform)
-        self._memo_put(mkey, ("ok", cycles, result))
-        return self._noisy(cycles, result, repeats)
-
-    def _noisy(self, cycles: float, result: ExecutionResult, repeats: int) -> Measurement:
+        cycles, result = self._outcome(modules, entry, fingerprints)
         base_seconds = cycles / (self.platform.ghz * 1e9)
         samples = base_seconds * (
             1.0 + self.platform.noise * self.rng.standard_normal(max(1, repeats))
         )
         return Measurement(float(np.mean(np.abs(samples))), cycles, result)
 
-    def _memo_put(self, mkey: tuple, entry: tuple) -> None:
-        self._memo[mkey] = entry
-        while len(self._memo) > self._memo_size:
-            self._memo.popitem(last=False)
-
     def execute(
         self,
         modules: List[Module],
         entry: str = "main",
-        keys: Optional[Sequence[object]] = None,
+        fingerprints: Optional[Sequence[Optional[str]]] = None,
     ) -> ExecutionResult:
-        """Noise-free execution (used by differential testing)."""
-        return self._execute(modules, entry, keys)
+        """Noise-free live execution (used by differential testing)."""
+        return self._execute(modules, entry, fingerprints)
 
     def deterministic_seconds(
         self,
         modules: List[Module],
         entry: str = "main",
-        keys: Optional[Sequence[object]] = None,
+        fingerprints: Optional[Sequence[Optional[str]]] = None,
     ) -> Tuple[float, ExecutionResult]:
         """Noise-free modeled runtime: cycles through the platform cost
         model, no Gaussian perturbation, no RNG consumed.
@@ -257,15 +213,20 @@ class Profiler:
         This is the attribution clock ``repro explain`` replays ablated
         pipelines on — two binaries with identical block counts get
         *exactly* equal seconds, so a marginal contribution of 0.0 means
-        the pass truly did nothing to the measured program."""
-        result = self._execute(modules, entry, keys)
-        cycles = estimate_cycles(modules, result.block_counts, self.platform)
+        the pass truly did nothing to the measured program.  IR-identical
+        programs share one execution through the execution memo."""
+        cycles, result = self._outcome(modules, entry, fingerprints)
         return cycles / (self.platform.ghz * 1e9), result
 
     # -- perf-like profiling --------------------------------------------------
-    def function_profile(self, modules: List[Module], entry: str = "main") -> FunctionProfile:
+    def function_profile(
+        self,
+        modules: List[Module],
+        entry: str = "main",
+        fingerprints: Optional[Sequence[Optional[str]]] = None,
+    ) -> FunctionProfile:
         """Perf-like self-time profile per function and module."""
-        result = self._execute(modules, entry)
+        result = self.execute(modules, entry, fingerprints)
         fn_seconds: Dict[Tuple[str, str], float] = {}
         cost_cache: Dict[Tuple[str, str], Dict[str, float]] = {}
         fn_index = {}

@@ -23,9 +23,9 @@ run on :meth:`~repro.machine.profiler.Profiler.deterministic_seconds`
 produce the same binary get the same seconds to the last bit.  Compiles
 route through a :class:`~repro.core.eval_engine.CompileEngine` keyed by
 ``(module, sequence)``, so the full sequence, every prefix, and every
-leave-one-out variant compile at most once each; executions are memoised
-by the linked binaries' textual signatures, so IR-identical ablations are
-never re-run.
+leave-one-out variant compile at most once each; executions go through
+the profiler's fingerprint-keyed measurement store, so IR-identical
+ablations are never re-run.
 
 Everything reads the run directory's JSON artifacts; no pickles, no live
 tuner, and the run's own RNG stream is never touched.
@@ -33,7 +33,6 @@ tuner, and the run's own RNG stream is never touched.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -42,8 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.compiler.opt_tool import run_opt
 from repro.compiler.pass_manager import PassTrace
-from repro.compiler.textual import print_module
 from repro.core.eval_engine import CompileEngine
+from repro.machine.artifacts import CompiledModule
 from repro.machine.platforms import get_platform
 from repro.machine.profiler import Profiler
 from repro.obs.analysis import load_run
@@ -209,7 +208,7 @@ class ExplainReport:
             f"Replay cost: {cs.get('compiles', '?')} compiles for "
             f"{cs.get('requests', '?')} requests (engine cache), "
             f"{es.get('executions', '?')} executions for "
-            f"{es.get('requests', '?')} ablations (signature memo)."
+            f"{es.get('requests', '?')} ablations (execution memo)."
         )
         return "\n".join(lines).rstrip() + "\n"
 
@@ -222,19 +221,15 @@ def _load_program(name: str):
     raise ValueError(f"unknown program {name!r} in run manifest")
 
 
-def _module_signature(module) -> str:
-    return hashlib.sha256(print_module(module).encode()).hexdigest()
-
-
 class _Replayer:
     """Deterministic compile+execute service for ablation replays.
 
     Compiles are served by a :class:`CompileEngine` keyed by the decoded
     ``(module, sequence)`` pair — the incumbent, every prefix, and every
     leave-one-out variant hit the same cache.  Executions are memoised by
-    the tuple of linked modules' textual signatures: ablations that
-    compile to IR-identical binaries share one execution and get exactly
-    equal seconds."""
+    the profiler's execution memo, keyed by the linked modules' IR
+    fingerprints: ablations that compile to IR-identical binaries share
+    one execution and get exactly equal seconds."""
 
     def __init__(self, program, platform, tracer: Tracer) -> None:
         self.program = program
@@ -249,15 +244,14 @@ class _Replayer:
             key_fn=lambda name, seq: (name, tuple(seq)),
             tracer=tracer,
         )
-        self._seconds_memo: Dict[Tuple[str, ...], float] = {}
         self.exec_requests = 0
         self.compile_requests = 0
 
-    def _compile(self, name: str, seq: Sequence[str]):
+    def _compile(self, name: str, seq: Sequence[str]) -> CompiledModule:
         cr = run_opt(self.program.get_module(name), list(seq), target=self.target)
-        return cr.module
+        return CompiledModule(cr.module, cr.stats_json())
 
-    def compiled(self, name: str, seq: Sequence[str]):
+    def compiled(self, name: str, seq: Sequence[str]) -> CompiledModule:
         """The module compiled under ``seq`` (engine-cached)."""
         self.compile_requests += 1
         return self.engine.compile_one(name, tuple(seq))
@@ -269,14 +263,11 @@ class _Replayer:
             self.compiled(m.name, config.get(m.name, ()))
             for m in self.program.modules
         ]
-        sig = tuple(_module_signature(m) for m in linked)
-        hit = self._seconds_memo.get(sig)
-        if hit is not None:
-            return hit
         seconds, _result = self.profiler.deterministic_seconds(
-            linked, entry=self.program.entry
+            [c.module for c in linked],
+            entry=self.program.entry,
+            fingerprints=[c.fingerprint for c in linked],
         )
-        self._seconds_memo[sig] = seconds
         return seconds
 
     def stats(self) -> Tuple[Dict[str, object], Dict[str, object]]:
@@ -287,7 +278,7 @@ class _Replayer:
         }
         execution_stats = {
             "requests": self.exec_requests,
-            "executions": len(self._seconds_memo),
+            "executions": self.exec_requests - self.profiler.execution_memo_hits,
         }
         return compile_stats, execution_stats
 
@@ -363,12 +354,11 @@ def explain_run(
                     )
                 sp.set(**trace.summary())
 
-            full_sig = _module_signature(replayer.compiled(name, seq))
+            full_fp = replayer.compiled(name, seq).fingerprint
             attributions: List[PassAttribution] = []
             for i, entry in enumerate(trace.entries):
                 ablated = seq[:i] + seq[i + 1:]
-                ablated_module = replayer.compiled(name, ablated)
-                noop = _module_signature(ablated_module) == full_sig
+                noop = replayer.compiled(name, ablated).fingerprint == full_fp
                 if noop:
                     marginal = 0.0
                 else:

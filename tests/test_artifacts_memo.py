@@ -1,38 +1,34 @@
-"""Artifact store, IR-identity execution memo, and their determinism contract.
+"""The measurement store, the IR-identity execution memo, and their
+determinism contract.
 
 Three layers under test:
 
-* :mod:`repro.machine.artifacts` — content-addressed fingerprints, the
-  process-shared store, disk spill, worker seeding;
+* :mod:`repro.machine.artifacts` — print-only IR fingerprints, compile
+  results that carry their fingerprint, and the one LRU store;
 * :class:`repro.machine.profiler.Profiler` — the execution memo replays
   recorded executions (including crashes) while drawing noise exactly as
-  live, so measured values are bit-identical with the memo on or off;
-* :class:`repro.core.task.AutotuningTask` — seeded tuning histories are
-  bit-identical across every toggle combination and jobs level, and a
-  killed run resumes through memo hits.
+  live, so measured values are bit-identical with the memo on or off, and
+  an in-place rewrite of a measured module is re-executed, not replayed;
+* :class:`repro.core.task.AutotuningTask` and the CLI — seeded tuning
+  histories are bit-identical across ``--no-fuse`` × jobs × kill/resume,
+  and run directories written with retired flags still resume and load.
 """
 
 import json
+import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import cbench_program
 from repro.cli import main
+from repro.compiler.ir import Const, I64
 from repro.compiler.opt_tool import run_opt
-from repro.compiler.pipelines import pipeline
 from repro.core.task import AutotuningTask
 from repro.baselines.random_tuner import RandomSearchTuner
-from repro.machine.artifacts import (
-    ArtifactStore,
-    harvest_compile_result,
-    ir_fingerprint,
-    local_store,
-    seed_worker_store,
-    set_local_store,
-)
-from repro.machine.bytecode import BytecodeVM, compile_module
+from repro.machine import artifacts
+from repro.machine.artifacts import ArtifactStore, CompiledModule, ir_fingerprint
+from repro.machine.bytecode import compile_module
 from repro.machine.interp import FuelExhausted
 from repro.machine.platforms import get_platform
 from repro.machine.profiler import Profiler
@@ -44,6 +40,10 @@ def _mod(iters=50):
     return _kernel_int_alu(iters)
 
 
+def _profiler(**kw):
+    return Profiler(get_platform("arm-a57"), seed=5, fuel=5_000_000, **kw)
+
+
 # -- fingerprints -------------------------------------------------------------
 
 
@@ -53,27 +53,37 @@ class TestFingerprint:
 
     def test_clone_matches_and_recomputes(self):
         m = _mod()
+        before = dict(vars(m))
         fp = ir_fingerprint(m)
-        clone = m.clone()
-        # the memo attribute must not leak onto the (mutable) clone
-        assert not hasattr(clone, "_repro_ir_fp")
-        assert ir_fingerprint(clone) == fp
+        # fingerprinting leaves the module untouched: nothing is memoized on it
+        assert vars(m) == before
+        assert ir_fingerprint(m.clone()) == fp
 
     def test_in_place_mutation_invalidates_memo(self):
-        # modules are immutable by contract once fingerprinted, but the memo
-        # carries a (blocks, instrs) shape guard so a contract violation
-        # recomputes instead of silently aliasing store/memo entries
+        # rewrite one `mul` constant in place: block and instruction counts
+        # stay the same, so only the IR text tells the two programs apart
         m = _mod()
+        prof = _profiler()
+        first = prof.measure([m], entry="main")
         fp = ir_fingerprint(m)
-        fn = next(iter(m.functions.values()))
-        blk = next(b for b in fn.blocks.values() if len(b.instrs) > 1)
-        blk.instrs.pop(0)
+        mul = next(
+            ins
+            for fn in m.functions.values()
+            for blk in fn.blocks.values()
+            for ins in blk.instrs
+            if ins.op == "mul" and any(isinstance(a, Const) for a in ins.args)
+        )
+        k = next(i for i, a in enumerate(mul.args) if isinstance(a, Const))
+        mul.args[k] = Const(40503, I64)
         assert ir_fingerprint(m) != fp
+        second = prof.measure([m], entry="main")
+        assert prof.execution_memo_hits == 0  # a live re-execution
+        fresh = _profiler(execution_memo=False).execute([m], entry="main")
+        assert second.output_signature() == fresh.output_signature()
+        assert second.output_signature() != first.output_signature()
 
     def test_distinct_ir_distinct_fp(self):
-        a = _mod(iters=50)
-        b = _mod(iters=51)
-        assert ir_fingerprint(a) != ir_fingerprint(b)
+        assert ir_fingerprint(_mod(iters=50)) != ir_fingerprint(_mod(iters=51))
 
     def test_configs_lowering_to_same_ir_share_fp(self):
         base = _mod()
@@ -82,6 +92,19 @@ class TestFingerprint:
         b = run_opt(base.clone(), ["dce"]).module
         assert ir_fingerprint(a) == ir_fingerprint(b)
 
+    def test_compiled_module_fingerprints_once_on_demand(self, monkeypatch):
+        calls = []
+        real = artifacts.ir_fingerprint
+        monkeypatch.setattr(
+            artifacts, "ir_fingerprint", lambda m: calls.append(m) or real(m)
+        )
+        rec = CompiledModule(_mod(), {"instrs": 1})
+        module, stats = rec
+        assert module is rec.module and stats == {"instrs": 1}
+        assert calls == []  # compiling alone never fingerprints
+        assert rec.fingerprint == rec.fingerprint == real(module)
+        assert len(calls) == 1
+
 
 # -- the store ----------------------------------------------------------------
 
@@ -89,86 +112,28 @@ class TestFingerprint:
 class TestArtifactStore:
     def test_compile_through_dedups(self):
         store = ArtifactStore()
-        m = _mod()
-        fp1, bc1, compiled1 = store.bytecode_for(m)
-        fp2, bc2, compiled2 = store.bytecode_for(_mod())
-        assert (compiled1, compiled2) == (True, False)
-        assert fp1 == fp2 and bc1 is bc2
-        assert store.stats()["hits"] == 1
+        a, b = _mod(), _mod()
+        (bc1,) = store.harvest([a], [ir_fingerprint(a)])
+        (bc2,) = store.harvest([b], [ir_fingerprint(b)])
+        assert bc1 is bc2
+        assert store.stats() == {"size": 1, "hits": 1, "misses": 1}
 
     def test_lru_bounded(self):
         store = ArtifactStore(max_entries=2)
         for i in range(4):
-            store.bytecode_for(_mod(iters=10 + i))
+            m = _mod(iters=10 + i)
+            store.harvest([m], [ir_fingerprint(m)], build=compile_module)
         assert len(store) == 2
-
-    def test_harvest_returns_only_fresh(self):
-        store = ArtifactStore()
-        m = _mod()
-        assert len(store.harvest([m])) == 1
-        assert store.harvest([_mod()]) == []
-
-    def test_spill_roundtrip(self, tmp_path):
-        spill = str(tmp_path / "artifacts")
-        a = ArtifactStore(spill_dir=spill)
-        fp, bc, _ = a.bytecode_for(_mod())
-        assert a.stats()["spill_writes"] == 1
-        # a fresh store over the same dir loads from disk, not recompiles
-        b = ArtifactStore(spill_dir=spill)
-        got = b.get(fp)
-        assert got is not None and b.stats()["spill_hits"] == 1
-        # the loaded artifact actually runs
-        out = BytecodeVM([got], fuel=1_000_000).run("main")
-        ref = BytecodeVM([compile_module(_mod())], fuel=1_000_000).run("main")
-        assert out.output_signature() == ref.output_signature()
-
-    def test_corrupt_spill_is_recompiled(self, tmp_path):
-        spill = str(tmp_path / "artifacts")
-        a = ArtifactStore(spill_dir=spill)
-        fp, _, _ = a.bytecode_for(_mod())
-        path = next(Path(spill).glob("*.bc.pkl"))
-        path.write_bytes(b"garbage")
-        b = ArtifactStore(spill_dir=spill)
-        assert b.get(fp) is None  # miss, caller recompiles
-        assert b.stats()["misses"] == 1
-
-    def test_absorb_merges_and_counts(self):
-        a = ArtifactStore()
-        a.bytecode_for(_mod())
-        entries = a.warm_entries()
-        b = ArtifactStore()
-        assert b.absorb(entries) == 1
-        assert b.absorb(entries) == 0  # already present
-
-    def test_worker_seeding(self):
-        prev = local_store(create=False)
-        try:
-            a = ArtifactStore()
-            m = _mod()
-            a.bytecode_for(m)
-            seed_worker_store(a.warm_entries())
-            ws = local_store()
-            assert ws is not None and len(ws) == 1
-            # counters were zeroed after seeding
-            assert ws.stats()["puts"] == 0
-            # module-level artifact_fn: warm module is not "fresh"
-            assert harvest_compile_result((m, {})) == []
-            assert len(harvest_compile_result((_mod(iters=7), {}))) == 1
-        finally:
-            set_local_store(prev)
 
 
 # -- the execution memo -------------------------------------------------------
 
 
 class TestExecutionMemo:
-    def _profiler(self, **kw):
-        return Profiler(get_platform("arm-a57"), seed=5, fuel=5_000_000, **kw)
-
     def test_memo_values_match_live(self):
         mods = [_mod()]
-        on = self._profiler(execution_memo=True)
-        off = self._profiler(execution_memo=False)
+        on = _profiler(execution_memo=True)
+        off = _profiler(execution_memo=False)
         for _ in range(4):
             a = on.measure(mods, entry="main")
             b = off.measure(mods, entry="main")
@@ -192,97 +157,43 @@ class TestExecutionMemo:
         base = _mod()
         a = run_opt(base.clone(), ["dce", "dce"]).module
         b = run_opt(base.clone(), ["dce"]).module
-        prof = self._profiler()
-        prof.measure([a], entry="main", keys=[("cfg", "m", ("dce", "dce"))])
-        prof.measure([b], entry="main", keys=[("cfg", "m", ("dce",))])
+        prof = _profiler()
+        prof.measure([a], entry="main")
+        prof.measure([b], entry="main")
         assert prof.execution_memo_hits == 1
-        assert prof.bytecode_compiles == 1  # fingerprint-keyed cache dedups
+        assert prof.artifacts.misses == 1  # fingerprint-keyed store dedups
 
 
-# -- task-level determinism ---------------------------------------------------
+# -- task-level accounting ----------------------------------------------------
 
 
-def _history(jobs=1, budget=10, **task_kw):
-    task = AutotuningTask(
-        cbench_program("telecom_gsm"), seed=7, jobs=jobs, seq_length=10, **task_kw
-    )
-    with task:
-        res = RandomSearchTuner(task, seed=11).tune(budget)
-        tb = task.timing_breakdown()
-    hist = tuple(
-        (m.module, m.sequence, m.runtime, m.correct, m.status)
-        for m in res.measurements
-    )
-    return hist, tb
+def _task(**kw):
+    return AutotuningTask(cbench_program("telecom_gsm"), seed=7, seq_length=10, **kw)
 
 
 class TestTaskDeterminism:
-    def test_toggles_and_jobs_bit_identical(self):
-        base, base_tb = _history()
-        combos = [
-            dict(fuse=False),
-            dict(execution_memo=False),
-            dict(shared_artifacts=False),
-            dict(fuse=False, execution_memo=False, shared_artifacts=False),
-            dict(jobs=2),
-            dict(jobs=4, fuse=False),
-        ]
-        for kw in combos:
-            hist, _ = _history(**kw)
-            assert hist == base, f"history diverged with {kw}"
-        assert base_tb["fuse"] and base_tb["execution_memo"]
-        assert base_tb["shared_artifacts"]
-
     def test_breakdown_reports_new_counters(self):
-        _, tb = _history(budget=16)
+        with _task() as task:
+            RandomSearchTuner(task, seed=11).tune(16)
+            tb = task.timing_breakdown()
         assert tb["fused_kernels"] > 0
-        assert tb["artifact_store"]["puts"] > 0
+        assert tb["bytecode_compiles"] > 0
         assert "execution_memo_hits" in tb
+        for retired in ("artifact_store", "shared_artifacts", "execution_memo"):
+            assert retired not in tb
 
-    def test_spill_dir_implies_store_and_warms_resume(self, tmp_path):
-        spill = str(tmp_path / "spill")
-        _, tb1 = _history(shared_artifacts=False, artifact_spill_dir=spill)
-        assert tb1["shared_artifacts"]  # spill dir implies the store
-        assert tb1["artifact_store"]["spill_writes"] > 0
-        _, tb2 = _history(artifact_spill_dir=spill)
-        assert tb2["artifact_store"]["spill_hits"] > 0
-
-
-# -- process pools ------------------------------------------------------------
-
-
-def _compile_kernel(name, seq):
-    """Module-level (picklable) compile fn: seq[0] is the iteration count."""
-    from repro.bench import _kernel_int_alu
-
-    return (_kernel_int_alu(int(seq[0])), {"iters": int(seq[0])})
+    def test_only_measured_candidates_are_fingerprinted(self):
+        with _task() as task:
+            name = task.hot_modules[0]
+            seqs = [[i, i + 1, i + 2] for i in range(6)]
+            recs = task.compile_batch([(name, s) for s in seqs])
+            assert all(r._fingerprint is None for r in recs)
+            task.measure({name: recs[0]})
+            assert recs[0]._fingerprint == ir_fingerprint(recs[0].module)
+            assert all(r._fingerprint is None for r in recs[1:])
 
 
-class TestProcessPoolArtifacts:
-    def test_process_workers_ship_artifacts_back(self):
-        from repro.core.eval_engine import CompileEngine
-
-        store = ArtifactStore()
-        store.bytecode_for(_mod(iters=30))  # pre-warm: rides the initializer
-        engine = CompileEngine(
-            _compile_kernel,
-            jobs=2,
-            executor="process",
-            shared_artifacts=store,
-            artifact_fn=harvest_compile_result,
-        )
-        try:
-            items = [("m", (30,)), ("m", (31,)), ("m", (32,))]
-            results = engine.compile_batch(items)
-            assert len(results) == 3
-        finally:
-            engine.close()
-        # fresh worker-compiled artifacts rode back and were absorbed;
-        # the pre-warmed one was seeded into workers, so it is not fresh
-        assert len(store) == 3
-
-
-# -- CLI toggles + kill/resume through memo hits ------------------------------
+# -- CLI: --no-fuse x jobs x kill/resume, and old run directories --------------
 
 
 def _tune(run_dir, *extra, program="telecom_gsm", budget=14, seed=4):
@@ -311,23 +222,47 @@ def _result_sans_timing(run_dir):
     return data
 
 
+def _kill_after(run_dir, n_measures):
+    """Turn a finished run into one killed after ``n_measures`` WAL-durable
+    measurements (the state a SIGKILL leaves behind)."""
+    (run_dir / "result.json").unlink()
+    (run_dir / "metrics.json").unlink()
+    wal_path = run_dir / "wal.jsonl"
+    kept, measures = [], 0
+    for line in wal_path.read_text().splitlines():
+        rec = json.loads(line)
+        if rec.get("type") == "measure":
+            if measures >= n_measures:
+                break
+            measures += 1
+        elif rec.get("type") == "slot" and measures >= n_measures:
+            break
+        kept.append(line)
+    wal_path.write_text("\n".join(kept) + "\n")
+
+
+def _resume(run_dir):
+    return main(["tune", "--resume", str(run_dir), "--log-level", "warning"])
+
+
 class TestCliTogglesAndResume:
     def test_cli_toggles_bit_identical(self, tmp_path):
         control = tmp_path / "control"
         assert _tune(control) == 0
-        for flags in (
-            ("--no-fuse",),
-            ("--no-execution-memo",),
-            ("--no-shared-artifacts",),
-            ("--no-fuse", "--no-execution-memo", "--no-shared-artifacts"),
-        ):
-            out = tmp_path / ("run" + "".join(flags).replace("-", ""))
-            assert _tune(out, *flags) == 0
-            assert _result_sans_timing(out) == _result_sans_timing(control)
+        expected = _result_sans_timing(control)
+        for fuse in ((), ("--no-fuse",)):
+            for jobs in ("1", "2"):
+                flags = (*fuse, "--jobs", jobs)
+                run = tmp_path / ("run" + "".join(flags).replace("-", ""))
+                assert _tune(run, *flags) == 0
+                assert _result_sans_timing(run) == expected, flags
+                killed = tmp_path / (run.name + "_killed")
+                shutil.copytree(run, killed)
+                _kill_after(killed, 7)
+                assert _resume(killed) == 0
+                assert _result_sans_timing(killed) == expected, flags
 
     def test_kill_resume_replays_through_memo_hits(self, tmp_path):
-        import shutil
-
         control = tmp_path / "control"
         assert _tune(control, budget=18) == 0
         timing = json.loads((control / "result.json").read_text())["timing"]
@@ -336,29 +271,44 @@ class TestCliTogglesAndResume:
         )
         killed = tmp_path / "killed"
         shutil.copytree(control, killed)
-        (killed / "result.json").unlink()
-        (killed / "metrics.json").unlink()
-        wal_path = killed / "wal.jsonl"
-        kept, measures = [], 0
-        for line in wal_path.read_text().splitlines():
-            rec = json.loads(line)
-            if rec.get("type") == "measure":
-                if measures >= 7:
-                    break
-                measures += 1
-            elif rec.get("type") == "slot" and measures >= 7:
-                break
-            kept.append(line)
-        wal_path.write_text("\n".join(kept) + "\n")
-        assert main(["tune", "--resume", str(killed), "--log-level", "warning"]) == 0
+        _kill_after(killed, 7)
+        assert _resume(killed) == 0
         assert _result_sans_timing(killed) == _result_sans_timing(control)
 
-    def test_artifact_store_flag_spills(self, tmp_path):
-        store = tmp_path / "store"
-        run = tmp_path / "run"
-        assert _tune(run, "--artifact-store", str(store), budget=6) == 0
-        assert list(store.glob("*.bc.pkl")), "no artifacts spilled"
-        # identical history with the spill enabled
+    def test_manifest_with_retired_flags_resumes(self, tmp_path):
         control = tmp_path / "control"
-        assert _tune(control, budget=6) == 0
-        assert _result_sans_timing(run) == _result_sans_timing(control)
+        assert _tune(control) == 0
+        killed = tmp_path / "killed"
+        shutil.copytree(control, killed)
+        _kill_after(killed, 5)
+        manifest_path = killed / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest.update(
+            execution_memo=False,
+            shared_artifacts=False,
+            artifact_store=str(tmp_path / "spill"),
+            compile_cache_size=64,
+        )
+        manifest_path.write_text(json.dumps(manifest))
+        assert _resume(killed) == 0
+        assert _result_sans_timing(killed) == _result_sans_timing(control)
+
+    def test_old_result_with_artifact_store_loads_in_analyze(self, tmp_path):
+        run = tmp_path / "run"
+        assert _tune(run, budget=6) == 0
+        result_path = run / "result.json"
+        data = json.loads(result_path.read_text())
+        data["timing"].update(
+            execution_memo=True,
+            shared_artifacts=True,
+            artifact_store={
+                "size": 12, "hits": 3, "misses": 12, "puts": 12,
+                "spill_hits": 0, "spill_writes": 0,
+            },
+        )
+        result_path.write_text(json.dumps(data))
+        report = tmp_path / "report.md"
+        assert main(
+            ["analyze", str(run), "--out", str(report), "--log-level", "warning"]
+        ) == 0
+        assert report.read_text()

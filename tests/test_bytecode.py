@@ -19,6 +19,7 @@ from repro.compiler.builder import FunctionBuilder, c
 from repro.compiler.ir import F64, I8, I16, I32, I64, Module, vec
 from repro.compiler.opt_tool import run_opt
 from repro.compiler.pipelines import pipeline
+from repro.machine.artifacts import ArtifactStore
 from repro.machine.bytecode import BytecodeVM, compile_module, run_bytecode
 from repro.machine.interp import (
     FuelExhausted,
@@ -289,15 +290,15 @@ def test_profiler_engines_bit_identical_measurements(dot_module):
 
 
 def test_profiler_bytecode_cache_hits_and_eviction(dot_module, sum_loop_module):
-    prof = Profiler(get_platform("arm-a57"), seed=0, bytecode_cache_size=1)
-    prof.execute([dot_module], keys=[("k", "dot")])
-    prof.execute([dot_module], keys=[("k", "dot")])
-    assert prof.bytecode_compiles == 1
-    assert prof.bytecode_cache_hits == 1
-    # a second module evicts the first (cache_size=1) -> recompile on return
-    prof.execute([sum_loop_module], keys=[("k", "sum")])
-    prof.execute([dot_module], keys=[("k", "dot")])
-    assert prof.bytecode_compiles == 3
+    prof = Profiler(get_platform("arm-a57"), seed=0)
+    store = prof.artifacts = ArtifactStore(max_entries=1)
+    prof.execute([dot_module])
+    prof.execute([dot_module])
+    assert (store.misses, store.hits) == (1, 1)
+    # a second module evicts the first (max_entries=1) -> recompile on return
+    prof.execute([sum_loop_module])
+    prof.execute([dot_module])
+    assert store.misses == 3
 
 
 def test_profiler_function_profile_engine_independent(dot_module):

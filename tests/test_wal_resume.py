@@ -242,7 +242,7 @@ def test_replay_reconstructs_gp_posterior(tmp_path, seed):
 
     # probe the posteriors at the merged -O3 statistics point
     merged = {}
-    for name in task._o3_stats:
+    for name in (m.name for m in task.program.modules):
         merged.update(tuner.model.prefix_stats(name, task.o3_stats(name)))
     mu1, s1 = tuner.model.predict_merged([merged])
     mu2, s2 = tuner2.model.predict_merged([merged])
