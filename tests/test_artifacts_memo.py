@@ -171,7 +171,30 @@ def _task(**kw):
     return AutotuningTask(cbench_program("telecom_gsm"), seed=7, seq_length=10, **kw)
 
 
+def _history(jobs=1, budget=10, **task_kw):
+    with _task(jobs=jobs, **task_kw) as task:
+        res = RandomSearchTuner(task, seed=11).tune(budget)
+        tb = task.timing_breakdown()
+    hist = tuple(
+        (m.module, m.sequence, m.runtime, m.correct, m.status)
+        for m in res.measurements
+    )
+    return hist, tb
+
+
 class TestTaskDeterminism:
+    def test_toggles_and_jobs_bit_identical(self):
+        base, base_tb = _history()
+        combos = [
+            dict(fuse=False),
+            dict(jobs=2),
+            dict(jobs=4, fuse=False),
+        ]
+        for kw in combos:
+            hist, _ = _history(**kw)
+            assert hist == base, f"history diverged with {kw}"
+        assert base_tb["fuse"]
+
     def test_breakdown_reports_new_counters(self):
         with _task() as task:
             RandomSearchTuner(task, seed=11).tune(16)
