@@ -22,7 +22,6 @@ Design notes
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -196,9 +195,24 @@ class Instr:
         self.attrs: Dict[str, object] = attrs
 
     def clone(self) -> "Instr":
-        """Deep copy of the instruction."""
-        inst = Instr(self.op, self.res, self.ty, list(self.args))
-        inst.attrs = copy.deepcopy(self.attrs)
+        """Independent copy of the instruction.
+
+        A one-level structural copy: fresh ``args`` and ``attrs``, with list
+        attr values (phi ``incoming``, rewritten in place by
+        :meth:`replace_uses` and the passes) copied and every other value
+        shared.  Sharing is sound because attr values are immutable
+        (``str``, ``int``, tuples, :class:`Type`, :class:`Const`), an
+        invariant :func:`~repro.compiler.verify.verify_function` enforces.
+        """
+        inst = Instr.__new__(Instr)
+        inst.op = self.op
+        inst.res = self.res
+        inst.ty = self.ty
+        inst.args = list(self.args)
+        attrs = self.attrs
+        inst.attrs = (
+            {k: list(v) if type(v) is list else v for k, v in attrs.items()} if attrs else {}
+        )
         return inst
 
     @property
@@ -415,13 +429,14 @@ class Function:
         self.blocks = {name: self.blocks[name] for name in order}
 
     def clone(self) -> "Function":
-        """Deep copy of the function."""
+        """Independent copy of the function (see :meth:`Instr.clone`)."""
         fn = Function(self.name, list(self.params), self.ret_ty)
         fn.attrs = set(self.attrs)
         fn._counter = self._counter
-        for name, blk in self.blocks.items():
-            nb = fn.add_block(name)
-            nb.instrs = [inst.clone() for inst in blk.instrs]
+        fn.blocks = {
+            name: Block(name, [inst.clone() for inst in blk.instrs])
+            for name, blk in self.blocks.items()
+        }
         return fn
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -459,7 +474,7 @@ class Module:
         return sum(f.num_instrs() for f in self.functions.values())
 
     def clone(self) -> "Module":
-        """Deep copy of the whole module."""
+        """Independent copy of the whole module (see :meth:`Instr.clone`)."""
         mod = Module(self.name)
         for fn in self.functions.values():
             mod.functions[fn.name] = fn.clone()

@@ -3,8 +3,10 @@
 Run after every pass in tests (and optionally inside the pass manager) to
 catch malformed IR early: missing terminators, uses of undefined registers,
 phi edges that do not match the CFG, branches to unknown blocks, multiple
-definitions of a register.  A pass that produces IR failing verification is
-a pass with a bug — the differential tests then localise *semantic* bugs.
+definitions of a register, and mutable instruction attrs (which
+:meth:`~repro.compiler.ir.Instr.clone` shares between copies).  A pass that
+produces IR failing verification is a pass with a bug — the differential
+tests then localise *semantic* bugs.
 """
 
 from __future__ import annotations
@@ -12,13 +14,41 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.compiler.analysis import dominators, reachable_blocks
-from repro.compiler.ir import Const, Function, Module
+from repro.compiler.ir import Const, Function, Instr, Module, Type
 
 __all__ = ["VerifyError", "verify_function", "verify_module"]
 
 
 class VerifyError(AssertionError):
     """Raised when the IR violates a structural invariant."""
+
+
+def _immutable(value: object) -> bool:
+    """Whether ``value`` is safe to share between instruction clones."""
+    if value is None or isinstance(value, (int, float, str, Type)):
+        return True
+    if isinstance(value, Const):
+        return _immutable(value.value)
+    if isinstance(value, (tuple, frozenset)):
+        return all(_immutable(v) for v in value)
+    return False
+
+
+def _verify_attrs(where: str, inst: Instr) -> None:
+    """Attrs hold immutable values only, except phi ``incoming``: a list of
+    ``(block, operand)`` tuples.  ``Instr.clone`` copies that one list and
+    shares everything else, so any other mutable value would alias."""
+    for key, value in inst.attrs.items():
+        if inst.op == "phi" and key == "incoming":
+            if type(value) is not list or not all(
+                type(e) is tuple and len(e) == 2 and _immutable(e) for e in value
+            ):
+                raise VerifyError(
+                    f"{where}: phi incoming must be a list of (block, operand) "
+                    f"pairs, got {value!r}"
+                )
+        elif not _immutable(value):
+            raise VerifyError(f"{where}: {inst.op} attr {key!r} holds mutable {value!r}")
 
 
 def verify_function(fn: Function, module: Module = None) -> None:
@@ -37,6 +67,7 @@ def verify_function(fn: Function, module: Module = None) -> None:
                 raise VerifyError(f"@{fn.name}:{bname}: terminator {inst.op} mid-block")
             if inst.op == "phi" and i > 0 and blk.instrs[i - 1].op != "phi":
                 raise VerifyError(f"@{fn.name}:{bname}: phi after non-phi")
+            _verify_attrs(f"@{fn.name}:{bname}", inst)
             if inst.res is not None:
                 if inst.res in defined:
                     raise VerifyError(

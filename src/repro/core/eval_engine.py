@@ -290,7 +290,7 @@ class CompileEngine:
 
     # -- executor plumbing ------------------------------------------------------
     def _serial(self) -> bool:
-        return self.executor == "serial" or (self.executor == "auto" and self.jobs <= 1) or self.jobs <= 1
+        return self.executor == "serial" or self.jobs <= 1
 
     def _get_pool(self) -> Executor:
         if self._pool is None:

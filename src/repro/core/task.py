@@ -28,13 +28,14 @@ import signal
 import threading
 import time
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.compiler.ir import Module
 from repro.compiler.opt_tool import run_opt
-from repro.compiler.pass_manager import PassTrace
+from repro.compiler.pass_manager import PassTrace, TargetInfo
 from repro.compiler.pipelines import SEARCH_PASSES, pipeline
 from repro.core.eval_engine import CompileEngine, CompileOutcome
 from repro.core.faults import FaultInjector, corrupt_module, parse_fault_kinds
@@ -53,8 +54,24 @@ __all__ = ["AutotuningTask"]
 
 def _corrupt_compiled(compiled: CompiledModule) -> CompiledModule:
     """The fault injector's ``miscompile`` hook for the task's compile
-    results (module-level so process pools can pickle it)."""
+    results."""
     return CompiledModule(*corrupt_module(compiled))
+
+
+def _compile_candidate(
+    program: Program,
+    passes: Sequence[str],
+    target: TargetInfo,
+    module_name: str,
+    seq_indices: Sequence[int],
+) -> CompiledModule:
+    """The raw compile — a pure function of its arguments, as the engine's
+    cache and parallel executor both require.  Module-level and bound with
+    ``functools.partial`` over picklable values only, so process pools can
+    ship it without the task's locks and events."""
+    src = program.get_module(module_name)
+    cr = run_opt(src, [passes[int(i)] for i in seq_indices], target=target)
+    return CompiledModule(cr.module, cr.stats_json())
 
 
 class AutotuningTask:
@@ -105,6 +122,8 @@ class AutotuningTask:
         ``REPRO_INJECT_FAULTS``/``REPRO_FAULT_RATE``/``REPRO_FAULT_SEED``/
         ``REPRO_FAULT_HANG_SECONDS`` environment variables build one — the
         hook CI's chaos job uses to run whole suites under fault injection.
+        An injector's lock and counters are process-local, so combining
+        one with ``executor="process"`` raises :class:`ValueError`.
 
         ``tracer``/``metrics`` wire the observability stack
         (:mod:`repro.obs`) through the task: measurement spans and
@@ -151,6 +170,25 @@ class AutotuningTask:
         bit-identical with it on or off)."""
         if objective not in ("runtime", "codesize"):
             raise ValueError(f"unknown objective {objective!r}")
+        # fault injection: an explicit injector wins; otherwise the chaos
+        # environment variables may build one (CI's chaos job)
+        if fault_injector is None:
+            env_kinds = parse_fault_kinds(os.environ.get("REPRO_INJECT_FAULTS", ""))
+            if env_kinds:
+                fault_injector = FaultInjector(
+                    rate=float(os.environ.get("REPRO_FAULT_RATE", "0.02")),
+                    kinds=env_kinds,
+                    seed=int(os.environ.get("REPRO_FAULT_SEED", "0")),
+                    hang_seconds=float(
+                        os.environ.get("REPRO_FAULT_HANG_SECONDS", "0.05")
+                    ),
+                )
+        if fault_injector is not None and executor == "process":
+            raise ValueError(
+                "fault injection cannot run in a process pool: the injector's "
+                "lock and counters are process-local (unset REPRO_INJECT_FAULTS "
+                "or use executor='thread')"
+            )
         self.objective = objective
         self.program = program
         self.platform: Platform = get_platform(platform)
@@ -200,27 +238,12 @@ class AutotuningTask:
             for name in self.hot_modules
         }
 
-        # fault injection: an explicit injector wins; otherwise the chaos
-        # environment variables may build one (CI's chaos job)
-        if fault_injector is None:
-            env_kinds = parse_fault_kinds(os.environ.get("REPRO_INJECT_FAULTS", ""))
-            if env_kinds:
-                fault_injector = FaultInjector(
-                    rate=float(os.environ.get("REPRO_FAULT_RATE", "0.02")),
-                    kinds=env_kinds,
-                    seed=int(os.environ.get("REPRO_FAULT_SEED", "0")),
-                    hang_seconds=float(
-                        os.environ.get("REPRO_FAULT_HANG_SECONDS", "0.05")
-                    ),
-                )
         self.fault_injector = fault_injector
         if fault_injector is not None and fault_injector.corrupt_fn is None:
             fault_injector.corrupt_fn = _corrupt_compiled
-        compile_fn = (
-            fault_injector.wrap(self._compile_uncached)
-            if fault_injector is not None
-            else self._compile_uncached
-        )
+        compile_fn = partial(_compile_candidate, program, tuple(self.passes), self.target)
+        if fault_injector is not None:
+            compile_fn = fault_injector.wrap(compile_fn)
 
         # observability: one tracer + one registry shared with the engine,
         # so compile spans and engine counters land in the run's artifacts
@@ -380,15 +403,6 @@ class AutotuningTask:
     def compile_seconds(self) -> float:
         """Cumulative per-candidate compile time, summed across workers."""
         return self.engine.cpu_seconds
-
-    def _compile_uncached(
-        self, module_name: str, seq_indices: Sequence[int]
-    ) -> CompiledModule:
-        """The raw compile — a pure function of its arguments, as the
-        engine's cache and parallel executor both require."""
-        src = self.program.get_module(module_name)
-        cr = run_opt(src, self.decode(seq_indices), target=self.target)
-        return CompiledModule(cr.module, cr.stats_json())
 
     def compile_module(
         self, module_name: str, seq_indices: Sequence[int]

@@ -167,6 +167,29 @@ class TestCitroen:
         curve = res.speedup_curve([5, 10, 20])
         assert curve[0] <= curve[1] + 1e-12 <= curve[2] + 2e-12
 
+    def test_process_executor_history_matches_serial(self, monkeypatch):
+        for var in ("REPRO_INJECT_FAULTS", "REPRO_FAULT_RATE", "REPRO_FAULT_SEED",
+                    "REPRO_FAULT_HANG_SECONDS"):
+            monkeypatch.delenv(var, raising=False)
+
+        def history(**kw):
+            with AutotuningTask(
+                cbench_program("security_sha"), platform="arm-a57", seed=0, seq_length=8, **kw
+            ) as task:
+                res = Citroen(task, seed=1, n_init=3, per_strategy=2).tune(8)
+                # the engine only starts a pool for a batch of 2+ uncached candidates
+                pool = task.engine._pool
+                return type(pool).__name__, task.n_compiles, [
+                    (m.module, m.sequence, m.runtime, m.correct, m.status)
+                    for m in res.measurements
+                ]
+
+        _, n_serial, serial = history(jobs=1)
+        pool, n_proc, proc = history(jobs=2, executor="process")
+        assert pool == "ProcessPoolExecutor"
+        assert proc == serial
+        assert n_proc == n_serial
+
     def test_ablation_configs_construct_and_run(self):
         task = AutotuningTask(
             cbench_program("security_sha"), platform="arm-a57", seed=0, seq_length=16

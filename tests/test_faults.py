@@ -356,6 +356,16 @@ class TestTaskDegradation:
         assert task.fault_injector.seed == 9
         task.close()
 
+    @pytest.mark.parametrize("source", ["explicit", "env"])
+    def test_process_executor_rejects_fault_injection(self, monkeypatch, source):
+        monkeypatch.setenv("REPRO_INJECT_FAULTS", "crash")
+        kw = {"fault_injector": FaultInjector(rate=0.5)} if source == "explicit" else {}
+        with pytest.raises(ValueError, match="process-local"):
+            AutotuningTask(
+                cbench_program("security_sha"), seed=0, seq_length=8,
+                jobs=2, executor="process", **kw,
+            )
+
     def test_env_chaos_ignored_when_unset(self, monkeypatch, sha_task):
         monkeypatch.delenv("REPRO_INJECT_FAULTS", raising=False)
         assert sha_task.fault_injector is None

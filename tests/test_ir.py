@@ -1,5 +1,6 @@
 """Unit tests for the IR data structures and builder."""
 
+import numpy as np
 import pytest
 
 from repro.compiler.builder import FunctionBuilder, c
@@ -22,6 +23,11 @@ from repro.compiler.ir import (
     is_commutative,
     vec,
 )
+from repro.compiler.opt_tool import run_opt
+from repro.compiler.pass_manager import PassManager
+from repro.compiler.pipelines import SEARCH_PASSES, pipeline
+from repro.compiler.textual import print_module
+from repro.workloads import cbench_names, cbench_program, spec_names, spec_program
 
 
 class TestTypes:
@@ -56,10 +62,15 @@ class TestTypes:
 
 class TestInstr:
     def test_clone_is_deep(self):
-        inst = Instr("phi", "%x", I32, (), incoming=[("a", Const(1, I32))])
+        inst = Instr("phi", "%x", I32, (), incoming=[("a", "%v"), ("b", Const(1, I32))])
         cl = inst.clone()
-        cl.attrs["incoming"].append(("b", Const(2, I32)))
-        assert len(inst.attrs["incoming"]) == 1
+        cl.attrs["incoming"].append(("c", Const(2, I32)))
+        assert cl.replace_uses({"%v": "%w"})
+        cl.args.append("%y")
+        cl.attrs["extra"] = 1
+        assert inst.attrs == {"incoming": [("a", "%v"), ("b", Const(1, I32))]}
+        assert inst.args == []
+        assert cl.attrs["incoming"][0] == ("a", "%w")
 
     def test_operands_include_phi_incoming(self):
         inst = Instr("phi", "%x", I32, (), incoming=[("a", "%v"), ("b", Const(2, I32))])
@@ -182,3 +193,26 @@ class TestBuilder:
         b = FunctionBuilder(mod, "f", [], VOID)
         assert b.call("callee", []) is None
         b.ret()
+
+
+_SUITE_PROGRAMS = [("cbench", n) for n in cbench_names()] + [("spec", n) for n in spec_names()]
+
+
+@pytest.mark.parametrize("suite,name", _SUITE_PROGRAMS)
+def test_optimising_a_clone_leaves_the_original_unchanged(suite, name):
+    """Clones share immutable attrs with their source; a random 16-pass
+    pipeline on the clone must not reach back into the original.  Source
+    modules are alloca-based, so their -O3 builds are cloned too: those
+    carry the phis whose incoming lists the passes rewrite in place."""
+    program = cbench_program(name) if suite == "cbench" else spec_program(name)
+    rng = np.random.default_rng(sum(name.encode()))
+    o3 = [run_opt(mod, pipeline("-O3")).module for mod in program.modules]
+    assert any(
+        inst.op == "phi" for m in o3 for fn in m.functions.values() for inst in fn.instructions()
+    )
+    for mod in list(program.modules) + o3:
+        before = print_module(mod)
+        for _ in range(6):
+            seq = [SEARCH_PASSES[i] for i in rng.integers(0, len(SEARCH_PASSES), 16)]
+            PassManager(seq, verify_each=True).run(mod.clone())
+            assert print_module(mod) == before, seq

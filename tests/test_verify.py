@@ -4,7 +4,10 @@ import pytest
 
 from repro.compiler.builder import FunctionBuilder, c
 from repro.compiler.ir import Const, I1, I32, Instr, Module, VOID
+from repro.compiler.opt_tool import run_opt
+from repro.compiler.pipelines import pipeline
 from repro.compiler.verify import VerifyError, verify_function, verify_module
+from repro.workloads import cbench_names, cbench_program, spec_names, spec_program
 
 
 def valid_fn():
@@ -126,3 +129,50 @@ def test_unreachable_blocks_tolerated():
     # even a structurally odd (but terminated) unreachable block is fine
     orphan.instrs.append(Instr("jmp", None, VOID, (), target="bb"))
     verify_function(fn, mod)
+
+
+def test_list_branch_targets_rejected():
+    mod, fn = valid_fn()
+    fn.entry.instrs[-1] = Instr("br", None, VOID, (fn.entry.instrs[0].res,), targets=["a", "bb"])
+    with pytest.raises(VerifyError, match="mutable"):
+        verify_function(fn, mod)
+
+
+@pytest.mark.parametrize(
+    "attrs",
+    [
+        {"meta": {"k": 1}},
+        {"meta": {1, 2}},
+        {"meta": ("x", [1])},
+        {"meta": Const((1, [2]), I32)},
+    ],
+    ids=["dict", "set", "list-in-tuple", "list-in-const"],
+)
+def test_mutable_attr_values_rejected(attrs):
+    mod, fn = valid_fn()
+    fn.blocks["a"].instrs.insert(0, Instr("add", "%y", I32, ("x", Const(1, I32)), **attrs))
+    with pytest.raises(VerifyError, match="mutable"):
+        verify_function(fn, mod)
+
+
+@pytest.mark.parametrize(
+    "incoming",
+    [
+        (("entry", Const(1, I32)), ("a", Const(2, I32))),
+        [("entry", Const(1, I32)), ["a", Const(2, I32)]],
+    ],
+    ids=["tuple", "list-edge"],
+)
+def test_phi_incoming_must_be_list_of_pairs(incoming):
+    mod, fn = valid_fn()
+    fn.blocks["bb"].instrs.insert(0, Instr("phi", "%p", I32, (), incoming=incoming))
+    with pytest.raises(VerifyError, match="phi incoming must be a list"):
+        verify_function(fn, mod)
+
+
+@pytest.mark.parametrize("name", cbench_names() + spec_names())
+def test_shipped_workloads_verify_after_o3(name):
+    program = cbench_program(name) if name in cbench_names() else spec_program(name)
+    for mod in program.modules:
+        verify_module(mod)
+        verify_module(run_opt(mod, pipeline("-O3"), verify_each=True).module)
