@@ -9,9 +9,10 @@ sequence and half uniformly at random.
 
 The candidate pool is scored on raw sequence features (no compilation),
 so only the chosen candidate is built — via the task's
-:class:`~repro.core.eval_engine.CompileEngine` (see ``BaseTuner.tune``),
-whose LRU cache absorbs the frequent mutation collisions around the
-incumbent that BOCA's half-mutation pool produces.
+:class:`~repro.core.eval_engine.CompileEngine` (see ``BaseTuner.tune``).
+The task's configuration-keyed verdict cache absorbs the frequent
+mutation collisions around the incumbent that BOCA's half-mutation pool
+produces: a revisited configuration is never re-measured.
 """
 
 from __future__ import annotations

@@ -487,8 +487,7 @@ def _kernel_fused_chain(iters: int):
 
 def _kernel_fused_wide(iters: int, lanes: int = 64):
     """64 independent lanes of identical int ALU work per iteration —
-    wide dependence levels that cross ``NP_MIN_GROUP`` and execute as
-    numpy vector batches inside one fused kernel."""
+    wide dependence levels inside one long fused kernel."""
     from repro.compiler.builder import FunctionBuilder, c
     from repro.compiler.ir import I32, I64, GlobalVar, Module
 

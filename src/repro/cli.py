@@ -128,7 +128,6 @@ _MANIFEST_ARGS = (
     "platform",
     "seq_length",
     "jobs",
-    "measure_engine",
     "inject_faults",
     "fault_rate",
     "fault_seed",
@@ -138,7 +137,6 @@ _MANIFEST_ARGS = (
     "tuner",
     "prior_bank",
     "pipeline_trace",
-    "fuse",
 )
 
 
@@ -162,7 +160,9 @@ def _apply_manifest(args: argparse.Namespace, manifest: Dict[str, object]) -> No
     a resume invoked with different flags would silently diverge from the
     WAL, so recorded values win; keys an older manifest lacks keep the
     current defaults (the resume then only succeeds if those defaults
-    match what the run actually used)."""
+    match what the run actually used).  Keys of retired flags
+    (``measure_engine``, ``fuse``, ``compile_cache_size``, ...) are
+    ignored: none of them ever changed a verdict."""
     for key in _MANIFEST_ARGS:
         if manifest.get(key) is not None:
             setattr(args, key, manifest[key])
@@ -191,11 +191,9 @@ def _make_task(
         tracer=recorder.tracer if recorder is not None else None,
         metrics=recorder.registry if recorder is not None else None,
         metrics_every=getattr(args, "metrics_every", 0),
-        measure_engine=getattr(args, "measure_engine", "bytecode"),
         pipeline_trace=getattr(args, "pipeline_trace", "off") or "off",
         wal=wal,
         kill_after_iter=getattr(args, "kill_after_iter", None),
-        fuse=getattr(args, "fuse", True),
     )
 
 
@@ -856,17 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel compile workers (1 = deterministic serial loop; "
         "proposals are identical at any setting)",
     )
-    tune.add_argument(
-        "--measure-engine", choices=["tree", "bytecode"], default="bytecode",
-        help="measurement backend: the flat register-bytecode VM (default) "
-        "or the reference tree-walking interpreter; results are "
-        "bit-identical either way",
-    )
-    tune.add_argument(
-        "--no-fuse", dest="fuse", action="store_false", default=True,
-        help="disable fused superblock kernels in the bytecode VM "
-        "(measurements are bit-identical either way)",
-    )
     _add_fault_flags(tune)
     _add_obs_flags(tune)
     tune.set_defaults(func=_cmd_tune)
@@ -887,10 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--platform", choices=["arm-a57", "amd-x86"], default="arm-a57")
     compare.add_argument("--seed", type=int, default=0)
     compare.add_argument("--jobs", type=_positive_int, default=1)
-    compare.add_argument(
-        "--measure-engine", choices=["tree", "bytecode"], default="bytecode",
-        help="measurement backend (see `tune --measure-engine`)",
-    )
     _add_fault_flags(compare)
     _add_obs_flags(compare)
     compare.set_defaults(func=_cmd_compare)

@@ -8,8 +8,8 @@ Per iteration:
    compilation statistics; the whole ``per_strategy x strategies x
    hot_modules`` population goes through ``task.compile_batch`` in one
    call, so the task's :class:`~repro.core.eval_engine.CompileEngine`
-   fans it out over ``jobs`` workers and serves repeated candidates from
-   its LRU cache;
+   fans it out over ``jobs`` workers and compiles repeated candidates
+   within the batch once;
 3. candidates whose statistics signature matches an already-measured
    configuration are *deduplicated*: identical statistics ≈ identical
    binary, so the known runtime is reused without spending budget

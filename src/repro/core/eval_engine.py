@@ -14,15 +14,17 @@ that batch explicit:
   (no pool, no threads); ``jobs>1`` fans out over a thread pool by
   default, or a process pool when ``executor="process"`` and the compile
   function is picklable;
-* **compilation cache** — a bounded LRU keyed by ``(module_name,
-  decoded-sequence)`` so repeated candidates from DES/GA never recompile
-  (distinct from statistics-signature dedup, which collapses *different*
-  sequences producing identical binaries);
+* **within-batch dedup** — candidates sharing a key (``(module_name,
+  decoded-sequence)`` by default) compile once per batch; the duplicates
+  count as ``cache_hits``.  Nothing is kept across batches: a compiled
+  module lives only as long as its caller holds it (repeated candidates
+  across iterations are rare, and the task's verdict cache already spares
+  their measurement);
 * **honest timing** — cumulative per-candidate compile seconds
   (``cpu_seconds``, summed across workers) versus wall-clock spent inside
-  engine calls (``wall_seconds``), plus hit/miss/eviction counters, so
-  ``timing_breakdown()``/Fig 5.12 can report the parallel speedup and the
-  cache's contribution rather than pretending the batch ran serially;
+  engine calls (``wall_seconds``), plus hit/miss counters, so
+  ``timing_breakdown()``/Fig 5.12 can report the parallel speedup rather
+  than pretending the batch ran serially;
 * **fault tolerance** — real phase orders crash compilers, hang them, and
   fail transiently.  Every candidate runs through a bounded
   retry-with-backoff loop, an optional per-candidate ``timeout``, and a
@@ -33,17 +35,17 @@ that batch explicit:
   one failing worker can neither drop sibling results nor skew counters;
   failure/timeout/retry/quarantine counts flow into :meth:`stats`.
 
-All counters, the cache and the quarantine are guarded by one lock; the
-engine is safe to call from concurrent client threads (compiling the same
-key twice in a race is harmless — the compile function is pure — and
-counters stay consistent).
+All counters and the quarantine are guarded by one lock; the engine is
+safe to call from concurrent client threads (compiling the same key twice
+in a race is harmless — the compile function is pure — and counters stay
+consistent).
 
 Observability: the counters live in a
 :class:`~repro.obs.metrics.MetricsRegistry` (``engine.*`` names, including
 streaming histograms of per-candidate compile seconds, per-batch wall
 time, and queue wait), and every :meth:`compile_batch` runs inside a
 ``compile_batch`` span on the engine's
-:class:`~repro.obs.trace.Tracer` carrying that batch's cache/fault
+:class:`~repro.obs.trace.Tracer` carrying that batch's dedup/fault
 deltas.  The legacy attribute counters (``engine.hits``,
 ``engine.n_compiles``, ...) are retained as read-only properties over the
 registry — prefer ``engine.metrics``/:meth:`stats` in new code.
@@ -73,8 +75,8 @@ class CompileOutcome:
     ``status`` is ``"ok"``, ``"error"`` (raised through every retry),
     ``"timeout"`` (tripped the per-candidate timeout), or ``"quarantined"``
     (a key that already failed deterministically; never recompiled).
-    ``attempts`` counts compile attempts actually made (0 for cache and
-    quarantine hits); ``seconds`` is the worker time spent on them.
+    ``attempts`` counts compile attempts actually made (0 for quarantine
+    hits); ``seconds`` is the worker time spent on them.
     """
 
     status: str
@@ -92,23 +94,14 @@ class CompileError(RuntimeError):
     """A candidate failed to compile (legacy raising interface).
 
     Raised by ``compile_batch(..., outcomes=False)`` after the whole batch
-    has been processed — sibling results are already cached and every
-    counter updated, so nothing is lost besides this call's return value.
+    has been processed — the failure is quarantined and every counter
+    updated, so nothing is lost besides this call's return value.
     Prefer ``outcomes=True`` to handle failures gracefully.
     """
 
     def __init__(self, outcome: CompileOutcome) -> None:
         super().__init__(f"compile {outcome.status}: {outcome.error}")
         self.outcome = outcome
-
-
-def _timed_invoke(fn: Callable, name: str, seq) -> Tuple[object, float]:
-    """Run ``fn(name, seq)`` and time it *inside the worker*, so the sum
-    over workers is the cumulative compute the batch really consumed
-    (module-level so process pools can pickle it)."""
-    t0 = time.perf_counter()
-    out = fn(name, seq)
-    return out, time.perf_counter() - t0
 
 
 def _attempt_invoke(
@@ -141,23 +134,22 @@ def _attempt_invoke(
 
 
 class CompileEngine:
-    """Batch compiler with a bounded LRU cache and a pluggable executor.
+    """Batch compiler with within-batch dedup and a pluggable executor.
 
     Parameters
     ----------
     compile_fn:
         ``compile_fn(module_name, sequence) -> result``; must be pure
-        (deterministic, no observable side effects) — the cache and the
-        parallel executor both assume call order is irrelevant.
+        (deterministic, no observable side effects) — dedup, the
+        quarantine and the parallel executor all assume call order is
+        irrelevant.
     jobs:
         worker count; ``1`` selects the deterministic serial path.
-    cache_size:
-        maximum cached results (``0`` disables caching).
     executor:
         ``"auto"`` (serial at ``jobs=1``, threads otherwise), ``"serial"``,
         ``"thread"``, or ``"process"``.
     key_fn:
-        maps ``(module_name, sequence)`` to the hashable cache key;
+        maps ``(module_name, sequence)`` to the hashable dedup/quarantine key;
         defaults to ``(module_name, tuple(sequence))``.
     timeout:
         per-candidate compile timeout in seconds (``None`` disables).
@@ -188,7 +180,6 @@ class CompileEngine:
         self,
         compile_fn: Callable[[str, Sequence[int]], object],
         jobs: int = 1,
-        cache_size: int = 2048,
         executor: str = "auto",
         key_fn: Optional[Callable[[str, Sequence[int]], Hashable]] = None,
         timeout: Optional[float] = None,
@@ -207,14 +198,12 @@ class CompileEngine:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.compile_fn = compile_fn
         self.jobs = int(jobs)
-        self.cache_size = int(cache_size)
         self.executor = executor
         self.key_fn = key_fn or (lambda name, seq: (name, tuple(int(i) for i in seq)))
         self.timeout = timeout
         self.max_retries = int(max_retries)
         self.retry_backoff = float(retry_backoff)
 
-        self._cache: "OrderedDict[Hashable, object]" = OrderedDict()
         self._quarantine: Dict[Hashable, CompileOutcome] = {}
         self._lock = Lock()
         self._pool: Optional[Executor] = None
@@ -227,13 +216,11 @@ class CompileEngine:
         self._m_wall = m.counter("engine.compile_wall_seconds")
         self._m_hits = m.counter("engine.cache_hits")
         self._m_misses = m.counter("engine.cache_misses")
-        self._m_evictions = m.counter("engine.cache_evictions")
         self._m_failures = m.counter("engine.compile_failures")
         self._m_timeouts = m.counter("engine.compile_timeouts")
         self._m_retries = m.counter("engine.compile_retries")
         self._m_qhits = m.counter("engine.quarantine_hits")
         self._m_qsize = m.gauge("engine.quarantine_size")
-        self._m_cache_len = m.gauge("engine.cache_size")
         self._m_compile_hist = m.histogram("engine.compile_seconds")
         self._m_batch_wall = m.histogram("engine.batch_wall_seconds")
         self._m_batch_size = m.histogram("engine.batch_size")
@@ -263,10 +250,6 @@ class CompileEngine:
     @property
     def misses(self) -> int:
         return int(self._m_misses.value)
-
-    @property
-    def evictions(self) -> int:
-        return int(self._m_evictions.value)
 
     @property
     def n_failures(self) -> int:
@@ -315,44 +298,10 @@ class CompileEngine:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def __getstate__(self):  # allow pickling compile_fn closures over us (process mode)
-        state = self.__dict__.copy()
-        state["_lock"] = None
-        state["_pool"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = Lock()
-        self._pool = None
-
-    # -- cache ----------------------------------------------------------------------
-    def _cache_put(self, key: Hashable, value: object) -> None:
-        if self.cache_size <= 0:
-            return
-        self._cache[key] = value
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
-            self._m_evictions.inc()
-        self._m_cache_len.set(len(self._cache))
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._cache.clear()
-
-    def cache_info(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._cache),
-                "maxsize": self.cache_size,
-            }
-
+    # -- dedup ------------------------------------------------------------------
     def hit_rate(self) -> float:
-        """Fraction of requests served from cache (0.0 when none yet)."""
+        """Fraction of requests served by within-batch dedup (0.0 when
+        none yet)."""
         with self._lock:
             total = self.hits + self.misses
             return self.hits / total if total else 0.0
@@ -386,7 +335,6 @@ class CompileEngine:
             "compile_wall_seconds": self.wall_seconds,
             "cache_hits": self.hits,
             "cache_misses": self.misses,
-            "cache_evictions": self.evictions,
             "jobs": self.jobs,
             "compile_failures": self.n_failures,
             "compile_timeouts": self.n_timeouts,
@@ -397,7 +345,7 @@ class CompileEngine:
 
     # -- evaluation -------------------------------------------------------------------
     def compile_one(self, module_name: str, seq: Sequence[int], outcomes: bool = False):
-        """Compile a single candidate (through the cache)."""
+        """Compile a single candidate (a batch of one)."""
         return self.compile_batch([(module_name, seq)], outcomes=outcomes)[0]
 
     def compile_batch(
@@ -405,16 +353,16 @@ class CompileEngine:
     ) -> List[object]:
         """Compile a batch of ``(module_name, sequence)`` candidates.
 
-        Results come back in input order.  Cache hits (including duplicates
-        *within* the batch) are served without recompiling; the remaining
-        unique misses run on the configured executor with retry, timeout
-        and quarantine handling.
+        Results come back in input order.  Duplicates within the batch and
+        quarantined keys are served without compiling; the remaining unique
+        keys run on the configured executor with retry, timeout and
+        quarantine handling.
 
         With ``outcomes=True`` every slot is a :class:`CompileOutcome`
         (failures included) and nothing raises.  With ``outcomes=False``
         (legacy) slots are the raw compile results; if any candidate
         failed, :class:`CompileError` is raised — but only *after* the
-        whole batch ran, so sibling results are cached and all counters
+        whole batch ran, so the failure is quarantined and all counters
         stay consistent.
         """
         t_wall = time.perf_counter()
@@ -430,11 +378,7 @@ class CompileEngine:
         with self._lock:
             for i, (name, seq) in enumerate(items):
                 key = self.key_fn(name, seq)
-                if key in self._cache:
-                    self._cache.move_to_end(key)
-                    results[i] = CompileOutcome("ok", value=self._cache[key])
-                    b_hits += 1
-                elif key in self._quarantine:
+                if key in self._quarantine:
                     results[i] = self._quarantine[key]
                     b_qhits += 1
                 elif key in pending:
@@ -475,7 +419,6 @@ class CompileEngine:
                     self._m_queue_wait.observe(wait)
                     if status == "ok":
                         b_compiles += 1
-                        self._cache_put(key, out)
                         outcome = CompileOutcome("ok", value=out, attempts=attempts, seconds=dt)
                     else:
                         if status == "timeout":

@@ -87,7 +87,7 @@ def corrupt_module(compiled):
     """Corrupt a compiled ``(Module, stats)`` pair observably.
 
     Prepends an ``output`` of a sentinel constant to every function's entry
-    block (on a clone — the input is shared with the compile cache), so any
+    block (on a clone — the input may be shared by other batch slots), so any
     execution of the module emits extra output values and its signature can
     no longer match the reference program's: differential testing is
     guaranteed to catch the miscompilation the moment the module runs.

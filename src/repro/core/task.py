@@ -8,8 +8,8 @@
   source module and returns its statistics (``opt -stats-json``);
   ``compile_batch`` evaluates a whole candidate population through the
   :class:`~repro.core.eval_engine.CompileEngine` — parallel workers
-  (``jobs=N``) plus a bounded LRU compilation cache, the "cheap and
-  parallelisable" claim of §5.3 made real;
+  (``jobs=N``) with within-batch dedup, the "cheap and parallelisable"
+  claim of §5.3 made real;
 * **expensive measurement** — ``measure`` links per-module binaries and
   runs the program on the simulated platform with noisy timing, with
   memoisation keyed by the full configuration and, below it, the
@@ -97,11 +97,9 @@ class AutotuningTask:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         metrics_every: int = 0,
-        measure_engine: str = "bytecode",
         pipeline_trace: str = "off",
         wal: Optional["WriteAheadLog"] = None,  # noqa: F821 (forward ref)
         kill_after_iter: Optional[int] = None,
-        fuse: bool = True,
     ) -> None:
         """``objective``: ``"runtime"`` (the paper's focus) or ``"codesize"``
         (the simpler static objective discussed in §1 — evaluated without
@@ -109,11 +107,10 @@ class AutotuningTask:
         once for correctness).
 
         ``jobs``/``executor`` configure the
-        :class:`~repro.core.eval_engine.CompileEngine` (and its 2048-entry
-        LRU compilation cache) behind :meth:`compile_module`/
-        :meth:`compile_batch`: worker count (``jobs=1`` is a deterministic
-        serial loop) and the pool flavour (``"auto"``, ``"serial"``,
-        ``"thread"``, ``"process"``).
+        :class:`~repro.core.eval_engine.CompileEngine` behind
+        :meth:`compile_module`/:meth:`compile_batch`: worker count
+        (``jobs=1`` is a deterministic serial loop) and the pool flavour
+        (``"auto"``, ``"serial"``, ``"thread"``, ``"process"``).
 
         ``fault_injector`` wraps candidate compiles with seeded chaos
         (:mod:`repro.core.faults`); ``compile_timeout``/``compile_retries``/
@@ -137,13 +134,11 @@ class AutotuningTask:
         tracing consumes no RNG, so instrumented and uninstrumented runs
         produce bit-identical tuner histories at the same seed.
 
-        ``measure_engine`` selects the execution backend for measurements:
-        ``"bytecode"`` (default) runs the flat register VM on bytecode
-        served by the profiler's fingerprint-keyed
-        :class:`~repro.machine.artifacts.ArtifactStore`;
-        ``"tree"`` runs the reference tree-walking interpreter.  Both are
-        bit-identical in results and RNG consumption, so tuner histories do
-        not depend on the engine.
+        Measurements run on the profiler's flat register VM with fused
+        superblock kernels, on bytecode served by its fingerprint-keyed
+        :class:`~repro.machine.artifacts.ArtifactStore`.  The tree-walking
+        interpreter stays available as ``Profiler(engine="tree")``, the
+        bit-exact test oracle.
 
         ``pipeline_trace`` samples per-pass compiler observability
         (``"off"``/``"incumbents"``/``"all"``): after a live measurement,
@@ -164,10 +159,7 @@ class AutotuningTask:
         --resume`` replays through :meth:`start_replay`.  ``kill_after_iter``
         is the chaos-test hook: SIGKILL this process the moment the Nth
         *live* measurement's WAL record is durable (so the harness kills at
-        a point the log provably covers).
-
-        ``fuse`` selects superblock-fused bytecode kernels (histories are
-        bit-identical with it on or off)."""
+        a point the log provably covers)."""
         if objective not in ("runtime", "codesize"):
             raise ValueError(f"unknown objective {objective!r}")
         # fault injection: an explicit injector wins; otherwise the chaos
@@ -193,14 +185,8 @@ class AutotuningTask:
         self.program = program
         self.platform: Platform = get_platform(platform)
         self.target = self.platform.target_info()
-        self.measure_engine = measure_engine
-        self.fuse = bool(fuse)
         self.profiler = Profiler(
-            self.platform,
-            seed=as_generator(seed),
-            fuel=program.fuel,
-            engine=measure_engine,
-            fuse=self.fuse,
+            self.platform, seed=as_generator(seed), fuel=program.fuel
         )
         self.artifacts: ArtifactStore = self.profiler.artifacts
         self.passes: List[str] = list(passes) if passes is not None else list(SEARCH_PASSES)
@@ -258,9 +244,9 @@ class AutotuningTask:
         self._m_memo_hits = self.metrics.counter("task.execution_memo_hits")
         self._m_measure_hist = self.metrics.histogram("task.measure_seconds")
 
-        # compile engine: parallel workers + bounded LRU compilation cache.
-        # Keyed by the decoded pass-name tuple so distinct index encodings of
-        # the same pipeline share one cache entry.
+        # compile engine: parallel workers, dedup within each batch.  Keyed
+        # by the decoded pass-name tuple so distinct index encodings of the
+        # same pipeline dedup (and quarantine) together.
         self.jobs = int(jobs)
         self.engine = CompileEngine(
             compile_fn,
@@ -292,6 +278,9 @@ class AutotuningTask:
         self.n_crashes = 0
         self.measure_seconds = 0.0
         self.last_failure = ""
+        # config-keyed verdicts, failures included: a revisited
+        # configuration is never re-measured, and on resume the WAL replay
+        # stays in 1:1 lockstep with the live run's profiler measurements
         self._measure_cache: Dict[Tuple, Tuple[float, bool, str]] = {}
 
         # durable sessions: write-ahead log, replay stream, stop flag
@@ -411,10 +400,10 @@ class AutotuningTask:
         (a :class:`~repro.machine.artifacts.CompiledModule`, which unpacks
         as ``module, stats``).
 
-        Served through the engine's LRU cache: repeated candidates (DES/GA
-        resampling, O3 re-seeds) never recompile.  Returned modules are
-        shared with the cache and must be treated as immutable; the result
-        carries the module's IR fingerprint once it has been measured."""
+        Each call compiles afresh (the engine keeps no results across
+        batches).  Returned modules must be treated as immutable; the
+        result carries the module's IR fingerprint once it has been
+        measured."""
         return self.engine.compile_one(module_name, seq_indices)
 
     def compile_batch(
@@ -521,10 +510,7 @@ class AutotuningTask:
             return value, ok
         t0 = time.perf_counter()
         with self.tracer.span(
-            "measure",
-            modules=len(compiled),
-            repeats=self.repeats,
-            engine=self.measure_engine,
+            "measure", modules=len(compiled), repeats=self.repeats
         ) as sp:
             linked, fps = self._link(compiled)
             failure = ""
@@ -615,9 +601,9 @@ class AutotuningTask:
         """Recompile a just-measured configuration with per-pass tracing.
 
         Runs *outside* the measurement path, after the verdict (and its
-        WAL record) are final: the compile engine's cache, the profiler's
-        RNG, and the measure cache are untouched, so sampled tracing
-        cannot perturb the search.  Emits one ``pass.trace`` span holding
+        WAL record) are final: the compile engine, the profiler's RNG, and
+        the measure cache are untouched, so sampled tracing cannot perturb
+        the search.  Emits one ``pass.trace`` span holding
         a ``pass.pipeline`` span per module with nested ``pass.run``
         spans — each carrying the pass's ``changed`` flag, statistics
         delta, and IR fingerprint delta."""
@@ -710,7 +696,7 @@ class AutotuningTask:
         ``compile_seconds`` is the cumulative per-candidate compile time
         (summed across workers); ``compile_wall_seconds`` is wall clock
         spent inside the engine — their ratio is the honest parallel
-        speedup at ``jobs > 1``.  Cache hits never recompile, so
+        speedup at ``jobs > 1``.  Within-batch duplicates compile once, so
         ``n_compiles`` counts real work only.  The fault-tolerance counters
         (failures/timeouts/retries/quarantine from the engine, plus crashed
         and incorrect measurements) make chaos runs auditable."""
@@ -731,10 +717,8 @@ class AutotuningTask:
             "quarantine_hits": self.engine.quarantine_hits,
             "measure_crashes": self.n_crashes,
             "measure_incorrect": self.n_incorrect,
-            "measure_engine": self.measure_engine,
             "bytecode_compiles": self.artifacts.misses,
             "bytecode_cache_hits": self.artifacts.hits,
-            "fuse": self.fuse,
             "execution_memo_hits": self.profiler.execution_memo_hits,
             "fused_kernels": self.profiler.fused_kernels,
             "fused_ops": self.profiler.fused_ops,

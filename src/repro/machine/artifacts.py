@@ -46,8 +46,9 @@ class CompiledModule:
 
     Unpacks and indexes as ``(module, stats)``.  :attr:`fingerprint` is
     computed on first access — when the result is first measured — and
-    kept with the result; the module is shared with the compile cache and
-    must not be mutated."""
+    kept with the result; the module may be shared by every slot of a
+    compile batch that asked for the same candidate and must not be
+    mutated."""
 
     __slots__ = ("module", "stats", "_fingerprint")
 

@@ -22,17 +22,8 @@ Lowering rules
   xor`` at the same width, and dead outside the run, is kept in raw
   (uncanonicalised) form — raw values are congruent to canonical values
   mod 2**bits, which is all those consumers observe.
-* Wide dependence levels batch through numpy: groups of at least
-  ``NP_MIN_GROUP`` independent same-shape int (``add/sub/mul/and/or/xor``)
-  or float (``fadd/fsub/fmul``) ops at one level execute as a single int64 /
-  float64 vector op (int64 two's-complement wrap matches the VM's
-  mask/sign/period canonicalisation; sub-64-bit widths re-mask the vector).
-  Batched ops never raise, but a batch executes at its *anchor* — the last
-  member's program position — so cohorts are refined to a fixpoint first:
-  any member with an in-run consumer emitted before the anchor, or an
-  in-run operand producer emitted after it, is demoted to scalar emission
-  (program order can interleave levels arbitrarily, so neither holds by
-  construction).
+* Every op is emitted as scalar Python in program order, so a kernel's
+  data dependences hold by construction.
 
 Fused code holds function objects and is **not picklable**, so fused
 artifacts live only in the in-process measurement store
@@ -44,8 +35,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.machine.bytecode import (
     OP_ADD,
@@ -89,20 +78,12 @@ from repro.machine.bytecode import (
     BytecodeModule,
 )
 
-__all__ = ["fuse_module", "fuse_function", "fused_stats", "MIN_RUN", "NP_MIN_GROUP"]
+__all__ = ["fuse_module", "fuse_function", "fused_stats", "MIN_RUN"]
 
 #: minimum run length worth a kernel call
 MIN_RUN = 3
 #: maximum ops folded into one kernel (long runs are chunked)
 MAX_RUN = 256
-#: minimum independent same-shape ops per dependence level to use numpy.
-#: Measured crossover: generated scalar kernels (operands in locals, masks
-#: deferred per chain) beat int64/float64 vector ops up to ~50-wide levels
-#: because scalar<->array boxing dominates; keep the vector path for the
-#: genuinely wide tail.
-NP_MIN_GROUP = 48
-
-_M64 = (1 << 64) - 1
 
 # int binary ops with layout (op, d, a, b, mask, sign, period)
 _INT_BIN_SYM = {OP_ADD: "+", OP_SUB: "-", OP_MUL: "*", OP_AND: "&", OP_OR: "|", OP_XOR: "^"}
@@ -128,10 +109,6 @@ FUSIBLE = frozenset(
 # are only observed mod 2**bits by these consumers (at equal mask)
 _DEFER_PRODUCERS = frozenset(_INT_BIN_SYM)
 _DEFER_CONSUMERS = frozenset(_INT_BIN_SYM)
-
-# numpy-batchable shapes
-_NP_INT = frozenset(_INT_BIN_SYM)
-_NP_FLT = frozenset(_FLT_BIN_SYM)
 
 #: process-wide kernel cache: generated source -> compiled callable
 _KERNEL_CACHE: "OrderedDict[str, object]" = OrderedDict()
@@ -190,77 +167,16 @@ def _gen_source(run: Tuple[tuple, ...], const_lits: Dict[int, str],
     def live_out(reg: int) -> bool:
         return total_reads.get(reg, 0) - in_run_reads.get(reg, 0) > 0
 
-    # -- dependence levels (for numpy grouping) -----------------------------
-    level = [1] * k
-    for j, ins in enumerate(run):
-        lv = 0
-        for r in _reads_of(ins):
-            p = producer_of.get(r)
-            if p is not None and p < j and level[p] > lv:
-                lv = level[p]
-        level[j] = lv + 1
-
-    # -- numpy batch cohorts (before deferral: batch members and anything
-    # they read must stay canonical — raw values may exceed int64) ----------
-    groups: Dict[tuple, List[int]] = {}
-    for i, ins in enumerate(run):
-        op = ins[0]
-        if op in _NP_INT or op in _NP_FLT:
-            key = (level[i], op, ins[4] if op in _NP_INT else None)
-            groups.setdefault(key, []).append(i)
-    groups = {key: members for key, members in groups.items()
-              if len(members) >= NP_MIN_GROUP}
-
-    # A batch is emitted at its anchor (last member's program position), so
-    # emission order matches data dependences only if every member's in-run
-    # consumers emit strictly after the anchor and every in-run operand
-    # producer emits strictly before it.  Neither holds by construction —
-    # program order can interleave a level-2 consumer between level-1 batch
-    # members, and a lower-level group's anchor can trail a higher-level
-    # member that reads its output.  Demote violating members to scalar
-    # emission until a fixpoint (demotions move anchors, which can expose
-    # further violations and disband sub-threshold groups).
-    batch_of: Dict[int, tuple] = {}
-    while True:
-        batch_of = {i: key for key, members in groups.items() for i in members}
-        anchor_pos = {key: members[-1] for key, members in groups.items()}
-
-        def emit_pos(j: int) -> int:
-            gk = batch_of.get(j)
-            return j if gk is None else anchor_pos[gk]
-
-        demoted = False
-        for key, members in list(groups.items()):
-            anchor = members[-1]
-            keep = [
-                i for i in members
-                if all(emit_pos(j) > anchor for j in consumers[i])
-                and all(
-                    producer_of.get(r) is None or emit_pos(producer_of[r]) < anchor
-                    for r in _reads_of(run[i])
-                )
-            ]
-            if len(keep) == len(members):
-                continue
-            demoted = True
-            if len(keep) >= NP_MIN_GROUP:
-                groups[key] = keep
-            else:
-                del groups[key]
-        if not demoted:
-            break
-    anchors: Dict[int, tuple] = {members[-1]: key for key, members in groups.items()}
-
     # -- mask deferral ------------------------------------------------------
     deferred = [False] * k
     for i, ins in enumerate(run):
-        if ins[0] not in _DEFER_PRODUCERS or live_out(ins[1]) or i in batch_of:
+        if ins[0] not in _DEFER_PRODUCERS or live_out(ins[1]):
             continue
         mask = ins[4]
         ok = True
         for j in consumers[i]:
             cj = run[j]
-            if cj[0] not in _DEFER_CONSUMERS or cj[4] != mask or j in batch_of:
+            if cj[0] not in _DEFER_CONSUMERS or cj[4] != mask:
                 ok = False
                 break
         deferred[i] = ok
@@ -277,15 +193,6 @@ def _gen_source(run: Tuple[tuple, ...], const_lits: Dict[int, str],
         lit = const_lits.get(reg)
         if lit is not None:
             return lit
-        p = producer_of.get(reg)
-        if p is not None and p in batch_of:
-            # The in-run producer is batched but not yet emitted; gathering
-            # R[reg] here would read the stale pre-kernel value.  Cohort
-            # refinement above must make this unreachable — fail loudly
-            # rather than miscompile.
-            raise AssertionError(
-                f"fuse: operand r{reg} read before its batched producer emits"
-            )
         got = gathers.get(reg)
         if got is None:
             got = f"g{reg}"
@@ -343,38 +250,8 @@ def _gen_source(run: Tuple[tuple, ...], const_lits: Dict[int, str],
             raise AssertionError(f"unfusible opcode {op}")
         defs[ins[1]] = d
 
-    n_batches = 0
-
-    def emit_batch(key: tuple) -> None:
-        nonlocal n_batches
-        members = groups[key]
-        _lv, op, mask = key
-        xa = ", ".join(use(run[i][2]) for i in members)
-        xb = ", ".join(use(run[i][3]) for i in members)
-        arr = f"_b{n_batches}"
-        n_batches += 1
-        if op in _NP_INT:
-            sym = _INT_BIN_SYM[op]
-            body.append(f"    {arr} = _np.array(({xa},), _i8) {sym} _np.array(({xb},), _i8)")
-            if mask != _M64:
-                sign, period = run[members[0]][5], run[members[0]][6]
-                body.append(f"    {arr} &= {mask}")
-                body.append(f"    {arr} = _np.where({arr} >= {sign}, {arr} - {period}, {arr})")
-        else:
-            sym = _FLT_BIN_SYM[op]
-            body.append(f"    {arr} = _np.array(({xa},), _f8) {sym} _np.array(({xb},), _f8)")
-        targets = ", ".join(f"v{i}" for i in members)
-        body.append(f"    {targets} = {arr}.tolist()")
-        for i in members:
-            defs[run[i][1]] = f"v{i}"
-
     for i, ins in enumerate(run):
-        key = batch_of.get(i)
-        if key is None:
-            emit_scalar(i, ins)
-        elif anchors.get(i) == key:
-            emit_batch(key)
-        # non-anchor batch members emit nothing at their own position
+        emit_scalar(i, ins)
 
     scatter = [f"    R[{reg}] = {defs[reg]}" for reg in sorted(producer_of)
                if live_out(reg)]
@@ -395,8 +272,7 @@ def _kernel_for(source: str):
         _KERNEL_CACHE.move_to_end(source)
         return fn
     ns: Dict[str, object] = {}
-    exec(compile(source, "<repro-fused-kernel>", "exec"),
-         {"_np": np, "_i8": np.int64, "_f8": np.float64}, ns)
+    exec(compile(source, "<repro-fused-kernel>", "exec"), {}, ns)
     fn = ns["_k"]
     _KERNEL_CACHE[source] = fn
     while len(_KERNEL_CACHE) > _KERNEL_CACHE_MAX:

@@ -21,9 +21,9 @@ Determinism makes the attribution exact rather than statistical: replays
 run on :meth:`~repro.machine.profiler.Profiler.deterministic_seconds`
 (cost-model cycles, no measurement noise, no RNG), so two ablations that
 produce the same binary get the same seconds to the last bit.  Compiles
-route through a :class:`~repro.core.eval_engine.CompileEngine` keyed by
-``(module, sequence)``, so the full sequence, every prefix, and every
-leave-one-out variant compile at most once each; executions go through
+are memoised for the replay in a dict keyed by ``(module, sequence)``, so
+the full sequence, every prefix, and every leave-one-out variant compile
+at most once each; executions go through
 the profiler's fingerprint-keyed measurement store, so IR-identical
 ablations are never re-run.
 
@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.compiler.opt_tool import run_opt
 from repro.compiler.pass_manager import PassTrace
-from repro.core.eval_engine import CompileEngine
 from repro.machine.artifacts import CompiledModule
 from repro.machine.platforms import get_platform
 from repro.machine.profiler import Profiler
@@ -128,7 +127,7 @@ class ExplainReport:
     o3_seconds: float
     best_seconds: float
     modules: List[ModuleExplanation]
-    #: compiles the engine actually performed vs. requests it absorbed
+    #: compiles the replay actually performed vs. requests it absorbed
     compile_stats: Dict[str, object] = field(default_factory=dict)
     #: deterministic-executions performed vs. memoised by binary signature
     execution_stats: Dict[str, object] = field(default_factory=dict)
@@ -206,7 +205,7 @@ class ExplainReport:
         cs, es = self.compile_stats, self.execution_stats
         lines.append(
             f"Replay cost: {cs.get('compiles', '?')} compiles for "
-            f"{cs.get('requests', '?')} requests (engine cache), "
+            f"{cs.get('requests', '?')} requests (compile memo), "
             f"{es.get('executions', '?')} executions for "
             f"{es.get('requests', '?')} ablations (execution memo)."
         )
@@ -224,37 +223,32 @@ def _load_program(name: str):
 class _Replayer:
     """Deterministic compile+execute service for ablation replays.
 
-    Compiles are served by a :class:`CompileEngine` keyed by the decoded
+    Compiles are memoised for this replay in a dict keyed by the decoded
     ``(module, sequence)`` pair — the incumbent, every prefix, and every
-    leave-one-out variant hit the same cache.  Executions are memoised by
+    leave-one-out variant share it.  Executions are memoised by
     the profiler's execution memo, keyed by the linked modules' IR
     fingerprints: ablations that compile to IR-identical binaries share
     one execution and get exactly equal seconds."""
 
-    def __init__(self, program, platform, tracer: Tracer) -> None:
+    def __init__(self, program, platform) -> None:
         self.program = program
         self.platform = platform
         self.target = platform.target_info()
-        self.tracer = tracer
         # seed is irrelevant: only the noise-free deterministic clock runs
         self.profiler = Profiler(platform, seed=0, fuel=program.fuel)
-        self.engine = CompileEngine(
-            self._compile,
-            jobs=1,
-            key_fn=lambda name, seq: (name, tuple(seq)),
-            tracer=tracer,
-        )
+        self._compiled: Dict[Tuple[str, Tuple[str, ...]], CompiledModule] = {}
         self.exec_requests = 0
         self.compile_requests = 0
 
-    def _compile(self, name: str, seq: Sequence[str]) -> CompiledModule:
-        cr = run_opt(self.program.get_module(name), list(seq), target=self.target)
-        return CompiledModule(cr.module, cr.stats_json())
-
     def compiled(self, name: str, seq: Sequence[str]) -> CompiledModule:
-        """The module compiled under ``seq`` (engine-cached)."""
+        """The module compiled under ``seq`` (memoised for this replay)."""
         self.compile_requests += 1
-        return self.engine.compile_one(name, tuple(seq))
+        key = (name, tuple(seq))
+        out = self._compiled.get(key)
+        if out is None:
+            cr = run_opt(self.program.get_module(name), list(seq), target=self.target)
+            out = self._compiled[key] = CompiledModule(cr.module, cr.stats_json())
+        return out
 
     def seconds(self, config: Dict[str, Sequence[str]]) -> float:
         """Deterministic program seconds for a full per-module config."""
@@ -273,8 +267,8 @@ class _Replayer:
     def stats(self) -> Tuple[Dict[str, object], Dict[str, object]]:
         compile_stats = {
             "requests": self.compile_requests,
-            "compiles": int(self.engine.n_compiles),
-            "cache_hits": int(self.engine.hits),
+            "compiles": len(self._compiled),
+            "cache_hits": self.compile_requests - len(self._compiled),
         }
         execution_stats = {
             "requests": self.exec_requests,
@@ -310,7 +304,7 @@ def explain_run(
     program = _load_program(str(man.get("program") or run.result.program))
     platform = get_platform(str(man.get("platform", "arm-a57")))
     tracer = tracer if tracer is not None else Tracer(enabled=False, keep=0)
-    replayer = _Replayer(program, platform, tracer)
+    replayer = _Replayer(program, platform)
 
     best_config: Dict[str, Tuple[str, ...]] = {
         m: tuple(s) for m, s in run.result.best_config.items()

@@ -10,8 +10,8 @@ Three layers under test:
   live, so measured values are bit-identical with the memo on or off, and
   an in-place rewrite of a measured module is re-executed, not replayed;
 * :class:`repro.core.task.AutotuningTask` and the CLI — seeded tuning
-  histories are bit-identical across ``--no-fuse`` × jobs × kill/resume,
-  and run directories written with retired flags still resume and load.
+  histories are bit-identical across jobs × kill/resume, and run
+  directories written with retired flags still resume and load.
 """
 
 import json
@@ -185,15 +185,10 @@ def _history(jobs=1, budget=10, **task_kw):
 class TestTaskDeterminism:
     def test_toggles_and_jobs_bit_identical(self):
         base, base_tb = _history()
-        combos = [
-            dict(fuse=False),
-            dict(jobs=2),
-            dict(jobs=4, fuse=False),
-        ]
-        for kw in combos:
-            hist, _ = _history(**kw)
-            assert hist == base, f"history diverged with {kw}"
-        assert base_tb["fuse"]
+        for jobs in (2, 4):
+            hist, _ = _history(jobs=jobs)
+            assert hist == base, f"history diverged with jobs={jobs}"
+        assert base_tb["fused_kernels"] > 0
 
     def test_breakdown_reports_new_counters(self):
         with _task() as task:
@@ -202,7 +197,10 @@ class TestTaskDeterminism:
         assert tb["fused_kernels"] > 0
         assert tb["bytecode_compiles"] > 0
         assert "execution_memo_hits" in tb
-        for retired in ("artifact_store", "shared_artifacts", "execution_memo"):
+        for retired in (
+            "artifact_store", "shared_artifacts", "execution_memo",
+            "measure_engine", "fuse",
+        ):
             assert retired not in tb
 
     def test_only_measured_candidates_are_fingerprinted(self):
@@ -216,7 +214,7 @@ class TestTaskDeterminism:
             assert all(r._fingerprint is None for r in recs[1:])
 
 
-# -- CLI: --no-fuse x jobs x kill/resume, and old run directories --------------
+# -- CLI: jobs x kill/resume, and old run directories ----------------------------
 
 
 def _tune(run_dir, *extra, program="telecom_gsm", budget=14, seed=4):
@@ -273,17 +271,16 @@ class TestCliTogglesAndResume:
         control = tmp_path / "control"
         assert _tune(control) == 0
         expected = _result_sans_timing(control)
-        for fuse in ((), ("--no-fuse",)):
-            for jobs in ("1", "2"):
-                flags = (*fuse, "--jobs", jobs)
-                run = tmp_path / ("run" + "".join(flags).replace("-", ""))
-                assert _tune(run, *flags) == 0
-                assert _result_sans_timing(run) == expected, flags
-                killed = tmp_path / (run.name + "_killed")
-                shutil.copytree(run, killed)
-                _kill_after(killed, 7)
-                assert _resume(killed) == 0
-                assert _result_sans_timing(killed) == expected, flags
+        for jobs in ("1", "2"):
+            flags = ("--jobs", jobs)
+            run = tmp_path / ("run" + "".join(flags).replace("-", ""))
+            assert _tune(run, *flags) == 0
+            assert _result_sans_timing(run) == expected, flags
+            killed = tmp_path / (run.name + "_killed")
+            shutil.copytree(run, killed)
+            _kill_after(killed, 7)
+            assert _resume(killed) == 0
+            assert _result_sans_timing(killed) == expected, flags
 
     def test_kill_resume_replays_through_memo_hits(self, tmp_path):
         control = tmp_path / "control"
@@ -311,6 +308,8 @@ class TestCliTogglesAndResume:
             shared_artifacts=False,
             artifact_store=str(tmp_path / "spill"),
             compile_cache_size=64,
+            measure_engine="tree",
+            fuse=False,
         )
         manifest_path.write_text(json.dumps(manifest))
         assert _resume(killed) == 0
@@ -324,6 +323,8 @@ class TestCliTogglesAndResume:
         data["timing"].update(
             execution_memo=True,
             shared_artifacts=True,
+            measure_engine="tree",
+            fuse=False,
             artifact_store={
                 "size": 12, "hits": 3, "misses": 12, "puts": 12,
                 "spill_hits": 0, "spill_writes": 0,

@@ -9,8 +9,9 @@ Three concerns:
   two's-complement reinterpretation at the operand width; ``fcmp`` is
   NaN-aware and rejects unsigned predicates) hold on *both* engines;
 * the profiler/task wiring (engine selection, bytecode cache, batch
-  measurement) is RNG-transparent: tuner histories do not depend on the
-  engine.
+  measurement) is RNG-transparent: the candidates a task measures run
+  bit-identically on the profiler's VM and on the tree-walking
+  interpreter.
 """
 
 import pytest
@@ -310,59 +311,66 @@ def test_profiler_function_profile_engine_independent(dot_module):
 
 
 # ---------------------------------------------------------------------------
-# task wiring: engine choice and batched measurement
+# task wiring: the interpreter oracle and batched measurement
 # ---------------------------------------------------------------------------
 
-def _make_task(engine, **kw):
+def _make_task(**kw):
     from repro.core.task import AutotuningTask
 
     return AutotuningTask(
-        cbench_program("telecom_adpcm_c"),
-        platform="arm-a57",
-        seed=11,
-        seq_length=6,
-        measure_engine=engine,
-        **kw,
+        cbench_program("telecom_adpcm_c"), platform="arm-a57", seed=11, seq_length=6, **kw
     )
 
 
 def test_task_engine_transparent_histories():
-    """Same seed, different engine -> identical measured runtimes."""
-    configs = None
-    runtimes = {}
-    for engine in ("tree", "bytecode"):
-        with _make_task(engine) as task:
-            if configs is None:
-                import numpy as np
+    """Every candidate the task measures runs on its profiler (fused VM,
+    execution memo) exactly as on the tree-walking interpreter, and a
+    tree-engine profiler draws the same seconds from the same seed."""
+    import numpy as np
 
-                rng = np.random.default_rng(3)
-                configs = [
-                    {m: tuple(int(x) for x in rng.integers(0, len(task.passes), 4))
-                     for m in task.hot_modules}
-                    for _ in range(3)
-                ]
-            runtimes[engine] = [task.measure_config(cfg)[0] for cfg in configs]
-            assert task.timing_breakdown()["measure_engine"] == engine
-    assert runtimes["tree"] == runtimes["bytecode"]
+    plat = get_platform("arm-a57")
+    with _make_task() as task:
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            config = {
+                m: tuple(int(x) for x in rng.integers(0, len(task.passes), 4))
+                for m in task.hot_modules
+            }
+            compiled = {m: task.compile_module(m, s) for m, s in config.items()}
+            linked, _fps = task._link(compiled)
+            entry, fuel = task.program.entry, task.program.fuel
+
+            def profiled(modules, entry, fuel):
+                return task.profiler.execute(modules, entry)
+
+            assert _outcome(profiled, linked, entry, fuel) == _outcome(
+                run_program, linked, entry, fuel
+            )
+            by_engine = [
+                Profiler(plat, seed=5, fuel=fuel, engine=engine).measure(linked, entry=entry)
+                for engine in ("tree", "bytecode")
+            ]
+            assert by_engine[0].seconds == by_engine[1].seconds
+            assert by_engine[0].output_signature() == by_engine[1].output_signature()
 
 
 def test_measure_batch_matches_sequential():
     import numpy as np
 
-    with _make_task("bytecode") as task:
+    with _make_task() as task:
         rng = np.random.default_rng(7)
         configs = [
             {m: tuple(int(x) for x in rng.integers(0, len(task.passes), 5))
              for m in task.hot_modules}
             for _ in range(4)
         ]
-    with _make_task("bytecode") as task:
+    with _make_task() as task:
         sequential = [task.measure_config(cfg) for cfg in configs]
-    with _make_task("bytecode") as task:
+    with _make_task() as task:
         batched = task.measure_batch(configs)
     assert batched == sequential
 
 
 def test_measure_batch_empty():
-    with _make_task("bytecode") as task:
+    with _make_task() as task:
         assert task.measure_batch([]) == []

@@ -2,11 +2,11 @@
 
 Covers:
 
-* ``CompileEngine`` — batch order preservation under parallelism, bounded
-  LRU eviction, within-batch dedup, thread-safe counters, wall-vs-worker
-  time accounting;
+* ``CompileEngine`` — batch order preservation under parallelism,
+  within-batch dedup, no results kept past a batch, thread-safe counters,
+  wall-vs-worker time accounting;
 * ``AutotuningTask.compile_batch`` — parity with ``compile_module``,
-  cache accounting, jobs-invariant results;
+  dedup accounting, jobs-invariant results;
 * the stale cross-config dedup regression (per-module signature keys
   wrongly reused whole-program runtimes across incumbents);
 * ``_o3_seed_sequence`` fallback when the pass alphabet is disjoint from
@@ -14,8 +14,10 @@ Covers:
 * truthful per-module sequence logging for whole-config measurements.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -58,28 +60,6 @@ class TestCompileEngine:
             eng.close()
         assert out == [("m", (i,)) for i in range(8)]
 
-    def test_lru_eviction_and_counters(self):
-        calls = []
-
-        def compile_fn(name, seq):
-            calls.append((name, tuple(seq)))
-            return sum(seq)
-
-        eng = CompileEngine(compile_fn, jobs=1, cache_size=2)
-        eng.compile_one("a", [1])
-        eng.compile_one("b", [2])
-        eng.compile_one("a", [1])  # hit; refreshes "a" to most-recent
-        eng.compile_one("c", [3])  # evicts "b" (least recently used)
-        eng.compile_one("b", [2])  # miss again: recompiled, evicts "a"
-        eng.compile_one("a", [1])  # miss: "a" was just evicted
-        info = eng.cache_info()
-        assert calls.count(("b", (2,))) == 2
-        assert info["evictions"] >= 2
-        assert info["size"] == 2
-        assert eng.hits == 1
-        assert eng.misses == 5
-        assert eng.n_compiles == 5
-
     def test_within_batch_duplicates_compile_once(self):
         calls = []
 
@@ -93,25 +73,24 @@ class TestCompileEngine:
         assert len(calls) == 2
         assert eng.hits == 2 and eng.misses == 2
 
-    def test_cache_disabled(self):
-        calls = []
+    def test_results_die_with_the_caller(self):
+        class Result:
+            pass
 
-        def compile_fn(name, seq):
-            calls.append(1)
-            return 0
-
-        eng = CompileEngine(compile_fn, cache_size=0)
-        eng.compile_one("m", [1])
-        eng.compile_one("m", [1])
-        assert len(calls) == 2
-        assert eng.cache_info()["size"] == 0
+        eng = CompileEngine(lambda name, seq: Result(), jobs=1)
+        out = eng.compile_batch([("m", [1]), ("m", [1]), ("m", [2])])
+        assert out[0] is out[1]  # within-batch duplicates share one result
+        ref = weakref.ref(out[0])
+        del out
+        gc.collect()
+        assert ref() is None, "the engine kept a compile result alive"
 
     def test_counters_thread_safe_under_concurrent_clients(self):
         def compile_fn(name, seq):
             time.sleep(0.0005)
             return tuple(seq)
 
-        eng = CompileEngine(compile_fn, jobs=4, executor="thread", cache_size=4096)
+        eng = CompileEngine(compile_fn, jobs=4, executor="thread")
         n_threads, uniques, repeats = 6, 20, 3
 
         def client(tid):
@@ -179,10 +158,9 @@ class TestTaskCompileBatch:
         name = task.hot_modules[0]
         seq = [0] * 8
         before = task.n_compiles
-        task.compile_module(name, seq)
-        task.compile_module(name, seq)  # cache hit: no recompile
+        task.compile_batch([(name, seq), (name, seq)])  # duplicate: compiled once
         assert task.n_compiles == before + 1
-        assert task.engine.hits >= 1
+        assert task.engine.hits == 1
         t = task.timing_breakdown()
         assert {
             "compile_wall_seconds",

@@ -19,7 +19,7 @@ from repro.bench import KERNEL_FAMILIES
 from repro.compiler.opt_tool import run_opt
 from repro.compiler.pipelines import SEARCH_PASSES, pipeline
 from repro.machine.bytecode import OP_FUSED, BytecodeVM, compile_module
-from repro.machine.fuse import NP_MIN_GROUP, fuse_module, fused_stats
+from repro.machine.fuse import fuse_module, fused_stats
 from repro.machine.interp import FuelExhausted, run_program
 from repro.workloads import cbench_program, random_program
 
@@ -71,36 +71,21 @@ def test_cbench_bit_exact(name, level):
     _tri_engine_check(modules, prog.entry, fuel=prog.fuel)
 
 
-def test_fused_wide_uses_numpy_batches():
-    """The wide-lane family really exercises the numpy vector path."""
-    import repro.machine.fuse as fuse
-
-    # the wide level has 64 independent lanes >= NP_MIN_GROUP
-    assert 64 >= NP_MIN_GROUP
-    mod = KERNEL_FAMILIES["fused_wide"](50)
-    bm = compile_module(mod)
-    fused, stats = fuse_module(bm)
-    assert stats["kernels"] >= 1
-    # the kernel cache is keyed by generated source: fusing this module
-    # must have produced (or reused) a vector-batched kernel
-    assert any("_np.array" in s for s in fuse._KERNEL_CACHE), (
-        "no numpy-batched kernel source generated"
-    )
-
-
-# -- batch-cohort emission order ---------------------------------------------
+# -- wide levels with interleaved dependences ---------------------------------
 #
-# A numpy batch executes at its anchor (last member's position).  Program
-# order can place a consumer of an early batch member *before* that anchor,
-# or invert two groups' anchors relative to a cross-group dependence; both
-# shapes once made the kernel gather a stale pre-kernel register value.  The
-# cohort refinement must demote such members to scalar emission and stay
-# bit-exact.
+# Kernels are emitted in program order.  These two shapes interleave a wide
+# level of independent same-shape ops with their consumers: a consumer of
+# the first lane right after it, and a level whose operand producers trail
+# into the next level.  Any emission that reorders ops within a kernel (as
+# lane batching once did) gathers a stale pre-kernel register value here.
+
+#: independent lanes per level in the interleaved shapes
+_LANES = 48
 
 
 def _interleaved_consumer_module():
-    """NP_MIN_GROUP independent level-1 adds with a level-2 consumer of the
-    first add interleaved right after it — far before the group's anchor."""
+    """``_LANES`` independent level-1 adds with a level-2 consumer of the
+    first add interleaved right after it — far before the last lane."""
     from repro.compiler.builder import FunctionBuilder, c
     from repro.compiler.ir import I32, I64, Module
 
@@ -113,7 +98,7 @@ def _interleaved_consumer_module():
         iw = bb.sext(i, I64)
         lanes = []
         consumer = None
-        for k in range(NP_MIN_GROUP):
+        for k in range(_LANES):
             lanes.append(bb.add(iw, c(k + 1, I64), I64))
             if k == 0:
                 consumer = bb.add(lanes[0], lanes[0], I64)
@@ -131,9 +116,10 @@ def _interleaved_consumer_module():
 
 
 def _anchor_inversion_module():
-    """A level-2 add group whose anchor precedes the level-1 mul group's
-    anchor: a trailing consumer-free mul pushes the mul anchor past every
-    add, so the adds' operand producers would emit after the adds."""
+    """A level-2 add group that ends before the level-1 mul group does: a
+    trailing consumer-free mul follows every add, so a kernel that emitted
+    each group at its last member would emit the adds' operand producers
+    after the adds."""
     from repro.compiler.builder import FunctionBuilder, c
     from repro.compiler.ir import I32, I64, Module
 
@@ -145,7 +131,7 @@ def _anchor_inversion_module():
     def body(bb, i):
         iw = bb.sext(i, I64)
         muls, adds = [], []
-        for k in range(NP_MIN_GROUP):
+        for k in range(_LANES):
             muls.append(bb.mul(iw, c(2 * k + 1, I64), I64))
             if k >= 1:
                 adds.append(bb.add(muls[k - 1], c(7, I64), I64))
@@ -171,7 +157,7 @@ def _anchor_inversion_module():
 def test_batch_cohort_emission_order_bit_exact(build):
     mod = build()
     fused_bcs = _tri_engine_check([mod], "main")
-    # the body must still fuse (scalar demotion, not fusion bail-out)
+    # the body must still fuse (no fusion bail-out)
     assert fused_stats(fused_bcs[0])["kernels"] >= 1
 
 
