@@ -1,0 +1,272 @@
+"""Compare two checkouts on the perfbench workloads; writes ``BENCH_jobs.json``.
+
+Each run is ``perfbench/run.py --trace 0`` in one checkout, in a fresh
+process.  Runs of the two checkouts alternate in pairs, and the order
+within a pair flips every pair, so slow drift on the host hits both sides
+alike.  Besides perfbench's own result, each run reports figures that
+perfbench does not print, read from outside the program:
+
+* ``compile_cpu_wall_ratio``: the engine's worker-timed compile seconds
+  over the wall spent in engine calls (``compile_seconds /
+  compile_wall_seconds`` from each task's ``timing_breakdown()``, summed
+  over the run's tasks).  Under a thread pool each item's time includes
+  waiting for the GIL, so this ratio overstates the work done;
+* ``compile_cores_used``: CPU seconds spent while ``compile_batch`` ran
+  (this process, all threads, plus the CPU of the worker processes, read
+  from ``getrusage(RUSAGE_CHILDREN)`` as each task closes and joins them)
+  over that wall;
+* ``workers_peak_rss_mb``: ``ru_maxrss`` of ``RUSAGE_CHILDREN`` after each
+  task closes.  Linux counts a forked child's peak from the resident set
+  it inherits, so any child (the run recorder's ``git rev-parse`` too)
+  shows about its parent's size;
+* ``worker_hwm_mb`` and ``worker_private_mb``: each live worker's
+  ``VmHWM`` (shared copy-on-write pages included) and its private memory
+  (``Private_Clean + Private_Dirty``), read just before the task closes,
+  maximum over workers.  perfbench's ``peak_rss_mb`` counts its own
+  process only.
+
+Run from the root of the checkout that holds this script::
+
+    python3 benchmarks/jobs_evidence.py --base ../parent-checkout --head . \\
+        --pairs citroen_x264_j2=10,citroen_gsm=3,random_mcf=3 --out BENCH_jobs.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import runpy
+import statistics
+import subprocess
+import sys
+import time
+from typing import Dict, List
+
+END_TO_END = ("tune_s", "setup_s", "speedup_vs_o3", "peak_rss_mb")
+#: per-layer metrics kept from traced runs
+TRACED = ("bench.traced_tune_s", "eval_engine.compile_batch.s",
+          "eval_engine.cores_used", "compiler.run_opt.calls", "compiler.run_opt.s",
+          "eval_engine.compiles")
+#: fields of the ``perfbench`` record kept with each run
+PERFBENCH_KEPT = ("tunes", "calibration_s", "host_scale", "raw_wall_s", "digests",
+                  "reproducible", "traced_identical", "git_rev", "source_sha256")
+SINGLE_THREAD_ENV = {
+    name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+}
+
+
+def _worker_memory_mb(pid: int) -> Dict[str, float]:
+    """A live worker's peak RSS (``VmHWM``, shared pages included) and its
+    private memory (``Private_Clean + Private_Dirty``), in MB."""
+    fields: Dict[str, float] = {}
+    for name in ("status", "smaps_rollup"):
+        try:
+            with open(f"/proc/{pid}/{name}") as fh:
+                for line in fh:
+                    key, _, rest = line.partition(":")
+                    if rest.strip().endswith("kB"):
+                        fields[key] = float(rest.split()[0]) / 1024.0
+        except OSError:
+            pass
+    return {
+        "hwm": fields.get("VmHWM", 0.0),
+        "private": fields.get("Private_Clean", 0.0) + fields.get("Private_Dirty", 0.0),
+    }
+
+
+def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
+    """Run perfbench in the current directory, watching the compile engine
+    and every task close."""
+    sys.path.insert(0, os.path.join(os.getcwd(), "src"))
+    from repro.core.eval_engine import CompileEngine
+    from repro.core.task import AutotuningTask
+
+    seen = {"tasks": 0, "compile_seconds": 0.0, "compile_wall_seconds": 0.0,
+            "batch_wall": 0.0, "batch_cpu": 0.0, "worker_cpu": 0.0,
+            "executors": set(), "workers_peak_rss_mb": 0.0,
+            "worker_hwm_mb": 0.0, "worker_private_mb": 0.0}
+    compile_batch, close = CompileEngine.compile_batch, AutotuningTask.close
+
+    def watched_batch(engine, *args, **kwargs):
+        c0, t0 = time.process_time(), time.perf_counter()
+        try:
+            return compile_batch(engine, *args, **kwargs)
+        finally:
+            seen["batch_wall"] += time.perf_counter() - t0
+            seen["batch_cpu"] += time.process_time() - c0
+
+    def watched_close(task):
+        timing = task.timing_breakdown()
+        seen["tasks"] += 1
+        seen["compile_seconds"] += timing["compile_seconds"]
+        seen["compile_wall_seconds"] += timing["compile_wall_seconds"]
+        # a checkout that predates the "executor" key ran jobs>1 on threads
+        seen["executors"].add(
+            timing.get("executor") or ("serial" if task.jobs == 1 else "thread")
+        )
+        workers = getattr(task.engine._pool, "_processes", None) or {}
+        for pid in list(workers):
+            mem = _worker_memory_mb(pid)
+            seen["worker_hwm_mb"] = max(seen["worker_hwm_mb"], mem["hwm"])
+            seen["worker_private_mb"] = max(seen["worker_private_mb"], mem["private"])
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        close(task)  # joins the workers, so their usage is now counted
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        seen["worker_cpu"] += (after.ru_utime + after.ru_stime
+                               - before.ru_utime - before.ru_stime)
+        seen["workers_peak_rss_mb"] = max(
+            seen["workers_peak_rss_mb"], after.ru_maxrss / 1024.0
+        )
+
+    CompileEngine.compile_batch = watched_batch
+    AutotuningTask.close = watched_close
+    sys.argv = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                "--seconds", str(seconds), "--trace", str(trace)]
+    try:
+        runpy.run_path("perfbench/run.py", run_name="__main__")
+        code = 0
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    wall = seen["compile_wall_seconds"]
+    print(json.dumps({"probe": {
+        "tasks": seen["tasks"],
+        "executors": sorted(seen["executors"]),
+        "compile_seconds": seen["compile_seconds"],
+        "compile_wall_seconds": wall,
+        "compile_cpu_wall_ratio": seen["compile_seconds"] / wall if wall else 0.0,
+        "compile_cores_used": (seen["batch_cpu"] + seen["worker_cpu"])
+        / seen["batch_wall"] if seen["batch_wall"] else 0.0,
+        "workers_peak_rss_mb": seen["workers_peak_rss_mb"],
+        "worker_hwm_mb": seen["worker_hwm_mb"],
+        "worker_private_mb": seen["worker_private_mb"],
+    }}), flush=True)
+    return code
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> Dict:
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--probe", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, env=dict(os.environ, **SINGLE_THREAD_ENV),
+        capture_output=True, text=True, check=True,
+    )
+    records = [json.loads(line) for line in out.stdout.splitlines()
+               if line.startswith("{")]
+    run = {"metrics": {}, "perfbench": {}, "probe": {}}
+    for rec in records:
+        if "perfbench" in rec:
+            run["perfbench"] = {k: v for k, v in rec["perfbench"].items()
+                                if k in PERFBENCH_KEPT}
+        elif "probe" in rec:
+            run["probe"] = rec["probe"]
+        elif "metrics" in rec:
+            run["metrics"] = {k: v["value"] for k, v in rec["metrics"].items()}
+            run["correct"] = rec["correct"]
+            run["failed"] = rec["failed"]
+            run["attempted"] = rec["attempted"]
+    return run
+
+
+def spread(values: List[float]) -> Dict[str, float]:
+    """Median, quartiles and range."""
+    if len(values) < 2:
+        values = values * 2  # one run: no spread
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3,
+            "iqr_over_median": (q3 - q1) / med if med else 0.0,
+            "min": min(values), "max": max(values)}
+
+
+def summarize(runs: List[Dict]) -> Dict:
+    ok = [r for r in runs if r["metrics"]]
+    out = {name: spread([r["metrics"][name] for r in ok]) for name in END_TO_END}
+    out["failed"] = sum(r.get("failed", 1) for r in runs)
+    out["correct"] = all(r.get("correct", False) for r in runs)
+    out["raw_tune_s"] = spread([r["perfbench"]["raw_wall_s"]["tune_s"] for r in ok])
+    out["digests"] = sorted({json.dumps(r["perfbench"]["digests"], sort_keys=True)
+                             for r in ok})
+    out["executors"] = sorted({e for r in ok for e in r["probe"]["executors"]})
+    out["compile_cpu_wall_ratio"] = spread(
+        [r["probe"]["compile_cpu_wall_ratio"] for r in ok])
+    for name in ("compile_cores_used", "workers_peak_rss_mb", "worker_hwm_mb",
+                 "worker_private_mb"):
+        out[name] = spread([r["probe"][name] for r in ok])
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--probe", help=argparse.SUPPRESS)
+    parser.add_argument("--base", help="checkout measured as the baseline")
+    parser.add_argument("--head", help="checkout measured as the change")
+    parser.add_argument("--pairs",
+                        default="citroen_x264_j2=10,citroen_gsm=3,random_mcf=3",
+                        help="workload=pairs,...")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace", type=int, default=0, help=argparse.SUPPRESS)
+    parser.add_argument("--traced", type=int, default=1,
+                        help="traced (--trace 1) runs per side and workload")
+    parser.add_argument("--out", default="BENCH_jobs.json")
+    args = parser.parse_args(argv)
+    if args.probe:
+        return probe(args.probe, args.seed, args.seconds, args.trace)
+
+    sides = {"base": os.path.abspath(args.base), "head": os.path.abspath(args.head)}
+    payload: Dict[str, object] = {"workloads": {}}
+    for spec in args.pairs.split(","):
+        workload, n_pairs = spec.split("=")
+        runs: Dict[str, List[Dict]] = {"base": [], "head": []}
+        for i in range(int(n_pairs)):
+            order = ("base", "head") if i % 2 == 0 else ("head", "base")
+            for side in order:
+                t0 = time.perf_counter()
+                run = run_once(sides[side], workload, args.seed, args.seconds)
+                runs[side].append(run)
+                print(f"{workload} pair {i} {side}: tune_s "
+                      f"{run['metrics'].get('tune_s', float('nan')):.3f} "
+                      f"({time.perf_counter() - t0:.0f} s)", flush=True)
+        pairs = list(zip(runs["base"], runs["head"]))
+        base, head = summarize(runs["base"]), summarize(runs["head"])
+        payload["workloads"][workload] = {
+            "base": base,
+            "head": head,
+            "tune_s_change": head["tune_s"]["median"] / base["tune_s"]["median"] - 1.0,
+            "head_faster_pairs": sum(
+                h["metrics"]["tune_s"] < b["metrics"]["tune_s"] for b, h in pairs
+            ),
+            "pairs": len(pairs),
+            "digests_identical": base["digests"] == head["digests"],
+            "speedup_identical": base["speedup_vs_o3"]["median"]
+            == head["speedup_vs_o3"]["median"],
+            "runs": runs,
+        }
+        traced: Dict[str, List[Dict]] = {"base": [], "head": []}
+        for i in range(args.traced):
+            for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+                run = run_once(sides[side], workload, args.seed, args.seconds, trace=1)
+                traced[side].append({
+                    "failed": run.get("failed"),
+                    "traced_identical": run["perfbench"].get("traced_identical"),
+                    "metrics": {k: run["metrics"].get(k) for k in TRACED},
+                    "probe": run["probe"],
+                })
+        payload["workloads"][workload]["traced"] = traced
+    payload["provenance"] = {
+        "command": "python3 perfbench/run.py --workload W --seed "
+                   f"{args.seed} --seconds {args.seconds:g} --trace 0",
+        "seed": args.seed,
+        "nproc": os.cpu_count(),
+        "python": sys.version.split()[0],
+    }
+    with open(args.out, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -365,7 +365,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                 f"compile      : {timing.get('n_compiles', 0)} compiles, "
                 f"{100 * timing.get('compile_cache_hit_rate', 0.0):.1f}% cache hits, "
                 f"{cpu * 1e3:.1f} ms worker time / {wall * 1e3:.1f} ms wall "
-                f"(jobs={args.jobs})"
+                f"(jobs={args.jobs}, {task.engine.kind})"
             )
             if task.fault_injector is not None:
                 log.info(

@@ -51,6 +51,10 @@ from repro.utils.rng import SeedLike, as_generator, spawn
 
 __all__ = ["Citroen"]
 
+#: feature modes computed from statistics or the sequence alone, never
+#: from the optimised IR
+_IR_FREE_FEATURES = ("stats", "seq")
+
 
 class Citroen:
     """Compilation-statistics-guided Bayesian phase-ordering tuner."""
@@ -249,6 +253,11 @@ class Citroen:
                 self._record_decision(result, it, m, "random-fallback", prev_best)
             else:
                 module_name, seq, compiled, provenance, cov = chosen
+                if compiled.module is None:
+                    # a stats-only result: compiles are pure, so this is
+                    # the module (and fingerprint) the worker built
+                    compiled = task.compile_module(module_name, seq)
+                    task.metrics.counter("citroen.winner_recompiles").inc()
                 cfg = dict(self._best_seq)
                 cfg[module_name] = seq
                 self._measure_config(
@@ -376,10 +385,14 @@ class Citroen:
         for _m, prov, _s in raw:
             proposed[prov] = proposed.get(prov, 0) + 1
         # the whole candidate population compiles in one batch — the engine
-        # fans it out over `jobs` workers and caches repeated candidates
-        # (the engine traces this as its own `compile_batch` span)
+        # fans it out over `jobs` workers and compiles repeated candidates
+        # once (the engine traces this as its own `compile_batch` span).
+        # Features that need no IR leave the modules in the process
+        # workers; tune() recompiles the one winner it measures.
         batch = task.compile_batch(
-            [(m, seq) for m, _prov, seq in raw], outcomes=True
+            [(m, seq) for m, _prov, seq in raw],
+            outcomes=True,
+            stats_only=self.feature_mode in _IR_FREE_FEATURES,
         )
         span_feat = tracer.span("featurize", candidates=len(batch))
         span_feat.__enter__()

@@ -11,9 +11,19 @@ that batch explicit:
   execution order, so tuner behaviour is identical at any ``jobs`` setting
   (the compile function must be a pure function of its inputs);
 * **configurable executor** — ``jobs=1`` is a deterministic serial loop
-  (no pool, no threads); ``jobs>1`` fans out over a thread pool by
-  default, or a process pool when ``executor="process"`` and the compile
-  function is picklable;
+  (no pool, no threads); ``jobs>1`` fans out over a warm process pool by
+  default (``executor="auto"``), or a thread pool on request
+  (``executor="thread"``, for compile functions that cannot cross a
+  process boundary).  Process workers are forked lazily, on the first
+  batch with two or more items to compile, and receive the compile
+  function once, through the pool initializer; each submit then carries
+  only ``(module_name, sequence)``;
+* **stats-only transport** — ``compile_batch(..., stats_only=True)``
+  makes a process worker return ``CompiledModule(None, stats)``: the
+  compiled module dies in the worker and only its statistics cross the
+  pipe.  Where the module is free to keep (the serial loop, a thread
+  pool, a single-item batch compiled in the caller), the flag has no
+  effect;
 * **within-batch dedup** — candidates sharing a key (``(module_name,
   decoded-sequence)`` by default) compile once per batch; the duplicates
   count as ``cache_hits``.  Nothing is kept across batches: a compiled
@@ -53,6 +63,9 @@ registry — prefer ``engine.metrics``/:meth:`stats` in new code.
 
 from __future__ import annotations
 
+import multiprocessing
+import signal
+import sys
 import time
 from collections import OrderedDict
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
@@ -62,6 +75,7 @@ from functools import partial
 from threading import Lock
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.machine.artifacts import CompiledModule
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -133,6 +147,61 @@ def _attempt_invoke(
         return ("ok", out, "", attempts, time.perf_counter() - t0, wait)
 
 
+#: Process workers are forked on Linux: a forked worker inherits the
+#: compile function, the program it closes over and any pass registered at
+#: run time, and starts in milliseconds, where a spawned one re-imports the
+#: package on every pool start.  A fork is safe while no other thread holds
+#: a lock the compile needs: the package runs no threads besides its
+#: compile pools, and a fork-context pool forks every worker before it
+#: starts its own manager thread.  Elsewhere (where fork is unsafe or
+#: missing) the platform's default start method is used.
+_POOL_CONTEXT = (
+    multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
+)
+
+#: Pool batches go out in about this many chunks per worker.
+_CHUNKS_PER_WORKER = 4
+
+#: The compile function of this process, when it is a pool worker.
+_worker_fn: Optional[Callable] = None
+
+
+def _install_worker(fn: Callable) -> None:
+    """Process-pool initializer: keep ``fn`` for every later submit.
+
+    The worker ignores SIGINT: Ctrl-C is the parent's to handle (a graceful
+    stop, then ``KeyboardInterrupt`` on the second press), and the parent
+    shuts its workers down when it closes the engine."""
+    global _worker_fn
+    _worker_fn = fn
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _pool_invoke(
+    max_retries: int, backoff: float, submit_t: float, stats_only: bool, name: str, seq
+) -> Tuple[str, object, str, int, float, float]:
+    """:func:`_attempt_invoke` on the worker's installed compile function.
+
+    With ``stats_only`` a :class:`CompiledModule` result goes back as
+    ``CompiledModule(None, stats)``: only the statistics are pickled."""
+    out = _attempt_invoke(_worker_fn, max_retries, backoff, submit_t, name, seq)
+    if stats_only and isinstance(out[1], CompiledModule):
+        out = (out[0], CompiledModule(None, out[1].stats)) + out[2:]
+    return out
+
+
+def _resolve_executor(executor: str, jobs: int, timeout: Optional[float]) -> str:
+    """The executor that actually serves compiles: ``"serial"``,
+    ``"thread"`` or ``"process"``.
+
+    One worker is a serial loop, unless a timeout needs a pool to enforce
+    it: then a single worker thread serves the compiles.  ``"auto"`` at
+    ``jobs>1`` is the process pool."""
+    if executor == "serial" or jobs <= 1:
+        return "serial" if timeout is None else "thread"
+    return "process" if executor == "auto" else executor
+
+
 class CompileEngine:
     """Batch compiler with within-batch dedup and a pluggable executor.
 
@@ -146,8 +215,9 @@ class CompileEngine:
     jobs:
         worker count; ``1`` selects the deterministic serial path.
     executor:
-        ``"auto"`` (serial at ``jobs=1``, threads otherwise), ``"serial"``,
-        ``"thread"``, or ``"process"``.
+        ``"auto"`` (serial at ``jobs=1``, a process pool otherwise),
+        ``"serial"``, ``"thread"``, or ``"process"``.  The executor that
+        actually serves compiles is :attr:`kind`.
     key_fn:
         maps ``(module_name, sequence)`` to the hashable dedup/quarantine key;
         defaults to ``(module_name, tuple(sequence))``.
@@ -198,7 +268,8 @@ class CompileEngine:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.compile_fn = compile_fn
         self.jobs = int(jobs)
-        self.executor = executor
+        #: the resolved executor: ``"serial"``, ``"thread"`` or ``"process"``
+        self.kind = _resolve_executor(executor, self.jobs, timeout)
         self.key_fn = key_fn or (lambda name, seq: (name, tuple(int(i) for i in seq)))
         self.timeout = timeout
         self.max_retries = int(max_retries)
@@ -272,13 +343,16 @@ class CompileEngine:
         return int(self._m_qhits.value)
 
     # -- executor plumbing ------------------------------------------------------
-    def _serial(self) -> bool:
-        return self.executor == "serial" or self.jobs <= 1
-
     def _get_pool(self) -> Executor:
+        """The worker pool, started on first use."""
         if self._pool is None:
-            if self.executor == "process":
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            if self.kind == "process":
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    mp_context=_POOL_CONTEXT,
+                    initializer=_install_worker,
+                    initargs=(self.compile_fn,),
+                )
             else:
                 self._pool = ThreadPoolExecutor(
                     max_workers=self.jobs, thread_name_prefix="compile-engine"
@@ -336,6 +410,7 @@ class CompileEngine:
             "cache_hits": self.hits,
             "cache_misses": self.misses,
             "jobs": self.jobs,
+            "executor": self.kind,
             "compile_failures": self.n_failures,
             "compile_timeouts": self.n_timeouts,
             "compile_retries": self.n_retries,
@@ -349,7 +424,10 @@ class CompileEngine:
         return self.compile_batch([(module_name, seq)], outcomes=outcomes)[0]
 
     def compile_batch(
-        self, items: Sequence[Tuple[str, Sequence[int]]], outcomes: bool = False
+        self,
+        items: Sequence[Tuple[str, Sequence[int]]],
+        outcomes: bool = False,
+        stats_only: bool = False,
     ) -> List[object]:
         """Compile a batch of ``(module_name, sequence)`` candidates.
 
@@ -364,6 +442,10 @@ class CompileEngine:
         failed, :class:`CompileError` is raised — but only *after* the
         whole batch ran, so the failure is quarantined and all counters
         stay consistent.
+
+        With ``stats_only=True`` a candidate compiled in a process worker
+        comes back as ``CompiledModule(None, stats)``; everywhere else the
+        module is kept.
         """
         t_wall = time.perf_counter()
         span = self.tracer.span("compile_batch", size=len(items))
@@ -393,19 +475,23 @@ class CompileEngine:
         self._m_qhits.inc(b_qhits)
 
         if work:
-            worker = partial(
-                _attempt_invoke,
-                self.compile_fn,
-                self.max_retries,
-                self.retry_backoff,
-                time.perf_counter(),
-            )
+            attempt = (self.max_retries, self.retry_backoff, time.perf_counter())
+            if self.kind == "process":
+                worker = partial(_pool_invoke, *attempt, stats_only)
+            else:
+                worker = partial(_attempt_invoke, self.compile_fn, *attempt)
             if self.timeout is None:
-                if self._serial() or len(work) == 1:
-                    outs = [worker(n, s) for n, s in work]
+                if self.kind == "serial" or len(work) == 1:
+                    # one item: compiling it here beats a round trip
+                    fn = self.compile_fn
+                    outs = [_attempt_invoke(fn, *attempt, n, s) for n, s in work]
                 else:
+                    # a few chunks per worker: one pickled round trip per
+                    # item costs as much as the compile itself, while
+                    # chunks too big to share out leave a worker idle
+                    chunk = -(-len(work) // (_CHUNKS_PER_WORKER * self.jobs))
                     pool = self._get_pool()
-                    outs = list(pool.map(worker, *zip(*work)))
+                    outs = list(pool.map(worker, *zip(*work), chunksize=chunk))
             else:
                 outs = self._run_with_timeout(worker, work)
             with self._lock:

@@ -110,7 +110,9 @@ class AutotuningTask:
         :class:`~repro.core.eval_engine.CompileEngine` behind
         :meth:`compile_module`/:meth:`compile_batch`: worker count
         (``jobs=1`` is a deterministic serial loop) and the pool flavour
-        (``"auto"``, ``"serial"``, ``"thread"``, ``"process"``).
+        (``"auto"``, ``"serial"``, ``"thread"``, ``"process"``).  ``"auto"``
+        at ``jobs>1`` is a process pool, forked on the first batch that
+        needs it, or a thread pool when a fault injector is attached.
 
         ``fault_injector`` wraps candidate compiles with seeded chaos
         (:mod:`repro.core.faults`); ``compile_timeout``/``compile_retries``/
@@ -119,8 +121,9 @@ class AutotuningTask:
         ``REPRO_INJECT_FAULTS``/``REPRO_FAULT_RATE``/``REPRO_FAULT_SEED``/
         ``REPRO_FAULT_HANG_SECONDS`` environment variables build one — the
         hook CI's chaos job uses to run whole suites under fault injection.
-        An injector's lock and counters are process-local, so combining
-        one with ``executor="process"`` raises :class:`ValueError`.
+        An injector's lock and counters are process-local: with one
+        attached, ``executor="auto"`` compiles on threads, and an explicit
+        ``executor="process"`` raises :class:`ValueError`.
 
         ``tracer``/``metrics`` wire the observability stack
         (:mod:`repro.obs`) through the task: measurement spans and
@@ -175,12 +178,15 @@ class AutotuningTask:
                         os.environ.get("REPRO_FAULT_HANG_SECONDS", "0.05")
                     ),
                 )
-        if fault_injector is not None and executor == "process":
-            raise ValueError(
-                "fault injection cannot run in a process pool: the injector's "
-                "lock and counters are process-local (unset REPRO_INJECT_FAULTS "
-                "or use executor='thread')"
-            )
+        if fault_injector is not None:
+            if executor == "process":
+                raise ValueError(
+                    "fault injection cannot run in a process pool: the "
+                    "injector's lock and counters are process-local (unset "
+                    "REPRO_INJECT_FAULTS, or use executor='auto' or 'thread')"
+                )
+            if executor == "auto":
+                executor = "thread"
         self.objective = objective
         self.program = program
         self.platform: Platform = get_platform(platform)
@@ -407,7 +413,10 @@ class AutotuningTask:
         return self.engine.compile_one(module_name, seq_indices)
 
     def compile_batch(
-        self, items: Sequence[Tuple[str, Sequence[int]]], outcomes: bool = False
+        self,
+        items: Sequence[Tuple[str, Sequence[int]]],
+        outcomes: bool = False,
+        stats_only: bool = False,
     ) -> List[CompiledModule]:
         """Compile a batch of ``(module_name, sequence)`` candidates.
 
@@ -416,8 +425,13 @@ class AutotuningTask:
         ``outcomes=True`` each slot is a
         :class:`~repro.core.eval_engine.CompileOutcome` and candidate
         failures (crash/timeout/quarantine) are returned, not raised — the
-        fault-tolerant interface every tuner uses."""
-        return self.engine.compile_batch(items, outcomes=outcomes)
+        fault-tolerant interface every tuner uses.  With
+        ``stats_only=True`` a result compiled in a process worker carries
+        ``module=None`` (only its statistics came back); recompile the one
+        you measure with :meth:`compile_module`."""
+        return self.engine.compile_batch(
+            items, outcomes=outcomes, stats_only=stats_only
+        )
 
     def o3_module(self, module_name: str) -> Module:
         """The module's reference -O3 binary."""
@@ -694,10 +708,13 @@ class AutotuningTask:
         """Compile/measure time and counts (Fig 5.12).
 
         ``compile_seconds`` is the cumulative per-candidate compile time
-        (summed across workers); ``compile_wall_seconds`` is wall clock
-        spent inside the engine — their ratio is the honest parallel
-        speedup at ``jobs > 1``.  Within-batch duplicates compile once, so
-        ``n_compiles`` counts real work only.  The fault-tolerance counters
+        (timed inside each worker, summed across workers);
+        ``compile_wall_seconds`` is wall clock spent inside the engine —
+        under the process pool their ratio is the real parallel speedup
+        (under threads each item's time includes waiting for the GIL).
+        ``executor`` names the executor that served the compiles
+        (``serial``, ``thread`` or ``process``).  Within-batch duplicates
+        compile once, so ``n_compiles`` counts real work only.  The fault-tolerance counters
         (failures/timeouts/retries/quarantine from the engine, plus crashed
         and incorrect measurements) make chaos runs auditable."""
         return {
@@ -710,6 +727,7 @@ class AutotuningTask:
             "compile_cache_misses": self.engine.misses,
             "compile_cache_hit_rate": self.engine.hit_rate(),
             "jobs": self.jobs,
+            "executor": self.engine.kind,
             "compile_failures": self.engine.n_failures,
             "compile_timeouts": self.engine.n_timeouts,
             "compile_retries": self.engine.n_retries,

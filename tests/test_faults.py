@@ -362,6 +362,24 @@ class TestTaskDegradation:
                 jobs=2, executor="process", **kw,
             )
 
+    def test_env_chaos_with_auto_jobs_compiles_on_threads(self, monkeypatch):
+        # the injector's lock and counters are process-local, so "auto"
+        # keeps it in this process instead of refusing the combination
+        monkeypatch.setenv("REPRO_INJECT_FAULTS", "crash,transient")
+        monkeypatch.setenv("REPRO_FAULT_RATE", "0.3")
+        monkeypatch.setenv("REPRO_FAULT_SEED", "2")
+        with AutotuningTask(
+            cbench_program("security_sha"), platform="arm-a57", seed=0,
+            seq_length=8, jobs=2,
+        ) as task:
+            assert task.engine.kind == "thread"
+            assert task.timing_breakdown()["executor"] == "thread"
+            res = Citroen(task, seed=1, n_init=3, per_strategy=2).tune(8)
+            assert len(res.measurements) == 8
+            assert type(task.engine._pool).__name__ == "ThreadPoolExecutor"
+            injected = task.fault_injector.stats()
+        assert sum(injected.values()) > 0
+
     def test_env_chaos_ignored_when_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_INJECT_FAULTS", raising=False)
         with AutotuningTask(

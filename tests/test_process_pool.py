@@ -1,0 +1,174 @@
+"""The process-pool compile path behind ``jobs>1``.
+
+Covers the stats-only transport (pool workers return statistics, the
+measured winner is recompiled in the parent), bit-identical CITROEN
+histories against ``jobs=1``, worker lifecycle, and the resolved executor
+reported by the engine, the task and ``result.json``.
+"""
+
+import json
+import multiprocessing
+import time
+from pathlib import Path
+
+import pytest
+
+from repro import AutotuningTask, Citroen, CompileEngine, cbench_program
+from repro.cli import main
+from repro.compiler.opt_tool import run_opt
+from repro.machine.artifacts import ir_fingerprint
+
+
+@pytest.fixture(autouse=True)
+def _no_chaos(monkeypatch):
+    # an injector would keep the compiles on threads
+    for var in ("REPRO_INJECT_FAULTS", "REPRO_FAULT_RATE", "REPRO_FAULT_SEED",
+                "REPRO_FAULT_HANG_SECONDS"):
+        monkeypatch.delenv(var, raising=False)
+
+
+def _task(jobs, program="telecom_gsm", **kw):
+    return AutotuningTask(
+        cbench_program(program), platform="arm-a57", seed=0, seq_length=10,
+        jobs=jobs, **kw,
+    )
+
+
+def _tune(jobs, feature_mode):
+    """One CITROEN tune; returns the executor, the history, every measured
+    configuration and every compile batch's results."""
+    measured, batches = [], []
+    with _task(jobs) as task:
+        measure, compile_batch = task.measure, task.compile_batch
+
+        def spy_measure(compiled, config_key=None, sequences=None):
+            measured.append((dict(compiled), sequences))
+            return measure(compiled, config_key=config_key, sequences=sequences)
+
+        def spy_batch(items, outcomes=False, stats_only=False):
+            out = compile_batch(items, outcomes=outcomes, stats_only=stats_only)
+            batches.append((stats_only, out))
+            return out
+
+        task.measure, task.compile_batch = spy_measure, spy_batch
+        res = Citroen(
+            task, seed=3, n_init=3, per_strategy=2, feature_mode=feature_mode
+        ).tune(10)
+        kind, target = task.engine.kind, task.target
+    hist = [(m.module, m.sequence, m.runtime, m.correct, m.status)
+            for m in res.measurements]
+    return kind, hist, measured, batches, target
+
+
+@pytest.mark.parametrize("feature_mode", ["stats", "autophase"])
+def test_citroen_history_matches_serial(feature_mode):
+    kind1, serial, _, _, _ = _tune(1, feature_mode)
+    kind2, pooled, _, batches, _ = _tune(2, feature_mode)
+    assert (kind1, kind2) == ("serial", "process")
+    assert pooled == serial
+    results = [(stats_only, o.value) for stats_only, out in batches if len(out) > 1
+               for o in out if o.ok]
+    # init configurations are measured, so their modules always come back
+    assert any(not stats_only and c.module is not None for stats_only, c in results)
+    proposals = [c for stats_only, c in results if stats_only]
+    if feature_mode == "stats":
+        # candidate proposals: only statistics came back from the workers
+        assert proposals
+        assert all(c.module is None for c in proposals)
+    else:
+        # autophase features read the IR, so the modules come back
+        assert not proposals
+        assert all(c.module is not None for _, c in results)
+
+
+def test_measured_winner_matches_cold_compile():
+    _, _, measured, _, target = _tune(2, "stats")
+    program = cbench_program("telecom_gsm")
+    checked = 0
+    for compiled, sequences in measured:
+        for name, result in compiled.items():
+            source = program.get_module(name)
+            cold = run_opt(source, list(sequences[name]), target=target)
+            assert result.fingerprint == ir_fingerprint(cold.module)
+            assert result.stats == cold.stats_json()
+            checked += 1
+    assert checked >= 10
+
+
+def test_stats_only_applies_to_pool_workers_only():
+    items = [("lpc", [i, i + 1, i + 2]) for i in range(6)]
+    with _task(2) as task:
+        assert task.engine.kind == "process"
+        stats_only = task.compile_batch(items, stats_only=True)
+        kept = task.compile_batch(items)
+        single = task.compile_batch(items[:1], stats_only=True)
+    with _task(1) as task:
+        serial = task.compile_batch(items, stats_only=True)
+    assert all(c.module is None for c in stats_only)
+    assert all(c.module is not None for c in kept + single + serial)
+    assert [c.stats for c in stats_only] == [c.stats for c in serial]
+    assert [c.fingerprint for c in kept] == [c.fingerprint for c in serial]
+
+
+def test_close_reaps_pool_workers():
+    before = set(multiprocessing.active_children())
+    items = [("sha_transform", [i, i + 1]) for i in range(4)]
+    task = _task(2, program="security_sha")
+    assert not set(multiprocessing.active_children()) - before  # lazy start
+    task.compile_batch(items)
+    assert set(multiprocessing.active_children()) - before
+    task.close()
+    assert not set(multiprocessing.active_children()) - before
+    for _ in range(5):
+        with _task(2, program="security_sha") as task:
+            task.compile_batch(items)
+    assert not set(multiprocessing.active_children()) - before
+
+
+def _sleepy_compile(name, seq):
+    time.sleep(0.1)
+    return name, tuple(seq)
+
+
+@pytest.mark.parametrize(
+    "jobs, executor, timeout, kind",
+    [
+        (1, "auto", None, "serial"),
+        (1, "process", None, "serial"),
+        (1, "auto", 5.0, "thread"),
+        (2, "auto", None, "process"),
+        (2, "thread", None, "thread"),
+        (2, "serial", None, "serial"),
+    ],
+)
+def test_engine_reports_resolved_executor(jobs, executor, timeout, kind):
+    with CompileEngine(
+        _sleepy_compile, jobs=jobs, executor=executor, timeout=timeout
+    ) as eng:
+        assert eng.kind == kind
+        assert eng.stats()["executor"] == kind
+
+
+def test_worker_timing_gives_parallel_ratio():
+    # compile seconds are timed inside each worker and summed; two
+    # processes sleeping side by side overlap, so the sum exceeds the wall
+    with CompileEngine(_sleepy_compile, jobs=2) as eng:
+        out = eng.compile_batch([("m", [i]) for i in range(8)])
+        stats = eng.stats()
+    assert out == [("m", (i,)) for i in range(8)]
+    assert stats["executor"] == "process"
+    assert stats["compile_cpu_seconds"] >= 0.8
+    assert stats["compile_cpu_seconds"] / stats["compile_wall_seconds"] > 1.3
+
+
+def test_result_json_names_the_executor(tmp_path):
+    run_dir = tmp_path / "run"
+    rc = main([
+        "tune", "security_sha", "--budget", "6", "--seed", "1",
+        "--seq-length", "8", "--jobs", "2", "--trace-out", str(run_dir),
+        "--log-level", "warning",
+    ])
+    assert rc == 0
+    timing = json.loads((Path(run_dir) / "result.json").read_text())["timing"]
+    assert timing["executor"] == "process"
+    assert timing["jobs"] == 2
