@@ -1,9 +1,12 @@
-"""Compare two checkouts on the perfbench workloads; writes ``BENCH_jobs.json``.
+"""Compare two checkouts on the perfbench workloads; writes a ``BENCH_*.json``.
 
-Each run is ``perfbench/run.py --trace 0`` in one checkout, in a fresh
-process.  Runs of the two checkouts alternate in pairs, and the order
-within a pair flips every pair, so slow drift on the host hits both sides
-alike.  Besides perfbench's own result, each run reports figures that
+The two checkouts are any two trees of this repository, typically the
+parent commit (``--base``) and a change (``--head``).  Each run is
+``perfbench/run.py --trace 0`` in one checkout, in a fresh process.  Runs
+of the two checkouts alternate in pairs, and the order within a pair flips
+every pair, so slow drift on the host hits both sides alike.  A
+``--pairs`` entry ``workload@seed=N`` runs N pairs at that seed instead of
+``--seed``.  Besides perfbench's own result, each run reports figures that
 perfbench does not print, read from outside the program:
 
 * ``compile_cpu_wall_ratio``: the engine's worker-timed compile seconds
@@ -23,17 +26,32 @@ perfbench does not print, read from outside the program:
   ``VmHWM`` (shared copy-on-write pages included) and its private memory
   (``Private_Clean + Private_Dirty``), read just before the task closes,
   maximum over workers.  perfbench's ``peak_rss_mb`` counts its own
-  process only.
+  process only;
+* ``gc_s`` and ``gc_gen2_s``: time the cyclic garbage collector ran in the
+  perfbench process (all generations, and full collections only);
+* ``snapshot_*``: the prefix-snapshot counters of each task's store in the
+  perfbench process (absent in checkouts without the store), summed over
+  the run's tasks;
+* ``worker_snapshot_*``: the same counters of the stores the task's
+  process workers compile through, read from each live worker just before
+  the task closes and summed over workers and tasks (0 without a process
+  pool, or when workers compile without a store).
+
+Each ``--traced`` run per side is ``--trace 1``; it keeps a few per-layer
+metrics and ``compiler.pass_total.s``, the sum of every
+``compiler.pass.*.s``.
 
 Run from the root of the checkout that holds this script::
 
     python3 benchmarks/jobs_evidence.py --base ../parent-checkout --head . \\
-        --pairs citroen_x264_j2=10,citroen_gsm=3,random_mcf=3 --out BENCH_jobs.json
+        --pairs citroen_gsm=10,citroen_gsm@7=3,citroen_x264_j2=3,random_mcf=3 \\
+        --out BENCH_compile.json
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import resource
@@ -48,7 +66,11 @@ END_TO_END = ("tune_s", "setup_s", "speedup_vs_o3", "peak_rss_mb")
 #: per-layer metrics kept from traced runs
 TRACED = ("bench.traced_tune_s", "eval_engine.compile_batch.s",
           "eval_engine.cores_used", "compiler.run_opt.calls", "compiler.run_opt.s",
-          "eval_engine.compiles")
+          "compiler.clone.s", "compiler.pass_total.s", "eval_engine.compiles")
+#: prefix-snapshot counters summed from each task's ``timing_breakdown()``
+SNAPSHOT_KEYS = ("snapshot_lookups", "snapshot_hits", "snapshot_captures",
+                 "snapshot_skipped_passes")
+WORKER_SNAPSHOT_KEYS = tuple(f"worker_{key}" for key in SNAPSHOT_KEYS)
 #: fields of the ``perfbench`` record kept with each run
 PERFBENCH_KEPT = ("tunes", "calibration_s", "host_scale", "raw_wall_s", "digests",
                   "reproducible", "traced_identical", "git_rev", "source_sha256")
@@ -76,6 +98,37 @@ def _worker_memory_mb(pid: int) -> Dict[str, float]:
     }
 
 
+def worker_snapshot_stats(hold: float) -> tuple:
+    """Run in a pool worker: its pid and the counters of the prefix-snapshot
+    store its compile function uses (empty if none: a store inherited from
+    the parent that serves only the parent does not count).  ``hold``
+    keeps the worker busy, so the other workers take the other requests."""
+    from repro.core import eval_engine
+
+    time.sleep(hold)
+    fn = eval_engine._worker_fn
+    stores = [a for a in getattr(fn, "args", ())
+              if hasattr(a, "stats") and getattr(a, "local", True)]
+    return os.getpid(), (stores[0].stats() if stores else {})
+
+
+def _read_worker_stores(pool, pids) -> Dict[int, Dict[str, int]]:
+    """``worker_snapshot_stats`` from every worker of a process pool."""
+    # imported under its own name, so the pool pickles it by reference
+    import jobs_evidence
+
+    found: Dict[int, Dict[str, int]] = {}
+    for _ in range(5):
+        futures = [pool.submit(jobs_evidence.worker_snapshot_stats, 0.2)
+                   for _ in range(2 * len(pids))]
+        for fut in futures:
+            pid, stats = fut.result()
+            found[pid] = stats
+        if set(pids) <= set(found):
+            break
+    return found
+
+
 def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
     """Run perfbench in the current directory, watching the compile engine
     and every task close."""
@@ -86,8 +139,22 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
     seen = {"tasks": 0, "compile_seconds": 0.0, "compile_wall_seconds": 0.0,
             "batch_wall": 0.0, "batch_cpu": 0.0, "worker_cpu": 0.0,
             "executors": set(), "workers_peak_rss_mb": 0.0,
-            "worker_hwm_mb": 0.0, "worker_private_mb": 0.0}
+            "worker_hwm_mb": 0.0, "worker_private_mb": 0.0,
+            "gc_s": 0.0, "gc_gen2_s": 0.0, **dict.fromkeys(SNAPSHOT_KEYS, 0),
+            **dict.fromkeys(WORKER_SNAPSHOT_KEYS, 0)}
     compile_batch, close = CompileEngine.compile_batch, AutotuningTask.close
+    gc_start = [0.0]
+
+    def on_gc(phase, info):
+        if phase == "start":
+            gc_start[0] = time.perf_counter()
+            return
+        dt = time.perf_counter() - gc_start[0]
+        seen["gc_s"] += dt
+        if info["generation"] == 2:
+            seen["gc_gen2_s"] += dt
+
+    gc.callbacks.append(on_gc)
 
     def watched_batch(engine, *args, **kwargs):
         c0, t0 = time.process_time(), time.perf_counter()
@@ -102,6 +169,8 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
         seen["tasks"] += 1
         seen["compile_seconds"] += timing["compile_seconds"]
         seen["compile_wall_seconds"] += timing["compile_wall_seconds"]
+        for key in SNAPSHOT_KEYS:
+            seen[key] += timing.get(key, 0)
         # a checkout that predates the "executor" key ran jobs>1 on threads
         seen["executors"].add(
             timing.get("executor") or ("serial" if task.jobs == 1 else "thread")
@@ -111,6 +180,11 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
             mem = _worker_memory_mb(pid)
             seen["worker_hwm_mb"] = max(seen["worker_hwm_mb"], mem["hwm"])
             seen["worker_private_mb"] = max(seen["worker_private_mb"], mem["private"])
+        if workers:
+            for stats in _read_worker_stores(task.engine._pool, list(workers)).values():
+                for key, value in stats.items():
+                    if f"worker_snapshot_{key}" in seen:
+                        seen[f"worker_snapshot_{key}"] += value
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         close(task)  # joins the workers, so their usage is now counted
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -141,6 +215,9 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
         "workers_peak_rss_mb": seen["workers_peak_rss_mb"],
         "worker_hwm_mb": seen["worker_hwm_mb"],
         "worker_private_mb": seen["worker_private_mb"],
+        "gc_s": seen["gc_s"],
+        "gc_gen2_s": seen["gc_gen2_s"],
+        **{key: seen[key] for key in SNAPSHOT_KEYS + WORKER_SNAPSHOT_KEYS},
     }}), flush=True)
     return code
 
@@ -164,6 +241,11 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
             run["probe"] = rec["probe"]
         elif "metrics" in rec:
             run["metrics"] = {k: v["value"] for k, v in rec["metrics"].items()}
+            if trace:
+                run["metrics"]["compiler.pass_total.s"] = sum(
+                    v for k, v in run["metrics"].items()
+                    if k.startswith("compiler.pass.")
+                )
             run["correct"] = rec["correct"]
             run["failed"] = rec["failed"]
             run["attempted"] = rec["attempted"]
@@ -192,8 +274,10 @@ def summarize(runs: List[Dict]) -> Dict:
     out["compile_cpu_wall_ratio"] = spread(
         [r["probe"]["compile_cpu_wall_ratio"] for r in ok])
     for name in ("compile_cores_used", "workers_peak_rss_mb", "worker_hwm_mb",
-                 "worker_private_mb"):
+                 "worker_private_mb", "gc_s", "gc_gen2_s") + SNAPSHOT_KEYS:
         out[name] = spread([r["probe"][name] for r in ok])
+    for name in WORKER_SNAPSHOT_KEYS:  # absent from payloads that predate them
+        out[name] = spread([r["probe"].get(name, 0) for r in ok])
     return out
 
 
@@ -204,34 +288,40 @@ def main(argv=None) -> int:
     parser.add_argument("--head", help="checkout measured as the change")
     parser.add_argument("--pairs",
                         default="citroen_x264_j2=10,citroen_gsm=3,random_mcf=3",
-                        help="workload=pairs,...")
+                        help="workload[@seed]=pairs,...")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, default=0, help=argparse.SUPPRESS)
     parser.add_argument("--traced", type=int, default=1,
                         help="traced (--trace 1) runs per side and workload")
-    parser.add_argument("--out", default="BENCH_jobs.json")
+    parser.add_argument("--out", help="payload to write (required to compare)")
     args = parser.parse_args(argv)
     if args.probe:
         return probe(args.probe, args.seed, args.seconds, args.trace)
+    if not (args.base and args.head and args.out):
+        parser.error("--base, --head and --out are required")
 
     sides = {"base": os.path.abspath(args.base), "head": os.path.abspath(args.head)}
     payload: Dict[str, object] = {"workloads": {}}
     for spec in args.pairs.split(","):
-        workload, n_pairs = spec.split("=")
+        entry, n_pairs = spec.split("=")
+        workload, _, seed = entry.partition("@")
+        seed = int(seed) if seed else args.seed
         runs: Dict[str, List[Dict]] = {"base": [], "head": []}
         for i in range(int(n_pairs)):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
                 t0 = time.perf_counter()
-                run = run_once(sides[side], workload, args.seed, args.seconds)
+                run = run_once(sides[side], workload, seed, args.seconds)
                 runs[side].append(run)
-                print(f"{workload} pair {i} {side}: tune_s "
+                print(f"{entry} pair {i} {side}: tune_s "
                       f"{run['metrics'].get('tune_s', float('nan')):.3f} "
                       f"({time.perf_counter() - t0:.0f} s)", flush=True)
         pairs = list(zip(runs["base"], runs["head"]))
         base, head = summarize(runs["base"]), summarize(runs["head"])
-        payload["workloads"][workload] = {
+        payload["workloads"][entry] = {
+            "workload": workload,
+            "seed": seed,
             "base": base,
             "head": head,
             "tune_s_change": head["tune_s"]["median"] / base["tune_s"]["median"] - 1.0,
@@ -247,17 +337,17 @@ def main(argv=None) -> int:
         traced: Dict[str, List[Dict]] = {"base": [], "head": []}
         for i in range(args.traced):
             for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-                run = run_once(sides[side], workload, args.seed, args.seconds, trace=1)
+                run = run_once(sides[side], workload, seed, args.seconds, trace=1)
                 traced[side].append({
                     "failed": run.get("failed"),
                     "traced_identical": run["perfbench"].get("traced_identical"),
                     "metrics": {k: run["metrics"].get(k) for k in TRACED},
                     "probe": run["probe"],
                 })
-        payload["workloads"][workload]["traced"] = traced
+        payload["workloads"][entry]["traced"] = traced
     payload["provenance"] = {
-        "command": "python3 perfbench/run.py --workload W --seed "
-                   f"{args.seed} --seconds {args.seconds:g} --trace 0",
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {args.seconds:g} --trace 0",
         "seed": args.seed,
         "nproc": os.cpu_count(),
         "python": sys.version.split()[0],

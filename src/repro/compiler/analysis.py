@@ -79,9 +79,14 @@ def rpo_order(fn: Function) -> List[str]:
 
 def immediate_dominators(fn: Function) -> Dict[str, Optional[str]]:
     """Cooper-Harvey-Kennedy iterative idom computation over reachable blocks."""
+    return _immediate_dominators(fn, fn.predecessors())
+
+
+def _immediate_dominators(
+    fn: Function, preds: Dict[str, List[str]]
+) -> Dict[str, Optional[str]]:
     order = rpo_order(fn)
     index = {name: i for i, name in enumerate(order)}
-    preds = fn.predecessors()
     entry = fn.entry.name
     idom: Dict[str, Optional[str]] = {entry: entry}
 
@@ -154,14 +159,27 @@ class Loop:
 
 
 def find_loops(fn: Function) -> List[Loop]:
-    """Detect natural loops via back edges (edge u->h where h dominates u)."""
-    doms = dominators(fn)
-    reach = reachable_blocks(fn)
+    """Detect natural loops via back edges (edge u->h where h dominates u).
+
+    Blocks are visited in ``fn.blocks`` order, never in set order, so the
+    loops and their latches come out the same under any string hash seed."""
     preds = fn.predecessors()
+    idom = _immediate_dominators(fn, preds)  # keys: the reachable blocks
+
+    def dominates_(a: str, b: str) -> bool:
+        cur: Optional[str] = b
+        while cur is not None:
+            if cur == a:
+                return True
+            cur = idom[cur]
+        return False
+
     raw: Dict[str, Loop] = {}
-    for name in reach:
+    for name in fn.blocks:
+        if name not in idom:
+            continue
         for succ in fn.blocks[name].successors():
-            if succ in doms.get(name, set()):
+            if succ in idom and dominates_(succ, name):
                 loop = raw.get(succ)
                 if loop is None:
                     loop = Loop(header=succ, blocks={succ})
@@ -174,7 +192,7 @@ def find_loops(fn: Function) -> List[Loop]:
                     if blk in loop.blocks:
                         continue
                     loop.blocks.add(blk)
-                    stack.extend(p for p in preds[blk] if p in reach)
+                    stack.extend(p for p in preds[blk] if p in idom)
 
     loops = list(raw.values())
     for loop in loops:

@@ -219,18 +219,18 @@ class Instr:
     def is_terminator(self) -> bool:
         return self.op in TERMINATORS
 
-    def operands(self) -> Iterator[Operand]:
-        """Iterate over all value operands, including phi incomings."""
-        yield from self.args
+    def operands(self) -> List[Operand]:
+        """All value operands, phi incomings included, as a new list."""
         if self.op == "phi":
-            for _, val in self.attrs["incoming"]:
-                yield val
+            return self.args + [val for _, val in self.attrs["incoming"]]
+        return self.args[:]
 
-    def reg_operands(self) -> Iterator[str]:
-        """Iterate over register (non-constant) operands."""
-        for v in self.operands():
-            if isinstance(v, str):
-                yield v
+    def reg_operands(self) -> List[str]:
+        """Register (non-constant) operands, as a new list."""
+        out = [a for a in self.args if isinstance(a, str)]
+        if self.op == "phi":
+            out += [v for _, v in self.attrs["incoming"] if isinstance(v, str)]
+        return out
 
     def replace_uses(self, mapping: Dict[str, Operand]) -> bool:
         """Rewrite register operands through ``mapping``; returns changed."""

@@ -4,20 +4,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from repro.compiler.analysis import escaped_allocas, has_side_effects
+from repro.compiler.analysis import escaped_allocas, has_side_effects, use_counts
 from repro.compiler.ir import Const, Function, Instr, Module
 from repro.compiler.pass_manager import FunctionPass, TargetInfo, register
 from repro.compiler.statistics import StatsCollector
 
 __all__ = ["DCE", "ADCE", "DSE"]
-
-
-def _use_count_map(fn: Function) -> Dict[str, int]:
-    uses: Dict[str, int] = {}
-    for inst in fn.instructions():
-        for reg in inst.reg_operands():
-            uses[reg] = uses.get(reg, 0) + 1
-    return uses
 
 
 @register
@@ -29,28 +21,29 @@ class DCE(FunctionPass):
     def run_on_function(
         self, fn: Function, module: Module, stats: StatsCollector, target: TargetInfo
     ) -> bool:
+        uses = use_counts(fn)
         removed_total = 0
         while True:
-            uses = _use_count_map(fn)
-            removed = 0
+            removed: List[Instr] = []
             for blk in fn.blocks.values():
                 kept: List[Instr] = []
                 for inst in blk.instrs:
                     dead = (
-                        not inst.is_terminator
+                        inst.res is not None
+                        and uses.get(inst.res, 0) == 0
+                        and not inst.is_terminator
                         and not has_side_effects(inst, module)
-                        and (inst.res is None or uses.get(inst.res, 0) == 0)
                         and inst.op not in ("store", "vstore")
-                        and inst.res is not None
                     )
-                    if dead:
-                        removed += 1
-                    else:
-                        kept.append(inst)
+                    (removed if dead else kept).append(inst)
                 blk.instrs = kept
-            removed_total += removed
-            if removed == 0:
+            if not removed:
                 break
+            removed_total += len(removed)
+            # the next round sees exactly the uses the removed ones held less
+            for inst in removed:
+                for reg in inst.reg_operands():
+                    uses[reg] -= 1
         stats.bump(self.name, "NumDeleted", removed_total)
         return removed_total > 0
 

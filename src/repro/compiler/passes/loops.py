@@ -163,7 +163,8 @@ class LICM(FunctionPass):
             progress = True
             while progress:
                 progress = False
-                for bname in list(loop.blocks):
+                # block order, not set order: the hoist order is the output
+                for bname in [b for b in fn.blocks if b in loop.blocks]:
                     blk = fn.blocks[bname]
                     remaining: List[Instr] = []
                     for inst in blk.instrs:

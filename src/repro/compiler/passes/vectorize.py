@@ -87,19 +87,33 @@ class SLPVectorizer(FunctionPass):
         self, fn: Function, module: Module, stats: StatsCollector, target: TargetInfo
     ) -> bool:
         changed = False
+        # def/use maps are function-wide: computed once, and again only
+        # after a block changes
+        defs = uses = None
         for blk in list(fn.blocks.values()):
-            if self._vectorize_block(fn, module, blk, stats, target):
+            if defs is None:
+                defs, uses = fn.defs(), use_counts(fn)
+            if self._vectorize_block(fn, module, blk, defs, uses, stats, target):
                 changed = True
+                defs = uses = None
         return changed
 
-    def _vectorize_block(self, fn, module, blk, stats, target) -> bool:
-        defs = fn.defs()
-        uses = use_counts(fn)
+    def _vectorize_block(self, fn, module, blk, defs, uses, stats, target) -> bool:
         pos = {id(i): k for k, i in enumerate(blk.instrs)}
-        in_block = {i.res for i in blk.instrs if i.res is not None}
         changed = False
 
-        # --- find accumulation chains: acc_{j+1} = add/fadd(acc_j, leaf_j)
+        # --- find accumulation chains: acc_{j+1} = add/fadd(acc_j, leaf_j).
+        # A link needs acc_j to have one use, so its only candidate next
+        # link is the block's first scalar add/fadd taking acc_j first.
+        next_link: Dict[str, Instr] = {}
+        for cand in blk.instrs:
+            if (
+                cand.op in ("add", "fadd")
+                and cand.res is not None
+                and not cand.ty.is_vec
+                and isinstance(cand.args[0], str)
+            ):
+                next_link.setdefault(cand.args[0], cand)
         chains: List[List[Instr]] = []
         chain_heads: Set[str] = set()
         for inst in blk.instrs:
@@ -109,20 +123,9 @@ class SLPVectorizer(FunctionPass):
                 continue
             chain = [inst]
             cur = inst
-            while True:
-                nxt = None
-                for cand in blk.instrs:
-                    if (
-                        cand.op == cur.op
-                        and cand.res is not None
-                        and not cand.ty.is_vec
-                        and isinstance(cand.args[0], str)
-                        and cand.args[0] == cur.res
-                        and uses.get(cur.res, 0) == 1
-                    ):
-                        nxt = cand
-                        break
-                if nxt is None:
+            while uses.get(cur.res, 0) == 1:
+                nxt = next_link.get(cur.res)
+                if nxt is None or nxt.op != cur.op:
                     break
                 chain.append(nxt)
                 cur = nxt
@@ -138,7 +141,7 @@ class SLPVectorizer(FunctionPass):
                 uses = use_counts(fn)
                 pos = {id(i): k for k, i in enumerate(blk.instrs)}
 
-        if self._vectorize_store_group(fn, module, blk, stats, target):
+        if self._vectorize_store_group(fn, module, blk, defs, uses, stats, target):
             changed = True
         return changed
 
@@ -346,29 +349,29 @@ class SLPVectorizer(FunctionPass):
 
     @staticmethod
     def _sweep_dead(fn, blk):
-        from repro.compiler.analysis import use_counts as _uc
-
+        uses = use_counts(fn)
         for _ in range(6):
-            uses = _uc(fn)
             kept = []
-            removed = False
+            removed = []
             for inst in blk.instrs:
                 if (
                     inst.res is not None
                     and inst.op in ("load", "sext", "gep", "mul", "fmul", "add", "fadd")
                     and uses.get(inst.res, 0) == 0
                 ):
-                    removed = True
+                    removed.append(inst)
                     continue
                 kept.append(inst)
             blk.instrs = kept
             if not removed:
                 break
+            # the next round sees exactly the uses the removed ones held less
+            for inst in removed:
+                for reg in inst.reg_operands():
+                    uses[reg] -= 1
 
     # -- store-group vectorisation ------------------------------------------
-    def _vectorize_store_group(self, fn, module, blk, stats, target) -> bool:
-        defs = fn.defs()
-        uses = use_counts(fn)
+    def _vectorize_store_group(self, fn, module, blk, defs, uses, stats, target) -> bool:
         stores = [i for i in blk.instrs if i.op == "store"]
         if len(stores) < self.min_chain:
             return False

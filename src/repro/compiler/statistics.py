@@ -51,6 +51,13 @@ class StatsCollector:
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, str], int] = {}
 
+    @classmethod
+    def from_snapshot(cls, counters: Dict[Tuple[str, str], int]) -> "StatsCollector":
+        """A collector holding a copy of :meth:`snapshot`'s ``counters``."""
+        out = cls()
+        out._counters = dict(counters)
+        return out
+
     def bump(self, pass_name: str, counter: str, amount: int = 1) -> None:
         """Increment ``<pass_name>.<counter>`` by ``amount`` (no-op if 0)."""
         if amount == 0:

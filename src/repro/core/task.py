@@ -34,7 +34,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.compiler.ir import Module
-from repro.compiler.opt_tool import run_opt
+from repro.compiler.opt_tool import PrefixSnapshots, run_opt
 from repro.compiler.pass_manager import PassTrace, TargetInfo
 from repro.compiler.pipelines import SEARCH_PASSES, pipeline
 from repro.core.eval_engine import CompileEngine, CompileOutcome
@@ -62,15 +62,19 @@ def _compile_candidate(
     program: Program,
     passes: Sequence[str],
     target: TargetInfo,
+    snapshots: PrefixSnapshots,
     module_name: str,
     seq_indices: Sequence[int],
 ) -> CompiledModule:
     """The raw compile — a pure function of its arguments, as the engine's
-    cache and parallel executor both require.  Module-level and bound with
-    ``functools.partial`` over picklable values only, so process pools can
-    ship it without the task's locks and events."""
+    cache and parallel executor both require (``snapshots`` only saves
+    work, and only in the process that made it).  Module-level and bound
+    with ``functools.partial`` over picklable values only, so process
+    pools can ship it without the task's locks and events."""
     src = program.get_module(module_name)
-    cr = run_opt(src, [passes[int(i)] for i in seq_indices], target=target)
+    cr = run_opt(
+        src, [passes[int(i)] for i in seq_indices], target=target, snapshots=snapshots
+    )
     return CompiledModule(cr.module, cr.stats_json())
 
 
@@ -233,7 +237,13 @@ class AutotuningTask:
         self.fault_injector = fault_injector
         if fault_injector is not None and fault_injector.corrupt_fn is None:
             fault_injector.corrupt_fn = _corrupt_compiled
-        compile_fn = partial(_compile_candidate, program, tuple(self.passes), self.target)
+        # candidate compiles in this process resume from pass-prefix
+        # snapshots; process workers compile cold (see PrefixSnapshots)
+        self.snapshots = PrefixSnapshots()
+        self._snapshot_reported: Dict[str, int] = {}
+        compile_fn = partial(
+            _compile_candidate, program, tuple(self.passes), self.target, self.snapshots
+        )
         if fault_injector is not None:
             compile_fn = fault_injector.wrap(compile_fn)
 
@@ -588,6 +598,7 @@ class AutotuningTask:
             # after the Nth live measurement is durable in the WAL
             os.kill(os.getpid(), signal.SIGKILL)
         if self.metrics_every and self.n_measurements % self.metrics_every == 0:
+            self._sync_snapshot_metrics()
             flat = self.metrics.flat()
             self.tracer.event(
                 "metrics", n_measurements=self.n_measurements, metrics=flat
@@ -704,6 +715,20 @@ class AutotuningTask:
             results.append(self.measure(compiled, config_key=key, sequences=sequences))
         return results
 
+    def _sync_snapshot_metrics(self) -> Dict[str, int]:
+        """Add what the store counted since the last sync to the
+        ``compiler.snapshot_*`` registry counters (parent process only);
+        returns the store's counters."""
+        stats = self.snapshots.stats()
+        for key, value in stats.items():
+            if key == "entries":
+                self.metrics.gauge("compiler.snapshot_entries").set(value)
+            else:
+                reported = self._snapshot_reported.get(key, 0)
+                self.metrics.counter(f"compiler.snapshot_{key}").inc(value - reported)
+                self._snapshot_reported[key] = value
+        return stats
+
     def timing_breakdown(self) -> Dict[str, float]:
         """Compile/measure time and counts (Fig 5.12).
 
@@ -716,7 +741,13 @@ class AutotuningTask:
         (``serial``, ``thread`` or ``process``).  Within-batch duplicates
         compile once, so ``n_compiles`` counts real work only.  The fault-tolerance counters
         (failures/timeouts/retries/quarantine from the engine, plus crashed
-        and incorrect measurements) make chaos runs auditable."""
+        and incorrect measurements) make chaos runs auditable.
+
+        ``snapshot_*`` are the :class:`~repro.compiler.opt_tool.PrefixSnapshots`
+        counters of *this process's* store (also in the registry as
+        ``compiler.snapshot_*``); compiles served by process workers run
+        without snapshots."""
+        snap = self._sync_snapshot_metrics()
         return {
             "compile_seconds": self.compile_seconds,
             "measure_seconds": self.measure_seconds,
@@ -743,4 +774,5 @@ class AutotuningTask:
             "pipeline_trace": self.pipeline_trace,
             "n_pass_traces": self.n_pass_traces,
             "pass_trace_seconds": self.pass_trace_seconds,
+            **{f"snapshot_{key}": value for key, value in snap.items()},
         }

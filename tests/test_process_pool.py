@@ -81,8 +81,7 @@ def test_citroen_history_matches_serial(feature_mode):
         assert all(c.module is not None for _, c in results)
 
 
-def test_measured_winner_matches_cold_compile():
-    _, _, measured, _, target = _tune(2, "stats")
+def _assert_measured_match_cold(measured, target):
     program = cbench_program("telecom_gsm")
     checked = 0
     for compiled, sequences in measured:
@@ -93,6 +92,27 @@ def test_measured_winner_matches_cold_compile():
             assert result.stats == cold.stats_json()
             checked += 1
     assert checked >= 10
+
+
+def test_measured_winner_matches_cold_compile():
+    _, _, measured, _, target = _tune(2, "stats")
+    _assert_measured_match_cold(measured, target)
+
+
+def test_serial_measured_modules_match_cold_compile(monkeypatch):
+    # at jobs=1 candidates compile in this process, through the task's
+    # prefix-snapshot store
+    stores = []
+    init = AutotuningTask.__init__
+
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        stores.append(self.snapshots)
+
+    monkeypatch.setattr(AutotuningTask, "__init__", spy_init)
+    _, _, measured, _, target = _tune(1, "stats")
+    assert stores[0].stats()["hits"] > 0
+    _assert_measured_match_cold(measured, target)
 
 
 def test_stats_only_applies_to_pool_workers_only():
