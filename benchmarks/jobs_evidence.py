@@ -29,13 +29,15 @@ perfbench does not print, read from outside the program:
   process only;
 * ``gc_s`` and ``gc_gen2_s``: time the cyclic garbage collector ran in the
   perfbench process (all generations, and full collections only);
-* ``snapshot_*``: the prefix-snapshot counters of each task's store in the
-  perfbench process (absent in checkouts without the store), summed over
-  the run's tasks;
-* ``worker_snapshot_*``: the same counters of the stores the task's
-  process workers compile through, read from each live worker just before
-  the task closes and summed over workers and tasks (0 without a process
-  pool, or when workers compile without a store).
+* ``graph_*``: the compile-graph counters each task reports in the
+  perfbench process (``nodes`` and ``edges`` live, ``passes_run`` and
+  ``passes_skipped``), summed over the run's tasks; ``snapshot_*``: the
+  prefix-snapshot counters of checkouts that predate the graph.  A
+  checkout that reports neither shows 0;
+* ``worker_graph_*``: the same counters of the graphs the task's process
+  workers compile through, read from each live worker just before the
+  task closes and summed over workers and tasks (0 without a process
+  pool, or in checkouts whose workers have no graph).
 
 Each ``--traced`` run per side is ``--trace 1``; it keeps a few per-layer
 metrics and ``compiler.pass_total.s``, the sum of every
@@ -44,8 +46,8 @@ metrics and ``compiler.pass_total.s``, the sum of every
 Run from the root of the checkout that holds this script::
 
     python3 benchmarks/jobs_evidence.py --base ../parent-checkout --head . \\
-        --pairs citroen_gsm=10,citroen_gsm@7=3,citroen_x264_j2=3,random_mcf=3 \\
-        --out BENCH_compile.json
+        --pairs citroen_gsm=10,citroen_gsm@7=3,random_mcf=3,citroen_x264_j2=3 \\
+        --out BENCH_graph.json
 """
 
 from __future__ import annotations
@@ -67,10 +69,14 @@ END_TO_END = ("tune_s", "setup_s", "speedup_vs_o3", "peak_rss_mb")
 TRACED = ("bench.traced_tune_s", "eval_engine.compile_batch.s",
           "eval_engine.cores_used", "compiler.run_opt.calls", "compiler.run_opt.s",
           "compiler.clone.s", "compiler.pass_total.s", "eval_engine.compiles")
-#: prefix-snapshot counters summed from each task's ``timing_breakdown()``
+#: compile-cache counters summed from each task's ``timing_breakdown()``:
+#: the compile graph's, and the prefix snapshots' it replaced
+GRAPH_KEYS = ("graph_nodes", "graph_edges", "graph_passes_run",
+              "graph_passes_skipped")
 SNAPSHOT_KEYS = ("snapshot_lookups", "snapshot_hits", "snapshot_captures",
                  "snapshot_skipped_passes")
-WORKER_SNAPSHOT_KEYS = tuple(f"worker_{key}" for key in SNAPSHOT_KEYS)
+CACHE_KEYS = GRAPH_KEYS + SNAPSHOT_KEYS
+WORKER_GRAPH_KEYS = tuple(f"worker_{key}" for key in GRAPH_KEYS)
 #: fields of the ``perfbench`` record kept with each run
 PERFBENCH_KEPT = ("tunes", "calibration_s", "host_scale", "raw_wall_s", "digests",
                   "reproducible", "traced_identical", "git_rev", "source_sha256")
@@ -98,28 +104,26 @@ def _worker_memory_mb(pid: int) -> Dict[str, float]:
     }
 
 
-def worker_snapshot_stats(hold: float) -> tuple:
-    """Run in a pool worker: its pid and the counters of the prefix-snapshot
-    store its compile function uses (empty if none: a store inherited from
-    the parent that serves only the parent does not count).  ``hold``
-    keeps the worker busy, so the other workers take the other requests."""
+def worker_graph_stats(hold: float) -> tuple:
+    """Run in a pool worker: its pid and the counters of the compile graph
+    its compile function uses (empty if it has none).  ``hold`` keeps the
+    worker busy, so the other workers take the other requests."""
     from repro.core import eval_engine
 
     time.sleep(hold)
     fn = eval_engine._worker_fn
-    stores = [a for a in getattr(fn, "args", ())
-              if hasattr(a, "stats") and getattr(a, "local", True)]
-    return os.getpid(), (stores[0].stats() if stores else {})
+    graphs = [a for a in getattr(fn, "args", ()) if type(a).__name__ == "CompileGraph"]
+    return os.getpid(), (graphs[0].stats() if graphs else {})
 
 
-def _read_worker_stores(pool, pids) -> Dict[int, Dict[str, int]]:
-    """``worker_snapshot_stats`` from every worker of a process pool."""
+def _read_worker_graphs(pool, pids) -> Dict[int, Dict[str, int]]:
+    """``worker_graph_stats`` from every worker of a process pool."""
     # imported under its own name, so the pool pickles it by reference
     import jobs_evidence
 
     found: Dict[int, Dict[str, int]] = {}
     for _ in range(5):
-        futures = [pool.submit(jobs_evidence.worker_snapshot_stats, 0.2)
+        futures = [pool.submit(jobs_evidence.worker_graph_stats, 0.2)
                    for _ in range(2 * len(pids))]
         for fut in futures:
             pid, stats = fut.result()
@@ -140,8 +144,8 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
             "batch_wall": 0.0, "batch_cpu": 0.0, "worker_cpu": 0.0,
             "executors": set(), "workers_peak_rss_mb": 0.0,
             "worker_hwm_mb": 0.0, "worker_private_mb": 0.0,
-            "gc_s": 0.0, "gc_gen2_s": 0.0, **dict.fromkeys(SNAPSHOT_KEYS, 0),
-            **dict.fromkeys(WORKER_SNAPSHOT_KEYS, 0)}
+            "gc_s": 0.0, "gc_gen2_s": 0.0, **dict.fromkeys(CACHE_KEYS, 0),
+            **dict.fromkeys(WORKER_GRAPH_KEYS, 0)}
     compile_batch, close = CompileEngine.compile_batch, AutotuningTask.close
     gc_start = [0.0]
 
@@ -169,7 +173,7 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
         seen["tasks"] += 1
         seen["compile_seconds"] += timing["compile_seconds"]
         seen["compile_wall_seconds"] += timing["compile_wall_seconds"]
-        for key in SNAPSHOT_KEYS:
+        for key in CACHE_KEYS:
             seen[key] += timing.get(key, 0)
         # a checkout that predates the "executor" key ran jobs>1 on threads
         seen["executors"].add(
@@ -181,10 +185,9 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
             seen["worker_hwm_mb"] = max(seen["worker_hwm_mb"], mem["hwm"])
             seen["worker_private_mb"] = max(seen["worker_private_mb"], mem["private"])
         if workers:
-            for stats in _read_worker_stores(task.engine._pool, list(workers)).values():
+            for stats in _read_worker_graphs(task.engine._pool, list(workers)).values():
                 for key, value in stats.items():
-                    if f"worker_snapshot_{key}" in seen:
-                        seen[f"worker_snapshot_{key}"] += value
+                    seen[f"worker_graph_{key}"] += value
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         close(task)  # joins the workers, so their usage is now counted
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -217,7 +220,7 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
         "worker_private_mb": seen["worker_private_mb"],
         "gc_s": seen["gc_s"],
         "gc_gen2_s": seen["gc_gen2_s"],
-        **{key: seen[key] for key in SNAPSHOT_KEYS + WORKER_SNAPSHOT_KEYS},
+        **{key: seen[key] for key in CACHE_KEYS + WORKER_GRAPH_KEYS},
     }}), flush=True)
     return code
 
@@ -274,10 +277,8 @@ def summarize(runs: List[Dict]) -> Dict:
     out["compile_cpu_wall_ratio"] = spread(
         [r["probe"]["compile_cpu_wall_ratio"] for r in ok])
     for name in ("compile_cores_used", "workers_peak_rss_mb", "worker_hwm_mb",
-                 "worker_private_mb", "gc_s", "gc_gen2_s") + SNAPSHOT_KEYS:
+                 "worker_private_mb", "gc_s", "gc_gen2_s") + CACHE_KEYS + WORKER_GRAPH_KEYS:
         out[name] = spread([r["probe"][name] for r in ok])
-    for name in WORKER_SNAPSHOT_KEYS:  # absent from payloads that predate them
-        out[name] = spread([r["probe"].get(name, 0) for r in ok])
     return out
 
 

@@ -6,17 +6,19 @@ This is the programmatic stand-in for shelling out to
 with the statistics dictionary.  Compilation is cheap relative to execution,
 matching the cost asymmetry CITROEN exploits (§5.2).
 
-A tuner compiles many sequences that share a prefix with one compiled
-before (DES and GA children keep most of their parent's genes).  A
-:class:`PrefixSnapshots` store passed to :func:`run_opt` keeps the IR and
-statistics reached after a few prefix depths, and a later compile with
-the same prefix resumes from there instead of from the source module.
+A tuner compiles many sequences that reach the same IR: most pass
+applications leave the module unchanged, and sequences that differ still
+meet in a few dozen distinct IR states.  A :class:`CompileGraph` passed
+to :func:`run_opt` remembers, for every IR state it has reached, where
+each pass leads from it, so a compile runs a pass only the first time it
+is applied to a state.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,25 +27,20 @@ from repro.compiler import passes as _passes  # noqa: F401  (registers passes)
 from repro.compiler.ir import Module
 from repro.compiler.pass_manager import PassManager, PassTrace, TargetInfo, registry
 from repro.compiler.statistics import StatsCollector
+from repro.compiler.textual import ir_fingerprint
 
 __all__ = [
+    "CompileGraph",
     "CompileResult",
-    "PrefixSnapshots",
-    "SNAPSHOT_CAPACITY",
-    "SNAPSHOT_DEPTHS",
+    "GRAPH_CAPACITY",
     "run_opt",
     "available_passes",
+    "state_key",
 ]
 
-#: Pass-prefix depths after which a compile may leave a snapshot.  Few and
-#: deep: restoring a snapshot costs the same module clone a cold compile
-#: starts with, but capturing one costs an extra clone (~two pass
-#: applications), so every eligible depth would spend most of what it saves.
-SNAPSHOT_DEPTHS = (4, 8, 12)
-#: Snapshots one store keeps; the least recently used is evicted first.
-SNAPSHOT_CAPACITY = 512
-#: Prefixes a store remembers having seen once (admission candidates).
-_SEEN_CAPACITY = 8 * SNAPSHOT_CAPACITY
+#: IR states one graph keeps (each holds a module, ~15 KB); the least
+#: recently used is evicted first.
+GRAPH_CAPACITY = 1024
 
 
 @dataclass
@@ -61,137 +58,154 @@ class CompileResult:
         return self.stats.as_dict()
 
 
-_Key = Tuple[Module, Optional[TargetInfo], Tuple[str, ...]]
+_StateKey = Tuple[str, Tuple[int, ...]]
+_Counters = Dict[Tuple[str, str], int]
 
 
-class PrefixSnapshots:
-    """Bounded store of compile states keyed by pass prefix.
+def state_key(module: Module) -> _StateKey:
+    """The key of ``module``'s IR state.
 
-    An entry maps ``(source module, target, pass-prefix)`` to a clone of
-    the module after that prefix and a copy of the statistics counters it
-    produced.  :meth:`compile` resumes from the deepest stored prefix of
-    its sequence and runs only the suffix; the module and statistics it
-    returns equal a cold compile's, because passes keep no state outside
-    the module and :meth:`Module.clone` copies all of it (the invariant
-    :func:`~repro.compiler.verify.verify_function` enforces).
+    The printed IR covers every field a pass reads except each function's
+    fresh-name counter, which decides the names later passes create; the
+    key is the IR fingerprint plus those counters."""
+    return ir_fingerprint(module), tuple(fn._counter for fn in module.functions.values())
 
-    Only prefixes of :data:`SNAPSHOT_DEPTHS` passes are stored, and only
-    the second time a compile runs through one: a prefix seen once is
-    rarely seen again, and each capture costs a clone.  At most
-    :data:`SNAPSHOT_CAPACITY` entries are kept, least recently used
-    evicted first.  The store hands out clones only, never its own
-    modules, so callers may mutate what they get back.  Keys hold the
-    source module by identity: a source module must not change while a
-    store is in use.
 
-    Thread-safe.  A store serves only the process that made it: in a
-    forked child, or unpickled in another process (its pickled form is
-    empty), :func:`run_opt` compiles cold and leaves it alone.  Process
-    workers therefore compile without snapshots: per-worker stores cost
-    worker memory and did not make a pooled tune faster (DESIGN.md,
-    "Compile path")."""
+def _target_key(target: TargetInfo) -> Tuple:
+    return (type(target),) + tuple(sorted(vars(target).items()))
+
+
+class _Node:
+    """One IR state: a module nothing mutates, and the edges leaving it,
+    ``(target key, pass) -> (next state key, statistics the pass bumped)``."""
+
+    __slots__ = ("module", "edges")
+
+    def __init__(self, module: Module) -> None:
+        self.module = module
+        self.edges: Dict[Tuple[Tuple, str], Tuple[_StateKey, _Counters]] = {}
+
+
+class CompileGraph:
+    """Content-addressed compile states: run each pass once per distinct IR.
+
+    A node is one IR state, keyed by :func:`state_key`; an edge maps
+    ``(state, target, pass)`` to the state the pass leads to and the
+    statistics it bumps on the way.  :meth:`compile` starts at the node
+    of its source module and follows one edge per pass, summing the
+    statistics.  It runs a pass only where the edge is missing: on a
+    clone of the node's module, outside the lock, keying the result.  The
+    module and statistics it returns equal a cold compile's, because
+    passes keep no state outside the module and the key covers all of it
+    (a test pins the IR fields the key covers).
+
+    At most :data:`GRAPH_CAPACITY` nodes are kept, least recently used
+    evicted first; an edge into an evicted node counts as missing.  Nodes
+    are never mutated and never handed out: a caller gets a clone.
+    Source modules are held by identity (weakly): a source must not
+    change while a graph is in use.  A pass that raises leaves no node or
+    edge behind.
+
+    Thread-safe.  A forked child (a process-pool worker) keeps the nodes
+    it inherits and grows its own graph from there, with a fresh lock and
+    zeroed pass counters; the pickled form is empty."""
 
     def __init__(self) -> None:
-        self._pid = os.getpid()
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[_Key, Tuple[Module, Dict]]" = OrderedDict()
-        self._seen: "OrderedDict[_Key, None]" = OrderedDict()
-        self.lookups = 0
-        self.hits = 0
-        self.captures = 0
-        #: pass applications the hits did not have to run
-        self.skipped_passes = 0
+        self._nodes: "OrderedDict[_StateKey, _Node]" = OrderedDict()
+        self._roots: "weakref.WeakKeyDictionary[Module, _StateKey]" = (
+            weakref.WeakKeyDictionary()
+        )
+        #: pass applications run, and ones an existing edge answered
+        self.passes_run = 0
+        self.passes_skipped = 0
+        _LIVE.add(self)
 
     def __reduce__(self):
-        return (_empty_store, (self._pid,))
-
-    @property
-    def local(self) -> bool:
-        """Whether this is the process that made the store."""
-        return self._pid == os.getpid()
+        return (CompileGraph, ())
 
     def stats(self) -> Dict[str, int]:
-        """The store's counters: compiles that looked up a
-        prefix (``lookups``), how many resumed from one (``hits``),
-        snapshots taken (``captures``), pass applications skipped and live
-        entries."""
+        """Live ``nodes`` and ``edges``, and the pass applications run
+        (``passes_run``) and skipped (``passes_skipped``) so far."""
         with self._lock:
             return {
-                "lookups": self.lookups,
-                "hits": self.hits,
-                "captures": self.captures,
-                "skipped_passes": self.skipped_passes,
-                "entries": len(self._entries),
+                "nodes": len(self._nodes),
+                "edges": sum(len(n.edges) for n in self._nodes.values()),
+                "passes_run": self.passes_run,
+                "passes_skipped": self.passes_skipped,
             }
 
-    def _restore(
-        self, module: Module, seq: List[str], target: Optional[TargetInfo]
-    ) -> Tuple[int, Module, StatsCollector]:
-        """The deepest stored state of ``seq``'s prefixes (or the source
-        at depth 0), as a private clone."""
-        found = None
-        with self._lock:
-            self.lookups += 1
-            for depth in reversed(SNAPSHOT_DEPTHS):
-                if depth > len(seq):
-                    continue
-                key = (module, target, tuple(seq[:depth]))
-                found = self._entries.get(key)
-                if found is not None:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    self.skipped_passes += depth
-                    break
-        if found is None:
-            return 0, module.clone(), StatsCollector()
-        # entries are never mutated, so cloning outside the lock is safe
-        # even if another thread evicts this one meanwhile
-        snap, counters = found
-        return depth, snap.clone(), StatsCollector.from_snapshot(counters)
+    def _admit(self, key: _StateKey, module: Module) -> _Node:
+        """The node of ``key``, added with ``module`` if missing (call
+        with the lock held)."""
+        node = self._nodes.get(key)
+        if node is not None:
+            self._nodes.move_to_end(key)
+            return node
+        node = self._nodes[key] = _Node(module)
+        if len(self._nodes) > GRAPH_CAPACITY:
+            self._nodes.popitem(last=False)
+        return node
 
-    def _offer(self, key: _Key, work: Module, stats: StatsCollector) -> None:
-        """A compile ran through prefix ``key``: store its state on the
-        prefix's second sighting, else remember the first."""
+    def _root(self, module: Module) -> _Node:
         with self._lock:
-            if key in self._entries:  # another thread captured it
-                return
-            if key not in self._seen:
-                self._seen[key] = None
-                if len(self._seen) > _SEEN_CAPACITY:
-                    self._seen.popitem(last=False)
-                return
-            del self._seen[key]
-        snap = work.clone()
-        counters = stats.snapshot()
+            key = self._roots.get(module)
+            node = self._nodes.get(key) if key is not None else None
+            if node is not None:
+                self._nodes.move_to_end(key)
+                return node
+        work = module.clone()
+        key = state_key(work)
         with self._lock:
-            self._entries[key] = (snap, counters)
-            self.captures += 1
-            if len(self._entries) > SNAPSHOT_CAPACITY:
-                self._entries.popitem(last=False)
+            self._roots[module] = key
+            return self._admit(key, work)
 
     def compile(
         self, module: Module, sequence: Sequence[str], target: Optional[TargetInfo]
     ) -> CompileResult:
-        """:func:`run_opt` through the store (no trace, no verifier)."""
+        """:func:`run_opt` through the graph (no trace, no verifier)."""
         seq = list(sequence)
-        pm = PassManager(seq, target=target)  # rejects unknown passes first
-        depth, work, stats = self._restore(module, seq, target)
-        for stop in SNAPSHOT_DEPTHS + (len(seq),):
-            if stop <= depth or stop > len(seq):
-                continue
-            PassManager(seq[depth:stop], target=pm.target).run(work, stats)
-            depth = stop
-            if stop in SNAPSHOT_DEPTHS:
-                self._offer((module, target, tuple(seq[:stop])), work, stats)
-        return CompileResult(work, stats, seq)
+        target = PassManager(seq, target=target).target  # rejects unknown passes first
+        tkey = _target_key(target)
+        node = self._root(module)
+        counters: _Counters = {}
+        for name in seq:
+            edge_key = (tkey, name)
+            with self._lock:
+                edge = node.edges.get(edge_key)
+                nxt = self._nodes.get(edge[0]) if edge is not None else None
+                if nxt is not None:
+                    self._nodes.move_to_end(edge[0])
+                    self.passes_skipped += 1
+            if nxt is None:
+                work = node.module.clone()
+                stats = StatsCollector()
+                registry.create(name).run_on_module(work, stats, target)
+                key = state_key(work)
+                edge = (key, stats.snapshot())
+                with self._lock:
+                    self.passes_run += 1
+                    nxt = self._admit(key, work)
+                    node.edges[edge_key] = edge
+            node = nxt
+            for stat, value in edge[1].items():
+                counters[stat] = counters.get(stat, 0) + value
+        return CompileResult(node.module.clone(), StatsCollector.from_snapshot(counters), seq)
 
 
-def _empty_store(owner_pid: int) -> PrefixSnapshots:
-    """Unpickle a :class:`PrefixSnapshots`: empty, and still serving only
-    the process that made the original."""
-    store = PrefixSnapshots()
-    store._pid = owner_pid
-    return store
+#: every live graph, so that a forked child can re-arm each one
+_LIVE: "weakref.WeakSet[CompileGraph]" = weakref.WeakSet()
+
+
+def _after_fork_in_child() -> None:
+    # a lock some other parent thread held at the fork would stay held
+    for graph in list(_LIVE):
+        graph._lock = threading.Lock()
+        graph.passes_run = graph.passes_skipped = 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def run_opt(
@@ -200,7 +214,7 @@ def run_opt(
     target: Optional[TargetInfo] = None,
     verify_each: bool = False,
     trace: Optional[PassTrace] = None,
-    snapshots: Optional[PrefixSnapshots] = None,
+    graph: Optional[CompileGraph] = None,
 ) -> CompileResult:
     """Apply ``sequence`` to a *clone* of ``module``; the input is untouched.
 
@@ -208,14 +222,12 @@ def run_opt(
     per-pass timing, statistics deltas, and IR fingerprint deltas without
     changing the compile's output.
 
-    With ``snapshots`` the compile resumes from the deepest prefix of
-    ``sequence`` the store holds for ``(module, target)`` and may leave a
-    snapshot there (see :class:`PrefixSnapshots`); the result is the
-    same.  A traced or per-pass-verified compile bypasses the store (both
-    need every pass to run), and so does a process the store does not
-    serve."""
-    if snapshots is not None and trace is None and not verify_each and snapshots.local:
-        return snapshots.compile(module, sequence, target)
+    With ``graph`` the compile runs only the passes the
+    :class:`CompileGraph` has not yet applied to the state they meet;
+    module and statistics are the same.  A traced or per-pass-verified compile bypasses the graph (both
+    need every pass to run)."""
+    if graph is not None and trace is None and not verify_each:
+        return graph.compile(module, sequence, target)
     work = module.clone()
     pm = PassManager(sequence, target=target, verify_each=verify_each)
     stats = pm.run(work, trace=trace)

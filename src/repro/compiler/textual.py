@@ -26,6 +26,7 @@ Types print as ``i32``/``f64``/``ptr``/``<4 x i32>``; constants as
 
 from __future__ import annotations
 
+import hashlib
 import re
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -50,7 +51,7 @@ from repro.compiler.ir import (
     vec,
 )
 
-__all__ = ["print_module", "parse_module", "print_function", "IRParseError"]
+__all__ = ["print_module", "parse_module", "print_function", "ir_fingerprint", "IRParseError"]
 
 
 class IRParseError(ValueError):
@@ -157,6 +158,13 @@ def print_module(module: Module) -> str:
         out.append(print_function(fn))
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+def ir_fingerprint(module: Module) -> str:
+    """Stable content digest of a module's IR (blake2b of its printed text).
+
+    A pure function: a module mutated in place gets a new fingerprint."""
+    return hashlib.blake2b(print_module(module).encode(), digest_size=20).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.compiler.ir import Module
-from repro.compiler.opt_tool import PrefixSnapshots, run_opt
+from repro.compiler.opt_tool import CompileGraph, run_opt
 from repro.compiler.pass_manager import PassTrace, TargetInfo
 from repro.compiler.pipelines import SEARCH_PASSES, pipeline
 from repro.core.eval_engine import CompileEngine, CompileOutcome
@@ -62,19 +62,17 @@ def _compile_candidate(
     program: Program,
     passes: Sequence[str],
     target: TargetInfo,
-    snapshots: PrefixSnapshots,
+    graph: CompileGraph,
     module_name: str,
     seq_indices: Sequence[int],
 ) -> CompiledModule:
     """The raw compile — a pure function of its arguments, as the engine's
-    cache and parallel executor both require (``snapshots`` only saves
-    work, and only in the process that made it).  Module-level and bound
-    with ``functools.partial`` over picklable values only, so process
-    pools can ship it without the task's locks and events."""
+    cache and parallel executor both require (``graph`` only saves work).
+    Module-level and bound with ``functools.partial`` over picklable
+    values only, so process pools can ship it without the task's locks
+    and events."""
     src = program.get_module(module_name)
-    cr = run_opt(
-        src, [passes[int(i)] for i in seq_indices], target=target, snapshots=snapshots
-    )
+    cr = run_opt(src, [passes[int(i)] for i in seq_indices], target=target, graph=graph)
     return CompiledModule(cr.module, cr.stats_json())
 
 
@@ -237,12 +235,12 @@ class AutotuningTask:
         self.fault_injector = fault_injector
         if fault_injector is not None and fault_injector.corrupt_fn is None:
             fault_injector.corrupt_fn = _corrupt_compiled
-        # candidate compiles in this process resume from pass-prefix
-        # snapshots; process workers compile cold (see PrefixSnapshots)
-        self.snapshots = PrefixSnapshots()
-        self._snapshot_reported: Dict[str, int] = {}
+        # candidate compiles run each pass once per distinct IR state;
+        # every process worker grows its own copy of the graph
+        self.graph = CompileGraph()
+        self._graph_reported: Dict[str, int] = {}
         compile_fn = partial(
-            _compile_candidate, program, tuple(self.passes), self.target, self.snapshots
+            _compile_candidate, program, tuple(self.passes), self.target, self.graph
         )
         if fault_injector is not None:
             compile_fn = fault_injector.wrap(compile_fn)
@@ -598,7 +596,7 @@ class AutotuningTask:
             # after the Nth live measurement is durable in the WAL
             os.kill(os.getpid(), signal.SIGKILL)
         if self.metrics_every and self.n_measurements % self.metrics_every == 0:
-            self._sync_snapshot_metrics()
+            self._sync_graph_metrics()
             flat = self.metrics.flat()
             self.tracer.event(
                 "metrics", n_measurements=self.n_measurements, metrics=flat
@@ -715,18 +713,19 @@ class AutotuningTask:
             results.append(self.measure(compiled, config_key=key, sequences=sequences))
         return results
 
-    def _sync_snapshot_metrics(self) -> Dict[str, int]:
-        """Add what the store counted since the last sync to the
-        ``compiler.snapshot_*`` registry counters (parent process only);
-        returns the store's counters."""
-        stats = self.snapshots.stats()
+    def _sync_graph_metrics(self) -> Dict[str, int]:
+        """Set the ``compiler.graph_nodes``/``graph_edges`` gauges and add
+        the pass applications run and skipped since the last sync to the
+        ``compiler.graph_passes_*`` counters (this process's graph only);
+        returns the graph's counters."""
+        stats = self.graph.stats()
         for key, value in stats.items():
-            if key == "entries":
-                self.metrics.gauge("compiler.snapshot_entries").set(value)
+            if key in ("nodes", "edges"):
+                self.metrics.gauge(f"compiler.graph_{key}").set(value)
             else:
-                reported = self._snapshot_reported.get(key, 0)
-                self.metrics.counter(f"compiler.snapshot_{key}").inc(value - reported)
-                self._snapshot_reported[key] = value
+                reported = self._graph_reported.get(key, 0)
+                self.metrics.counter(f"compiler.graph_{key}").inc(value - reported)
+                self._graph_reported[key] = value
         return stats
 
     def timing_breakdown(self) -> Dict[str, float]:
@@ -743,11 +742,11 @@ class AutotuningTask:
         (failures/timeouts/retries/quarantine from the engine, plus crashed
         and incorrect measurements) make chaos runs auditable.
 
-        ``snapshot_*`` are the :class:`~repro.compiler.opt_tool.PrefixSnapshots`
-        counters of *this process's* store (also in the registry as
-        ``compiler.snapshot_*``); compiles served by process workers run
-        without snapshots."""
-        snap = self._sync_snapshot_metrics()
+        ``graph_*`` are the :class:`~repro.compiler.opt_tool.CompileGraph`
+        counters of *this process's* graph (also in the registry as
+        ``compiler.graph_*``); compiles served by process workers go
+        through each worker's own graph and are not counted here."""
+        graph = self._sync_graph_metrics()
         return {
             "compile_seconds": self.compile_seconds,
             "measure_seconds": self.measure_seconds,
@@ -774,5 +773,5 @@ class AutotuningTask:
             "pipeline_trace": self.pipeline_trace,
             "n_pass_traces": self.n_pass_traces,
             "pass_trace_seconds": self.pass_trace_seconds,
-            **{f"snapshot_{key}": value for key, value in snap.items()},
+            **{f"graph_{key}": value for key, value in graph.items()},
         }

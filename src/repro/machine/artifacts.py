@@ -15,30 +15,23 @@ One :class:`ArtifactStore` LRU, owned by the
 * ``(entry, fuel, fingerprints) -> recorded execution outcome``, the
   profiler's execution memo.
 
-Fingerprints are computed once per compiled module and only when it is
-first measured: :class:`CompiledModule` carries the fingerprint next to
-the module it digests, so nothing is memoized on the (mutable) module.
+Fingerprints (:func:`~repro.compiler.textual.ir_fingerprint`) are
+computed once per compiled module and only when it is first measured:
+:class:`CompiledModule` carries the fingerprint next to the module it
+digests, so nothing is memoized on the (mutable) module.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.compiler.ir import Module
-from repro.compiler.textual import print_module
+from repro.compiler.textual import ir_fingerprint
 from repro.machine.bytecode import BytecodeModule, compile_module
 
 __all__ = ["ArtifactStore", "CompiledModule", "ir_fingerprint"]
-
-
-def ir_fingerprint(module: Module) -> str:
-    """Stable content digest of a module's IR (blake2b of its printed text).
-
-    A pure function: a module mutated in place gets a new fingerprint."""
-    return hashlib.blake2b(print_module(module).encode(), digest_size=20).hexdigest()
 
 
 class CompiledModule:

@@ -110,14 +110,24 @@ def _package_version() -> str:
         return "unknown"
 
 
+_PLAIN_JSON = (str, int, bool, type(None))
+_NON_FINITE = (float("inf"), float("-inf"))
+
+
 def _jsonable(obj):
     """Best-effort JSON coercion for numpy scalars/arrays and dataclasses."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+    # the leaves nearly every event holds, before the slower checks
+    if type(obj) in _PLAIN_JSON:
+        return obj
+    if type(obj) is float:
+        # "inf"/"-inf"/"nan": valid JSON needs a string
+        return repr(obj) if obj != obj or obj in _NON_FINITE else obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if hasattr(obj, "item") and callable(obj.item):  # numpy scalar
         try:
             return obj.item()
@@ -125,8 +135,6 @@ def _jsonable(obj):
             pass
     if hasattr(obj, "tolist") and callable(obj.tolist):  # numpy array
         return obj.tolist()
-    if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
-        return repr(obj)  # "inf"/"-inf"/"nan": valid JSON needs a string
     return obj
 
 

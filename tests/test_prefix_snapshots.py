@@ -1,15 +1,21 @@
-"""Pass-prefix snapshots: a compile resumed from a stored prefix must equal
-a cold compile, on every workload module.
+"""The compile graph: a compile that follows stored edges must equal a cold
+compile, on every workload module.
 
-Also covers the store's admission rule and bound, that it never hands out
-its own modules, the trace/verifier bypass, its ownership by one process
-(pickled and forked copies start empty), concurrent use from threads, and
-the counters a task reports.  The last test checks that compile output
-does not depend on the string hash seed.
+The graph replaced pass-prefix snapshots; this file keeps their
+equivalence tests and adds the graph's own.  Also covers the state key
+(every IR field a pass reads is in it), that the graph runs each pass
+once per distinct state, its bound, that it never hands out its own
+modules, that a pass that raises leaves nothing behind, the trace/verifier
+bypass, pickled and forked copies, process-pool workers growing their own
+graphs, concurrent use from threads, and the counters a task reports.
+The last test checks that compile output does not depend on the string
+hash seed.
 """
 
+import dataclasses
 import gc
 import json
+import multiprocessing
 import os
 import pickle
 import random
@@ -22,13 +28,16 @@ from pathlib import Path
 
 import pytest
 
-from repro import AutotuningTask, CompileEngine, cbench_names, cbench_program
+from repro import AutotuningTask, Citroen, CompileEngine, cbench_names, cbench_program
 from repro import spec_names, spec_program
 from repro.compiler import opt_tool
-from repro.compiler.opt_tool import SNAPSHOT_DEPTHS, PrefixSnapshots, run_opt
-from repro.compiler.pass_manager import PassManager, PassTrace
+from repro.compiler.ir import I32, I64, Block, Const, Function, GlobalVar, Instr, Module
+from repro.compiler.opt_tool import CompileGraph, run_opt, state_key
+from repro.compiler.pass_manager import PassManager, PassTrace, TargetInfo, registry
 from repro.compiler.pipelines import SEARCH_PASSES
-from repro.compiler.textual import print_module
+from repro.compiler.statistics import StatsCollector
+from repro.compiler.textual import parse_module, print_module
+from repro.core.faults import FaultInjector
 from repro.machine.platforms import get_platform
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -50,25 +59,40 @@ def _programs():
 
 
 def _output(cr):
-    return print_module(cr.module), cr.stats_json()
+    # items() keeps the order counters were first bumped in
+    return print_module(cr.module), cr.stats_json(), list(cr.stats.items())
 
 
 def _family(rng, length=16, parents=2, children=3):
-    """Seeded sequences plus children sharing a parent's prefix up to a
-    snapshot depth, with the rest mutated."""
+    """Seeded sequences plus children sharing a parent's prefix, with the
+    rest mutated."""
     seqs = []
     for _ in range(parents):
         parent = [rng.choice(SEARCH_PASSES) for _ in range(length)]
         seqs.append(parent)
         for _ in range(children):
-            cut = rng.choice(SNAPSHOT_DEPTHS)
+            cut = rng.randrange(2, length)
             seqs.append(parent[:cut] + [rng.choice(SEARCH_PASSES)
                                         for _ in range(length - cut)])
     return seqs
 
 
+def _assert_graph_sound(graph):
+    """Every stored edge, re-run cold from its node's module, reaches the
+    state it names with the statistics it stores."""
+    for node in list(graph._nodes.values()):
+        for (tkey, name), (key, delta) in node.edges.items():
+            target = TargetInfo()
+            target.__dict__.update(dict(tkey[1:]))
+            work = node.module.clone()
+            stats = StatsCollector()
+            registry.create(name).run_on_module(work, stats, target)
+            assert state_key(work) == key, name
+            assert stats.snapshot() == delta, name
+
+
 def test_resumed_compiles_equal_cold_on_every_workload_module():
-    store = PrefixSnapshots()
+    graph = CompileGraph()
     rng = random.Random(17)
     n_modules = 0
     for program in _programs():
@@ -76,152 +100,298 @@ def test_resumed_compiles_equal_cold_on_every_workload_module():
             n_modules += 1
             source_text = print_module(module)
             seqs = _family(rng)
-            # twice over: the first pass admits prefixes, the second hits
+            # twice over: the first pass grows the graph, the second follows it
             for seq in seqs + seqs:
-                got = run_opt(module, seq, target=TARGET, snapshots=store)
+                got = run_opt(module, seq, target=TARGET, graph=graph)
                 cold = run_opt(module, seq, target=TARGET)
                 assert _output(got) == _output(cold), (program.name, module.name, seq)
                 assert got.sequence == seq
             assert print_module(module) == source_text
-    stats = store.stats()
+    stats = graph.stats()
+    n_passes = 2 * n_modules * len(seqs) * 16
     assert n_modules > 20
-    assert stats["hits"] > n_modules
-    assert stats["lookups"] == 2 * n_modules * len(seqs)
-    assert 0 < stats["entries"] <= opt_tool.SNAPSHOT_CAPACITY
+    assert stats["passes_run"] + stats["passes_skipped"] == n_passes
+    assert stats["passes_skipped"] > n_passes / 2
+    assert 0 < stats["nodes"] <= opt_tool.GRAPH_CAPACITY
 
 
-def test_prefix_is_stored_on_its_second_sighting_only():
-    module = cbench_program("telecom_gsm").modules[0]
-    store = PrefixSnapshots()
-    base = list(SEARCH_PASSES[:16])
-    run_opt(module, base, target=TARGET, snapshots=store)
-    assert store.stats()["captures"] == 0
-    run_opt(module, base[:12] + ["dce"] * 4, target=TARGET, snapshots=store)
-    assert store.stats()["captures"] == 3  # depths 4, 8 and 12
-    run_opt(module, base[:12] + ["gvn"] * 4, target=TARGET, snapshots=store)
-    stats = store.stats()
-    assert (stats["hits"], stats["skipped_passes"], stats["captures"]) == (1, 12, 3)
-    # another target is another key
+def test_each_pass_runs_once_per_distinct_state():
+    module = cbench_program("telecom_gsm").get_module("lpc")
+    graph = CompileGraph()
+    seq = list(SEARCH_PASSES[:16])
+    run_opt(module, seq, target=TARGET, graph=graph)
+    first = graph.stats()
+    assert first["passes_run"] == 16 and first["passes_skipped"] == 0
+    # the same sequence again runs nothing
+    run_opt(module, seq, target=TARGET, graph=graph)
+    assert graph.stats()["passes_run"] == 16
+    assert graph.stats()["passes_skipped"] == 16
+    # a pass repeated on a state it left unchanged runs once: the edge
+    # loops back to the node it leaves
+    run_opt(module, ["dce"] * 8, target=TARGET, graph=graph)
+    stats = graph.stats()
+    assert stats["passes_run"] - first["passes_run"] <= 2
+    # another target is another edge
     other = get_platform("amd-x86").target_info()
-    run_opt(module, base, target=other, snapshots=store)
-    assert store.stats()["hits"] == 1
+    run_opt(module, seq[:4], target=other, graph=graph)
+    assert graph.stats()["passes_run"] == stats["passes_run"] + 4
+    # fewer states than pass applications, one edge per run pass
+    final = graph.stats()
+    assert final["nodes"] <= 1 + final["passes_run"]
+    assert final["edges"] == final["passes_run"]
+    _assert_graph_sound(graph)
+
+
+def test_state_key_covers_every_ir_field():
+    # the key is the printed IR plus each function's fresh-name counter;
+    # a new IR field must be added to the printer (or the key) and here
+    assert Instr.__slots__ == ("op", "res", "ty", "args", "attrs")
+    assert Block.__slots__ == ("name", "instrs")
+    fn = Function("f", [("%a", I32)], I32)
+    assert set(vars(fn)) == {"name", "params", "ret_ty", "blocks", "attrs", "_counter"}
+    assert set(vars(Module("m"))) == {"name", "functions", "globals"}
+    assert [f.name for f in dataclasses.fields(GlobalVar)] == [
+        "name", "elem_ty", "init", "const"
+    ]
+
+    def build():
+        mod = Module("m")
+        mod.add_global(GlobalVar("g", I32, [1, 2]))
+        f = mod.add_function(Function("f", [("%a", I32)], I32))
+        blk = f.add_block("entry")
+        blk.instrs.append(Instr("add", "%t.1", I32, ["%a", Const(1, I32)]))
+        blk.instrs.append(Instr("ret", args=["%t.1"]))
+        f._counter = 1
+        return mod
+
+    base = state_key(build())
+    edits = {
+        "module name": lambda m: setattr(m, "name", "n"),
+        "global init": lambda m: m.globals["g"].init.append(3),
+        "global const": lambda m: setattr(m.globals["g"], "const", True),
+        "global type": lambda m: setattr(m.globals["g"], "elem_ty", I64),
+        "function name": lambda m: setattr(m.functions["f"], "name", "h"),
+        "function attrs": lambda m: m.functions["f"].attrs.add("readnone"),
+        "params": lambda m: m.functions["f"].params.append(("%b", I32)),
+        "return type": lambda m: setattr(m.functions["f"], "ret_ty", I64),
+        "block name": lambda m: _rename_entry(m.functions["f"], "start"),
+        "opcode": lambda m: setattr(m.functions["f"].entry.instrs[0], "op", "sub"),
+        "result": lambda m: setattr(m.functions["f"].entry.instrs[0], "res", "%t.2"),
+        "operand": lambda m: m.functions["f"].entry.instrs[0].args.__setitem__(1, Const(2, I32)),
+        "instr attrs": lambda m: m.functions["f"].entry.instrs[0].attrs.update(nsw=1),
+        "counter": lambda m: setattr(m.functions["f"], "_counter", 2),
+    }
+    for what, edit in edits.items():
+        mod = build()
+        edit(mod)
+        assert state_key(mod) != base, what
+
+
+def _rename_entry(fn, name):
+    blk = fn.entry
+    blk.name = name
+    fn.blocks = {name: blk}
+
+
+def test_states_differing_only_in_counter_get_distinct_keys():
+    module = cbench_program("telecom_gsm").get_module("lpc")
+    a, b = module.clone(), module.clone()
+    fn = next(iter(b.functions.values()))
+    fn.fresh()  # allocate a name without using it
+    assert print_module(a) == print_module(b)
+    assert state_key(a) != state_key(b)
+
+
+def test_every_state_of_a_tune_round_trips_through_the_text_format():
+    with _task(seq_length=16) as task:
+        Citroen(task, seed=1, n_init=3, per_strategy=2).tune(8)
+        nodes = list(task.graph._nodes.values())
+    assert len(nodes) > 10
+    for node in nodes:
+        text = print_module(node.module)
+        assert print_module(parse_module(text)) == text
 
 
 def test_mutating_a_result_does_not_change_a_later_hit():
     module = cbench_program("telecom_gsm").get_module("lpc")
-    store = PrefixSnapshots()
+    graph = CompileGraph()
     # no promotion in the sequence, so the extra mem2reg below shows
     seq = ["simplifycfg", "instcombine", "dce", "early-cse", "reassociate",
            "dse", "gvn", "licm", "adce", "dce"]
-    for _ in range(2):
-        run_opt(module, seq, target=TARGET, snapshots=store)
-    hit = run_opt(module, seq, target=TARGET, snapshots=store)
-    assert store.stats()["hits"] == 1
+    run_opt(module, seq, target=TARGET, graph=graph)
+    ran = graph.stats()["passes_run"]
+    hit = run_opt(module, seq, target=TARGET, graph=graph)
     # run more passes in place on the returned module, and on its stats
     PassManager(["mem2reg", "loop-unroll", "instcombine", "gvn"], target=TARGET).run(
         hit.module, hit.stats
     )
-    again = run_opt(module, seq, target=TARGET, snapshots=store)
-    assert store.stats()["hits"] == 2
+    again = run_opt(module, seq, target=TARGET, graph=graph)
+    assert graph.stats()["passes_run"] == ran
     assert _output(again) == _output(run_opt(module, seq, target=TARGET))
 
 
 def test_store_never_exceeds_its_bound(monkeypatch):
-    monkeypatch.setattr(opt_tool, "SNAPSHOT_CAPACITY", 3)
+    monkeypatch.setattr(opt_tool, "GRAPH_CAPACITY", 3)
     module = cbench_program("security_sha").modules[0]
-    store = PrefixSnapshots()
+    graph = CompileGraph()
     rng = random.Random(5)
     for _ in range(12):
         seq = [rng.choice(SEARCH_PASSES) for _ in range(8)]
         for _ in range(2):
-            run_opt(module, seq, target=TARGET, snapshots=store)
-            assert store.stats()["entries"] <= 3
-    stats = store.stats()
-    assert stats["captures"] > 3 and stats["entries"] == 3
+            got = run_opt(module, seq, target=TARGET, graph=graph)
+            assert graph.stats()["nodes"] <= 3
+            assert _output(got) == _output(run_opt(module, seq, target=TARGET))
+    assert graph.stats()["nodes"] == 3
+
+
+def _failing_pass(monkeypatch, name, fail_on):
+    """Make pass ``name`` raise on its ``fail_on``-th application."""
+    cls = type(registry.create(name))
+    real = cls.run_on_module
+    calls = [0]
+
+    def run_on_module(self, module, stats, target):
+        calls[0] += 1
+        if calls[0] == fail_on:
+            # leave the module and statistics half-changed, as a crash would
+            real(self, module, stats, target)
+            stats.bump(name, "Half", 1)
+            raise RuntimeError("pass crashed")
+        return real(self, module, stats, target)
+
+    monkeypatch.setattr(cls, "run_on_module", run_on_module)
+    return calls
+
+
+def test_a_pass_that_raises_leaves_no_node_or_edge(monkeypatch):
+    module = cbench_program("telecom_gsm").get_module("lpc")
+    graph = CompileGraph()
+    seq = ["mem2reg", "instcombine", "gvn", "simplifycfg", "licm", "dce"]
+    run_opt(module, seq[:2], target=TARGET, graph=graph)
+    before = graph.stats()
+    _failing_pass(monkeypatch, "gvn", fail_on=1)
+    with pytest.raises(RuntimeError):
+        run_opt(module, seq, target=TARGET, graph=graph)
+    after = graph.stats()
+    assert (after["nodes"], after["edges"]) == (before["nodes"], before["edges"])
+    # no edge names the crashed pass
+    assert all(name != "gvn" for n in graph._nodes.values() for _t, name in n.edges)
+    # the pass works again: later compiles still equal cold ones
+    rng = random.Random(3)
+    for s in [seq] + _family(rng, length=8):
+        got = run_opt(module, s, target=TARGET, graph=graph)
+        assert _output(got) == _output(run_opt(module, s, target=TARGET))
+    _assert_graph_sound(graph)
+
+
+def test_an_injected_crash_leaves_the_task_graph_untouched():
+    injector = FaultInjector(rate=1.0, seed=0, kinds=("crash",))
+    with _task(fault_injector=injector) as task:
+        before = task.graph.stats()
+        outcomes = task.compile_batch([("lpc", [1, 2, 3]), ("lpc", [4, 5, 6])],
+                                      outcomes=True)
+        assert not any(o.ok for o in outcomes)
+        assert task.graph.stats() == before
 
 
 def test_traced_and_verified_compiles_bypass_the_store():
     module = cbench_program("security_sha").modules[0]
-    store = PrefixSnapshots()
+    graph = CompileGraph()
     seq = list(SEARCH_PASSES[:8])
-    run_opt(module, seq, target=TARGET, trace=PassTrace(), snapshots=store)
-    run_opt(module, seq, target=TARGET, verify_each=True, snapshots=store)
-    assert store.stats()["lookups"] == 0
+    traced = run_opt(module, seq, target=TARGET, trace=PassTrace(), graph=graph)
+    verified = run_opt(module, seq, target=TARGET, verify_each=True, graph=graph)
+    assert _output(traced) == _output(verified)
+    assert graph.stats() == dict.fromkeys(graph.stats(), 0)
 
 
 def test_unknown_pass_is_rejected_before_any_work():
-    store = PrefixSnapshots()
+    graph = CompileGraph()
     module = cbench_program("security_sha").modules[0]
     with pytest.raises(KeyError):
-        run_opt(module, ["mem2reg"] * 4 + ["no-such-pass"], snapshots=store)
-    assert store.stats()["lookups"] == 0
+        run_opt(module, ["mem2reg"] * 4 + ["no-such-pass"], graph=graph)
+    assert graph.stats() == dict.fromkeys(graph.stats(), 0)
 
 
-def _task(jobs=1, **kw):
+def _task(jobs=1, seq_length=16, **kw):
     return AutotuningTask(
         cbench_program("telecom_gsm"), platform="arm-a57", seed=0,
-        seq_length=16, jobs=jobs, **kw,
+        seq_length=seq_length, jobs=jobs, **kw,
     )
 
 
 def _warm(task):
     items = [("lpc", list(range(12)) + [i, i, i, i]) for i in range(4)]
     task.compile_batch(items)
-    assert task.snapshots.stats()["captures"] > 0
+    assert task.graph.stats()["nodes"] > 0
 
 
 def test_pickled_task_compile_function_carries_no_snapshots():
     with _task() as task:
         _warm(task)
         clone = pickle.loads(pickle.dumps(task.engine.compile_fn))
-    stores = [a for a in clone.args if isinstance(a, PrefixSnapshots)]
-    assert len(stores) == 1
-    assert stores[0].stats() == dict.fromkeys(stores[0].stats(), 0)
+    graphs = [a for a in clone.args if isinstance(a, CompileGraph)]
+    assert len(graphs) == 1
+    assert graphs[0].stats() == dict.fromkeys(graphs[0].stats(), 0)
 
 
-def _compile_and_report(store, module, name, seq):
-    cr = run_opt(module, [SEARCH_PASSES[i] for i in seq], target=TARGET, snapshots=store)
-    return _output(cr), store.stats()
+def _compile_and_report(graph, module, name, seq):
+    cr = run_opt(module, [SEARCH_PASSES[i] for i in seq], target=TARGET, graph=graph)
+    return _output(cr), graph.stats()
 
 
-def test_pool_workers_compile_without_the_store():
-    store = PrefixSnapshots()
+def test_pool_workers_grow_their_own_graph():
+    graph = CompileGraph()
     module = cbench_program("telecom_gsm").get_module("lpc")
     prefix = list(range(12))
     for tail in (0, 1):
-        _compile_and_report(store, module, "lpc", prefix + [tail] * 4)
-    before = store.stats()
-    assert before["entries"] == 3
-    items = [("lpc", prefix + [k] * 4) for k in range(2, 8)]
+        _compile_and_report(graph, module, "lpc", prefix + [tail] * 4)
+    before = graph.stats()
+    items = [("lpc", prefix + [k] * 4) for k in range(2, 10)]
     with CompileEngine(
-        partial(_compile_and_report, store, module), jobs=2, executor="process"
+        partial(_compile_and_report, graph, module), jobs=2, executor="process"
     ) as engine:
         reports = engine.compile_batch(items)
     assert engine.kind == "process"
+    applied = 0
     for (_, seq), (output, worker_stats) in zip(items, reports):
-        # the forked copy is never looked up, let alone filled
-        assert worker_stats == before
         cold = run_opt(module, [SEARCH_PASSES[i] for i in seq], target=TARGET)
         assert output == _output(cold)
-    assert store.stats() == before
+        # a worker keeps the nodes it inherited and counts from zero
+        assert worker_stats["nodes"] >= before["nodes"]
+        applied = max(applied, worker_stats["passes_run"] + worker_stats["passes_skipped"])
+        assert worker_stats["passes_skipped"] > 0
+    assert applied >= 16
+    assert graph.stats() == before  # the parent's graph is not touched
 
 
-def test_store_serves_only_the_process_that_made_it(monkeypatch):
+def _compile_in_child(graph, module, seq, queue):
+    cr = run_opt(module, seq, target=TARGET, graph=graph)
+    queue.put((_output(cr), graph.stats()))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_rearms_an_inherited_graph():
     module = cbench_program("telecom_gsm").get_module("lpc")
     seq = [SEARCH_PASSES[i] for i in range(16)]
-    store = PrefixSnapshots()
-    for _ in range(2):
-        run_opt(module, seq, target=TARGET, snapshots=store)
-    before = store.stats()
-    assert before["entries"] == 3
-    copy = pickle.loads(pickle.dumps(store))
-    assert copy.stats() == dict.fromkeys(before, 0)
-    monkeypatch.setattr(opt_tool.os, "getpid", lambda: -1)  # another process
-    for target_store in (store, copy):
-        out = run_opt(module, seq, target=TARGET, snapshots=target_store)
-        assert _output(out) == _output(run_opt(module, seq, target=TARGET))
-    assert store.stats() == before
-    assert copy.stats() == dict.fromkeys(before, 0)
+    graph = CompileGraph()
+    run_opt(module, seq, target=TARGET, graph=graph)
+    before = graph.stats()
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_compile_in_child, args=(graph, module, seq, queue))
+    # fork while this thread holds the graph's lock: the child gets a
+    # fresh lock, or its compile would wait forever
+    with graph._lock:
+        child.start()
+    try:
+        output, child_stats = queue.get(timeout=120)
+    finally:
+        child.join(timeout=30)
+    assert output == _output(run_opt(module, seq, target=TARGET))
+    # the inherited nodes answered every pass; the counters started at 0
+    assert child_stats["nodes"] == before["nodes"]
+    assert (child_stats["passes_run"], child_stats["passes_skipped"]) == (0, 16)
+    assert graph.stats() == before
 
 
 def test_concurrent_threads_share_one_store():
@@ -229,13 +399,13 @@ def test_concurrent_threads_share_one_store():
     rng = random.Random(11)
     seqs = _family(rng, parents=3, children=4)
     cold = {tuple(s): _output(run_opt(module, s, target=TARGET)) for s in seqs}
-    store = PrefixSnapshots()
+    graph = CompileGraph()
     errors = []
 
     def worker(order):
         try:
             for seq in order:
-                got = run_opt(module, seq, target=TARGET, snapshots=store)
+                got = run_opt(module, seq, target=TARGET, graph=graph)
                 if _output(got) != cold[tuple(seq)]:
                     errors.append(seq)
         except Exception as exc:  # noqa: BLE001 - reported below
@@ -256,38 +426,40 @@ def test_concurrent_threads_share_one_store():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    stats = store.stats()
-    assert stats["lookups"] == 6 * 2 * len(seqs)
-    assert 0 < stats["hits"] <= stats["lookups"]
+    stats = graph.stats()
+    assert stats["passes_run"] + stats["passes_skipped"] == 6 * 2 * len(seqs) * 16
+    assert 0 < stats["passes_run"] < stats["passes_skipped"]
+    _assert_graph_sound(graph)
 
 
-def test_task_reports_snapshot_counters():
+def test_task_reports_graph_counters():
     with _task() as task:
         _warm(task)
         task.compile_batch([("lpc", list(range(12)) + [7] * 4)])
         timing = task.timing_breakdown()
         flat = task.metrics.flat()
-    stats = task.snapshots.stats()
-    assert stats["hits"] >= 1
+    stats = task.graph.stats()
+    assert set(stats) == {"nodes", "edges", "passes_run", "passes_skipped"}
+    assert stats["passes_skipped"] >= 12
     for key, value in stats.items():
-        assert timing[f"snapshot_{key}"] == value
-        assert flat[f"compiler.snapshot_{key}"] == value
+        assert timing[f"graph_{key}"] == value
+        assert flat[f"compiler.graph_{key}"] == value
+    assert not any(k.startswith("snapshot_") for k in timing)
 
 
 def test_unclosed_tasks_and_their_snapshots_are_collected():
     # tasks are often built in a loop and never closed; each one, with the
-    # snapshots its store holds, must stay reachable by the collector
+    # states its graph holds, must stay reachable by the collector
     frozen = gc.get_freeze_count()
     refs = []
     for _ in range(3):
         task = _task()
         _warm(task)
-        assert task.snapshots.stats()["entries"] > 0
-        refs.append((weakref.ref(task), weakref.ref(task.snapshots)))
+        refs.append((weakref.ref(task), weakref.ref(task.graph)))
         del task
     assert gc.get_freeze_count() == frozen
     gc.collect()
-    assert all(t() is None and s() is None for t, s in refs)
+    assert all(t() is None and g() is None for t, g in refs)
 
 
 #: seeded 16-pass compiles whose output differed between string hash

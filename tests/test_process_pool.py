@@ -16,6 +16,7 @@ import pytest
 from repro import AutotuningTask, Citroen, CompileEngine, cbench_program
 from repro.cli import main
 from repro.compiler.opt_tool import run_opt
+from repro.compiler.textual import print_module
 from repro.machine.artifacts import ir_fingerprint
 
 
@@ -82,6 +83,8 @@ def test_citroen_history_matches_serial(feature_mode):
 
 
 def _assert_measured_match_cold(measured, target):
+    """Every measured module, whether the parent's compile graph or a
+    worker's built it, equals a cold compile."""
     program = cbench_program("telecom_gsm")
     checked = 0
     for compiled, sequences in measured:
@@ -89,29 +92,43 @@ def _assert_measured_match_cold(measured, target):
             source = program.get_module(name)
             cold = run_opt(source, list(sequences[name]), target=target)
             assert result.fingerprint == ir_fingerprint(cold.module)
+            assert print_module(result.module) == print_module(cold.module)
             assert result.stats == cold.stats_json()
             checked += 1
     assert checked >= 10
 
 
-def test_measured_winner_matches_cold_compile():
-    _, _, measured, _, target = _tune(2, "stats")
-    _assert_measured_match_cold(measured, target)
-
-
-def test_serial_measured_modules_match_cold_compile(monkeypatch):
-    # at jobs=1 candidates compile in this process, through the task's
-    # prefix-snapshot store
-    stores = []
+def _spy_graphs(monkeypatch):
+    """The compile graph of every task built from now on."""
+    graphs = []
     init = AutotuningTask.__init__
 
     def spy_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        stores.append(self.snapshots)
+        graphs.append(self.graph)
 
     monkeypatch.setattr(AutotuningTask, "__init__", spy_init)
+    return graphs
+
+
+def test_measured_winner_matches_cold_compile(monkeypatch):
+    # init configurations are compiled in the pool workers, through each
+    # worker's own graph; winners are recompiled through the parent's
+    graphs = _spy_graphs(monkeypatch)
+    _, _, measured, batches, target = _tune(2, "stats")
+    _assert_measured_match_cold(measured, target)
+    from_workers = [o.value for stats_only, out in batches if len(out) > 1
+                    for o in out if o.ok and not stats_only]
+    assert from_workers
+    assert graphs[0].stats()["passes_run"] > 0
+
+
+def test_serial_measured_modules_match_cold_compile(monkeypatch):
+    # at jobs=1 candidates compile in this process, through the task's
+    # compile graph
+    graphs = _spy_graphs(monkeypatch)
     _, _, measured, _, target = _tune(1, "stats")
-    assert stores[0].stats()["hits"] > 0
+    assert graphs[0].stats()["passes_skipped"] > 0
     _assert_measured_match_cold(measured, target)
 
 
