@@ -30,8 +30,10 @@ perfbench does not print, read from outside the program:
 * ``gc_s`` and ``gc_gen2_s``: time the cyclic garbage collector ran in the
   perfbench process (all generations, and full collections only);
 * ``graph_*``: the compile-graph counters each task reports in the
-  perfbench process (``nodes`` and ``edges`` live, ``passes_run`` and
-  ``passes_skipped``), summed over the run's tasks; ``snapshot_*``: the
+  perfbench process (``nodes`` and ``edges`` live, ``passes_run``,
+  ``passes_unchanged`` — runs that left the IR identical and were not
+  fingerprinted — and ``passes_skipped``), summed over the run's tasks;
+  ``snapshot_*``: the
   prefix-snapshot counters of checkouts that predate the graph.  A
   checkout that reports neither shows 0;
 * ``worker_graph_*``: the same counters of the graphs the task's process
@@ -47,7 +49,7 @@ Run from the root of the checkout that holds this script::
 
     python3 benchmarks/jobs_evidence.py --base ../parent-checkout --head . \\
         --pairs citroen_gsm=10,citroen_gsm@7=3,random_mcf=3,citroen_x264_j2=3 \\
-        --out BENCH_graph.json
+        --out BENCH_nochange.json
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ TRACED = ("bench.traced_tune_s", "eval_engine.compile_batch.s",
 #: compile-cache counters summed from each task's ``timing_breakdown()``:
 #: the compile graph's, and the prefix snapshots' it replaced
 GRAPH_KEYS = ("graph_nodes", "graph_edges", "graph_passes_run",
-              "graph_passes_skipped")
+              "graph_passes_unchanged", "graph_passes_skipped")
 SNAPSHOT_KEYS = ("snapshot_lookups", "snapshot_hits", "snapshot_captures",
                  "snapshot_skipped_passes")
 CACHE_KEYS = GRAPH_KEYS + SNAPSHOT_KEYS

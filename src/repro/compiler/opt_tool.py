@@ -11,7 +11,9 @@ applications leave the module unchanged, and sequences that differ still
 meet in a few dozen distinct IR states.  A :class:`CompileGraph` passed
 to :func:`run_opt` remembers, for every IR state it has reached, where
 each pass leads from it, so a compile runs a pass only the first time it
-is applied to a state.
+is applied to a state, fingerprints the result only when the pass
+changed the IR, and builds no module for a compile that wants only its
+statistics.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler import passes as _passes  # noqa: F401  (registers passes)
-from repro.compiler.ir import Module
+from repro.compiler.ir import Function, GlobalVar, Instr, Module
 from repro.compiler.pass_manager import PassManager, PassTrace, TargetInfo, registry
 from repro.compiler.statistics import StatsCollector
 from repro.compiler.textual import ir_fingerprint
@@ -33,6 +35,7 @@ __all__ = [
     "CompileGraph",
     "CompileResult",
     "GRAPH_CAPACITY",
+    "identical_ir",
     "run_opt",
     "available_passes",
     "state_key",
@@ -45,9 +48,10 @@ GRAPH_CAPACITY = 1024
 
 @dataclass
 class CompileResult:
-    """Output of one ``opt`` invocation."""
+    """Output of one ``opt`` invocation (``module`` is ``None`` for a
+    stats-only compile)."""
 
-    module: Module
+    module: Optional[Module]
     stats: StatsCollector
     sequence: List[str]
     #: per-pass application records when the compile was traced
@@ -71,17 +75,99 @@ def state_key(module: Module) -> _StateKey:
     return ir_fingerprint(module), tuple(fn._counter for fn in module.functions.values())
 
 
+def _same(a, b) -> bool:
+    """``a`` is ``b``, or both are ``str`` and equal.
+
+    Never value equality on anything else: ``Const(I1, 1) == Const(I1,
+    True)`` and ``0.0 == -0.0`` hold, but each pair prints differently."""
+    return a is b or (type(a) is str and type(b) is str and a == b)
+
+
+def _same_items(a, b) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def _same_instr(a: Instr, b: Instr) -> bool:
+    if not (_same(a.op, b.op) and _same(a.res, b.res) and a.ty is b.ty):
+        return False
+    if len(a.args) != len(b.args) or not all(map(_same, a.args, b.args)):
+        return False
+    if len(a.attrs) != len(b.attrs):
+        return False
+    for (ka, va), (kb, vb) in zip(a.attrs.items(), b.attrs.items()):
+        if not _same(ka, kb):
+            return False
+        if type(va) is list:
+            if type(vb) is not list or not _same_items(va, vb):
+                return False
+        elif not _same(va, vb):
+            return False
+    return True
+
+
+def _same_function(a: Function, b: Function) -> bool:
+    if not (_same(a.name, b.name) and a._counter is b._counter and a.ret_ty is b.ret_ty):
+        return False
+    if not _same_items(a.params, b.params):
+        return False
+    if a.attrs != b.attrs or not all(type(x) is str for x in a.attrs):
+        return False
+    if len(a.blocks) != len(b.blocks):
+        return False
+    for (ka, ba), (kb, bb) in zip(a.blocks.items(), b.blocks.items()):
+        if not (_same(ka, kb) and _same(ba.name, bb.name)):
+            return False
+        if len(ba.instrs) != len(bb.instrs) or not all(map(_same_instr, ba.instrs, bb.instrs)):
+            return False
+    return True
+
+
+def _same_global(a: GlobalVar, b: GlobalVar) -> bool:
+    return (
+        _same(a.name, b.name)
+        and a.elem_ty is b.elem_ty
+        and a.const is b.const
+        and _same_items(a.init, b.init)
+    )
+
+
+def identical_ir(before: Module, after: Module) -> bool:
+    """Whether ``after`` is made of the very objects ``before`` is, field
+    by field: a pass that ran on a clone and changed nothing.
+
+    :meth:`Module.clone` shares every immutable operand, attr value, phi
+    incoming tuple and global init element, so an instruction a pass did
+    not touch compares by identity (``str`` values by equality).  The
+    check is conservative: ``True`` implies an equal :func:`state_key`,
+    while a pass that rebuilt an equal value reads as a change."""
+    if not _same(before.name, after.name):
+        return False
+    if len(before.globals) != len(after.globals):
+        return False
+    if len(before.functions) != len(after.functions):
+        return False
+    for (ka, ga), (kb, gb) in zip(before.globals.items(), after.globals.items()):
+        if not (_same(ka, kb) and _same_global(ga, gb)):
+            return False
+    for (ka, fa), (kb, fb) in zip(before.functions.items(), after.functions.items()):
+        if not (_same(ka, kb) and _same_function(fa, fb)):
+            return False
+    return True
+
+
 def _target_key(target: TargetInfo) -> Tuple:
     return (type(target),) + tuple(sorted(vars(target).items()))
 
 
 class _Node:
-    """One IR state: a module nothing mutates, and the edges leaving it,
-    ``(target key, pass) -> (next state key, statistics the pass bumped)``."""
+    """One IR state: its key, a module nothing mutates, and the edges
+    leaving it, ``(target key, pass) -> (next state key, statistics the
+    pass bumped)``."""
 
-    __slots__ = ("module", "edges")
+    __slots__ = ("key", "module", "edges")
 
-    def __init__(self, module: Module) -> None:
+    def __init__(self, key: _StateKey, module: Module) -> None:
+        self.key = key
         self.module = module
         self.edges: Dict[Tuple[Tuple, str], Tuple[_StateKey, _Counters]] = {}
 
@@ -94,10 +180,13 @@ class CompileGraph:
     statistics it bumps on the way.  :meth:`compile` starts at the node
     of its source module and follows one edge per pass, summing the
     statistics.  It runs a pass only where the edge is missing: on a
-    clone of the node's module, outside the lock, keying the result.  The
-    module and statistics it returns equal a cold compile's, because
-    passes keep no state outside the module and the key covers all of it
-    (a test pins the IR fields the key covers).
+    clone of the node's module, outside the lock.  A clone the pass left
+    :func:`identical_ir` to the node's module is dropped and the edge
+    loops back to the node; any other result is keyed.  The module and
+    statistics it returns equal a cold compile's, because passes keep no
+    state outside the module and the key covers all of it (a test pins
+    the IR fields the key covers).  A ``stats_only`` compile returns no
+    module, so it clones nothing it did not run a pass on.
 
     At most :data:`GRAPH_CAPACITY` nodes are kept, least recently used
     evicted first; an edge into an evicted node counts as missing.  Nodes
@@ -116,8 +205,10 @@ class CompileGraph:
         self._roots: "weakref.WeakKeyDictionary[Module, _StateKey]" = (
             weakref.WeakKeyDictionary()
         )
-        #: pass applications run, and ones an existing edge answered
+        #: pass applications run, ones of those that left the IR
+        #: identical (no fingerprint), and ones an existing edge answered
         self.passes_run = 0
+        self.passes_unchanged = 0
         self.passes_skipped = 0
         _LIVE.add(self)
 
@@ -126,12 +217,15 @@ class CompileGraph:
 
     def stats(self) -> Dict[str, int]:
         """Live ``nodes`` and ``edges``, and the pass applications run
-        (``passes_run``) and skipped (``passes_skipped``) so far."""
+        (``passes_run``), run but left identical and so never fingerprinted
+        (``passes_unchanged``, a subset of ``passes_run``), and skipped
+        (``passes_skipped``) so far."""
         with self._lock:
             return {
                 "nodes": len(self._nodes),
                 "edges": sum(len(n.edges) for n in self._nodes.values()),
                 "passes_run": self.passes_run,
+                "passes_unchanged": self.passes_unchanged,
                 "passes_skipped": self.passes_skipped,
             }
 
@@ -142,7 +236,7 @@ class CompileGraph:
         if node is not None:
             self._nodes.move_to_end(key)
             return node
-        node = self._nodes[key] = _Node(module)
+        node = self._nodes[key] = _Node(key, module)
         if len(self._nodes) > GRAPH_CAPACITY:
             self._nodes.popitem(last=False)
         return node
@@ -161,7 +255,11 @@ class CompileGraph:
             return self._admit(key, work)
 
     def compile(
-        self, module: Module, sequence: Sequence[str], target: Optional[TargetInfo]
+        self,
+        module: Module,
+        sequence: Sequence[str],
+        target: Optional[TargetInfo],
+        stats_only: bool = False,
     ) -> CompileResult:
         """:func:`run_opt` through the graph (no trace, no verifier)."""
         seq = list(sequence)
@@ -181,16 +279,22 @@ class CompileGraph:
                 work = node.module.clone()
                 stats = StatsCollector()
                 registry.create(name).run_on_module(work, stats, target)
-                key = state_key(work)
+                unchanged = identical_ir(node.module, work)
+                if unchanged:
+                    key, work = node.key, node.module
+                else:
+                    key = state_key(work)
                 edge = (key, stats.snapshot())
                 with self._lock:
                     self.passes_run += 1
+                    self.passes_unchanged += unchanged
                     nxt = self._admit(key, work)
                     node.edges[edge_key] = edge
             node = nxt
             for stat, value in edge[1].items():
                 counters[stat] = counters.get(stat, 0) + value
-        return CompileResult(node.module.clone(), StatsCollector.from_snapshot(counters), seq)
+        result = None if stats_only else node.module.clone()
+        return CompileResult(result, StatsCollector.from_snapshot(counters), seq)
 
 
 #: every live graph, so that a forked child can re-arm each one
@@ -201,7 +305,7 @@ def _after_fork_in_child() -> None:
     # a lock some other parent thread held at the fork would stay held
     for graph in list(_LIVE):
         graph._lock = threading.Lock()
-        graph.passes_run = graph.passes_skipped = 0
+        graph.passes_run = graph.passes_unchanged = graph.passes_skipped = 0
 
 
 if hasattr(os, "register_at_fork"):
@@ -215,6 +319,7 @@ def run_opt(
     verify_each: bool = False,
     trace: Optional[PassTrace] = None,
     graph: Optional[CompileGraph] = None,
+    stats_only: bool = False,
 ) -> CompileResult:
     """Apply ``sequence`` to a *clone* of ``module``; the input is untouched.
 
@@ -224,14 +329,17 @@ def run_opt(
 
     With ``graph`` the compile runs only the passes the
     :class:`CompileGraph` has not yet applied to the state they meet;
-    module and statistics are the same.  A traced or per-pass-verified compile bypasses the graph (both
-    need every pass to run)."""
+    module and statistics are the same.  A traced or per-pass-verified
+    compile bypasses the graph (both need every pass to run).
+
+    With ``stats_only`` the result carries ``module=None``: only the
+    statistics are wanted, and through a graph no module is built."""
     if graph is not None and trace is None and not verify_each:
-        return graph.compile(module, sequence, target)
+        return graph.compile(module, sequence, target, stats_only=stats_only)
     work = module.clone()
     pm = PassManager(sequence, target=target, verify_each=verify_each)
     stats = pm.run(work, trace=trace)
-    return CompileResult(work, stats, list(sequence), trace=trace)
+    return CompileResult(None if stats_only else work, stats, list(sequence), trace=trace)
 
 
 def available_passes() -> List[str]:

@@ -149,7 +149,9 @@ class LICM(FunctionPass):
         for loop in find_loops(fn):  # innermost first
             if loop.header not in fn.blocks:
                 continue
+            n_blocks = len(fn.blocks)
             pre = ensure_preheader(fn, loop.header, loop.blocks)
+            changed |= len(fn.blocks) != n_blocks  # a preheader was inserted
             loop_writes = _loop_writes(fn, module, loop)
             hoisted_regs: Set[str] = set()
             moved: List[Instr] = []

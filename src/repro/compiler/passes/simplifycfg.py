@@ -35,10 +35,11 @@ class SimplifyCFG(FunctionPass):
             changed |= self._fold_branches(fn, stats)
             changed |= self._merge_chains(fn, stats)
             changed |= self._skip_trampolines(fn, stats)
-            remove_trivial_phis(fn)
+            # a folded phi is a change, but not a reason to iterate again
+            folded = remove_trivial_phis(fn)
+            changed_any |= changed or folded > 0
             if not changed:
                 break
-            changed_any = True
         return changed_any
 
     def _remove_unreachable(self, fn: Function, stats: StatsCollector) -> bool:

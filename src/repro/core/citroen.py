@@ -255,9 +255,8 @@ class Citroen:
                 module_name, seq, compiled, provenance, cov = chosen
                 if compiled.module is None:
                     # a stats-only result: compiles are pure, so this is
-                    # the module (and fingerprint) the worker built
+                    # the module the proposal compile would have built
                     compiled = task.compile_module(module_name, seq)
-                    task.metrics.counter("citroen.winner_recompiles").inc()
                 cfg = dict(self._best_seq)
                 cfg[module_name] = seq
                 self._measure_config(
@@ -387,8 +386,8 @@ class Citroen:
         # the whole candidate population compiles in one batch — the engine
         # fans it out over `jobs` workers and compiles repeated candidates
         # once (the engine traces this as its own `compile_batch` span).
-        # Features that need no IR leave the modules in the process
-        # workers; tune() recompiles the one winner it measures.
+        # Features that need no IR build no modules; tune() recompiles
+        # the one winner it measures.
         batch = task.compile_batch(
             [(m, seq) for m, _prov, seq in raw],
             outcomes=True,

@@ -18,12 +18,12 @@ that batch explicit:
   batch with two or more items to compile, and receive the compile
   function once, through the pool initializer; each submit then carries
   only ``(module_name, sequence)``;
-* **stats-only transport** — ``compile_batch(..., stats_only=True)``
-  makes a process worker return ``CompiledModule(None, stats)``: the
-  compiled module dies in the worker and only its statistics cross the
-  pipe.  Where the module is free to keep (the serial loop, a thread
-  pool, a single-item batch compiled in the caller), the flag has no
-  effect;
+* **stats-only compiles** — ``compile_batch(..., stats_only=True)``
+  calls the compile function as ``compile_fn(name, seq,
+  stats_only=True)``, on every executor alike: a compile function that
+  can leave the module out of its result (the task's returns
+  ``CompiledModule(None, stats)``) builds none, and a process worker
+  pickles only the statistics back;
 * **within-batch dedup** — candidates sharing a key (``(module_name,
   decoded-sequence)`` by default) compile once per batch; the duplicates
   count as ``cache_hits``.  Nothing is kept across batches: a compiled
@@ -75,7 +75,6 @@ from functools import partial
 from threading import Lock
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.machine.artifacts import CompiledModule
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -177,17 +176,17 @@ def _install_worker(fn: Callable) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+def _flagged(fn: Callable, stats_only: bool) -> Callable:
+    """``fn``, told to build no module when only statistics are wanted."""
+    return partial(fn, stats_only=True) if stats_only else fn
+
+
 def _pool_invoke(
     max_retries: int, backoff: float, submit_t: float, stats_only: bool, name: str, seq
 ) -> Tuple[str, object, str, int, float, float]:
-    """:func:`_attempt_invoke` on the worker's installed compile function.
-
-    With ``stats_only`` a :class:`CompiledModule` result goes back as
-    ``CompiledModule(None, stats)``: only the statistics are pickled."""
-    out = _attempt_invoke(_worker_fn, max_retries, backoff, submit_t, name, seq)
-    if stats_only and isinstance(out[1], CompiledModule):
-        out = (out[0], CompiledModule(None, out[1].stats)) + out[2:]
-    return out
+    """:func:`_attempt_invoke` on the worker's installed compile function."""
+    fn = _flagged(_worker_fn, stats_only)
+    return _attempt_invoke(fn, max_retries, backoff, submit_t, name, seq)
 
 
 def _resolve_executor(executor: str, jobs: int, timeout: Optional[float]) -> str:
@@ -443,9 +442,9 @@ class CompileEngine:
         whole batch ran, so the failure is quarantined and all counters
         stay consistent.
 
-        With ``stats_only=True`` a candidate compiled in a process worker
-        comes back as ``CompiledModule(None, stats)``; everywhere else the
-        module is kept.
+        With ``stats_only=True`` every candidate compiles as
+        ``compile_fn(name, seq, stats_only=True)``, whichever executor
+        serves it (the compile function must accept the keyword).
         """
         t_wall = time.perf_counter()
         span = self.tracer.span("compile_batch", size=len(items))
@@ -476,14 +475,14 @@ class CompileEngine:
 
         if work:
             attempt = (self.max_retries, self.retry_backoff, time.perf_counter())
+            fn = _flagged(self.compile_fn, stats_only)
             if self.kind == "process":
                 worker = partial(_pool_invoke, *attempt, stats_only)
             else:
-                worker = partial(_attempt_invoke, self.compile_fn, *attempt)
+                worker = partial(_attempt_invoke, fn, *attempt)
             if self.timeout is None:
                 if self.kind == "serial" or len(work) == 1:
                     # one item: compiling it here beats a round trip
-                    fn = self.compile_fn
                     outs = [_attempt_invoke(fn, *attempt, n, s) for n, s in work]
                 else:
                     # a few chunks per worker: one pickled round trip per

@@ -65,14 +65,16 @@ def _compile_candidate(
     graph: CompileGraph,
     module_name: str,
     seq_indices: Sequence[int],
+    stats_only: bool = False,
 ) -> CompiledModule:
     """The raw compile — a pure function of its arguments, as the engine's
     cache and parallel executor both require (``graph`` only saves work).
     Module-level and bound with ``functools.partial`` over picklable
     values only, so process pools can ship it without the task's locks
-    and events."""
+    and events.  ``stats_only`` returns ``CompiledModule(None, stats)``."""
     src = program.get_module(module_name)
-    cr = run_opt(src, [passes[int(i)] for i in seq_indices], target=target, graph=graph)
+    seq = [passes[int(i)] for i in seq_indices]
+    cr = run_opt(src, seq, target=target, graph=graph, stats_only=stats_only)
     return CompiledModule(cr.module, cr.stats_json())
 
 
@@ -434,11 +436,15 @@ class AutotuningTask:
         :class:`~repro.core.eval_engine.CompileOutcome` and candidate
         failures (crash/timeout/quarantine) are returned, not raised — the
         fault-tolerant interface every tuner uses.  With
-        ``stats_only=True`` a result compiled in a process worker carries
-        ``module=None`` (only its statistics came back); recompile the one
-        you measure with :meth:`compile_module`."""
+        ``stats_only=True`` each result carries ``module=None``: no module
+        is built, on any executor; recompile the one you measure with
+        :meth:`compile_module`.  A task with a fault injector ignores the
+        flag, since the injector's ``miscompile`` fault corrupts the
+        module."""
         return self.engine.compile_batch(
-            items, outcomes=outcomes, stats_only=stats_only
+            items,
+            outcomes=outcomes,
+            stats_only=stats_only and self.fault_injector is None,
         )
 
     def o3_module(self, module_name: str) -> Module:

@@ -179,22 +179,17 @@ class TestCitroen:
                 res = Citroen(task, seed=1, n_init=3, per_strategy=2).tune(8)
                 # the engine only starts a pool for a batch of 2+ uncached candidates
                 pool = task.engine._pool
-                recompiles = task.metrics.counter("citroen.winner_recompiles").value
-                return type(pool).__name__, task.n_compiles, recompiles, [
+                return type(pool).__name__, task.n_compiles, [
                     (m.module, m.sequence, m.runtime, m.correct, m.status)
                     for m in res.measurements
                 ]
 
-        _, n_serial, serial_recompiles, serial = history(jobs=1)
-        assert serial_recompiles == 0
+        _, n_serial, serial = history(jobs=1)
         for executor in ("process", "auto"):
-            pool, n_proc, recompiles, proc = history(jobs=2, executor=executor)
+            pool, n_proc, proc = history(jobs=2, executor=executor)
             assert pool == "ProcessPoolExecutor"
             assert proc == serial
-            # the same candidates compile; a stats-only pool adds exactly
-            # one parent-side recompile per measured winner
-            assert recompiles > 0
-            assert n_proc == n_serial + recompiles
+            assert n_proc == n_serial
 
     def test_ablation_configs_construct_and_run(self):
         task = AutotuningTask(

@@ -6,8 +6,9 @@ equivalence tests and adds the graph's own.  Also covers the state key
 (every IR field a pass reads is in it), that the graph runs each pass
 once per distinct state, its bound, that it never hands out its own
 modules, that a pass that raises leaves nothing behind, the trace/verifier
-bypass, pickled and forked copies, process-pool workers growing their own
-graphs, concurrent use from threads, and the counters a task reports.
+bypass, stats-only compiles, pickled and forked copies, process-pool
+workers growing their own graphs, concurrent use from threads, and the
+counters a task reports.
 The last test checks that compile output does not depend on the string
 hash seed.
 """
@@ -32,7 +33,7 @@ from repro import AutotuningTask, Citroen, CompileEngine, cbench_names, cbench_p
 from repro import spec_names, spec_program
 from repro.compiler import opt_tool
 from repro.compiler.ir import I32, I64, Block, Const, Function, GlobalVar, Instr, Module
-from repro.compiler.opt_tool import CompileGraph, run_opt, state_key
+from repro.compiler.opt_tool import CompileGraph, identical_ir, run_opt, state_key
 from repro.compiler.pass_manager import PassManager, PassTrace, TargetInfo, registry
 from repro.compiler.pipelines import SEARCH_PASSES
 from repro.compiler.statistics import StatsCollector
@@ -135,6 +136,13 @@ def test_each_pass_runs_once_per_distinct_state():
     other = get_platform("amd-x86").target_info()
     run_opt(module, seq[:4], target=other, graph=graph)
     assert graph.stats()["passes_run"] == stats["passes_run"] + 4
+    # mem2reg changes the IR; run again, it leaves it identical, and that
+    # run is settled without a fingerprint
+    before = graph.stats()
+    run_opt(module, ["mem2reg", "mem2reg"], target=TARGET, graph=graph)
+    after = graph.stats()
+    assert after["passes_run"] - before["passes_run"] == 2
+    assert after["passes_unchanged"] - before["passes_unchanged"] == 1
     # fewer states than pass applications, one edge per run pass
     final = graph.stats()
     assert final["nodes"] <= 1 + final["passes_run"]
@@ -164,7 +172,8 @@ def test_state_key_covers_every_ir_field():
         f._counter = 1
         return mod
 
-    base = state_key(build())
+    source = build()
+    base = state_key(source)
     edits = {
         "module name": lambda m: setattr(m, "name", "n"),
         "global init": lambda m: m.globals["g"].init.append(3),
@@ -185,6 +194,11 @@ def test_state_key_covers_every_ir_field():
         mod = build()
         edit(mod)
         assert state_key(mod) != base, what
+        # the graph's identity check sees the same edit on a clone
+        work = source.clone()
+        assert identical_ir(source, work), what
+        edit(work)
+        assert not identical_ir(source, work), what
 
 
 def _rename_entry(fn, name):
@@ -206,7 +220,12 @@ def test_every_state_of_a_tune_round_trips_through_the_text_format():
     with _task(seq_length=16) as task:
         Citroen(task, seed=1, n_init=3, per_strategy=2).tune(8)
         nodes = list(task.graph._nodes.values())
+        timing = task.timing_breakdown()
+        flat = task.metrics.flat()
     assert len(nodes) > 10
+    # most runs change nothing, and those are settled without a fingerprint
+    assert 0 < timing["graph_passes_unchanged"] <= timing["graph_passes_run"]
+    assert flat["compiler.graph_passes_unchanged"] == timing["graph_passes_unchanged"]
     for node in nodes:
         text = print_module(node.module)
         assert print_module(parse_module(text)) == text
@@ -228,6 +247,21 @@ def test_mutating_a_result_does_not_change_a_later_hit():
     again = run_opt(module, seq, target=TARGET, graph=graph)
     assert graph.stats()["passes_run"] == ran
     assert _output(again) == _output(run_opt(module, seq, target=TARGET))
+
+
+def test_stats_only_compile_builds_no_module(monkeypatch):
+    module = cbench_program("telecom_gsm").get_module("lpc")
+    graph = CompileGraph()
+    seq = list(SEARCH_PASSES[:16])
+    kept = run_opt(module, seq, target=TARGET, graph=graph)
+    clones = []
+    clone = Module.clone
+    monkeypatch.setattr(Module, "clone", lambda self: clones.append(self) or clone(self))
+    bare = run_opt(module, seq, target=TARGET, graph=graph, stats_only=True)
+    assert bare.module is None and clones == []
+    assert list(bare.stats.items()) == list(kept.stats.items())
+    # without a graph the flag still drops the module
+    assert run_opt(module, seq, target=TARGET, stats_only=True).module is None
 
 
 def test_store_never_exceeds_its_bound(monkeypatch):
@@ -439,7 +473,8 @@ def test_task_reports_graph_counters():
         timing = task.timing_breakdown()
         flat = task.metrics.flat()
     stats = task.graph.stats()
-    assert set(stats) == {"nodes", "edges", "passes_run", "passes_skipped"}
+    assert set(stats) == {"nodes", "edges", "passes_run", "passes_unchanged",
+                          "passes_skipped"}
     assert stats["passes_skipped"] >= 12
     for key, value in stats.items():
         assert timing[f"graph_{key}"] == value

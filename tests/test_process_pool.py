@@ -1,6 +1,6 @@
 """The process-pool compile path behind ``jobs>1``.
 
-Covers the stats-only transport (pool workers return statistics, the
+Covers stats-only compiles (no module built, on every executor; the
 measured winner is recompiled in the parent), bit-identical CITROEN
 histories against ``jobs=1``, worker lifecycle, and the resolved executor
 reported by the engine, the task and ``result.json``.
@@ -17,6 +17,7 @@ from repro import AutotuningTask, Citroen, CompileEngine, cbench_program
 from repro.cli import main
 from repro.compiler.opt_tool import run_opt
 from repro.compiler.textual import print_module
+from repro.core.faults import FaultInjector
 from repro.machine.artifacts import ir_fingerprint
 
 
@@ -132,19 +133,29 @@ def test_serial_measured_modules_match_cold_compile(monkeypatch):
     _assert_measured_match_cold(measured, target)
 
 
-def test_stats_only_applies_to_pool_workers_only():
+@pytest.mark.parametrize("jobs, executor", [(1, "auto"), (2, "thread"), (2, "process")])
+def test_stats_only_builds_no_module_on_any_executor(jobs, executor):
     items = [("lpc", [i, i + 1, i + 2]) for i in range(6)]
-    with _task(2) as task:
-        assert task.engine.kind == "process"
-        stats_only = task.compile_batch(items, stats_only=True)
-        kept = task.compile_batch(items)
+    with _task(jobs, executor=executor) as task:
+        assert task.engine.kind == ("serial" if jobs == 1 else executor)
+        bare = task.compile_batch(items, stats_only=True)
         single = task.compile_batch(items[:1], stats_only=True)
-    with _task(1) as task:
-        serial = task.compile_batch(items, stats_only=True)
-    assert all(c.module is None for c in stats_only)
-    assert all(c.module is not None for c in kept + single + serial)
-    assert [c.stats for c in stats_only] == [c.stats for c in serial]
-    assert [c.fingerprint for c in kept] == [c.fingerprint for c in serial]
+        kept = task.compile_batch(items)
+    assert all(c.module is None for c in bare + single)
+    assert all(c.module is not None for c in kept)
+    assert [c.stats for c in bare] == [c.stats for c in kept]
+    assert single[0].stats == kept[0].stats
+
+
+def test_a_fault_injected_task_keeps_its_modules():
+    # the injector's miscompile fault corrupts the module, so it needs one
+    injector = FaultInjector(rate=1.0, seed=0, kinds=("miscompile",))
+    items = [("lpc", [i, i + 1, i + 2]) for i in range(3)]
+    with _task(2, fault_injector=injector) as task:
+        assert task.engine.kind == "thread"
+        out = task.compile_batch(items, stats_only=True)
+    assert all(c.module is not None for c in out)
+    assert injector.stats()["miscompile"] == len(items)
 
 
 def test_close_reaps_pool_workers():
