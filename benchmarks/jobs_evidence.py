@@ -31,7 +31,8 @@ perfbench does not print, read from outside the program:
   perfbench process (all generations, and full collections only);
 * ``graph_*``: the compile-graph counters each task reports in the
   perfbench process (``nodes`` and ``edges`` live, ``passes_run``,
-  ``passes_unchanged`` — runs that left the IR identical and were not
+  ``passes_unchanged`` — runs that led back to the state they started
+  from, nearly all settled by the pass reporting no change and never
   fingerprinted — and ``passes_skipped``), summed over the run's tasks;
   ``snapshot_*``: the
   prefix-snapshot counters of checkouts that predate the graph.  A

@@ -12,8 +12,8 @@ meet in a few dozen distinct IR states.  A :class:`CompileGraph` passed
 to :func:`run_opt` remembers, for every IR state it has reached, where
 each pass leads from it, so a compile runs a pass only the first time it
 is applied to a state, fingerprints the result only when the pass
-changed the IR, and builds no module for a compile that wants only its
-statistics.
+reports that it changed the IR, and builds no module for a compile that
+wants only its statistics.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler import passes as _passes  # noqa: F401  (registers passes)
-from repro.compiler.ir import Function, GlobalVar, Instr, Module
+from repro.compiler.ir import Module
 from repro.compiler.pass_manager import PassManager, PassTrace, TargetInfo, registry
 from repro.compiler.statistics import StatsCollector
 from repro.compiler.textual import ir_fingerprint
@@ -35,7 +35,6 @@ __all__ = [
     "CompileGraph",
     "CompileResult",
     "GRAPH_CAPACITY",
-    "identical_ir",
     "run_opt",
     "available_passes",
     "state_key",
@@ -75,93 +74,13 @@ def state_key(module: Module) -> _StateKey:
     return ir_fingerprint(module), tuple(fn._counter for fn in module.functions.values())
 
 
-def _same(a, b) -> bool:
-    """``a`` is ``b``, or both are ``str`` and equal.
-
-    Never value equality on anything else: ``Const(I1, 1) == Const(I1,
-    True)`` and ``0.0 == -0.0`` hold, but each pair prints differently."""
-    return a is b or (type(a) is str and type(b) is str and a == b)
-
-
-def _same_items(a, b) -> bool:
-    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
-
-
-def _same_instr(a: Instr, b: Instr) -> bool:
-    if not (_same(a.op, b.op) and _same(a.res, b.res) and a.ty is b.ty):
-        return False
-    if len(a.args) != len(b.args) or not all(map(_same, a.args, b.args)):
-        return False
-    if len(a.attrs) != len(b.attrs):
-        return False
-    for (ka, va), (kb, vb) in zip(a.attrs.items(), b.attrs.items()):
-        if not _same(ka, kb):
-            return False
-        if type(va) is list:
-            if type(vb) is not list or not _same_items(va, vb):
-                return False
-        elif not _same(va, vb):
-            return False
-    return True
-
-
-def _same_function(a: Function, b: Function) -> bool:
-    if not (_same(a.name, b.name) and a._counter is b._counter and a.ret_ty is b.ret_ty):
-        return False
-    if not _same_items(a.params, b.params):
-        return False
-    if a.attrs != b.attrs or not all(type(x) is str for x in a.attrs):
-        return False
-    if len(a.blocks) != len(b.blocks):
-        return False
-    for (ka, ba), (kb, bb) in zip(a.blocks.items(), b.blocks.items()):
-        if not (_same(ka, kb) and _same(ba.name, bb.name)):
-            return False
-        if len(ba.instrs) != len(bb.instrs) or not all(map(_same_instr, ba.instrs, bb.instrs)):
-            return False
-    return True
-
-
-def _same_global(a: GlobalVar, b: GlobalVar) -> bool:
-    return (
-        _same(a.name, b.name)
-        and a.elem_ty is b.elem_ty
-        and a.const is b.const
-        and _same_items(a.init, b.init)
-    )
-
-
-def identical_ir(before: Module, after: Module) -> bool:
-    """Whether ``after`` is made of the very objects ``before`` is, field
-    by field: a pass that ran on a clone and changed nothing.
-
-    :meth:`Module.clone` shares every immutable operand, attr value, phi
-    incoming tuple and global init element, so an instruction a pass did
-    not touch compares by identity (``str`` values by equality).  The
-    check is conservative: ``True`` implies an equal :func:`state_key`,
-    while a pass that rebuilt an equal value reads as a change."""
-    if not _same(before.name, after.name):
-        return False
-    if len(before.globals) != len(after.globals):
-        return False
-    if len(before.functions) != len(after.functions):
-        return False
-    for (ka, ga), (kb, gb) in zip(before.globals.items(), after.globals.items()):
-        if not (_same(ka, kb) and _same_global(ga, gb)):
-            return False
-    for (ka, fa), (kb, fb) in zip(before.functions.items(), after.functions.items()):
-        if not (_same(ka, kb) and _same_function(fa, fb)):
-            return False
-    return True
-
-
 def _target_key(target: TargetInfo) -> Tuple:
     return (type(target),) + tuple(sorted(vars(target).items()))
 
 
 class _Node:
     """One IR state: its key, a module nothing mutates, and the edges
-    leaving it, ``(target key, pass) -> (next state key, statistics the
+    leaving it, ``(target id, pass) -> (next state key, statistics the
     pass bumped)``."""
 
     __slots__ = ("key", "module", "edges")
@@ -169,7 +88,7 @@ class _Node:
     def __init__(self, key: _StateKey, module: Module) -> None:
         self.key = key
         self.module = module
-        self.edges: Dict[Tuple[Tuple, str], Tuple[_StateKey, _Counters]] = {}
+        self.edges: Dict[Tuple[int, str], Tuple[_StateKey, _Counters]] = {}
 
 
 class CompileGraph:
@@ -179,14 +98,19 @@ class CompileGraph:
     ``(state, target, pass)`` to the state the pass leads to and the
     statistics it bumps on the way.  :meth:`compile` starts at the node
     of its source module and follows one edge per pass, summing the
-    statistics.  It runs a pass only where the edge is missing: on a
-    clone of the node's module, outside the lock.  A clone the pass left
-    :func:`identical_ir` to the node's module is dropped and the edge
-    loops back to the node; any other result is keyed.  The module and
-    statistics it returns equal a cold compile's, because passes keep no
-    state outside the module and the key covers all of it (a test pins
-    the IR fields the key covers).  A ``stats_only`` compile returns no
-    module, so it clones nothing it did not run a pass on.
+    statistics; a stretch of known edges is walked under one lock
+    acquisition.  It runs a pass only where the edge is missing: on a
+    clone of the node's module, outside the lock.  The ``changed`` flag
+    the pass returns decides the rest: a pass that reports no change
+    leaves the state as it was, so the clone is dropped and the edge
+    loops back to the node unfingerprinted; a reported change is keyed
+    (a pass that over-reports costs one fingerprint and still lands on
+    its own node).  Passes keep no state outside the module and the key
+    covers all of it (a test pins the IR fields the key covers), so the
+    module and statistics a compile returns equal a cold compile's
+    wherever the flag is sound; the tests use every registered pass as
+    the oracle for that.  A ``stats_only`` compile returns no module, so
+    it clones nothing it did not run a pass on.
 
     At most :data:`GRAPH_CAPACITY` nodes are kept, least recently used
     evicted first; an edge into an evicted node counts as missing.  Nodes
@@ -205,8 +129,10 @@ class CompileGraph:
         self._roots: "weakref.WeakKeyDictionary[Module, _StateKey]" = (
             weakref.WeakKeyDictionary()
         )
-        #: pass applications run, ones of those that left the IR
-        #: identical (no fingerprint), and ones an existing edge answered
+        #: target key -> the small id edges carry (cheaper to hash)
+        self._targets: Dict[Tuple, int] = {}
+        #: pass applications run, ones of those that led back to the
+        #: state they started from, and ones an existing edge answered
         self.passes_run = 0
         self.passes_unchanged = 0
         self.passes_skipped = 0
@@ -217,9 +143,10 @@ class CompileGraph:
 
     def stats(self) -> Dict[str, int]:
         """Live ``nodes`` and ``edges``, and the pass applications run
-        (``passes_run``), run but left identical and so never fingerprinted
-        (``passes_unchanged``, a subset of ``passes_run``), and skipped
-        (``passes_skipped``) so far."""
+        (``passes_run``), run but led back to the state they started from
+        (``passes_unchanged``, a subset of ``passes_run``: nearly all of
+        them reported no change and were never fingerprinted), and
+        skipped (``passes_skipped``) so far."""
         with self._lock:
             return {
                 "nodes": len(self._nodes),
@@ -263,36 +190,61 @@ class CompileGraph:
     ) -> CompileResult:
         """:func:`run_opt` through the graph (no trace, no verifier)."""
         seq = list(sequence)
-        target = PassManager(seq, target=target).target  # rejects unknown passes first
+        unknown = registry.unknown(seq)
+        if unknown:  # before any lock or edge work
+            raise KeyError(f"unknown passes: {unknown}")
+        if target is None:
+            target = TargetInfo()
         tkey = _target_key(target)
+        tid = self._targets.get(tkey)
+        if tid is None:
+            with self._lock:
+                tid = self._targets.setdefault(tkey, len(self._targets))
+        nodes = self._nodes
         node = self._root(module)
         counters: _Counters = {}
-        for name in seq:
-            edge_key = (tkey, name)
+        i, n = 0, len(seq)
+        while True:
+            # follow known edges, under one lock, up to the first missing one
             with self._lock:
-                edge = node.edges.get(edge_key)
-                nxt = self._nodes.get(edge[0]) if edge is not None else None
-                if nxt is not None:
-                    self._nodes.move_to_end(edge[0])
-                    self.passes_skipped += 1
-            if nxt is None:
-                work = node.module.clone()
-                stats = StatsCollector()
-                registry.create(name).run_on_module(work, stats, target)
-                unchanged = identical_ir(node.module, work)
-                if unchanged:
-                    key, work = node.key, node.module
+                start = i
+                while i < n:
+                    edge = node.edges.get((tid, seq[i]))
+                    if edge is None:
+                        break
+                    key, delta = edge
+                    if key is not node.key:
+                        nxt = nodes.get(key)
+                        if nxt is None:
+                            break
+                        nodes.move_to_end(key)
+                        node = nxt
+                    if delta:
+                        for stat, value in delta.items():
+                            counters[stat] = counters.get(stat, 0) + value
+                    i += 1
+                self.passes_skipped += i - start
+            if i == n:
+                break
+            name = seq[i]
+            work = node.module.clone()
+            stats = StatsCollector()
+            changed = registry.create(name).run_on_module(work, stats, target)
+            key = state_key(work) if changed else node.key
+            delta = stats.snapshot()
+            with self._lock:
+                self.passes_run += 1
+                if key == node.key:
+                    # a self-loop carries the node's own key object, which
+                    # the walk above tells apart by identity
+                    self.passes_unchanged += 1
+                    node.edges[(tid, name)] = (node.key, delta)
                 else:
-                    key = state_key(work)
-                edge = (key, stats.snapshot())
-                with self._lock:
-                    self.passes_run += 1
-                    self.passes_unchanged += unchanged
-                    nxt = self._admit(key, work)
-                    node.edges[edge_key] = edge
-            node = nxt
-            for stat, value in edge[1].items():
+                    node.edges[(tid, name)] = (key, delta)
+                    node = self._admit(key, work)
+            for stat, value in delta.items():
                 counters[stat] = counters.get(stat, 0) + value
+            i += 1
         result = None if stats_only else node.module.clone()
         return CompileResult(result, StatsCollector.from_snapshot(counters), seq)
 

@@ -105,6 +105,11 @@ class PassRegistry:
         except KeyError:
             raise KeyError(f"unknown pass {name!r}") from None
 
+    def unknown(self, names: Sequence[str]) -> List[str]:
+        """The entries of ``names`` no pass is registered under, in order."""
+        factories = self._factories
+        return [n for n in names if n not in factories]
+
     def names(self) -> List[str]:
         """All registered pass names, sorted."""
         return sorted(self._factories)
@@ -238,7 +243,7 @@ class PassManager:
         target: Optional[TargetInfo] = None,
         verify_each: bool = False,
     ) -> None:
-        unknown = [n for n in sequence if n not in registry]
+        unknown = registry.unknown(sequence)
         if unknown:
             raise KeyError(f"unknown passes: {unknown}")
         self.sequence = list(sequence)

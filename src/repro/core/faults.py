@@ -83,6 +83,12 @@ def parse_fault_kinds(spec: str) -> Tuple[str, ...]:
     return tuple(kinds)
 
 
+def _seq_key(seq: Sequence) -> Tuple:
+    """A candidate sequence as a hashable, repr-stable tuple: pass names
+    as they are, gene indices as ``int``."""
+    return tuple(i if isinstance(i, str) else int(i) for i in seq)
+
+
 def corrupt_module(compiled):
     """Corrupt a compiled ``(Module, stats)`` pair observably.
 
@@ -159,15 +165,17 @@ class FaultInjector:
         self.injected: Dict[str, int] = {k: 0 for k in FAULT_KINDS}
 
     # -- deterministic fault assignment ------------------------------------
-    def _digest(self, module_name: str, seq: Sequence[int]) -> bytes:
-        key = repr((self.seed, str(module_name), tuple(int(i) for i in seq)))
+    def _digest(self, module_name: str, seq: Sequence) -> bytes:
+        key = repr((self.seed, str(module_name), _seq_key(seq)))
         return hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest()
 
-    def fault_for(self, module_name: str, seq: Sequence[int]) -> Optional[str]:
+    def fault_for(self, module_name: str, seq: Sequence) -> Optional[str]:
         """The fault class injected for this candidate, or ``None``.
 
         A pure function of ``(seed, module_name, sequence)`` — the same
-        candidate gets the same answer on every call, in every run.
+        candidate gets the same answer on every call, in every run.  The
+        sequence is gene indices or pass names (a task's compiles carry
+        the decoded names, so every encoding of a pipeline faults alike).
         """
         if self.rate <= 0.0 or not self.kinds:
             return None
@@ -178,7 +186,7 @@ class FaultInjector:
         return self.kinds[int.from_bytes(d[8:12], "big") % len(self.kinds)]
 
     # -- wrapping -----------------------------------------------------------
-    def wrap(self, fn: Callable[[str, Sequence[int]], object]) -> Callable:
+    def wrap(self, fn: Callable[[str, Sequence], object]) -> Callable:
         """Wrap ``fn(module_name, seq)`` with fault injection.
 
         The wrapper raises for ``crash``/``transient`` faults, delays for
@@ -186,7 +194,7 @@ class FaultInjector:
         fault-free keys pass straight through.
         """
 
-        def faulty(module_name: str, seq: Sequence[int]):
+        def faulty(module_name: str, seq: Sequence):
             kind = self.fault_for(module_name, seq)
             if kind is None:
                 return fn(module_name, seq)
@@ -200,7 +208,7 @@ class FaultInjector:
                 time.sleep(self.hang_seconds)
                 return fn(module_name, seq)
             if kind == "transient":
-                key = (module_name, tuple(int(i) for i in seq))
+                key = (module_name, _seq_key(seq))
                 with self._lock:
                     n = self._transient_attempts.get(key, 0) + 1
                     self._transient_attempts[key] = n

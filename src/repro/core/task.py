@@ -60,22 +60,26 @@ def _corrupt_compiled(compiled: CompiledModule) -> CompiledModule:
 
 def _compile_candidate(
     program: Program,
-    passes: Sequence[str],
     target: TargetInfo,
     graph: CompileGraph,
     module_name: str,
-    seq_indices: Sequence[int],
+    seq: Sequence[str],
     stats_only: bool = False,
 ) -> CompiledModule:
-    """The raw compile — a pure function of its arguments, as the engine's
-    cache and parallel executor both require (``graph`` only saves work).
-    Module-level and bound with ``functools.partial`` over picklable
-    values only, so process pools can ship it without the task's locks
-    and events.  ``stats_only`` returns ``CompiledModule(None, stats)``."""
+    """The raw compile of a decoded pass-name sequence — a pure function
+    of its arguments, as the engine's cache and parallel executor both
+    require (``graph`` only saves work).  Module-level and bound with
+    ``functools.partial`` over picklable values only, so process pools
+    can ship it without the task's locks and events.  ``stats_only``
+    returns ``CompiledModule(None, stats)``."""
     src = program.get_module(module_name)
-    seq = [passes[int(i)] for i in seq_indices]
     cr = run_opt(src, seq, target=target, graph=graph, stats_only=stats_only)
     return CompiledModule(cr.module, cr.stats_json())
+
+
+def _named_key(module_name: str, seq: Tuple[str, ...]) -> Tuple[str, Tuple[str, ...]]:
+    """The engine's dedup/quarantine key of a decoded candidate."""
+    return module_name, seq
 
 
 class AutotuningTask:
@@ -241,9 +245,7 @@ class AutotuningTask:
         # every process worker grows its own copy of the graph
         self.graph = CompileGraph()
         self._graph_reported: Dict[str, int] = {}
-        compile_fn = partial(
-            _compile_candidate, program, tuple(self.passes), self.target, self.graph
-        )
+        compile_fn = partial(_compile_candidate, program, self.target, self.graph)
         if fault_injector is not None:
             compile_fn = fault_injector.wrap(compile_fn)
 
@@ -260,15 +262,16 @@ class AutotuningTask:
         self._m_memo_hits = self.metrics.counter("task.execution_memo_hits")
         self._m_measure_hist = self.metrics.histogram("task.measure_seconds")
 
-        # compile engine: parallel workers, dedup within each batch.  Keyed
-        # by the decoded pass-name tuple so distinct index encodings of the
-        # same pipeline dedup (and quarantine) together.
+        # compile engine: parallel workers, dedup within each batch.  The
+        # task decodes each candidate once per batch and hands the engine
+        # pass-name tuples, so distinct index encodings of the same
+        # pipeline dedup (and quarantine) together.
         self.jobs = int(jobs)
         self.engine = CompileEngine(
             compile_fn,
             jobs=self.jobs,
             executor=executor,
-            key_fn=lambda name, seq: (name, tuple(self.decode(seq))),
+            key_fn=_named_key,
             timeout=compile_timeout,
             max_retries=compile_retries,
             retry_backoff=retry_backoff,
@@ -420,7 +423,7 @@ class AutotuningTask:
         batches).  Returned modules must be treated as immutable; the
         result carries the module's IR fingerprint once it has been
         measured."""
-        return self.engine.compile_one(module_name, seq_indices)
+        return self.engine.compile_one(module_name, tuple(self.decode(seq_indices)))
 
     def compile_batch(
         self,
@@ -442,7 +445,7 @@ class AutotuningTask:
         flag, since the injector's ``miscompile`` fault corrupts the
         module."""
         return self.engine.compile_batch(
-            items,
+            [(name, tuple(self.decode(seq))) for name, seq in items],
             outcomes=outcomes,
             stats_only=stats_only and self.fault_injector is None,
         )
@@ -703,9 +706,10 @@ class AutotuningTask:
         Measurements then run in input order, so results (and the seeded
         noise stream) are bit-identical to calling :meth:`measure_config`
         in a loop."""
-        grouped = self.engine.compile_configs(configs, outcomes=True)
+        named = [{n: tuple(self.decode(s)) for n, s in c.items()} for c in configs]
+        grouped = self.engine.compile_configs(named, outcomes=True)
         results: List[Tuple[float, bool]] = []
-        for config, outcomes in zip(configs, grouped):
+        for config, sequences, outcomes in zip(configs, named, grouped):
             bad = next((o for o in outcomes.values() if not o.ok), None)
             if bad is not None:
                 self.last_failure = bad.status
@@ -715,7 +719,6 @@ class AutotuningTask:
             key = tuple(
                 sorted((n, tuple(int(i) for i in s)) for n, s in config.items())
             )
-            sequences = {n: tuple(self.decode(s)) for n, s in config.items()}
             results.append(self.measure(compiled, config_key=key, sequences=sequences))
         return results
 
@@ -750,8 +753,13 @@ class AutotuningTask:
 
         ``graph_*`` are the :class:`~repro.compiler.opt_tool.CompileGraph`
         counters of *this process's* graph (also in the registry as
-        ``compiler.graph_*``); compiles served by process workers go
-        through each worker's own graph and are not counted here."""
+        ``compiler.graph_*``): live ``nodes`` and ``edges``, and pass
+        applications run (``passes_run``), skipped along known edges
+        (``passes_skipped``), and run but led back to the state they
+        started from (``passes_unchanged``: a pass that reports no change
+        is taken at its word and not fingerprinted).  Compiles served by
+        process workers go through each worker's own graph and are not
+        counted here."""
         graph = self._sync_graph_metrics()
         return {
             "compile_seconds": self.compile_seconds,

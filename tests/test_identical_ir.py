@@ -1,66 +1,81 @@
-"""The compile graph's identity check, and the ``changed`` flag passes
-report.
+"""The ``changed`` flag passes report, which the compile graph keys on.
 
-A pass run on a missing edge is compared with the node's module by
-:func:`~repro.compiler.opt_tool.identical_ir`; only a changed result is
-fingerprinted.  The check must never call two states the same when their
-:func:`~repro.compiler.opt_tool.state_key` differs: a seeded sweep over
-every workload module compares each verdict with the keys, and targeted
-edits that value equality would miss (``Const(I1, 1)`` vs ``Const(I1,
-True)``, ``0.0`` vs ``-0.0``, equal but rebuilt phi tuples) must read as
-changes.  The ``changed`` flag a pass returns lands in ``pass.run`` trace
-spans, so a pass that reports no change must leave the key as it was.
+A pass run on a missing edge that reports no change leaves the IR
+identical: the graph drops its clone and loops the edge back without a
+fingerprint; a reported change is keyed by
+:func:`~repro.compiler.opt_tool.state_key`.  Every registered pass is
+checked as that oracle: at states reached by prefixes of up to 120 passes
+over every workload module and ``random_program`` programs, a
+``changed=False`` must keep the key (``tests/flag_sweep.py`` sweeps more
+seeds).  Compiles through the graph must equal cold ones, long sequences
+included.  Targeted edits that value equality would miss (``Const(I1,
+1)`` vs ``Const(I1, True)``, ``0.0`` vs ``-0.0``) must move the key, and
+an edit a pass reports lands on the node its key names.
 """
 
 import random
 
 import pytest
 
-from repro import cbench_names, cbench_program, spec_names, spec_program
 from repro.compiler import opt_tool
 from repro.compiler.ir import F64, I1, I32, Const, Function, GlobalVar, Instr, Module
-from repro.compiler.opt_tool import CompileGraph, identical_ir, run_opt, state_key
-from repro.compiler.pass_manager import registry
+from repro.compiler.opt_tool import CompileGraph, run_opt, state_key
+from repro.compiler.pass_manager import Pass, registry
 from repro.compiler.pipelines import SEARCH_PASSES
 from repro.compiler.statistics import StatsCollector
-from repro.machine.platforms import get_platform
+from repro.compiler.textual import print_module
+from tests.flag_sweep import TARGET, Tally, random_modules, sweep, workload_modules
 
-TARGET = get_platform("arm-a57").target_info()
 
-
-def _modules():
-    programs = [cbench_program(n) for n in cbench_names()] + [
-        spec_program(n) for n in spec_names()
-    ]
-    return [m for p in programs for m in p.modules]
+def _output(cr):
+    # items() keeps the order counters were first bumped in
+    return print_module(cr.module), cr.stats_json(), list(cr.stats.items())
 
 
 def test_every_unchanged_verdict_agrees_with_the_state_key(monkeypatch):
-    verdicts = []
-
-    def checked(before, after):
-        same = identical_ir(before, after)
-        verdicts.append((same, state_key(before) == state_key(after)))
-        return same
-
-    monkeypatch.setattr(opt_tool, "identical_ir", checked)
     rng = random.Random(23)
-    for module in _modules():
-        graph, start = CompileGraph(), len(verdicts)
-        for _ in range(4):
-            seq = [rng.choice(SEARCH_PASSES) for _ in range(16)]
-            got = run_opt(module, seq, target=TARGET, graph=graph)
-            cold = run_opt(module, seq, target=TARGET)
-            assert state_key(got.module) == state_key(cold.module)
-            assert got.stats_json() == cold.stats_json()
+    work = [
+        (module, [[rng.choice(SEARCH_PASSES) for _ in range(16)] for _ in range(4)])
+        for _, module in workload_modules()
+    ]
+    cold = [[_output(run_opt(m, seq, target=TARGET)) for seq in seqs] for m, seqs in work]
+
+    verdicts = []  # (the flag, whether the run kept the key)
+    fingerprints = []
+    create = registry.create
+
+    def checked_create(name):
+        pss = create(name)
+        run = pss.run_on_module
+
+        def run_on_module(module, stats, target):
+            before = state_key(module)
+            changed = run(module, stats, target)
+            verdicts.append((changed, state_key(module) == before))
+            return changed
+
+        pss.run_on_module = run_on_module
+        return pss
+
+    monkeypatch.setattr(registry, "create", checked_create)
+    monkeypatch.setattr(
+        opt_tool, "state_key", lambda m: fingerprints.append(m) or state_key(m)
+    )
+    for (module, seqs), outputs in zip(work, cold):
+        graph, start, keyed = CompileGraph(), len(verdicts), len(fingerprints)
+        for seq, expected in zip(seqs, outputs):
+            assert _output(run_opt(module, seq, target=TARGET, graph=graph)) == expected
+        ran = verdicts[start:]
         stats = graph.stats()
-        assert stats["passes_run"] == len(verdicts) - start
-        assert stats["passes_unchanged"] == sum(same for same, _ in verdicts[start:])
-    unchanged = [keys for same, keys in verdicts if same]
-    # sound: an identical verdict always means an equal key ...
+        assert stats["passes_run"] == len(ran)
+        assert stats["passes_unchanged"] == sum(kept for _, kept in ran)
+        # one fingerprint for the source, one per reported change
+        assert len(fingerprints) - keyed == 1 + sum(changed for changed, _ in ran)
+    unchanged = [kept for changed, kept in verdicts if not changed]
+    # sound: a pass that reports no change always keeps the key ...
     assert all(unchanged)
-    # ... and on these modules it settles every run that kept the key
-    assert sum(keys for _, keys in verdicts) == len(unchanged)
+    # ... and on these modules no pass over-reports
+    assert sum(kept for _, kept in verdicts) == len(unchanged)
     assert len(unchanged) > len(verdicts) / 2
 
 
@@ -131,19 +146,45 @@ _EDITS = {
 
 def test_a_clone_is_identical_to_its_source():
     mod = _module()
-    assert identical_ir(mod, mod.clone())
-    # a pass that changes nothing keeps it so
+    assert state_key(mod) == state_key(mod.clone())
+    # a pass that changes nothing says so and keeps the key ...
     work = mod.clone()
-    assert not registry.create("dce").run_on_module(work, StatsCollector(), TARGET)
-    assert identical_ir(mod, work)
+    assert registry.create("dce").run_on_module(work, StatsCollector(), TARGET) is False
+    assert state_key(work) == state_key(mod)
+    # ... so the graph loops its edge back to the source's node
+    graph = CompileGraph()
+    run_opt(mod, ["dce"], target=TARGET, graph=graph)
+    stats = graph.stats()
+    assert (stats["nodes"], stats["passes_run"], stats["passes_unchanged"]) == (1, 1, 1)
+
+
+#: edits that rebuild an equal IR: the printed form, and so the key, stay
+_KEY_KEEPING = {"equal new phi-incoming tuple", "equal new Const operand", "attr order"}
 
 
 @pytest.mark.parametrize("what", list(_EDITS))
-def test_edits_value_equality_misses_read_as_changes(what):
+def test_edits_value_equality_misses_read_as_changes(what, monkeypatch):
+    class Edit(Pass):
+        # makes the edit and reports it
+        name = "test-edit"
+
+        def run_on_module(self, module, stats, target):
+            _EDITS[what](module)
+            return True
+
+    monkeypatch.setitem(registry._factories, "test-edit", Edit)
     mod = _module()
-    work = mod.clone()
-    _EDITS[what](work)
-    assert not identical_ir(mod, work), what
+    graph = CompileGraph()
+    got = run_opt(mod, ["test-edit"], target=TARGET, graph=graph)
+    cold = run_opt(mod, ["test-edit"], target=TARGET)
+    assert state_key(got.module) == state_key(cold.module), what
+    assert print_module(got.module) == print_module(cold.module), what
+    # a reported change is keyed: it lands on a new node, or, when the
+    # edit rebuilt an equal value, back on the source's own node
+    moved = state_key(cold.module) != state_key(mod)
+    stats = graph.stats()
+    assert (stats["nodes"], stats["passes_unchanged"]) == (1 + moved, int(not moved)), what
+    assert moved == (what not in _KEY_KEEPING), what
 
 
 def test_value_equal_edits_print_differently():
@@ -158,19 +199,27 @@ def test_value_equal_edits_print_differently():
 
 
 def test_a_pass_that_reports_no_change_keeps_the_state_key():
-    rng = random.Random(29)
-    names = sorted(registry.names())
+    # every registered pass, at states up to 120 passes deep, on every
+    # workload module and on random programs
+    tally = Tally()
+    workloads, randoms = workload_modules(), random_modules(31, 4)
+    assert sweep(29, workloads, 2, 120, tally)
+    assert sweep(31, randoms, 3, 120, tally)
+    assert tally.failures == []
+    assert tally.checked == (2 * len(workloads) + 3 * len(randoms)) * len(registry.names())
+    assert tally.unchanged > tally.checked / 2
+
+
+def test_long_sequences_through_the_graph_equal_cold():
+    # 120-pass sequences, twice over: the second compile follows the edges
+    # the first one stored
+    rng = random.Random(37)
     graph = CompileGraph()
-    checked = 0
-    for module in _modules():
-        for _ in range(3):
-            prefix = [rng.choice(SEARCH_PASSES) for _ in range(rng.randrange(12))]
-            state = run_opt(module, prefix, target=TARGET, graph=graph).module
-            key = state_key(state)
-            for name in names:
-                work = state.clone()
-                changed = registry.create(name).run_on_module(work, StatsCollector(), TARGET)
-                if not changed:
-                    assert state_key(work) == key, (module.name, prefix, name)
-                    checked += 1
-    assert checked > 1000
+    workloads = workload_modules()
+    for program, module in workloads:
+        seq = [rng.choice(SEARCH_PASSES) for _ in range(120)]
+        cold = _output(run_opt(module, seq, target=TARGET))
+        for _ in range(2):
+            got = run_opt(module, seq, target=TARGET, graph=graph)
+            assert _output(got) == cold, (program, module.name, seq)
+    assert graph.stats()["passes_skipped"] >= len(workloads) * 120
