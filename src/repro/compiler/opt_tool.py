@@ -101,9 +101,9 @@ class CompileGraph:
     statistics; a stretch of known edges is walked under one lock
     acquisition.  It runs a pass only where the edge is missing: on a
     clone of the node's module, outside the lock.  The ``changed`` flag
-    the pass returns decides the rest: a pass that reports no change
+    the pass returns decides the rest: a pass that returns ``False``
     leaves the state as it was, so the clone is dropped and the edge
-    loops back to the node unfingerprinted; a reported change is keyed
+    loops back to the node unfingerprinted; any other value is keyed
     (a pass that over-reports costs one fingerprint and still lands on
     its own node).  Passes keep no state outside the module and the key
     covers all of it (a test pins the IR fields the key covers), so the
@@ -230,7 +230,8 @@ class CompileGraph:
             work = node.module.clone()
             stats = StatsCollector()
             changed = registry.create(name).run_on_module(work, stats, target)
-            key = state_key(work) if changed else node.key
+            # only an explicit False is trusted; any other value is keyed
+            key = node.key if changed is False else state_key(work)
             delta = stats.snapshot()
             with self._lock:
                 self.passes_run += 1

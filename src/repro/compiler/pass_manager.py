@@ -61,7 +61,14 @@ class Pass:
     is_analysis: bool = False
 
     def run_on_module(self, module: Module, stats: StatsCollector, target: TargetInfo) -> bool:
-        """Apply the pass to ``module``; returns whether the IR changed."""
+        """Apply the pass to ``module``; returns whether the IR changed.
+
+        :class:`~repro.compiler.opt_tool.CompileGraph` trusts a ``False``:
+        it keeps the state the pass started from without fingerprinting
+        the result, so returning ``False`` after changing the IR makes
+        compiles through the graph differ from cold ones.  Any other
+        return value is treated as a possible change.
+        """
         raise NotImplementedError
 
 

@@ -187,6 +187,28 @@ def test_edits_value_equality_misses_read_as_changes(what, monkeypatch):
     assert moved == (what not in _KEY_KEEPING), what
 
 
+@pytest.mark.parametrize("flag", [None, 0, ""])
+def test_only_an_explicit_false_is_trusted(flag, monkeypatch):
+    class Sloppy(Pass):
+        # edits the IR but returns a falsy non-bool
+        name = "test-sloppy"
+
+        def run_on_module(self, module, stats, target):
+            _EDITS["0.0 -> -0.0"](module)
+            return flag
+
+    monkeypatch.setitem(registry._factories, "test-sloppy", Sloppy)
+    mod = _module()
+    graph = CompileGraph()
+    cold = run_opt(mod, ["test-sloppy"], target=TARGET)
+    for _ in range(2):
+        got = run_opt(mod, ["test-sloppy"], target=TARGET, graph=graph)
+        assert print_module(got.module) == print_module(cold.module)
+    # the result was keyed, so the edit reached a node of its own
+    stats = graph.stats()
+    assert (stats["nodes"], stats["passes_run"], stats["passes_unchanged"]) == (2, 1, 0)
+
+
 def test_value_equal_edits_print_differently():
     # why the check is not ==: each pair compares equal yet prints apart
     assert Const(1, I1) == Const(True, I1)
