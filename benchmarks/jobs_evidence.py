@@ -29,28 +29,32 @@ perfbench does not print, read from outside the program:
   process only;
 * ``gc_s`` and ``gc_gen2_s``: time the cyclic garbage collector ran in the
   perfbench process (all generations, and full collections only);
-* ``graph_*``: the compile-graph counters each task reports in the
-  perfbench process (``nodes`` and ``edges`` live, ``passes_run``,
+* ``graph_*``: the compile-graph counters each task reports
+  (``nodes`` and ``edges`` live in the perfbench process, ``passes_run``,
   ``passes_unchanged`` — runs that led back to the state they started
   from, nearly all settled by the pass reporting no change and never
-  fingerprinted — and ``passes_skipped``), summed over the run's tasks;
-  ``snapshot_*``: the
-  prefix-snapshot counters of checkouts that predate the graph.  A
-  checkout that reports neither shows 0;
-* ``worker_graph_*``: the same counters of the graphs the task's process
-  workers compile through, read from each live worker just before the
-  task closes and summed over workers and tasks (0 without a process
-  pool, or in checkouts whose workers have no graph).
+  fingerprinted — and ``passes_skipped``), summed over the run's tasks.
+  The pass counters include the task's process workers, which send
+  theirs back with their journals; a checkout from before that counts
+  the perfbench process only.  ``snapshot_*``: the prefix-snapshot
+  counters of checkouts that predate the graph.  A checkout that
+  reports neither shows 0.
 
 Each ``--traced`` run per side is ``--trace 1``; it keeps a few per-layer
 metrics and ``compiler.pass_total.s``, the sum of every
 ``compiler.pass.*.s``.
 
+``--sweep`` adds a ``jobs_sweep`` record per side: in one process of
+that checkout, CITROEN tunes of ``525.x264_r`` at seeds 1-3 (budget 40,
+sequence length 16, platform ``arm-a57``) summed per jobs setting,
+``--jobs 1`` and ``--jobs 2`` alternating over three repeats, plus the
+seed-1 tune's compile-graph counters at each setting.
+
 Run from the root of the checkout that holds this script::
 
     python3 benchmarks/jobs_evidence.py --base ../parent-checkout --head . \\
-        --pairs citroen_gsm=10,citroen_gsm@7=3,random_mcf=3,citroen_x264_j2=3 \\
-        --out BENCH_nochange.json
+        --pairs citroen_x264_j2=10,citroen_x264_j2@7=3,citroen_gsm=3,random_mcf=3 \\
+        --sweep --out BENCH_pool.json
 """
 
 from __future__ import annotations
@@ -79,7 +83,6 @@ GRAPH_KEYS = ("graph_nodes", "graph_edges", "graph_passes_run",
 SNAPSHOT_KEYS = ("snapshot_lookups", "snapshot_hits", "snapshot_captures",
                  "snapshot_skipped_passes")
 CACHE_KEYS = GRAPH_KEYS + SNAPSHOT_KEYS
-WORKER_GRAPH_KEYS = tuple(f"worker_{key}" for key in GRAPH_KEYS)
 #: fields of the ``perfbench`` record kept with each run
 PERFBENCH_KEPT = ("tunes", "calibration_s", "host_scale", "raw_wall_s", "digests",
                   "reproducible", "traced_identical", "git_rev", "source_sha256")
@@ -107,33 +110,13 @@ def _worker_memory_mb(pid: int) -> Dict[str, float]:
     }
 
 
-def worker_graph_stats(hold: float) -> tuple:
-    """Run in a pool worker: its pid and the counters of the compile graph
-    its compile function uses (empty if it has none).  ``hold`` keeps the
-    worker busy, so the other workers take the other requests."""
-    from repro.core import eval_engine
-
-    time.sleep(hold)
-    fn = eval_engine._worker_fn
-    graphs = [a for a in getattr(fn, "args", ()) if type(a).__name__ == "CompileGraph"]
-    return os.getpid(), (graphs[0].stats() if graphs else {})
-
-
-def _read_worker_graphs(pool, pids) -> Dict[int, Dict[str, int]]:
-    """``worker_graph_stats`` from every worker of a process pool."""
-    # imported under its own name, so the pool pickles it by reference
-    import jobs_evidence
-
-    found: Dict[int, Dict[str, int]] = {}
-    for _ in range(5):
-        futures = [pool.submit(jobs_evidence.worker_graph_stats, 0.2)
-                   for _ in range(2 * len(pids))]
-        for fut in futures:
-            pid, stats = fut.result()
-            found[pid] = stats
-        if set(pids) <= set(found):
-            break
-    return found
+def _worker_pids(engine) -> List[int]:
+    """The pids of a compile engine's live process workers: its pipe
+    workers, or a checkout's older process pool."""
+    workers = getattr(engine, "_workers", None)
+    if workers is not None:
+        return [w.process.pid for w in workers]
+    return list(getattr(getattr(engine, "_pool", None), "_processes", None) or {})
 
 
 def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
@@ -147,8 +130,7 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
             "batch_wall": 0.0, "batch_cpu": 0.0, "worker_cpu": 0.0,
             "executors": set(), "workers_peak_rss_mb": 0.0,
             "worker_hwm_mb": 0.0, "worker_private_mb": 0.0,
-            "gc_s": 0.0, "gc_gen2_s": 0.0, **dict.fromkeys(CACHE_KEYS, 0),
-            **dict.fromkeys(WORKER_GRAPH_KEYS, 0)}
+            "gc_s": 0.0, "gc_gen2_s": 0.0, **dict.fromkeys(CACHE_KEYS, 0)}
     compile_batch, close = CompileEngine.compile_batch, AutotuningTask.close
     gc_start = [0.0]
 
@@ -182,15 +164,10 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
         seen["executors"].add(
             timing.get("executor") or ("serial" if task.jobs == 1 else "thread")
         )
-        workers = getattr(task.engine._pool, "_processes", None) or {}
-        for pid in list(workers):
+        for pid in _worker_pids(task.engine):
             mem = _worker_memory_mb(pid)
             seen["worker_hwm_mb"] = max(seen["worker_hwm_mb"], mem["hwm"])
             seen["worker_private_mb"] = max(seen["worker_private_mb"], mem["private"])
-        if workers:
-            for stats in _read_worker_graphs(task.engine._pool, list(workers)).values():
-                for key, value in stats.items():
-                    seen[f"worker_graph_{key}"] += value
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         close(task)  # joins the workers, so their usage is now counted
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -223,9 +200,48 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
         "worker_private_mb": seen["worker_private_mb"],
         "gc_s": seen["gc_s"],
         "gc_gen2_s": seen["gc_gen2_s"],
-        **{key: seen[key] for key in CACHE_KEYS + WORKER_GRAPH_KEYS},
+        **{key: seen[key] for key in CACHE_KEYS},
     }}), flush=True)
     return code
+
+
+def sweep_probe() -> int:
+    """Run in a checkout: summed x264 tunes at ``--jobs 1`` and ``2``."""
+    sys.path.insert(0, os.path.join(os.getcwd(), "src"))
+    from repro import AutotuningTask, Citroen, spec_program
+
+    out: Dict[str, object] = {"jobs1_s": [], "jobs2_s": [], "seed1_graph": {}}
+    for repeat in range(3):
+        for jobs in ((1, 2) if repeat % 2 == 0 else (2, 1)):
+            total = 0.0
+            for seed in (1, 2, 3):
+                task = AutotuningTask(spec_program("525.x264_r"), platform="arm-a57",
+                                      seed=seed, seq_length=16, jobs=jobs)
+                try:
+                    start = time.perf_counter()
+                    Citroen(task, seed=seed).tune(40)
+                    total += time.perf_counter() - start
+                    if seed == 1:
+                        timing = task.timing_breakdown()
+                        out["seed1_graph"][f"jobs{jobs}"] = {
+                            key: timing.get(key, 0) for key in GRAPH_KEYS}
+                finally:
+                    task.close()
+            out[f"jobs{jobs}_s"].append(total)
+    print(json.dumps({"jobs_sweep": out}), flush=True)
+    return 0
+
+
+def run_sweep(checkout: str) -> Dict:
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--sweep-probe"],
+        cwd=checkout, env=dict(os.environ, **SINGLE_THREAD_ENV),
+        capture_output=True, text=True, check=True,
+    )
+    sweep = json.loads(out.stdout.strip().splitlines()[-1])["jobs_sweep"]
+    for jobs in (1, 2):
+        sweep[f"jobs{jobs}"] = spread(sweep[f"jobs{jobs}_s"])
+    return sweep
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float,
@@ -280,7 +296,7 @@ def summarize(runs: List[Dict]) -> Dict:
     out["compile_cpu_wall_ratio"] = spread(
         [r["probe"]["compile_cpu_wall_ratio"] for r in ok])
     for name in ("compile_cores_used", "workers_peak_rss_mb", "worker_hwm_mb",
-                 "worker_private_mb", "gc_s", "gc_gen2_s") + CACHE_KEYS + WORKER_GRAPH_KEYS:
+                 "worker_private_mb", "gc_s", "gc_gen2_s") + CACHE_KEYS:
         out[name] = spread([r["probe"][name] for r in ok])
     return out
 
@@ -299,9 +315,14 @@ def main(argv=None) -> int:
     parser.add_argument("--traced", type=int, default=1,
                         help="traced (--trace 1) runs per side and workload")
     parser.add_argument("--out", help="payload to write (required to compare)")
+    parser.add_argument("--sweep", action="store_true",
+                        help="also time x264 tunes at --jobs 1 and 2 in each checkout")
+    parser.add_argument("--sweep-probe", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.probe:
         return probe(args.probe, args.seed, args.seconds, args.trace)
+    if args.sweep_probe:
+        return sweep_probe()
     if not (args.base and args.head and args.out):
         parser.error("--base, --head and --out are required")
 
@@ -349,6 +370,8 @@ def main(argv=None) -> int:
                     "probe": run["probe"],
                 })
         payload["workloads"][entry]["traced"] = traced
+    if args.sweep:
+        payload["jobs_sweep"] = {side: run_sweep(path) for side, path in sides.items()}
     payload["provenance"] = {
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {args.seconds:g} --trace 0",

@@ -63,6 +63,10 @@ class CompileResult:
 
 _StateKey = Tuple[str, Tuple[int, ...]]
 _Counters = Dict[Tuple[str, str], int]
+#: a journal entry: from-key, target key, pass, to-key, statistics delta,
+#: and the module of a state that was new to the graph that wrote it
+_Entry = Tuple[Optional[_StateKey], Optional[Tuple], Optional[str], _StateKey,
+               Optional[_Counters], Optional[Module]]
 
 
 def state_key(module: Module) -> _StateKey:
@@ -119,9 +123,13 @@ class CompileGraph:
     change while a graph is in use.  A pass that raises leaves no node or
     edge behind.
 
-    Thread-safe.  A forked child (a process-pool worker) keeps the nodes
-    it inherits and grows its own graph from there, with a fresh lock and
-    zeroed pass counters; the pickled form is empty."""
+    Thread-safe.  A forked child keeps the nodes it inherits, with a
+    fresh lock and zeroed pass counters; the pickled form is empty.
+    Copies in several processes stay one logical graph through journals:
+    once :meth:`take_journal` has been called, the graph records every
+    edge and state it adds, and :meth:`merge` adds another copy's records
+    (see :class:`~repro.core.eval_engine.CompileEngine`).  A graph nobody
+    copies keeps no journal."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -136,6 +144,10 @@ class CompileGraph:
         self.passes_run = 0
         self.passes_unchanged = 0
         self.passes_skipped = 0
+        #: entries added since the last take_journal (None: not kept),
+        #: and the pass counters as of that call
+        self._journal: Optional[List[_Entry]] = None
+        self._taken = (0, 0, 0)
         _LIVE.add(self)
 
     def __reduce__(self):
@@ -179,7 +191,51 @@ class CompileGraph:
         key = state_key(work)
         with self._lock:
             self._roots[module] = key
+            if self._journal is not None and key not in self._nodes:
+                self._journal.append((None, None, None, key, None, work))
             return self._admit(key, work)
+
+    def take_journal(self) -> Tuple[List[_Entry], Tuple[int, int, int]]:
+        """The entries this graph added since the last call, and its
+        ``(passes_run, passes_unchanged, passes_skipped)`` over that
+        stretch.  The first call starts the journal.
+
+        An entry is ``(from-key, target key, pass, to-key, statistics
+        delta, module)``: one edge, with the module of the state it
+        leads to when that state was new here (else ``None``).  A root
+        state is an entry with no edge (``from-key`` ``None``)."""
+        with self._lock:
+            entries = self._journal or []
+            self._journal = []
+            counts = (self.passes_run, self.passes_unchanged, self.passes_skipped)
+            delta = tuple(a - b for a, b in zip(counts, self._taken))
+            self._taken = counts
+        return entries, delta
+
+    def merge(
+        self, entries: Sequence[_Entry], counts: Tuple[int, int, int] = (0, 0, 0)
+    ) -> None:
+        """Add another copy's journal entries, and add ``counts`` (its
+        pass counters) to this graph's.  Merging the same entries twice
+        is a no-op, and merged entries are not journaled again.  An edge
+        whose from-state is missing here is dropped; one into a missing
+        state is kept, and counts as missing until a compile re-adds the
+        state."""
+        with self._lock:
+            nodes = self._nodes
+            for src, tkey, name, key, delta, module in entries:
+                if module is not None and key not in nodes:
+                    self._admit(key, module)
+                node = nodes.get(src) if src is not None else None
+                if node is None:
+                    continue
+                tid = self._targets.setdefault(tkey, len(self._targets))
+                if key == node.key:
+                    key = node.key  # the walk tells self-loops apart by identity
+                node.edges.setdefault((tid, name), (key, delta))
+            self.passes_run += counts[0]
+            self.passes_unchanged += counts[1]
+            self.passes_skipped += counts[2]
 
     def compile(
         self,
@@ -240,8 +296,13 @@ class CompileGraph:
                     # the walk above tells apart by identity
                     self.passes_unchanged += 1
                     node.edges[(tid, name)] = (node.key, delta)
+                    if self._journal is not None:
+                        self._journal.append((node.key, tkey, name, node.key, delta, None))
                 else:
                     node.edges[(tid, name)] = (key, delta)
+                    if self._journal is not None:
+                        new = None if key in nodes else work
+                        self._journal.append((node.key, tkey, name, key, delta, new))
                     node = self._admit(key, work)
             for stat, value in delta.items():
                 counters[stat] = counters.get(stat, 0) + value
@@ -259,6 +320,10 @@ def _after_fork_in_child() -> None:
     for graph in list(_LIVE):
         graph._lock = threading.Lock()
         graph.passes_run = graph.passes_unchanged = graph.passes_skipped = 0
+        graph._taken = (0, 0, 0)
+        # the parent's unsent entries are already in the inherited nodes
+        if graph._journal is not None:
+            graph._journal = []
 
 
 if hasattr(os, "register_at_fork"):

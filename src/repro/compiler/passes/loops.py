@@ -17,6 +17,7 @@ from repro.compiler.analysis import (
     find_loops,
     has_side_effects,
     is_pure_instr,
+    reachable_blocks,
     use_counts,
 )
 from repro.compiler.ir import Const, Function, I64, Instr, Module, Operand, PTR
@@ -393,6 +394,28 @@ class LoopRotate(FunctionPass):
             if isinstance(a, str) and a in inside and a not in phi_init:
                 return False
 
+        # header phis used past the loop get a merge phi in the exit block,
+        # which names only the loop's own exit edges: an exit shared with
+        # other predecessors (two unswitched copies of one loop) cannot
+        # carry one, so there only uses in unreachable blocks (a dead arm
+        # unswitching left behind) are let through, without a merge
+        exit_blk = fn.blocks[exit_block]
+        used_outside: Dict[str, List[str]] = {}
+        for bname, blk in fn.blocks.items():
+            if bname in loop.blocks:
+                continue
+            for inst in blk.instrs:
+                if inst.op == "phi" and bname == exit_block:
+                    continue
+                for phi in phis:
+                    if phi.res in inst.reg_operands():
+                        used_outside.setdefault(phi.res, []).append(bname)
+        if used_outside and any(p != loop.header for p in preds[exit_block]):
+            live = reachable_blocks(fn)
+            if any(b in live for blocks in used_outside.values() for b in blocks):
+                return False
+            used_outside = {}
+
         # preserve the original branch orientation (the exit may be either arm)
         orig_targets = term.attrs["targets"]
         rot_targets = tuple(
@@ -445,16 +468,8 @@ class LoopRotate(FunctionPass):
         # out-of-loop non-phi uses of header phis: value at exit is `next`
         # when leaving via the latch and `init` via the guard -> need a merge
         defs_outside_uses: Dict[str, Operand] = {}
-        exit_blk = fn.blocks[exit_block]
         for phi in phis:
-            used_outside = False
-            for bname, blk in fn.blocks.items():
-                if bname in loop.blocks:
-                    continue
-                for inst in blk.instrs:
-                    if phi.res in inst.reg_operands() and inst not in exit_blk.phis():
-                        used_outside = True
-            if used_outside:
+            if phi.res in used_outside:
                 merge = Instr(
                     "phi",
                     fn.fresh("rot.merge"),

@@ -11,13 +11,21 @@ that batch explicit:
   execution order, so tuner behaviour is identical at any ``jobs`` setting
   (the compile function must be a pure function of its inputs);
 * **configurable executor** — ``jobs=1`` is a deterministic serial loop
-  (no pool, no threads); ``jobs>1`` fans out over a warm process pool by
-  default (``executor="auto"``), or a thread pool on request
-  (``executor="thread"``, for compile functions that cannot cross a
-  process boundary).  Process workers are forked lazily, on the first
-  batch with two or more items to compile, and receive the compile
-  function once, through the pool initializer; each submit then carries
-  only ``(module_name, sequence)``;
+  (no pool, no threads); ``jobs>1`` shares each batch between this
+  process and ``jobs-1`` forked workers by default (``executor="auto"``),
+  or runs it on a thread pool on request (``executor="thread"``, for
+  compile functions that cannot cross a process boundary).  Workers are
+  forked lazily, on the first batch with two or more items to compile,
+  and inherit the compile function; each sits on one duplex pipe.  Each
+  batch is split round-robin, and the caller compiles the first share
+  in-line while the workers compile theirs;
+* **one compile graph** — a compile function that grows a
+  :class:`~repro.compiler.opt_tool.CompileGraph` (the ``graph``
+  argument) would otherwise grow one private copy per process.  Each
+  batch message carries the graph's journal: the edges and states the
+  other processes added since that worker's last batch, and each worker
+  answers with its own, which this process merges (pass counters
+  included).  Every process then walks one logical graph;
 * **stats-only compiles** — ``compile_batch(..., stats_only=True)``
   calls the compile function as ``compile_fn(name, seq,
   stats_only=True)``, on every executor alike: a compile function that
@@ -48,7 +56,7 @@ that batch explicit:
 All counters and the quarantine are guarded by one lock; the engine is
 safe to call from concurrent client threads (compiling the same key twice
 in a race is harmless — the compile function is pure — and counters stay
-consistent).
+consistent; batches take turns on the process workers).
 
 Observability: the counters live in a
 :class:`~repro.obs.metrics.MetricsRegistry` (``engine.*`` names, including
@@ -63,20 +71,28 @@ registry — prefer ``engine.metrics``/:meth:`stats` in new code.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import os
+import pickle
 import signal
 import sys
 import time
+import weakref
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing.connection import Connection, wait as _wait_any
 from threading import Lock
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
+
+if TYPE_CHECKING:
+    from repro.compiler.opt_tool import CompileGraph
 
 __all__ = ["CompileEngine", "CompileOutcome", "CompileError"]
 
@@ -120,8 +136,8 @@ class CompileError(RuntimeError):
 def _attempt_invoke(
     fn: Callable, max_retries: int, backoff: float, submit_t: float, name: str, seq
 ) -> Tuple[str, object, str, int, float, float]:
-    """Run ``fn(name, seq)`` with bounded retry-with-backoff, inside the
-    worker (module-level so process pools can pickle it).
+    """Run ``fn(name, seq)`` with bounded retry-with-backoff, in whichever
+    process or thread compiles the item.
 
     Returns ``(status, value, error, attempts, seconds, queue_wait)`` —
     never raises, so one bad candidate cannot take its batch siblings down
@@ -147,33 +163,23 @@ def _attempt_invoke(
 
 
 #: Process workers are forked on Linux: a forked worker inherits the
-#: compile function, the program it closes over and any pass registered at
-#: run time, and starts in milliseconds, where a spawned one re-imports the
-#: package on every pool start.  A fork is safe while no other thread holds
-#: a lock the compile needs: the package runs no threads besides its
-#: compile pools, and a fork-context pool forks every worker before it
-#: starts its own manager thread.  Elsewhere (where fork is unsafe or
-#: missing) the platform's default start method is used.
+#: compile function, the program it closes over, the compile graph as it
+#: stands and any pass registered at run time, and starts in
+#: milliseconds, where a spawned one re-imports the package.  A fork is
+#: safe while no other thread holds a lock the compile needs: the package
+#: runs no threads besides its thread pools, and the compile graph re-arms
+#: its lock in the child.  Elsewhere (where fork is unsafe or missing) the
+#: platform's default start method is used.
 _POOL_CONTEXT = (
     multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
 )
 
-#: Pool batches go out in about this many chunks per worker.
-_CHUNKS_PER_WORKER = 4
+#: This process's ends of every worker pipe.  A forked worker closes the
+#: copies it inherits, so each worker sees end-of-file as soon as the
+#: process that forked it closes its end or dies.
+_PARENT_ENDS: "weakref.WeakSet[Connection]" = weakref.WeakSet()
 
-#: The compile function of this process, when it is a pool worker.
-_worker_fn: Optional[Callable] = None
-
-
-def _install_worker(fn: Callable) -> None:
-    """Process-pool initializer: keep ``fn`` for every later submit.
-
-    The worker ignores SIGINT: Ctrl-C is the parent's to handle (a graceful
-    stop, then ``KeyboardInterrupt`` on the second press), and the parent
-    shuts its workers down when it closes the engine."""
-    global _worker_fn
-    _worker_fn = fn
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+_Out = Tuple[str, object, str, int, float, float]
 
 
 def _flagged(fn: Callable, stats_only: bool) -> Callable:
@@ -181,12 +187,77 @@ def _flagged(fn: Callable, stats_only: bool) -> Callable:
     return partial(fn, stats_only=True) if stats_only else fn
 
 
-def _pool_invoke(
-    max_retries: int, backoff: float, submit_t: float, stats_only: bool, name: str, seq
-) -> Tuple[str, object, str, int, float, float]:
-    """:func:`_attempt_invoke` on the worker's installed compile function."""
-    fn = _flagged(_worker_fn, stats_only)
-    return _attempt_invoke(fn, max_retries, backoff, submit_t, name, seq)
+def _serve(
+    conn: Connection,
+    fn: Callable,
+    graph: Optional["CompileGraph"],
+    max_retries: int,
+    backoff: float,
+) -> None:
+    """A process worker's loop: one batch message in, its results out.
+
+    A message is ``(journals, stats_only, stream, submit_t, items)``: the
+    worker merges the pickled journals into its copy of ``graph``,
+    compiles its share ``items`` in order through :func:`_attempt_invoke`
+    and answers ``("done", outs, journal, counts)`` with its own journal
+    (pickled once, so the caller can pass it on as it is) and pass
+    counters.  With ``stream`` set it sends ``("item", out)`` as each
+    item finishes instead, so the caller can time each one, and ``outs``
+    is empty.
+
+    The worker ignores SIGINT (Ctrl-C is the caller's to handle) and
+    freezes the objects it inherited, so its collector does not copy
+    every page it shares with the caller.  It exits on end-of-file."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    gc.freeze()
+    for end in list(_PARENT_ENDS):
+        end.close()
+    try:
+        while True:
+            journals, stats_only, stream, submit_t, items = conn.recv()
+            for journal in journals:
+                graph.merge(pickle.loads(journal))
+            call = _flagged(fn, stats_only)
+            outs = []
+            for name, seq in items:
+                out = _attempt_invoke(call, max_retries, backoff, submit_t, name, seq)
+                if stream:
+                    conn.send(("item", out))
+                else:
+                    outs.append(out)
+            entries, counts = graph.take_journal() if graph is not None else ([], None)
+            journal = pickle.dumps(entries, pickle.HIGHEST_PROTOCOL) if entries else None
+            conn.send(("done", outs, journal, counts))
+    except (EOFError, OSError):
+        return  # the caller closed the pipe, or died
+
+
+class _Worker:
+    """A forked compile worker: its process, this process's end of its
+    pipe, and the pickled journals of the other processes it has yet to
+    receive."""
+
+    __slots__ = ("process", "conn", "outbox")
+
+    def __init__(self, process, conn: Connection) -> None:
+        self.process = process
+        self.conn = conn
+        self.outbox: List[bytes] = []
+
+    def stop(self, kill: bool = False) -> None:
+        """Close the pipe (the worker exits on end-of-file) and reap the
+        worker; ``kill`` it first when it may be busy."""
+        if kill:
+            self.process.kill()
+        self.conn.close()
+        self.process.join(timeout=5)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+
+
+#: The result of an item whose worker died before answering.
+_LOST: _Out = ("error", None, "compile worker exited before answering", 1, 0.0, 0.0)
 
 
 def _resolve_executor(executor: str, jobs: int, timeout: Optional[float]) -> str:
@@ -195,7 +266,7 @@ def _resolve_executor(executor: str, jobs: int, timeout: Optional[float]) -> str
 
     One worker is a serial loop, unless a timeout needs a pool to enforce
     it: then a single worker thread serves the compiles.  ``"auto"`` at
-    ``jobs>1`` is the process pool."""
+    ``jobs>1`` is process workers."""
     if executor == "serial" or jobs <= 1:
         return "serial" if timeout is None else "thread"
     return "process" if executor == "auto" else executor
@@ -212,9 +283,12 @@ class CompileEngine:
         quarantine and the parallel executor all assume call order is
         irrelevant.
     jobs:
-        worker count; ``1`` selects the deterministic serial path.
+        worker count; ``1`` selects the deterministic serial path.  Under
+        the process executor it counts this process: ``jobs-1`` workers
+        are forked (``jobs`` with a timeout set, as this process then
+        compiles nothing in-line).
     executor:
-        ``"auto"`` (serial at ``jobs=1``, a process pool otherwise),
+        ``"auto"`` (serial at ``jobs=1``, process workers otherwise),
         ``"serial"``, ``"thread"``, or ``"process"``.  The executor that
         actually serves compiles is :attr:`kind`.
     key_fn:
@@ -225,9 +299,12 @@ class CompileEngine:
         Enforcing a timeout requires a pool, so when set the serial path
         routes through a single worker thread; a candidate that trips it
         is quarantined (a deterministic hang would only hang again) and
-        its worker is abandoned — the pool is replaced and still-queued
-        siblings are rescued onto the fresh one, so a hung candidate
-        cannot starve the rest of the batch into spurious timeouts.
+        its worker is abandoned, so a hung candidate cannot starve the
+        rest of the batch into spurious timeouts.  A thread pool is
+        replaced and its still-queued siblings are rescued onto the
+        fresh one; a process worker streams one result per item, and
+        one whose item overruns is killed and forked afresh, and its
+        unfinished items are sent to the new worker.
     max_retries:
         extra compile attempts for a candidate whose compile *raised*
         (transient faults); a candidate still failing after the last retry
@@ -243,6 +320,10 @@ class CompileEngine:
         the :class:`~repro.obs.trace.Tracer` receiving per-batch
         ``compile_batch`` spans; defaults to the disabled
         :data:`~repro.obs.trace.NULL_TRACER` (zero overhead).
+    graph:
+        the :class:`~repro.compiler.opt_tool.CompileGraph` the compile
+        function grows, kept as one logical graph across process workers
+        (see the module docstring); ignored by the other executors.
     """
 
     def __init__(
@@ -256,6 +337,7 @@ class CompileEngine:
         retry_backoff: float = 0.01,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
+        graph: Optional["CompileGraph"] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -274,9 +356,16 @@ class CompileEngine:
         self.max_retries = int(max_retries)
         self.retry_backoff = float(retry_backoff)
 
+        self.graph = graph
+
         self._quarantine: Dict[Hashable, CompileOutcome] = {}
         self._lock = Lock()
-        self._pool: Optional[Executor] = None
+        #: the thread pool (``kind == "thread"``), started on first use
+        self._pool: Optional[ThreadPoolExecutor] = None
+        #: the process workers (``kind == "process"``), forked on first use;
+        #: batches take turns on them
+        self._workers: List[_Worker] = []
+        self._dispatch = Lock()
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -342,28 +431,77 @@ class CompileEngine:
         return int(self._m_qhits.value)
 
     # -- executor plumbing ------------------------------------------------------
-    def _get_pool(self) -> Executor:
-        """The worker pool, started on first use."""
+    def _get_pool(self) -> ThreadPoolExecutor:
+        """The thread pool, started on first use."""
         if self._pool is None:
-            if self.kind == "process":
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    mp_context=_POOL_CONTEXT,
-                    initializer=_install_worker,
-                    initargs=(self.compile_fn,),
-                )
-            else:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.jobs, thread_name_prefix="compile-engine"
-                )
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.jobs, thread_name_prefix="compile-engine"
+            )
         return self._pool
 
+    def _fork(self) -> _Worker:
+        """A new process worker, forked from this process as it stands
+        (its compile graph included)."""
+        ctx = _POOL_CONTEXT or multiprocessing.get_context()
+        ours, theirs = ctx.Pipe()
+        _PARENT_ENDS.add(ours)
+        process = ctx.Process(
+            target=_serve,
+            args=(theirs, self.compile_fn, self.graph, self.max_retries, self.retry_backoff),
+            name="compile-engine",
+            daemon=True,
+        )
+        process.start()
+        theirs.close()
+        return _Worker(process, ours)
+
+    def _start_workers(self) -> List[_Worker]:
+        """The process workers, forked if missing, with this process's
+        new journal entries queued for each."""
+        self._forward_own()
+        wanted = self.jobs if self.timeout is not None else self.jobs - 1
+        while len(self._workers) < wanted:
+            self._workers.append(self._fork())
+        return list(self._workers)
+
+    def _forward_own(self) -> None:
+        """Queue this process's new journal entries for every worker."""
+        if self.graph is not None:
+            entries, _ = self.graph.take_journal()
+            if entries:
+                self._forward(pickle.dumps(entries, pickle.HIGHEST_PROTOCOL), None)
+
+    def _forward(self, journal: bytes, source: Optional[_Worker]) -> None:
+        """Queue a pickled journal for every worker but ``source``."""
+        for worker in self._workers:
+            if worker is not source:
+                worker.outbox.append(journal)
+
+    def _absorb(self, worker: _Worker, journal: Optional[bytes], counts) -> None:
+        """Merge a worker's journal and pass counters here, and queue the
+        journal for the other workers."""
+        if self.graph is not None:
+            self.graph.merge(pickle.loads(journal) if journal else [], counts)
+            if journal:
+                self._forward(journal, worker)
+
+    def _retire(self, worker: _Worker, kill: bool = False) -> None:
+        """Stop a worker and forget it (the next batch forks a new one)."""
+        self._workers.remove(worker)
+        worker.stop(kill=kill)
+
     def close(self) -> None:
-        """Shut the worker pool down (idempotent; engine stays usable —
-        the pool is recreated on demand)."""
+        """Shut the thread pool and the process workers down (idempotent;
+        the engine stays usable and starts them again on demand)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        with self._dispatch:
+            workers, self._workers = self._workers, []
+            for worker in workers:
+                worker.conn.close()  # all exit at once
+            for worker in workers:
+                worker.stop()
 
     def __enter__(self) -> "CompileEngine":
         return self
@@ -476,23 +614,17 @@ class CompileEngine:
         if work:
             attempt = (self.max_retries, self.retry_backoff, time.perf_counter())
             fn = _flagged(self.compile_fn, stats_only)
-            if self.kind == "process":
-                worker = partial(_pool_invoke, *attempt, stats_only)
-            else:
+            if self.kind == "process" and (len(work) > 1 or self.timeout is not None):
+                with self._dispatch:
+                    outs = self._run_on_workers(fn, attempt, stats_only, work)
+            elif self.timeout is not None:
+                outs = self._run_with_timeout(partial(_attempt_invoke, fn, *attempt), work)
+            elif self.kind == "thread" and len(work) > 1:
                 worker = partial(_attempt_invoke, fn, *attempt)
-            if self.timeout is None:
-                if self.kind == "serial" or len(work) == 1:
-                    # one item: compiling it here beats a round trip
-                    outs = [_attempt_invoke(fn, *attempt, n, s) for n, s in work]
-                else:
-                    # a few chunks per worker: one pickled round trip per
-                    # item costs as much as the compile itself, while
-                    # chunks too big to share out leave a worker idle
-                    chunk = -(-len(work) // (_CHUNKS_PER_WORKER * self.jobs))
-                    pool = self._get_pool()
-                    outs = list(pool.map(worker, *zip(*work), chunksize=chunk))
+                outs = list(self._get_pool().map(worker, *zip(*work)))
             else:
-                outs = self._run_with_timeout(worker, work)
+                # one item: compiling it here beats a round trip
+                outs = [_attempt_invoke(fn, *attempt, n, s) for n, s in work]
             with self._lock:
                 for (key, slots), (status, out, err, attempts, dt, wait) in zip(
                     pending.items(), outs
@@ -574,21 +706,107 @@ class CompileEngine:
             )
         return grouped
 
+    def _run_on_workers(
+        self, fn: Callable, attempt: Tuple[int, float, float], stats_only: bool,
+        work: List[Tuple[str, Sequence[int]]],
+    ) -> List[_Out]:
+        """Compile ``work`` on the process workers, split round-robin.
+
+        Without a timeout this process takes the first share and compiles
+        it in-line while the workers compile theirs, then merges their
+        journals as their answers arrive.  With one, this process
+        compiles nothing, the workers stream one result per item, and an
+        item's clock starts when its worker finished the one before it
+        (or got the batch); a worker whose item overruns is killed and
+        forked afresh from this process's graph, and its unfinished items
+        go to the new worker."""
+        submit_t = attempt[2]
+        stream = self.timeout is not None
+        workers = self._start_workers()
+        shares = len(workers) + (not stream)
+        outs: List[Optional[_Out]] = [None] * len(work)
+        #: each busy worker's unanswered slots, and when its current item began
+        queues: Dict[_Worker, List[int]] = {}
+        started: Dict[_Worker, float] = {}
+
+        def dispatch(worker: _Worker, slots: List[int]) -> None:
+            try:
+                worker.conn.send((worker.outbox, stats_only, stream, submit_t,
+                                  [work[i] for i in slots]))
+            except OSError:  # the worker died since the last batch
+                self._retire(worker)
+                return
+            worker.outbox = []
+            queues[worker] = slots
+            started[worker] = time.perf_counter()
+
+        try:
+            for k, worker in enumerate(workers, start=shares - len(workers)):
+                if k < len(work):
+                    dispatch(worker, list(range(k, len(work), shares)))
+            if not stream:
+                for i in range(0, len(work), shares):
+                    outs[i] = _attempt_invoke(fn, *attempt, *work[i])
+            while queues:
+                if stream:
+                    now = time.perf_counter()
+                    for worker, slots in list(queues.items()):
+                        if slots and now - started[worker] >= self.timeout:
+                            outs[slots[0]] = (
+                                "timeout", None,
+                                f"compile timed out after {self.timeout:.4g}s",
+                                1, float(self.timeout), 0.0,
+                            )
+                            del queues[worker]
+                            self._retire(worker, kill=True)
+                            fresh = self._fork()
+                            self._workers.append(fresh)
+                            if slots[1:]:
+                                dispatch(fresh, slots[1:])
+                    deadlines = [started[w] + self.timeout for w, s in queues.items() if s]
+                    left = max(0.0, min(deadlines) - time.perf_counter()) if deadlines else None
+                else:
+                    left = None
+                by_conn = {w.conn: w for w in queues}
+                for conn in _wait_any(list(by_conn), timeout=left):
+                    worker = by_conn[conn]
+                    try:
+                        msg = conn.recv()
+                    except (EOFError, OSError):
+                        self._retire(worker)
+                        queues.pop(worker)  # its items stay lost
+                        continue
+                    if msg[0] == "item":
+                        outs[queues[worker].pop(0)] = msg[1]
+                        started[worker] = time.perf_counter()
+                        continue
+                    _, done, journal, counts = msg
+                    for i, out in zip(queues.pop(worker), done):
+                        outs[i] = out
+                    self._absorb(worker, journal, counts)
+        except BaseException:
+            # an interrupted batch leaves unread answers in these pipes
+            for worker in queues:
+                self._retire(worker, kill=True)
+            raise
+        return [_LOST if out is None else out for out in outs]
+
     def _run_with_timeout(
         self, worker: Callable, work: List[Tuple[str, Sequence[int]]]
-    ) -> List[Tuple[str, object, str, int, float, float]]:
-        """Run work items as individual futures with a per-candidate timeout.
+    ) -> List[_Out]:
+        """Run work items on the thread pool as individual futures with a
+        per-candidate timeout.
 
         The timeout clock for item *i* starts when the engine begins
         waiting on it (items are awaited in input order, so earlier waits
         already covered most of its queue time).  On a timeout the pool is
         replaced and still-queued futures are resubmitted to the fresh
-        one — the abandoned worker finishes (or sleeps) in the background
+        one — the abandoned thread finishes (or sleeps) in the background
         without blocking anyone, and its late result is discarded.
         """
         pool = self._get_pool()
         futs = [pool.submit(worker, n, s) for n, s in work]
-        outs: List[Tuple[str, object, str, int, float, float]] = [None] * len(work)
+        outs: List[_Out] = [None] * len(work)
         for i in range(len(work)):
             try:
                 outs[i] = futs[i].result(timeout=self.timeout)

@@ -69,9 +69,9 @@ def _compile_candidate(
     """The raw compile of a decoded pass-name sequence — a pure function
     of its arguments, as the engine's cache and parallel executor both
     require (``graph`` only saves work).  Module-level and bound with
-    ``functools.partial`` over picklable values only, so process pools
-    can ship it without the task's locks and events.  ``stats_only``
-    returns ``CompiledModule(None, stats)``."""
+    ``functools.partial`` over picklable values only, so a process worker
+    started without fork can still be handed it.  ``stats_only`` returns
+    ``CompiledModule(None, stats)``."""
     src = program.get_module(module_name)
     cr = run_opt(src, seq, target=target, graph=graph, stats_only=stats_only)
     return CompiledModule(cr.module, cr.stats_json())
@@ -119,8 +119,10 @@ class AutotuningTask:
         :meth:`compile_module`/:meth:`compile_batch`: worker count
         (``jobs=1`` is a deterministic serial loop) and the pool flavour
         (``"auto"``, ``"serial"``, ``"thread"``, ``"process"``).  ``"auto"``
-        at ``jobs>1`` is a process pool, forked on the first batch that
-        needs it, or a thread pool when a fault injector is attached.
+        at ``jobs>1`` is ``jobs-1`` process workers, forked on the first
+        batch that needs them (this process compiles items of each batch
+        too, and all of them walk one compile graph), or a thread pool
+        when a fault injector is attached.
 
         ``fault_injector`` wraps candidate compiles with seeded chaos
         (:mod:`repro.core.faults`); ``compile_timeout``/``compile_retries``/
@@ -189,7 +191,7 @@ class AutotuningTask:
         if fault_injector is not None:
             if executor == "process":
                 raise ValueError(
-                    "fault injection cannot run in a process pool: the "
+                    "fault injection cannot run in process workers: the "
                     "injector's lock and counters are process-local (unset "
                     "REPRO_INJECT_FAULTS, or use executor='auto' or 'thread')"
                 )
@@ -241,8 +243,8 @@ class AutotuningTask:
         self.fault_injector = fault_injector
         if fault_injector is not None and fault_injector.corrupt_fn is None:
             fault_injector.corrupt_fn = _corrupt_compiled
-        # candidate compiles run each pass once per distinct IR state;
-        # every process worker grows its own copy of the graph
+        # candidate compiles run each pass once per distinct IR state; the
+        # engine keeps the copies of its process workers in sync
         self.graph = CompileGraph()
         self._graph_reported: Dict[str, int] = {}
         compile_fn = partial(_compile_candidate, program, self.target, self.graph)
@@ -277,6 +279,7 @@ class AutotuningTask:
             retry_backoff=retry_backoff,
             metrics=self.metrics,
             tracer=self.tracer,
+            graph=self.graph,
         )
 
         # pipeline observability: sampled per-pass trace replays
@@ -326,7 +329,7 @@ class AutotuningTask:
 
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:
-        """Shut the compile engine's worker pool down (idempotent)."""
+        """Shut the compile engine's workers down (idempotent)."""
         self.engine.close()
 
     # -- durable sessions --------------------------------------------------------
@@ -700,8 +703,8 @@ class AutotuningTask:
         """Measure many configurations with ONE compile-engine dispatch.
 
         All candidates across all configurations are flattened into a single
-        ``compile_batch`` call — one pool dispatch amortises pickling and
-        worker warm-up over the whole population, and the engine dedups
+        ``compile_batch`` call — one dispatch amortises pickling and worker
+        wake-ups over the whole population, and the engine dedups
         repeated (module, sequence) pairs across configurations.
         Measurements then run in input order, so results (and the seeded
         noise stream) are bit-identical to calling :meth:`measure_config`
@@ -725,7 +728,7 @@ class AutotuningTask:
     def _sync_graph_metrics(self) -> Dict[str, int]:
         """Set the ``compiler.graph_nodes``/``graph_edges`` gauges and add
         the pass applications run and skipped since the last sync to the
-        ``compiler.graph_passes_*`` counters (this process's graph only);
+        ``compiler.graph_passes_*`` counters (process workers' included);
         returns the graph's counters."""
         stats = self.graph.stats()
         for key, value in stats.items():
@@ -743,8 +746,9 @@ class AutotuningTask:
         ``compile_seconds`` is the cumulative per-candidate compile time
         (timed inside each worker, summed across workers);
         ``compile_wall_seconds`` is wall clock spent inside the engine —
-        under the process pool their ratio is the real parallel speedup
-        (under threads each item's time includes waiting for the GIL).
+        under process workers their ratio is the parallel speedup (each
+        item's time is its wall time, so it also counts time a process
+        waited for a core; under threads, waiting for the GIL).
         ``executor`` names the executor that served the compiles
         (``serial``, ``thread`` or ``process``).  Within-batch duplicates
         compile once, so ``n_compiles`` counts real work only.  The fault-tolerance counters
@@ -752,14 +756,14 @@ class AutotuningTask:
         and incorrect measurements) make chaos runs auditable.
 
         ``graph_*`` are the :class:`~repro.compiler.opt_tool.CompileGraph`
-        counters of *this process's* graph (also in the registry as
-        ``compiler.graph_*``): live ``nodes`` and ``edges``, and pass
+        counters (also in the registry as ``compiler.graph_*``): live
+        ``nodes`` and ``edges`` of this process's copy, and pass
         applications run (``passes_run``), skipped along known edges
         (``passes_skipped``), and run but led back to the state they
         started from (``passes_unchanged``: a pass that reports no change
-        is taken at its word and not fingerprinted).  Compiles served by
-        process workers go through each worker's own graph and are not
-        counted here."""
+        is taken at its word and not fingerprinted), summed over this
+        process and its process workers, which send theirs back with
+        their journals."""
         graph = self._sync_graph_metrics()
         return {
             "compile_seconds": self.compile_seconds,

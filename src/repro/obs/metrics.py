@@ -11,7 +11,7 @@ A :class:`MetricsRegistry` is a named bag of instruments::
 Instruments are get-or-create by name (asking for an existing name with a
 different type raises), individually thread-safe, and picklable (locks are
 re-created on unpickle) so a compile function closing over an instrumented
-engine still crosses process-pool boundaries.
+engine still crosses process boundaries.
 
 The histogram is a *deterministic decimating reservoir*: every value is
 retained until ``max_samples``, then the sample is decimated by half and

@@ -238,7 +238,7 @@ class Tracer:
         with self._lock:
             self._buffer.clear()
 
-    # -- pickling (process-pool compile functions may close over us) -----------
+    # -- pickling (a compile function sent to a process worker may close over us)
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_lock"] = None

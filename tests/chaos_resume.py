@@ -6,11 +6,15 @@ randomly drawn kill points — launches the same tune with
 measurement's WAL record is durable), resumes the corpse with
 ``repro tune --resume``, and asserts the final ``result.json`` is
 bit-identical to the control's (wall-clock ``timing`` excluded).
+``--jobs N`` runs every tune with N compile processes (the resumed run
+takes its ``jobs`` from the killed run's manifest), so the kill also
+orphans forked compile workers.
 
 Exit 0 only if every kill point recovers bit-identically.  CI runs this
-as the blocking ``chaos-resume`` job; locally::
+as the blocking ``chaos-resume`` job, at ``--jobs 1`` and ``--jobs 2``;
+locally::
 
-    PYTHONPATH=src python tests/chaos_resume.py --out /tmp/chaos-runs
+    PYTHONPATH=src python tests/chaos_resume.py --jobs 2 --out /tmp/chaos-runs
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ def _tune(args: argparse.Namespace, run_dir: Path, *extra: str) -> int:
         "--budget", str(args.budget),
         "--seed", str(args.seed),
         "--seq-length", str(args.seq_length),
+        "--jobs", str(args.jobs),
         "--trace-out", str(run_dir),
         "--log-level", "warning",
         *extra,
@@ -67,6 +72,8 @@ def main(argv=None) -> int:
     parser.add_argument("--budget", type=int, default=24)
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--seq-length", type=int, default=10)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="compile workers of every tune (resume keeps them)")
     parser.add_argument("--kills", type=int, default=3,
                         help="number of random kill points to test")
     parser.add_argument("--chaos-seed", type=int, default=7,
@@ -80,7 +87,7 @@ def main(argv=None) -> int:
 
     control = out / "control"
     print(f"[chaos] control tune: {args.program} budget={args.budget} "
-          f"seed={args.seed}")
+          f"seed={args.seed} jobs={args.jobs}")
     rc = _tune(args, control)
     if rc != 0:
         print(f"[chaos] FAIL: control run exited {rc}")

@@ -177,17 +177,18 @@ class TestCitroen:
                 cbench_program("security_sha"), platform="arm-a57", seed=0, seq_length=8, **kw
             ) as task:
                 res = Citroen(task, seed=1, n_init=3, per_strategy=2).tune(8)
-                # the engine only starts a pool for a batch of 2+ uncached candidates
-                pool = task.engine._pool
-                return type(pool).__name__, task.n_compiles, [
+                # the engine only forks workers for a batch of 2+ uncached
+                # candidates: jobs-1 of them, as this process compiles too
+                workers = len(task.engine._workers)
+                return workers, task.n_compiles, [
                     (m.module, m.sequence, m.runtime, m.correct, m.status)
                     for m in res.measurements
                 ]
 
         _, n_serial, serial = history(jobs=1)
         for executor in ("process", "auto"):
-            pool, n_proc, proc = history(jobs=2, executor=executor)
-            assert pool == "ProcessPoolExecutor"
+            workers, n_proc, proc = history(jobs=2, executor=executor)
+            assert workers == 1
             assert proc == serial
             assert n_proc == n_serial
 

@@ -1,12 +1,15 @@
 """Unit tests for CFG cleanup and loop transformation passes."""
 
+import numpy as np
 import pytest
 
 from repro.compiler.analysis import find_loops
 from repro.compiler.builder import FunctionBuilder, c
 from repro.compiler.ir import Const, GlobalVar, I1, I32, I64, Instr, Module, PTR, VOID
 from repro.compiler.opt_tool import run_opt
+from repro.compiler.pipelines import SEARCH_PASSES
 from repro.machine.interp import run_program
+from repro.workloads import random_program
 
 from tests.conftest import build_sum_loop_module
 
@@ -214,6 +217,22 @@ class TestLoopRotate:
         b.ret(out)
         cr = _check(mod, ["mem2reg", "loop-rotate", "simplifycfg", "sccp", "dce"])
         assert run_program([cr.module]).ret == 42
+
+    def test_exit_shared_by_unswitched_copies(self):
+        # loop-unswitch leaves two copies of a loop exiting to one block,
+        # and each copy a dead arm that reads its header phi; rotating
+        # them used to put a merge phi in the shared exit that named only
+        # one copy's edges (found by the differential property test)
+        program = random_program(seed=1, n_modules=1)
+        rng = np.random.default_rng(2037)
+        length = int(rng.integers(1, 25))
+        seq = [SEARCH_PASSES[i] for i in rng.integers(0, len(SEARCH_PASSES), length)]
+        assert seq[8:10] == ["loop-unswitch", "loop-rotate"]
+        ref = program.reference_output().output_signature()
+        cr = run_opt(program.modules[0], seq, verify_each=True)
+        assert cr.stats.get("loop-rotate", "NumRotated") == 2
+        out = run_program([cr.module], program.entry, fuel=program.fuel)
+        assert out.output_signature() == ref
 
 
 class TestLoopUnroll:

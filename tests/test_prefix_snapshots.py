@@ -6,9 +6,9 @@ equivalence tests and adds the graph's own.  Also covers the state key
 (every IR field a pass reads is in it), that the graph runs each pass
 once per distinct state, its bound, that it never hands out its own
 modules, that a pass that raises leaves nothing behind, the trace/verifier
-bypass, stats-only compiles, pickled and forked copies, process-pool
-workers growing their own graphs, concurrent use from threads, and the
-counters a task reports.
+bypass, stats-only compiles, pickled and forked copies, copies kept in
+sync through journals (process workers and the parent walk one graph),
+concurrent use from threads, and the counters a task reports.
 The last test checks that compile output does not depend on the string
 hash seed.
 """
@@ -24,7 +24,6 @@ import subprocess
 import sys
 import threading
 import weakref
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -376,34 +375,121 @@ def test_pickled_task_compile_function_carries_no_snapshots():
     assert graphs[0].stats() == dict.fromkeys(graphs[0].stats(), 0)
 
 
-def _compile_and_report(graph, module, name, seq):
-    cr = run_opt(module, [SEARCH_PASSES[i] for i in seq], target=TARGET, graph=graph)
-    return _output(cr), graph.stats()
+def _tune_history(jobs):
+    """A CITROEN tune of gsm; returns its history, compile count and
+    the task's graph counters."""
+    with _task(jobs=jobs) as task:
+        res = Citroen(task, seed=2, n_init=3, per_strategy=3).tune(10)
+        assert task.engine.kind == ("serial" if jobs == 1 else "process")
+        timing = task.timing_breakdown()
+        graph = task.graph
+    hist = [(m.module, m.sequence, m.runtime, m.correct, m.status)
+            for m in res.measurements]
+    return hist, timing, graph
 
 
-def test_pool_workers_grow_their_own_graph():
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_pool_workers_and_the_parent_walk_one_graph(monkeypatch, jobs):
+    # at jobs=4 more processes than cores merge and forward each other's
+    # journals
+    absorbed = []
+    absorb = CompileEngine._absorb
+
+    def spy_absorb(engine, worker, journal, counts):
+        absorbed.append((pickle.loads(journal) if journal else [], counts))
+        return absorb(engine, worker, journal, counts)
+
+    monkeypatch.setattr(CompileEngine, "_absorb", spy_absorb)
+    serial, t1, _ = _tune_history(1)
+    pooled, t2, graph = _tune_history(jobs)
+    assert pooled == serial
+    assert t2["n_compiles"] == t1["n_compiles"]
+    # the parent's graph holds every edge a worker learned ...
+    learned = [entry for entries, _counts in absorbed for entry in entries]
+    assert any(entry[0] is not None for entry in learned)
+    targets = graph._targets
+    for src, tkey, name, key, delta, _module in learned:
+        assert key in graph._nodes
+        if src is not None:
+            assert graph._nodes[src].edges[(targets[tkey], name)] == (key, delta)
+    # ... and its counters count the pass applications of every process
+    assert sum(counts[0] for _entries, counts in absorbed) > 0
+    applied = t2["graph_passes_run"] + t2["graph_passes_skipped"]
+    assert applied == t1["graph_passes_run"] + t1["graph_passes_skipped"]
+    _assert_graph_sound(graph)
+
+
+def _journaled(seqs_by_module):
+    """A graph that compiled ``seqs_by_module`` with its journal kept,
+    and the journal."""
     graph = CompileGraph()
+    graph.take_journal()
+    for module, seqs in seqs_by_module:
+        for seq in seqs:
+            run_opt(module, seq, target=TARGET, graph=graph)
+    entries, counts = graph.take_journal()
+    assert counts[0] + counts[2] == sum(len(s) for _m, seqs in seqs_by_module for s in seqs)
+    return graph, entries
+
+
+def test_a_graph_that_only_merged_compiles_as_cold_on_every_workload_module():
+    rng = random.Random(23)
+    plan = [(module, _family(rng)) for program in _programs() for module in program.modules]
+    _source, entries = _journaled(plan)
+    graph = CompileGraph()
+    graph.merge(entries)
+    assert graph.stats()["passes_run"] == 0
+    for module, seqs in plan:
+        # the merged sequences, then fresh tails on their prefixes
+        fresh = _family(rng, parents=1, children=2)
+        for seq in seqs + [s[:8] + f[8:] for s, f in zip(seqs, fresh)]:
+            got = run_opt(module, seq, target=TARGET, graph=graph)
+            assert _output(got) == _output(run_opt(module, seq, target=TARGET)), seq
+    stats = graph.stats()
+    assert stats["passes_skipped"] > stats["passes_run"] > 0
+    _assert_graph_sound(graph)
+
+
+def _graph_dump(graph):
+    return [(key, node.module is not None, dict(node.edges))
+            for key, node in graph._nodes.items()]
+
+
+def test_merging_a_journal_twice_is_a_no_op():
     module = cbench_program("telecom_gsm").get_module("lpc")
-    prefix = list(range(12))
-    for tail in (0, 1):
-        _compile_and_report(graph, module, "lpc", prefix + [tail] * 4)
-    before = graph.stats()
-    items = [("lpc", prefix + [k] * 4) for k in range(2, 10)]
-    with CompileEngine(
-        partial(_compile_and_report, graph, module), jobs=2, executor="process"
-    ) as engine:
-        reports = engine.compile_batch(items)
-    assert engine.kind == "process"
-    applied = 0
-    for (_, seq), (output, worker_stats) in zip(items, reports):
-        cold = run_opt(module, [SEARCH_PASSES[i] for i in seq], target=TARGET)
-        assert output == _output(cold)
-        # a worker keeps the nodes it inherited and counts from zero
-        assert worker_stats["nodes"] >= before["nodes"]
-        applied = max(applied, worker_stats["passes_run"] + worker_stats["passes_skipped"])
-        assert worker_stats["passes_skipped"] > 0
-    assert applied >= 16
-    assert graph.stats() == before  # the parent's graph is not touched
+    _source, entries = _journaled([(module, _family(random.Random(5)))])
+    graph = CompileGraph()
+    graph.take_journal()  # a replica: merged entries must not be journaled
+    graph.merge(entries)
+    once = (_graph_dump(graph), graph.stats(), dict(graph._targets))
+    graph.merge(entries)
+    assert (_graph_dump(graph), graph.stats(), dict(graph._targets)) == once
+    assert graph.take_journal() == ([], (0, 0, 0))
+
+
+def test_a_merged_edge_into_a_missing_state_counts_as_missing():
+    module = cbench_program("telecom_gsm").get_module("lpc")
+    seq = ["mem2reg", "instcombine", "simplifycfg", "gvn"]
+    _source, entries = _journaled([(module, [seq])])
+    # mem2reg and simplifycfg change the IR; instcombine and gvn do not
+    moves = [e for e in entries if e[0] is not None and e[3] != e[0]]
+    assert [e[2] for e in moves] == ["mem2reg", "simplifycfg"]
+    cold = _output(run_opt(module, seq, target=TARGET))
+    # one graph evicts a state after the merge, the other never got it
+    evicted = CompileGraph()
+    evicted.merge(entries)
+    del evicted._nodes[moves[0][3]]
+    lacking = CompileGraph()
+    lacking.merge([e[:5] + (None,) if e is moves[0] else e for e in entries])
+    for graph in (evicted, lacking):
+        assert moves[0][3] not in graph._nodes
+        assert _output(run_opt(module, seq, target=TARGET, graph=graph)) == cold
+        stats = graph.stats()
+        # the pass into the missing state ran again, and so did the ones
+        # after it (edges leaving a missing state went with it, or the
+        # merge dropped them) until the walk met a state it still had
+        assert stats["passes_run"] == 3 and stats["passes_skipped"] == 1
+        assert moves[0][3] in graph._nodes
 
 
 def _compile_in_child(graph, module, seq, queue):

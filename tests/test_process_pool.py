@@ -2,12 +2,17 @@
 
 Covers stats-only compiles (no module built, on every executor; the
 measured winner is recompiled in the parent), bit-identical CITROEN
-histories against ``jobs=1``, worker lifecycle, and the resolved executor
-reported by the engine, the task and ``result.json``.
+histories against ``jobs=1``, worker lifecycle (lazy fork, reaping on
+close, a hung candidate's worker forked afresh, workers exiting when
+their parent is killed), and the resolved executor reported by the
+engine, the task and ``result.json``.
 """
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -19,6 +24,8 @@ from repro.compiler.opt_tool import run_opt
 from repro.compiler.textual import print_module
 from repro.core.faults import FaultInjector
 from repro.machine.artifacts import ir_fingerprint
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(autouse=True)
@@ -161,10 +168,11 @@ def test_a_fault_injected_task_keeps_its_modules():
 def test_close_reaps_pool_workers():
     before = set(multiprocessing.active_children())
     items = [("sha_transform", [i, i + 1]) for i in range(4)]
-    task = _task(2, program="security_sha")
+    task = _task(3, program="security_sha")
     assert not set(multiprocessing.active_children()) - before  # lazy start
     task.compile_batch(items)
-    assert set(multiprocessing.active_children()) - before
+    # jobs-1 workers: the task's own process compiles a share too
+    assert len(set(multiprocessing.active_children()) - before) == 2
     task.close()
     assert not set(multiprocessing.active_children()) - before
     for _ in range(5):
@@ -176,6 +184,112 @@ def test_close_reaps_pool_workers():
 def _sleepy_compile(name, seq):
     time.sleep(0.1)
     return name, tuple(seq)
+
+
+def _hangs_on_three(name, seq):
+    if seq[0] == 3:
+        time.sleep(60)
+    return os.getpid()
+
+
+def test_a_hung_candidate_is_quarantined_and_its_worker_forked_afresh():
+    before = set(multiprocessing.active_children())
+    with CompileEngine(
+        _hangs_on_three, jobs=2, executor="process", timeout=1.0, max_retries=0
+    ) as eng:
+        first = eng.compile_batch([("m", [i]) for i in range(2)])
+        pids = {w.process.pid for w in eng._workers}
+        assert set(first) <= pids  # with a timeout the workers compile everything
+        out = eng.compile_batch([("m", [i]) for i in range(8)], outcomes=True)
+        assert [o.status for o in out] == ["ok"] * 3 + ["timeout"] + ["ok"] * 4
+        assert eng.in_quarantine("m", [3])
+        assert eng.n_timeouts == 1
+        # the hung worker was killed and replaced; its unfinished items
+        # ran on the new one
+        now = {w.process.pid for w in eng._workers}
+        assert len(now) == 2 and len(now & pids) == 1
+        assert {o.value for o in out if o.ok} <= now | pids
+        assert {out[5].value, out[7].value} == now - pids
+        again = eng.compile_batch([("m", [3]), ("m", [9])], outcomes=True)
+        assert [o.status for o in again] == ["quarantined", "ok"]
+        assert len(set(multiprocessing.active_children()) - before) == 2
+    assert not set(multiprocessing.active_children()) - before
+
+
+_PARENT = os.getpid()
+
+
+def _interrupted_here(name, seq):
+    if seq[0] == 0 and os.getpid() == _PARENT:
+        raise KeyboardInterrupt
+    return seq[0]
+
+
+def test_an_interrupted_batch_leaves_the_workers_in_step():
+    # the caller's own share raises while the workers still hold answers;
+    # the next batch must not read them as its own
+    with CompileEngine(_interrupted_here, jobs=3, executor="process") as eng:
+        with pytest.raises(KeyboardInterrupt):
+            eng.compile_batch([("m", [i]) for i in range(6)])
+        assert eng.compile_batch([("m", [i]) for i in range(1, 7)]) == list(range(1, 7))
+        assert eng.compile_batch([("m", [i]) for i in range(7, 13)]) == list(range(7, 13))
+
+
+def _length(name, seq):
+    return len(seq)
+
+
+def test_a_batch_message_larger_than_the_pipe_buffer_does_not_stall():
+    # each worker's share (like a journal of new states in its outbox)
+    # pickles to several times a socket buffer (~200 KB); the worker must
+    # read it as it is written, not when it next looks at its pipe
+    with CompileEngine(_length, jobs=3, executor="process") as eng:
+        assert eng.compile_batch([("m", [0]), ("m", [0, 1])]) == [1, 2]
+        items = [("m", [k] * 200_000) for k in range(6)]
+        t0 = time.perf_counter()
+        out = eng.compile_batch(items)
+        assert time.perf_counter() - t0 < 0.5
+    assert out == [200_000] * 6
+
+
+_ORPHAN_SCRIPT = """
+import os, sys, time
+from repro import CompileEngine
+
+def compile_fn(name, seq):
+    return os.getpid()
+
+engine = CompileEngine(compile_fn, jobs=3, executor="process")
+engine.compile_batch([("m", [i]) for i in range(6)])
+print(" ".join(str(w.process.pid) for w in engine._workers), flush=True)
+time.sleep(120)
+"""
+
+
+def _gone(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except OSError:
+        return True
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_workers_exit_when_their_parent_is_killed():
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen([sys.executable, "-c", _ORPHAN_SCRIPT], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        pids = [int(p) for p in proc.stdout.readline().split()]
+        assert len(pids) == 2 and not any(_gone(pid) for pid in pids)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline and not all(_gone(pid) for pid in pids):
+        time.sleep(0.1)
+    assert all(_gone(pid) for pid in pids)
 
 
 @pytest.mark.parametrize(
