@@ -15,13 +15,10 @@ Commands
 ``explain``    replay a recorded run's incumbent configuration with
                per-pass tracing and attribute its speedup by ablation
                (leave-one-out + prefix replays; flags no-op passes)
-``diff``       compare two recorded runs (or two ``repro bench`` JSON
-               payloads, or one run against ``--against warehouse:last-N``);
-               non-zero exit on regression
-``bench``      time the surrogate hot path (micro + end-to-end) and write
-               ``BENCH_surrogate.json``
+``diff``       compare two recorded runs (or one run against
+               ``--against warehouse:last-N``); non-zero exit on regression
 ``obs``        the fleet warehouse: ``obs index RUNS...`` ingests run
-               directories / bench payloads into a sqlite file,
+               directories into a sqlite file,
                ``obs history`` prints the cross-revision trajectory
 
 Output goes through :mod:`repro.obs.log` (``--log-level`` selects
@@ -666,12 +663,11 @@ def _cmd_obs_index(args: argparse.Namespace) -> int:
             for path in args.paths:
                 try:
                     rows = wh.index_path(path)
-                except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+                except (FileNotFoundError, ValueError) as exc:
                     raise SystemExit(f"cannot index {path}: {exc}")
                 n += len(rows)
                 for row in rows:
-                    what = row.get("program") or row.get("suite") or "?"
-                    log.info(f"indexed {row['path']} ({what})")
+                    log.info(f"indexed {row['path']} ({row['program'] or '?'})")
     except ValueError as exc:  # schema-version refusal
         raise SystemExit(str(exc))
     log.info(f"{args.db}: {n} item(s) indexed")
@@ -694,40 +690,6 @@ def _cmd_obs_history(args: argparse.Namespace) -> int:
                 log.info(history_table(wh, benchmark=args.benchmark).rstrip())
     except ValueError as exc:
         raise SystemExit(str(exc))
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_bench, run_interp_bench, summary_table, write_bench
-
-    log = configure_logging(args.log_level)
-    out = args.out or (
-        "BENCH_interp.json" if args.suite == "interp" else "BENCH_surrogate.json"
-    )
-    if args.suite == "interp":
-        payload = run_interp_bench(
-            program=args.program,
-            seed=args.seed,
-            n_measurements=args.measurements,
-        )
-    else:
-        try:
-            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-        except ValueError:
-            raise SystemExit(
-                f"--sizes must be a comma list of ints, got {args.sizes!r}"
-            )
-        payload = run_bench(
-            program=args.program,
-            budget=args.budget,
-            seed=args.seed,
-            seq_length=args.seq_length,
-            sizes=sizes,
-            baseline=not args.no_baseline,
-        )
-    write_bench(payload, out)
-    log.info(summary_table(payload))
-    log.info(f"\nwrote {out}")
     return 0
 
 
@@ -780,22 +742,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         return 1 if verdict["regressed"] else 0
     if args.run_b is None:
         raise SystemExit("diff: RUN_B is required (unless using --against)")
-    if os.path.isfile(args.run_a) or os.path.isfile(args.run_b):
-        # two `repro bench` payloads: gate on the model-side wall ratio
-        from repro.bench import diff_bench
-
-        try:
-            verdict = diff_bench(
-                args.run_a, args.run_b, max_model_ratio=args.max_wall_ratio
-            )
-        except (FileNotFoundError, ValueError) as exc:
-            raise SystemExit(str(exc))
-        text = json.dumps(_jsonable(verdict), indent=2, sort_keys=True)
-        if args.json_out:
-            with open(args.json_out, "w") as fh:
-                fh.write(text + "\n")
-        log.info(text)
-        return 1 if verdict["regressed"] else 0
     thresholds = DiffThresholds(
         max_runtime_ratio=args.max_runtime_ratio,
         max_wall_ratio=args.max_wall_ratio,
@@ -978,19 +924,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs = sub.add_parser(
         "obs",
-        help="fleet warehouse: index recorded runs and bench payloads "
-        "into sqlite, query cross-revision history",
+        help="fleet warehouse: index recorded runs into sqlite, query "
+        "cross-revision history",
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     obs_index = obs_sub.add_parser(
         "index",
-        help="ingest run directories (tune or compare parents), run "
-        "collections, and BENCH_*.json payloads; re-indexing a path "
-        "refreshes its row",
+        help="ingest run directories (tune or compare parents) and run "
+        "collections; re-indexing a path refreshes its row",
     )
     obs_index.add_argument(
         "paths", nargs="+", metavar="RUNS",
-        help="run directories and/or bench JSON files",
+        help="run directories",
     )
     obs_index.add_argument(
         "--db", default="warehouse.sqlite", metavar="FILE",
@@ -1004,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_history = obs_sub.add_parser(
         "history",
         help="print the speedup/wall trajectory of indexed runs across "
-        "git revisions (plus bench payload walls)",
+        "git revisions",
     )
     obs_history.add_argument(
         "--benchmark", default=None, metavar="PROGRAM",
@@ -1026,62 +971,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_history.set_defaults(func=_cmd_obs_history)
 
-    bench = sub.add_parser(
-        "bench",
-        help="time the surrogate hot path (fit/extend/predict/coverage at "
-        "several dataset sizes plus a seeded end-to-end tune, fast vs "
-        "legacy model path) and write a diffable JSON payload; "
-        "`--suite interp` instead times the measurement engine (tree "
-        "walker vs bytecode VM, micro kernels + workloads + "
-        "measurements/sec)",
-    )
-    bench.add_argument(
-        "--suite", choices=["surrogate", "interp"], default="surrogate",
-        help="which benchmark suite to run (default surrogate)",
-    )
-    bench.add_argument("--program", default="security_sha")
-    bench.add_argument("--budget", type=int, default=100)
-    bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--seq-length", type=int, default=16)
-    bench.add_argument(
-        "--sizes", default="64,256,512", metavar="N,N,...",
-        help="dataset sizes for the surrogate micro benchmarks "
-        "(default 64,256,512)",
-    )
-    bench.add_argument(
-        "--measurements", type=int, default=40, metavar="N",
-        help="end-to-end measurement count for the interp suite (default 40)",
-    )
-    bench.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="JSON payload path (default BENCH_surrogate.json or "
-        "BENCH_interp.json per --suite)",
-    )
-    bench.add_argument(
-        "--no-baseline", action="store_true",
-        help="skip the legacy-model-path comparison runs (faster; the "
-        "payload then carries only the fast path)",
-    )
-    bench.add_argument(
-        "--log-level", choices=["debug", "info", "warning", "error"], default="info"
-    )
-    bench.set_defaults(func=_cmd_bench)
-
     diff = sub.add_parser(
         "diff",
-        help="compare two recorded runs (or two `repro bench` JSON "
-        "payloads); prints a verdict JSON and exits non-zero when run B "
-        "regresses past the thresholds (CI gate)",
+        help="compare two recorded runs; prints a verdict JSON and exits "
+        "non-zero when run B regresses past the thresholds (CI gate)",
     )
     diff.add_argument(
         "run_a",
-        help="baseline run directory (or bench JSON); with --against, "
-        "the *candidate* run judged against the warehouse",
+        help="baseline run directory; with --against, the *candidate* "
+        "run judged against the warehouse",
     )
     diff.add_argument(
         "run_b", nargs="?", default=None,
-        help="candidate run directory (or bench JSON), judged against A "
-        "(omit when using --against)",
+        help="candidate run directory, judged against A (omit when using "
+        "--against)",
     )
     diff.add_argument(
         "--against", default=None, metavar="warehouse:last-N",

@@ -73,12 +73,10 @@ class Citroen:
         use_dedup: bool = True,
         generators: Sequence[str] = ("des", "ga", "random"),
         feature_mode: str = "stats",
-        refit_every: int = 1,
         seed_with_o3: bool = True,
         module_policy: str = "adaptive",
         pass_prior=None,
         diagnostics: bool = True,
-        model_opts: Optional[Dict[str, object]] = None,
     ) -> None:
         """
         Parameters
@@ -101,11 +99,6 @@ class Citroen:
             proposal/win/improvement counters.  Consumes no RNG either
             way, so tuner histories are bit-identical at the same seed
             whether on or off; off leaves every counter untouched.
-        model_opts:
-            extra keyword arguments forwarded to
-            :class:`~repro.core.cost_model.CitroenCostModel` —
-            ``repro bench`` uses this to pit the incremental surrogate
-            against the legacy full-refit baseline.
         """
         self.task = task
         self.rng = as_generator(seed)
@@ -118,7 +111,6 @@ class Citroen:
         self.use_coverage = use_coverage
         self.use_dedup = use_dedup
         self.feature_mode = feature_mode
-        self.refit_every = refit_every
         self.seed_with_o3 = seed_with_o3
         self.module_policy = module_policy
         self.diagnostics = bool(diagnostics)
@@ -139,9 +131,7 @@ class Citroen:
             )
             for name, r in zip(task.hot_modules, children)
         }
-        self.model = CitroenCostModel(
-            seed=children[-1], metrics=task.metrics, **(model_opts or {})
-        )
+        self.model = CitroenCostModel(seed=children[-1], metrics=task.metrics)
         self.model_seconds = 0.0
         self._rr_cursor = 0
 
@@ -231,14 +221,13 @@ class Citroen:
         it = 0
         while len(result.measurements) < budget and not task.stop_requested:
             t0 = time.perf_counter()
-            if it % self.refit_every == 0 or not self.model.ready:
-                refits_before = self.model.n_refits
-                with tracer.span("fit", n_observations=self.model.n_observations) as sp:
-                    # usually a no-op: add_observation keeps the GP
-                    # conditioned incrementally, and full (warm-started)
-                    # refits happen only on the model's adaptive schedule
-                    self.model.fit(optimize_hypers=True)
-                    sp.set(full=self.model.n_refits > refits_before)
+            refits_before = self.model.n_refits
+            with tracer.span("fit", n_observations=self.model.n_observations) as sp:
+                # usually a no-op: add_observation keeps the GP
+                # conditioned incrementally, and full (warm-started)
+                # refits happen only on the model's adaptive schedule
+                self.model.fit(optimize_hypers=True)
+                sp.set(full=self.model.n_refits > refits_before)
             self.model_seconds += time.perf_counter() - t0
             with tracer.span("propose", iteration=it) as sp:
                 chosen = self._propose(result)

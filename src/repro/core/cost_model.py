@@ -55,20 +55,6 @@ class CitroenCostModel:
 
     Parameters
     ----------
-    incremental:
-        condition the fitted GP on new observations in O(n^2) instead of
-        marking it stale (full refits still happen on the adaptive
-        schedule).  ``False`` restores the pre-optimisation behaviour —
-        every observation invalidates the fit — which ``repro bench``
-        uses as its baseline.
-    warm_start:
-        start hyperparameter optimisation from the previous fit's
-        hyperparameters instead of defaults.
-    vectorized:
-        batch featurization/coverage through
-        :meth:`StatsVectorizer.transform_many` /
-        :meth:`~StatsVectorizer.coverage_many`; ``False`` keeps the
-        per-candidate scalar loops (baseline mode).
     refit_growth:
         full-refit schedule: refit once ``n >= refit_growth * n_at_last_
         refit`` (doubling by default).
@@ -87,9 +73,6 @@ class CitroenCostModel:
         self,
         seed: SeedLike = None,
         power_transform: bool = True,
-        incremental: bool = True,
-        warm_start: bool = True,
-        vectorized: bool = True,
         refit_growth: float = 2.0,
         drift_window: int = 8,
         drift_threshold: float = 4.0,
@@ -98,9 +81,6 @@ class CitroenCostModel:
         self.vectorizer = StatsVectorizer()
         self.rng = as_generator(seed)
         self.power_transform = power_transform
-        self.incremental = bool(incremental)
-        self.warm_start = bool(warm_start)
-        self.vectorized = bool(vectorized)
         self.refit_growth = float(refit_growth)
         self.drift_window = int(drift_window)
         self.drift_threshold = float(drift_threshold)
@@ -133,10 +113,10 @@ class CitroenCostModel:
     def add_observation(self, per_module: Dict[str, Dict[str, int]], runtime: float) -> None:
         """Record one measured configuration (per-module stats + runtime).
 
-        On the incremental path the fitted GP absorbs the observation in
-        O(n^2) and stays ready; otherwise (new statistic keys, scheduled
-        refit due, residual drift, incremental mode off) the fit is marked
-        stale and the next :meth:`fit` rebuilds it.
+        The fitted GP absorbs the observation in O(n^2) and stays ready;
+        when it cannot (new statistic keys, scheduled refit due, residual
+        drift) the fit is marked stale and the next :meth:`fit` rebuilds
+        it.
         """
         merged = self.merge_config_stats(per_module)
         self._obs_stats.append(merged)
@@ -149,7 +129,7 @@ class CitroenCostModel:
             self._fitted = False
 
     def _try_extend(self, merged: Dict[str, int], runtime: float) -> bool:
-        if not (self.incremental and self._fitted and self.gp is not None):
+        if not self.ready:
             return False
         if not np.isfinite(runtime):
             return False
@@ -205,7 +185,7 @@ class CitroenCostModel:
         self.gp = GaussianProcess(
             X.shape[1], power_transform=self.power_transform, seed=self.rng
         )
-        if self.warm_start and prev is not None:
+        if prev is not None:
             self._warm_start_from(prev)
         self.gp.fit(
             X,
@@ -240,11 +220,6 @@ class CitroenCostModel:
         return self._fitted and self.gp is not None
 
     # -- prediction ------------------------------------------------------------------
-    def _design(self, merged_list: Sequence[Dict[str, int]]) -> np.ndarray:
-        if self.vectorized:
-            return self.vectorizer.transform_many(merged_list)
-        return np.asarray([self.vectorizer.transform(s) for s in merged_list])
-
     def predict(
         self, per_module_list: Sequence[Dict[str, Dict[str, int]]]
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -258,7 +233,7 @@ class CitroenCostModel:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batch posterior over already-merged stats dicts (hot path)."""
         assert self.ready
-        return self.gp.predict(self._design(merged_list))
+        return self.gp.predict(self.vectorizer.transform_many(merged_list))
 
     def coverage(self, per_module: Dict[str, Dict[str, int]]) -> float:
         """Feature-coverage score of a candidate config (Table 5.2)."""
@@ -271,9 +246,7 @@ class CitroenCostModel:
         """Batch coverage over already-merged stats dicts (hot path)."""
         if self.vectorizer._lo is None:
             return np.ones(len(merged_list))
-        if self.vectorized:
-            return self.vectorizer.coverage_many(merged_list)
-        return np.asarray([self.vectorizer.coverage(s) for s in merged_list])
+        return self.vectorizer.coverage_many(merged_list)
 
     def signature(self, per_module: Dict[str, Dict[str, int]]) -> Tuple:
         """Hashable statistics identity used for deduplication."""

@@ -150,7 +150,7 @@ class AutotuningTask:
         Measurements run on the profiler's flat register VM with fused
         superblock kernels, on bytecode served by its fingerprint-keyed
         :class:`~repro.machine.artifacts.ArtifactStore`.  The tree-walking
-        interpreter stays available as ``Profiler(engine="tree")``, the
+        interpreter (:func:`~repro.machine.interp.run_program`) is the
         bit-exact test oracle.
 
         ``pipeline_trace`` samples per-pass compiler observability

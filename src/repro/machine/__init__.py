@@ -4,7 +4,7 @@ from repro.machine.interp import ExecutionResult, Interpreter, run_program
 from repro.machine.bytecode import BytecodeVM, compile_module, run_bytecode
 from repro.machine.platforms import PLATFORMS, Platform, get_platform
 from repro.machine.cost_model import estimate_cycles
-from repro.machine.profiler import MEASURE_ENGINES, Profiler, FunctionProfile
+from repro.machine.profiler import Profiler, FunctionProfile
 
 __all__ = [
     "ExecutionResult",
@@ -17,7 +17,6 @@ __all__ = [
     "PLATFORMS",
     "get_platform",
     "estimate_cycles",
-    "MEASURE_ENGINES",
     "Profiler",
     "FunctionProfile",
 ]

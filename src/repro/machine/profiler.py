@@ -24,13 +24,11 @@ from repro.machine.artifacts import ArtifactStore, ir_fingerprint
 from repro.machine.bytecode import BytecodeModule, BytecodeVM, compile_module
 from repro.machine.cost_model import block_cycles, estimate_cycles
 from repro.machine.fuse import fuse_module
-from repro.machine.interp import ExecutionResult, InterpError, Interpreter
+from repro.machine.interp import ExecutionResult, InterpError
 from repro.machine.platforms import Platform
 from repro.utils.rng import SeedLike, as_generator
 
-__all__ = ["Measurement", "FunctionProfile", "Profiler", "MEASURE_ENGINES"]
-
-MEASURE_ENGINES = ("tree", "bytecode")
+__all__ = ["Measurement", "FunctionProfile", "Profiler"]
 
 
 @dataclass
@@ -70,19 +68,17 @@ class FunctionProfile:
 class Profiler:
     """Executes linked modules on a simulated platform.
 
-    ``engine`` selects the execution backend: ``"bytecode"`` (default)
-    runs the flat register VM on artifacts served by :attr:`artifacts`;
-    ``"tree"`` keeps the reference tree-walker (the differential oracle).
-    Both produce bit-identical :class:`ExecutionResult`s, so the seeded
-    noise stream — and therefore every measurement — is engine
-    independent.
+    Programs run on the flat register VM with fused superblock kernels.
+    Its :class:`ExecutionResult`s are bit-identical to the reference
+    tree walker's (:func:`~repro.machine.interp.run_program`, the
+    differential oracle), so every measurement is too.
 
     :attr:`artifacts` is the one :class:`ArtifactStore` between a module
-    and its verdict: executable bytecode per IR fingerprint (fused when
-    ``fuse``) and, with ``execution_memo``, the recorded execution outcome
-    per ``(entry, fuel, fingerprints)``.  Every method that runs a program
-    takes optional ``fingerprints`` (one per module, ``None`` where
-    unknown) so callers that already hold them skip re-printing the IR.
+    and its verdict: fused bytecode per IR fingerprint, and the recorded
+    execution outcome (the execution memo) per ``(entry, fuel,
+    fingerprints)``.  Every method that runs a program takes optional
+    ``fingerprints`` (one per module, ``None`` where unknown) so callers
+    that already hold them skip re-printing the IR.
     """
 
     def __init__(
@@ -90,18 +86,10 @@ class Profiler:
         platform: Platform,
         seed: SeedLike = None,
         fuel: int = 5_000_000,
-        engine: str = "bytecode",
-        fuse: bool = True,
-        execution_memo: bool = True,
     ) -> None:
-        if engine not in MEASURE_ENGINES:
-            raise ValueError(f"unknown measure engine {engine!r}, expected one of {MEASURE_ENGINES}")
         self.platform = platform
         self.rng = as_generator(seed)
         self.fuel = fuel
-        self.engine = engine
-        self.fuse = fuse
-        self.execution_memo = execution_memo
         self.artifacts = ArtifactStore()
         self.execution_memo_hits = 0
         self.fused_kernels = 0
@@ -119,12 +107,10 @@ class Profiler:
         ]
 
     def _build(self, module: Module) -> BytecodeModule:
-        """Compile one module to its executable (fused when ``fuse``) form."""
-        bc = compile_module(module)
-        if self.fuse:
-            bc, stats = fuse_module(bc)
-            self.fused_kernels += stats["kernels"]
-            self.fused_ops += stats["fused_ops"]
+        """Compile one module to its executable (fused) form."""
+        bc, stats = fuse_module(compile_module(module))
+        self.fused_kernels += stats["kernels"]
+        self.fused_ops += stats["fused_ops"]
         return bc
 
     def _execute(
@@ -133,8 +119,6 @@ class Profiler:
         entry: str,
         fingerprints: Optional[Sequence[Optional[str]]] = None,
     ) -> ExecutionResult:
-        if self.engine == "tree":
-            return Interpreter(modules, fuel=self.fuel).run(entry)
         fps = self._fingerprints(modules, fingerprints)
         bcs = self.artifacts.harvest(modules, fps, self._build)
         return BytecodeVM(bcs, fuel=self.fuel).run(entry)
@@ -147,12 +131,9 @@ class Profiler:
     ) -> Tuple[float, ExecutionResult]:
         """``(cycles, result)`` of one execution.
 
-        With ``execution_memo`` on, byte-identical IR (same entry and fuel)
-        replays the recorded outcome — including a recorded
-        :class:`InterpError`, re-raised — instead of re-executing."""
-        if not self.execution_memo:
-            result = self._execute(modules, entry, fingerprints)
-            return estimate_cycles(modules, result.block_counts, self.platform), result
+        Byte-identical IR (same entry and fuel) replays the recorded
+        outcome — including a recorded :class:`InterpError`, re-raised —
+        instead of re-executing."""
         fps = self._fingerprints(modules, fingerprints)
         key = (entry, self.fuel, tuple(fps))
         hit = self.artifacts.get(key)
@@ -183,7 +164,7 @@ class Profiler:
         Noise is drawn exactly as for a live run whether or not the
         execution memo served the outcome (a crash raises before any draw,
         live or memoized), so the seeded value stream, and therefore every
-        tuning history, is bit-identical with the memo on or off.
+        tuning history, does not depend on what the memo holds.
         """
         cycles, result = self._outcome(modules, entry, fingerprints)
         base_seconds = cycles / (self.platform.ghz * 1e9)

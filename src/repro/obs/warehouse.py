@@ -4,11 +4,10 @@ Every run directory dies alone: its manifest, metrics, and result say
 everything about *that* tune and nothing about the trajectory — is this
 speedup normal for ``security_sha`` at this git revision?  Did wall time
 creep over the last ten runs?  The warehouse answers those by ingesting
-run artifacts (and ``repro bench`` payloads) into one stdlib ``sqlite3``
-file:
+run artifacts into one stdlib ``sqlite3`` file:
 
-* ``repro obs index RUNS...`` — upsert run directories / bench JSONs
-  (re-indexing a path refreshes its row, so the index is idempotent);
+* ``repro obs index RUNS...`` — upsert run directories (re-indexing a
+  path refreshes its row, so the index is idempotent);
 * ``repro obs history [--benchmark X]`` — the speedup / wall trajectory
   across git revisions;
 * ``repro diff RUN --against warehouse:last-N`` — the regression gate of
@@ -18,9 +17,9 @@ file:
 
 Design notes: schema-versioned via a ``meta`` table (a newer-schema file
 is refused, not silently misread); every ingest is one transaction, so a
-killed indexer leaves a consistent file; raw ``manifest``/``metrics``/
-``payload`` JSON rides along in blob columns so later schema versions can
-re-derive columns without re-reading run directories that may be gone.
+killed indexer leaves a consistent file; raw ``manifest``/``metrics``
+JSON rides along in blob columns so later schema versions can re-derive
+columns without re-reading run directories that may be gone.
 This is the substrate the ROADMAP's tuning-as-a-service daemon and
 GRACE-style clustered transfer both queue on: the daemon scrapes and
 appends, transfer clusters over ``runs`` history.
@@ -83,19 +82,6 @@ CREATE TABLE IF NOT EXISTS runs (
     metrics_json     TEXT
 );
 CREATE INDEX IF NOT EXISTS runs_program ON runs (program, id);
-CREATE TABLE IF NOT EXISTS bench (
-    id           INTEGER PRIMARY KEY,
-    path         TEXT NOT NULL,
-    indexed_at   REAL NOT NULL,
-    suite        TEXT,
-    schema       TEXT,
-    program      TEXT,
-    seed         INTEGER,
-    git_rev      TEXT,
-    wall_seconds REAL,
-    payload_json TEXT,
-    UNIQUE (path, git_rev)
-);
 CREATE TABLE IF NOT EXISTS pass_stats (
     id               INTEGER PRIMARY KEY,
     run_path         TEXT NOT NULL,
@@ -157,11 +143,8 @@ class Warehouse:
     # -- ingest -----------------------------------------------------------------
     def index_path(self, path: Union[str, Path]) -> List[Dict[str, object]]:
         """Ingest one path: a run dir, a ``compare`` parent (each per-tuner
-        child is indexed), a collection dir, or a bench JSON file."""
-        p = Path(path)
-        if p.is_file():
-            return [self.index_bench(p)]
-        resolved = resolve_run_dir(p)
+        child is indexed), or a collection dir."""
+        resolved = resolve_run_dir(path)
         if (resolved / "compare.json").exists():
             out = []
             for child in sorted(resolved.iterdir()):
@@ -228,39 +211,6 @@ class Warehouse:
                 )
         return row
 
-    def index_bench(self, path: Union[str, Path]) -> Dict[str, object]:
-        """Upsert one ``repro bench`` JSON payload (keyed path+git_rev, so
-        a payload regenerated at a new revision appends history)."""
-        p = Path(path)
-        with open(p) as fh:
-            payload = json.load(fh)
-        schema = payload.get("schema")
-        if not isinstance(schema, str) or not schema.startswith("bench_"):
-            raise ValueError(f"not a repro bench payload: {p}")
-        row = {
-            "path": str(p.resolve()),
-            "indexed_at": time.time(),
-            "suite": schema.replace("bench_", "", 1),
-            "schema": schema,
-            "program": payload.get("program"),
-            "seed": payload.get("seed"),
-            "git_rev": payload.get("git_rev"),
-            "wall_seconds": _bench_wall(payload),
-            "payload_json": json.dumps(payload, sort_keys=True),
-        }
-        cols = ", ".join(row)
-        marks = ", ".join(f":{k}" for k in row)
-        sets = ", ".join(
-            f"{k} = :{k}" for k in row if k not in ("path", "git_rev")
-        )
-        with self._conn:
-            self._conn.execute(
-                f"INSERT INTO bench ({cols}) VALUES ({marks}) "
-                f"ON CONFLICT (path, git_rev) DO UPDATE SET {sets}",
-                row,
-            )
-        return row
-
     # -- queries ----------------------------------------------------------------
     def runs(
         self,
@@ -285,15 +235,6 @@ class Warehouse:
         rows = [dict(r) for r in self._conn.execute(sql, params)]
         rows.reverse()
         return rows
-
-    def benches(self, program: Optional[str] = None) -> List[Dict[str, object]]:
-        sql = "SELECT * FROM bench"
-        params = []
-        if program is not None:
-            sql += " WHERE program = ?"
-            params.append(program)
-        sql += " ORDER BY id"
-        return [dict(r) for r in self._conn.execute(sql, params)]
 
     def programs(self) -> List[str]:
         return [
@@ -401,19 +342,6 @@ def _finite(value: Optional[float]) -> Optional[float]:
     return float(value)
 
 
-def _bench_wall(payload: Dict[str, object]) -> Optional[float]:
-    """One headline wall number per bench payload, schema-dependent."""
-    e2e = payload.get("e2e") or {}
-    if payload.get("schema") == "bench_interp":
-        engines = e2e.get("engines") or {}
-        bytecode = engines.get("bytecode") or {}
-        wall = bytecode.get("wall")
-        return float(wall) if isinstance(wall, (int, float)) else None
-    fast = e2e.get("fast") or e2e
-    wall = fast.get("wall") or fast.get("wall_seconds")
-    return float(wall) if isinstance(wall, (int, float)) else None
-
-
 # -- rendering -------------------------------------------------------------------
 
 
@@ -428,7 +356,7 @@ def _fmt(value, spec: str = ".3f", missing: str = "?") -> str:
 
 def history_table(wh: Warehouse, benchmark: Optional[str] = None) -> str:
     """The fleet trajectory as text: runs (speedup/wall per git rev),
-    then bench payload walls — newest last, ready for eyeballs or CI logs."""
+    newest last, ready for eyeballs or CI logs."""
     lines: List[str] = []
     programs = [benchmark] if benchmark else (wh.programs() or [None])
     for program in programs:
@@ -465,15 +393,6 @@ def history_table(wh: Warehouse, benchmark: Optional[str] = None) -> str:
                     f"  trajectory: {_spark(speedups)}  "
                     f"({speedups[0]:.3f}x → {speedups[-1]:.3f}x over "
                     f"{len(speedups)} runs)"
-                )
-        benches = wh.benches(program=program)
-        if benches:
-            lines.append("  bench payloads:")
-            for b in benches:
-                lines.append(
-                    f"  {str(b['git_rev'] or '?')[:12]:>12s}  "
-                    f"{str(b['suite'] or '?'):10s}"
-                    f"{'':6s}{'':>9s}{_fmt(b['wall_seconds'], '.2f'):>9s}"
                 )
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

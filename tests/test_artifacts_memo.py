@@ -7,7 +7,7 @@ Three layers under test:
   results that carry their fingerprint, and the one LRU store;
 * :class:`repro.machine.profiler.Profiler` — the execution memo replays
   recorded executions (including crashes) while drawing noise exactly as
-  live, so measured values are bit-identical with the memo on or off, and
+  live, so measured values are bit-identical to live executions, and
   an in-place rewrite of a measured module is re-executed, not replayed;
 * :class:`repro.core.task.AutotuningTask` and the CLI — seeded tuning
   histories are bit-identical across jobs × kill/resume, and run
@@ -33,15 +33,15 @@ from repro.machine.interp import FuelExhausted
 from repro.machine.platforms import get_platform
 from repro.machine.profiler import Profiler
 
+from tests.kernel_families import _kernel_int_alu
+
 
 def _mod(iters=50):
-    from repro.bench import _kernel_int_alu
-
     return _kernel_int_alu(iters)
 
 
-def _profiler(**kw):
-    return Profiler(get_platform("arm-a57"), seed=5, fuel=5_000_000, **kw)
+def _profiler():
+    return Profiler(get_platform("arm-a57"), seed=5, fuel=5_000_000)
 
 
 # -- fingerprints -------------------------------------------------------------
@@ -78,7 +78,7 @@ class TestFingerprint:
         assert ir_fingerprint(m) != fp
         second = prof.measure([m], entry="main")
         assert prof.execution_memo_hits == 0  # a live re-execution
-        fresh = _profiler(execution_memo=False).execute([m], entry="main")
+        fresh = _profiler().execute([m], entry="main")
         assert second.output_signature() == fresh.output_signature()
         assert second.output_signature() != first.output_signature()
 
@@ -132,10 +132,10 @@ class TestArtifactStore:
 class TestExecutionMemo:
     def test_memo_values_match_live(self):
         mods = [_mod()]
-        on = _profiler(execution_memo=True)
-        off = _profiler(execution_memo=False)
+        on, off = _profiler(), _profiler()
         for _ in range(4):
             a = on.measure(mods, entry="main")
+            off.artifacts = ArtifactStore()  # nothing recorded: runs live
             b = off.measure(mods, entry="main")
             assert (a.seconds, a.cycles) == (b.seconds, b.cycles)
             assert a.output_signature() == b.output_signature()

@@ -8,10 +8,9 @@ Three concerns:
 * the signed/unsigned comparison fixes (unsigned ``icmp`` predicates use
   two's-complement reinterpretation at the operand width; ``fcmp`` is
   NaN-aware and rejects unsigned predicates) hold on *both* engines;
-* the profiler/task wiring (engine selection, bytecode cache, batch
-  measurement) is RNG-transparent: the candidates a task measures run
-  bit-identically on the profiler's VM and on the tree-walking
-  interpreter.
+* the profiler/task wiring (bytecode cache, batch measurement) is
+  RNG-transparent: the candidates a task measures run bit-identically on
+  the profiler's VM and on the tree-walking interpreter.
 """
 
 import pytest
@@ -22,6 +21,7 @@ from repro.compiler.opt_tool import run_opt
 from repro.compiler.pipelines import pipeline
 from repro.machine.artifacts import ArtifactStore
 from repro.machine.bytecode import BytecodeVM, compile_module, run_bytecode
+from repro.machine.cost_model import block_cycles, estimate_cycles
 from repro.machine.interp import (
     FuelExhausted,
     Interpreter,
@@ -273,21 +273,21 @@ def test_fuel_exhausted_docstring_clean():
 
 
 # ---------------------------------------------------------------------------
-# profiler wiring: engine selection, caching, RNG transparency
+# profiler wiring: the tree-walker oracle, caching, RNG transparency
 # ---------------------------------------------------------------------------
 
-def test_profiler_rejects_unknown_engine():
-    with pytest.raises(ValueError, match="unknown measure engine"):
-        Profiler(get_platform("arm-a57"), engine="jit")
+def _tree_oracle(modules, platform, entry="main", fuel=5_000_000):
+    """``(cycles, result)`` of the tree walker plus the cycle model."""
+    result = run_program(modules, entry, fuel=fuel)
+    return estimate_cycles(modules, result.block_counts, platform), result
 
 
 def test_profiler_engines_bit_identical_measurements(dot_module):
     plat = get_platform("arm-a57")
-    m_tree = Profiler(plat, seed=5, engine="tree").measure([dot_module])
-    m_bc = Profiler(plat, seed=5, engine="bytecode").measure([dot_module])
-    assert m_tree.seconds == m_bc.seconds
-    assert m_tree.cycles == m_bc.cycles
-    assert m_tree.output_signature() == m_bc.output_signature()
+    measured = Profiler(plat, seed=5).measure([dot_module])
+    cycles, tree = _tree_oracle([dot_module], plat)
+    assert measured.cycles == cycles
+    assert measured.output_signature() == tree.output_signature()
 
 
 def test_profiler_bytecode_cache_hits_and_eviction(dot_module, sum_loop_module):
@@ -304,10 +304,15 @@ def test_profiler_bytecode_cache_hits_and_eviction(dot_module, sum_loop_module):
 
 def test_profiler_function_profile_engine_independent(dot_module):
     plat = get_platform("arm-a57")
-    p_tree = Profiler(plat, seed=0, engine="tree").function_profile([dot_module])
-    p_bc = Profiler(plat, seed=0, engine="bytecode").function_profile([dot_module])
-    assert p_tree.function_seconds == p_bc.function_seconds
-    assert p_tree.total_seconds == p_bc.total_seconds
+    profile = Profiler(plat, seed=0).function_profile([dot_module])
+    cycles, tree = _tree_oracle([dot_module], plat)
+    clock = plat.ghz * 1e9
+    expected = {}
+    for (mod, fn, blk), count in tree.block_counts.items():
+        cyc = block_cycles(dot_module.functions[fn], plat)[blk] * count
+        expected[(mod, fn)] = expected.get((mod, fn), 0.0) + cyc / clock
+    assert profile.function_seconds == pytest.approx(expected, rel=1e-12)
+    assert profile.total_seconds == pytest.approx(cycles / clock, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +330,8 @@ def _make_task(**kw):
 def test_task_engine_transparent_histories():
     """Every candidate the task measures runs on its profiler (fused VM,
     execution memo) exactly as on the tree-walking interpreter, and a
-    tree-engine profiler draws the same seconds from the same seed."""
+    fresh profiler measures the cycles the tree walker's block counts
+    give."""
     import numpy as np
 
     plat = get_platform("arm-a57")
@@ -346,12 +352,10 @@ def test_task_engine_transparent_histories():
             assert _outcome(profiled, linked, entry, fuel) == _outcome(
                 run_program, linked, entry, fuel
             )
-            by_engine = [
-                Profiler(plat, seed=5, fuel=fuel, engine=engine).measure(linked, entry=entry)
-                for engine in ("tree", "bytecode")
-            ]
-            assert by_engine[0].seconds == by_engine[1].seconds
-            assert by_engine[0].output_signature() == by_engine[1].output_signature()
+            measured = Profiler(plat, seed=5, fuel=fuel).measure(linked, entry=entry)
+            cycles, tree = _tree_oracle(linked, plat, entry=entry, fuel=fuel)
+            assert measured.cycles == cycles
+            assert measured.output_signature() == tree.output_signature()
 
 
 def test_measure_batch_matches_sequential():

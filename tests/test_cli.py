@@ -52,3 +52,13 @@ def test_compare_command(capsys):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_diff_rejects_two_json_files(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for p in (a, b):
+        p.write_text('{"schema": "bench_surrogate"}')
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", str(a), str(b)])
+    message = str(exc.value.code)
+    assert str(a) in message and "not a run directory" in message

@@ -4,10 +4,10 @@ The fusion pass (:mod:`repro.machine.fuse`) must be *observably invisible*:
 for every program, every optimisation level and every fuel budget, the
 fused VM produces bit-identical results — outputs, step counts, block
 counts and ``FuelExhausted`` behaviour — to the unfused VM and the
-reference tree walker.  This file sweeps that property over the bench
-kernel families, cbench workloads at -O0/-O3, random programs under
-hypothesis, and exact fuel budgets crossing every segment boundary of a
-fused kernel.
+reference tree walker.  This file sweeps that property over the parity
+kernel families (:mod:`tests.kernel_families`), cbench workloads at
+-O0/-O3, random programs under hypothesis, and exact fuel budgets crossing
+every segment boundary of a fused kernel.
 """
 
 import numpy as np
@@ -15,13 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench import KERNEL_FAMILIES
 from repro.compiler.opt_tool import run_opt
 from repro.compiler.pipelines import SEARCH_PASSES, pipeline
 from repro.machine.bytecode import OP_FUSED, BytecodeVM, compile_module
 from repro.machine.fuse import fuse_module, fused_stats
 from repro.machine.interp import FuelExhausted, run_program
 from repro.workloads import cbench_program, random_program
+
+from tests.kernel_families import KERNEL_FAMILIES
 
 _SETTINGS = dict(
     deadline=None,
@@ -242,7 +243,18 @@ def test_random_program_fuel_cut_fused(prog_seed, frac):
 
 
 def test_fused_stats_reports_kernels():
-    bm = compile_module(KERNEL_FAMILIES["fused_chain"](10))
-    fused, stats = fuse_module(bm)
-    assert stats["kernels"] > 0 and stats["fused_ops"] >= 3 * stats["kernels"]
-    assert fused_stats(fused)["kernels"] == stats["kernels"]
+    for family in ("fused_chain", "fused_wide"):
+        bm = compile_module(KERNEL_FAMILIES[family](10))
+        fused, stats = fuse_module(bm)
+        assert stats["kernels"] > 0 and stats["fused_ops"] >= 3 * stats["kernels"], family
+        assert fused_stats(fused)["kernels"] == stats["kernels"], family
+
+
+def test_vector_family_emits_vector_instructions():
+    mod = KERNEL_FAMILIES["vector"](10)
+    assert any(
+        ins.op.startswith("v")
+        for fn in mod.functions.values()
+        for blk in fn.blocks.values()
+        for ins in blk.instrs
+    )

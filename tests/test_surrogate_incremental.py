@@ -2,20 +2,12 @@
 
 The cost model's hot path — O(n^2) ``extend`` between full refits, an
 adaptive refit schedule (new keys / doubling / residual drift),
-warm-started hyperparameters — plus the bench payload plumbing behind
-``repro bench`` / ``repro diff``.
+warm-started hyperparameters.
 """
 
 import numpy as np
 import pytest
 
-from repro.bench import (
-    LEGACY_MODEL_OPTS,
-    diff_bench,
-    load_bench,
-    synthetic_observations,
-    write_bench,
-)
 from repro.core import CitroenCostModel
 from repro.obs.metrics import MetricsRegistry
 
@@ -90,15 +82,6 @@ class TestRefitSchedule:
             m.fit()
         assert m.n_refits >= 2
 
-    def test_incremental_off_reproduces_legacy_path(self):
-        m = _seeded_model(n=8, **LEGACY_MODEL_OPTS)
-        for i in range(4):
-            m.add_observation(*_obs(i % 5, 1.0 + 0.1 * i))
-            assert not m.ready  # every observation marks the fit stale
-            m.fit()
-        assert m.n_extends == 0
-        assert m.n_refits == 5
-
     def test_nonfinite_runtime_never_extends(self):
         # the tuner filters infeasible runs before the model, but the
         # O(n^2) path guards anyway: a non-finite target would poison the
@@ -133,12 +116,6 @@ class TestWarmStart:
         assert np.allclose(m.gp.kernel.log_ls[:prev_dim], prev_log_ls)
         # the genuinely new dimension starts from the default prior
         assert m.gp.kernel.log_ls[prev_dim] == pytest.approx(np.log(0.5))
-
-    def test_warm_start_off_resets_to_defaults(self):
-        m = _seeded_model(n=10, warm_start=False)
-        m.add_observation(*_obs(2, 1.1, extra={"licm.NumHoisted": 4}))
-        m.fit(optimize_hypers=False)
-        assert np.allclose(m.gp.kernel.log_ls, np.log(0.5))
 
     def test_seeded_determinism(self):
         # the RNG contract: same seed + same observation stream (including
@@ -181,47 +158,3 @@ class TestRelevanceAlignment:
         m = CitroenCostModel(seed=0)
         assert m.relevance() == []
 
-
-class TestBenchPayload:
-    def _payload(self):
-        return {
-            "schema": "bench_surrogate",
-            "schema_version": 1,
-            "git_rev": "deadbeef",
-            "program": "security_sha",
-            "budget": 4,
-            "seed": 1,
-            "micro": [],
-            "tune": {"fast": {"model_wall_seconds": 0.5}},
-        }
-
-    def test_write_load_roundtrip(self, tmp_path):
-        path = str(tmp_path / "bench.json")
-        write_bench(self._payload(), path)
-        assert load_bench(path)["git_rev"] == "deadbeef"
-
-    def test_load_rejects_foreign_payload(self, tmp_path):
-        path = str(tmp_path / "other.json")
-        write_bench({"schema": "something_else"}, path)
-        with pytest.raises(ValueError):
-            load_bench(path)
-
-    def test_diff_bench_verdict(self, tmp_path):
-        a, b = self._payload(), self._payload()
-        b["tune"]["fast"]["model_wall_seconds"] = 1.0  # 2x slower
-        pa, pb = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        write_bench(a, pa)
-        write_bench(b, pb)
-        assert not diff_bench(pa, pa, max_model_ratio=1.5)["regressed"]
-        verdict = diff_bench(pa, pb, max_model_ratio=1.5)
-        assert verdict["regressed"]
-        assert verdict["regressions"] == ["model_wall_seconds"]
-        assert verdict["checks"][0]["ratio"] == pytest.approx(2.0)
-
-    def test_synthetic_observations_shape(self):
-        obs = synthetic_observations(5, n_keys=12, seed=0)
-        assert len(obs) == 5
-        assert all(set(pm) == {"mod"} for pm in obs)
-        # sparse: nobody activates every key (the empty dict is legal)
-        assert all(len(pm["mod"]) < 12 for pm in obs)
-        assert any(pm["mod"] for pm in obs)

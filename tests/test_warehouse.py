@@ -47,20 +47,6 @@ def db(tmp_path) -> Path:
     return tmp_path / "wh.sqlite"
 
 
-def _bench_payload(tmp_path: Path, git_rev: str = "abc123") -> Path:
-    payload = {
-        "schema": "bench_interp",
-        "schema_version": 1,
-        "git_rev": git_rev,
-        "program": "security_sha",
-        "seed": 1,
-        "e2e": {"engines": {"bytecode": {"wall": 0.25}}},
-    }
-    p = tmp_path / f"BENCH_interp_{git_rev}.json"
-    p.write_text(json.dumps(payload))
-    return p
-
-
 class TestIngest:
     def test_index_run_row(self, run_a, db):
         with Warehouse(db) as wh:
@@ -90,22 +76,6 @@ class TestIngest:
             row = wh.index_run(killed)
             assert row["interrupted"] == 1
             assert row["n_measurements"] == 12  # from the WAL
-
-    def test_index_bench_payload(self, db, tmp_path):
-        p = _bench_payload(tmp_path)
-        with Warehouse(db) as wh:
-            row = wh.index_bench(p)
-            assert row["suite"] == "interp"
-            assert row["wall_seconds"] == pytest.approx(0.25)
-            wh.index_bench(p)  # same path+rev: refresh, not duplicate
-            assert len(wh.benches()) == 1
-
-    def test_index_rejects_non_bench_json(self, db, tmp_path):
-        p = tmp_path / "x.json"
-        p.write_text('{"schema": "something_else"}')
-        with Warehouse(db) as wh:
-            with pytest.raises(ValueError):
-                wh.index_bench(p)
 
     def test_newer_schema_refused(self, db):
         Warehouse(db).close()
@@ -143,11 +113,9 @@ class TestQueries:
         with Warehouse(db) as wh:
             wh.index_run(run_a)
             wh.index_run(run_b)
-            wh.index_bench(_bench_payload(tmp_path))
             text = history_table(wh)
             assert "security_sha" in text
             assert "citroen" in text
-            assert "interp" in text
             filtered = history_table(wh, benchmark="security_sha")
             assert "security_sha" in filtered
 
@@ -193,18 +161,25 @@ class TestFleetGate:
 
 class TestCli:
     def test_obs_index_and_history(self, run_a, run_b, db, tmp_path, capsys):
-        bench = _bench_payload(tmp_path)
-        assert main(
-            ["obs", "index", str(run_a), str(run_b), str(bench), "--db", str(db)]
-        ) == 0
+        assert main(["obs", "index", str(run_a), str(run_b), "--db", str(db)]) == 0
         out = capsys.readouterr().out
-        assert "3 item(s) indexed" in out
+        assert "2 item(s) indexed" in out
         assert main(["obs", "history", "--db", str(db)]) == 0
         out = capsys.readouterr().out
         assert "security_sha" in out
         assert main(
             ["obs", "history", "--db", str(db), "--benchmark", "security_sha"]
         ) == 0
+
+    def test_obs_index_rejects_a_json_file(self, db, tmp_path):
+        payload = tmp_path / "BENCH_x.json"
+        payload.write_text('{"schema": "bench_interp"}')
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "index", str(payload), "--db", str(db)])
+        message = str(exc.value.code)
+        assert str(payload) in message and "not a run directory" in message
+        with Warehouse(db) as wh:
+            assert wh.runs() == []
 
     def test_obs_history_missing_db_errors(self, tmp_path):
         with pytest.raises(SystemExit):
