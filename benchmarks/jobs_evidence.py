@@ -40,9 +40,9 @@ perfbench does not print, read from outside the program:
   counters of checkouts that predate the graph.  A checkout that
   reports neither shows 0.
 
-Each ``--traced`` run per side is ``--trace 1``; it keeps a few per-layer
-metrics and ``compiler.pass_total.s``, the sum of every
-``compiler.pass.*.s``.
+Each ``--traced`` run per side is ``--trace 1``; it keeps the per-layer
+metrics in ``TRACED`` (compile, measurement and write-path layers) and
+``compiler.pass_total.s``, the sum of every ``compiler.pass.*.s``.
 
 ``--sweep`` adds a ``jobs_sweep`` record per side: in one process of
 that checkout, CITROEN tunes of ``525.x264_r`` at seeds 1-3 (budget 40,
@@ -75,7 +75,12 @@ END_TO_END = ("tune_s", "setup_s", "speedup_vs_o3", "peak_rss_mb")
 #: per-layer metrics kept from traced runs
 TRACED = ("bench.traced_tune_s", "eval_engine.compile_batch.s",
           "eval_engine.cores_used", "compiler.run_opt.calls", "compiler.run_opt.s",
-          "compiler.clone.s", "compiler.pass_total.s", "eval_engine.compiles")
+          "compiler.clone.s", "compiler.pass_total.s", "eval_engine.compiles",
+          "task.measure.s", "profiler.measure.s", "artifacts.harvest.s",
+          "bytecode.compile_module.s", "fuse.fuse_module.s", "vm.run.calls",
+          "vm.run.s", "vm.steps", "machine.estimate_cycles.s",
+          "artifacts.ir_fingerprint.s", "cost_model.fit.s", "generator.ask.s",
+          "wal.append.s", "recorder.write_event.s")
 #: compile-cache counters summed from each task's ``timing_breakdown()``:
 #: the compile graph's, and the prefix snapshots' it replaced
 GRAPH_KEYS = ("graph_nodes", "graph_edges", "graph_passes_run",

@@ -147,11 +147,14 @@ class AutotuningTask:
         tracing consumes no RNG, so instrumented and uninstrumented runs
         produce bit-identical tuner histories at the same seed.
 
-        Measurements run on the profiler's flat register VM with fused
-        superblock kernels, on bytecode served by its fingerprint-keyed
-        :class:`~repro.machine.artifacts.ArtifactStore`.  The tree-walking
-        interpreter (:func:`~repro.machine.interp.run_program`) is the
-        bit-exact test oracle.
+        Measurements run on the profiler's translated bytecode: each
+        function compiled once into one generated Python function, served
+        per IR fingerprint by its
+        :class:`~repro.machine.artifacts.ArtifactStore` together with the
+        recorded outcome of every execution.  Set-up executes the program
+        once, for the -O3 anchor: the -O0 anchor replays the tree-walking
+        reference run (:meth:`Program.reference_output`, also the bit-exact
+        test oracle), and the -O3 profile replays the -O3 measurement.
 
         ``pipeline_trace`` samples per-pass compiler observability
         (``"off"``/``"incumbents"``/``"all"``): after a live measurement,
@@ -211,7 +214,8 @@ class AutotuningTask:
         self.check_outputs = check_outputs
 
         # one-off reference + O3/O0 anchors
-        self._reference_sig = program.reference_output().output_signature()
+        reference = program.reference_output()
+        self._reference_sig = reference.output_signature()
         self._o3: Dict[str, CompiledModule] = {}
         o3 = pipeline("-O3")
         for mod in program.modules:
@@ -228,11 +232,14 @@ class AutotuningTask:
             self.o3_runtime = self.profiler.measure(
                 o3_linked, repeats=repeats, fingerprints=o3_fps
             ).seconds
-            self.o0_runtime = self.profiler.measure(
-                list(program.modules), repeats=repeats
-            ).seconds
+            # the reference run is the -O0 program's execution: the -O0
+            # measurement replays it (and draws its noise as a live run)
+            o0_linked = list(program.modules)
+            self.profiler.record(o0_linked, reference, entry=program.entry)
+            self.o0_runtime = self.profiler.measure(o0_linked, repeats=repeats).seconds
 
-        # hot module identification from the -O3 profile (perf stand-in)
+        # hot module identification from the -O3 profile (perf stand-in),
+        # served by the execution memo when -O3 was just measured
         prof = self.profiler.function_profile(o3_linked, fingerprints=o3_fps)
         self.hot_modules: List[str] = prof.hot_modules(hot_coverage)
         self.module_weights: Dict[str, float] = {
@@ -786,8 +793,7 @@ class AutotuningTask:
             "bytecode_compiles": self.artifacts.misses,
             "bytecode_cache_hits": self.artifacts.hits,
             "execution_memo_hits": self.profiler.execution_memo_hits,
-            "fused_kernels": self.profiler.fused_kernels,
-            "fused_ops": self.profiler.fused_ops,
+            "functions_translated": self.profiler.functions_translated,
             "pipeline_trace": self.pipeline_trace,
             "n_pass_traces": self.n_pass_traces,
             "pass_trace_seconds": self.pass_trace_seconds,

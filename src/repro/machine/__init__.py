@@ -1,7 +1,9 @@
-"""Execution substrate: IR interpreter, bytecode VM, cost models, profiler."""
+"""Execution substrate: IR interpreter, bytecode VM and its translation
+into Python, cost models, profiler."""
 
 from repro.machine.interp import ExecutionResult, Interpreter, run_program
 from repro.machine.bytecode import BytecodeVM, compile_module, run_bytecode
+from repro.machine.codegen import translate_module
 from repro.machine.platforms import PLATFORMS, Platform, get_platform
 from repro.machine.cost_model import estimate_cycles
 from repro.machine.profiler import Profiler, FunctionProfile
@@ -13,6 +15,7 @@ __all__ = [
     "BytecodeVM",
     "compile_module",
     "run_bytecode",
+    "translate_module",
     "Platform",
     "PLATFORMS",
     "get_platform",

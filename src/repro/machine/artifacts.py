@@ -10,8 +10,8 @@ keying shares one entry between them.
 One :class:`ArtifactStore` LRU, owned by the
 :class:`~repro.machine.profiler.Profiler`, holds two kinds of entry:
 
-* ``fingerprint -> executable bytecode`` (fused when the profiler fuses),
-  built on demand by :meth:`ArtifactStore.harvest`;
+* ``fingerprint -> executable bytecode`` (the translated module, for the
+  profiler), built on demand by :meth:`ArtifactStore.harvest`;
 * ``(entry, fuel, fingerprints) -> recorded execution outcome``, the
   profiler's execution memo.
 

@@ -12,8 +12,8 @@ Compilation strategy
 --------------------
 * **Register file.**  Every SSA name gets a small-integer register slot;
   constants are pooled into a read-only prefix of the register file (keyed by
-  ``(type, python-type, value)`` so ``0`` and ``0.0`` stay distinct), so the
-  VM never touches a dict for operands.
+  ``(type, python-type, value, float sign)`` so ``0``, ``0.0`` and ``-0.0``
+  stay distinct), so the VM never touches a dict for operands.
 * **Pre-decoded operands.**  Each instruction becomes one tuple
   ``(opcode, ...fields)`` with operand registers, wrap parameters (mask /
   sign threshold / period) and element sizes resolved at compile time.
@@ -40,6 +40,8 @@ raise the same exception types as the tree-walker.
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.ir import Const, Function, Module, Type
@@ -59,6 +61,7 @@ __all__ = [
     "BytecodeVM",
     "READ_FIELDS",
     "TUPLE_READ_FIELDS",
+    "call_key",
     "compile_module",
     "run_bytecode",
 ]
@@ -132,9 +135,8 @@ OP_INSERT = 64
 OP_REDUCE = 65
 OP_MEMSET = 66
 OP_MEMCPY = 67
-OP_FUSED = 68
 
-# -- operand-role tables (used by the superblock fusion pass) ---------------
+# -- operand-role tables (used by the translator in repro.machine.codegen) --
 # READ_FIELDS[op] lists the instruction fields holding *register reads*;
 # TUPLE_READ_FIELDS[op] lists fields holding tuples of register reads.
 # Mask/sign/period/offset fields are deliberately absent.
@@ -219,18 +221,81 @@ def _scalar_bits(ty: Optional[Type]) -> int:
     return ty.bits or 64
 
 
+def call_key(name: str, nargs: int) -> str:
+    """Key of a function in a VM's call table: a call with ``nargs``
+    arguments finds its callee under this key only if the arity matches."""
+    return f"{name}\x00{nargs}"
+
+
+# -- vector and bulk-memory ops: shared by the dispatch loop and the
+# generated translations (repro.machine.codegen), so both raise alike ------
+
+
+def vbin_int(op: str, a, b, bits: int) -> tuple:
+    return tuple(_int_bin(op, x, y, bits) for x, y in zip(a, b))
+
+
+def vbin_float(op: str, a, b) -> tuple:
+    return tuple(_float_bin(op, x, y) for x, y in zip(a, b))
+
+
+def vload(mem_get, addr: int, esz: int, lanes: int) -> tuple:
+    return tuple(mem_get(addr + k * esz, 0) for k in range(lanes))
+
+
+def vstore(mem: dict, vals, addr: int, esz: int) -> None:
+    for k, v in enumerate(vals):
+        mem[addr + k * esz] = v
+
+
+def vinsert(vec, scalar, idx) -> tuple:
+    vals = list(vec)
+    vals[idx] = scalar
+    return tuple(vals)
+
+
+def vreduce(vals, rop: str, is_int: int, bits: int):
+    acc = vals[0]
+    if is_int:
+        for v in vals[1:]:
+            acc = _int_bin(rop, acc, v, bits)
+    else:
+        for v in vals[1:]:
+            acc = _float_bin(rop, acc, v)
+    return acc
+
+
+def memset(mem: dict, addr: int, val, count: int, esz: int) -> None:
+    for k in range(count):
+        mem[addr + k * esz] = val
+
+
+def memcpy(mem: dict, dst: int, src: int, count: int, esz: int) -> None:
+    mem_get = mem.get
+    vals = [mem_get(src + k * esz, 0) for k in range(count)]
+    for k, v in enumerate(vals):
+        mem[dst + k * esz] = v
+
+
 class BytecodeFunction:
-    """One compiled function: code list + register-file template."""
+    """One compiled function: code list + register-file template.
 
-    __slots__ = ("name", "module_name", "nparams", "param_regs", "reg_init", "code")
+    ``native`` is the function's generated Python translation
+    (:func:`repro.machine.codegen.translate_function`), or None when the
+    function runs on the dispatch loop."""
 
-    def __init__(self, name, module_name, nparams, param_regs, reg_init, code):
+    __slots__ = ("name", "module_name", "nparams", "param_regs", "reg_init", "code",
+                 "native")
+
+    def __init__(self, name, module_name, nparams, param_regs, reg_init, code,
+                 native=None):
         self.name = name
         self.module_name = module_name
         self.nparams = nparams
         self.param_regs = param_regs
         self.reg_init = reg_init
         self.code = code
+        self.native = native
 
 
 class BytecodeModule:
@@ -275,7 +340,10 @@ class _FnCompiler:
 
     def _R(self, operand) -> int:
         if isinstance(operand, Const):
-            key = ("c", operand.ty, type(operand.value).__name__, operand.value)
+            value = operand.value
+            # 0.0 == -0.0 with equal hashes: the sign keeps them apart
+            sign = math.copysign(1.0, value) if type(value) is float else 0.0
+            key = ("c", operand.ty, type(value).__name__, value, sign)
             idx = self.slots.get(key)
             if idx is None:
                 idx = len(self.reg_init)
@@ -617,6 +685,11 @@ class BytecodeVM:
     Mirrors :class:`~repro.machine.interp.Interpreter`: functions resolve by
     name across modules (first match wins), memory is a flat dict with a bump
     allocator, and every ``run()`` starts from freshly materialised globals.
+
+    When every function carries its generated translation (modules from
+    :func:`repro.machine.codegen.translate_module`), ``run()`` calls the
+    translations; otherwise it runs the per-op dispatch loop, which also
+    replays the last segment op by op when fuel runs out mid-segment.
     """
 
     def __init__(self, bc_modules: List[BytecodeModule], fuel: int = 2_000_000,
@@ -628,6 +701,12 @@ class BytecodeVM:
         for bm in self.bc_modules:
             for bf in bm.functions:
                 self.fn_index.setdefault(bf.name, bf)
+        #: call table of the translations, or None to use the dispatch loop
+        self._natives: Optional[Dict[str, object]] = {
+            call_key(name, bf.nparams): bf.native for name, bf in self.fn_index.items()
+        }
+        if any(bf.native is None for bf in self.fn_index.values()):
+            self._natives = None
         self.mem: Dict[int, object] = {}
         self._brk = 0x1000
         self._global_addr: Dict[object, int] = {}
@@ -657,14 +736,27 @@ class BytecodeVM:
         if 0 > self.max_depth:
             raise InterpError(f"call depth exceeded at @{entry}")
         fnobj = self.fn_index.get(entry)
-        if fnobj is None:
-            raise InterpError(f"call to unknown function @{entry}")
-        if len(args) != fnobj.nparams:
-            raise InterpError(
-                f"@{entry} called with {len(args)} args, expects {fnobj.nparams}"
-            )
-        ret, steps = self._execfn(fnobj, list(args), 0, 0)
+        if fnobj is None or len(args) != fnobj.nparams:
+            self._bad_call(entry, len(args))
+        natives = self._natives
+        if natives is None:
+            ret, steps = self._execfn(fnobj, list(args), 0, 0)
+        else:
+            # a missing key enters at 0 when first counted: insertion order
+            # stays first-execution order
+            counts = self.counts = defaultdict(int)
+            env = (mem, mem.get, counts, self.outputs.append, natives, self.fuel,
+                   self.max_depth, self, self._global_addr)
+            ret, steps = fnobj.native(env, 0, 0, *args)
+            self.counts = dict(counts)
         return ExecutionResult(ret, self.outputs, self.counts, steps)
+
+    def _bad_call(self, name: str, nargs: int) -> None:
+        """Raise the error of a call that finds no callee of its arity."""
+        callee = self.fn_index.get(name)
+        if callee is None:
+            raise InterpError(f"call to unknown function @{name}")
+        raise InterpError(f"@{name} called with {nargs} args, expects {callee.nparams}")
 
     def _execfn(self, fnobj: BytecodeFunction, args: List[object], depth: int,
                 steps: int) -> Tuple[object, int]:
@@ -680,12 +772,10 @@ class BytecodeVM:
 
         Segments are call-free straight-line code, so a plain slice re-enters
         the same dispatch loop; whichever of a semantic error or the fuel trap
-        the tree-walker would hit first, this hits too.
+        the tree-walker would hit first, this hits too.  Translated functions
+        hand over here too, with the register file rebuilt from their locals.
         """
-        # expand fused kernels back to per-op dispatch: the head carries its
-        # original instruction at ins[3]; padding positions are original code
-        snippet = [ins[3] if ins[0] == OP_FUSED else ins
-                   for ins in code[start:start + trip]]
+        snippet = list(code[start:start + trip])
         snippet.append((OP_FUEL_TRAP, fname))
         self._run(snippet, regs, depth, 0)
         raise FuelExhausted(f"fuel exhausted in @{fname}")
@@ -702,11 +792,6 @@ class BytecodeVM:
             if op == OP_LOAD:
                 regs[ins[1]] = mem_get(regs[ins[2]], 0)
                 pc += 1
-            elif op == OP_FUSED:
-                # (OP_FUSED, kernel, span, original_first_ins): the kernel
-                # covers this and the next span-1 (padding) positions
-                ins[1](regs)
-                pc += ins[2]
             elif op == OP_ADD:
                 v = (regs[ins[2]] + regs[ins[3]]) & ins[4]
                 regs[ins[1]] = v - ins[6] if v >= ins[5] else v
@@ -914,14 +999,9 @@ class BytecodeVM:
                 if depth + 1 > self.max_depth:
                     raise InterpError(f"call depth exceeded at @{ins[3]}")
                 callee = self.fn_index.get(ins[3])
-                if callee is None:
-                    raise InterpError(f"call to unknown function @{ins[3]}")
                 argregs = ins[4]
-                if len(argregs) != callee.nparams:
-                    raise InterpError(
-                        f"@{ins[3]} called with {len(argregs)} args, "
-                        f"expects {callee.nparams}"
-                    )
+                if callee is None or len(argregs) != callee.nparams:
+                    self._bad_call(ins[3], len(argregs))
                 ret, steps = self._execfn(callee, [regs[r] for r in argregs],
                                           depth + 1, steps)
                 if ins[1] >= 0:
@@ -951,31 +1031,16 @@ class BytecodeVM:
                 regs[ins[1]] = 1 if _fcmp(ins[4], regs[ins[2]], regs[ins[3]]) else 0
                 pc += 1
             elif op == OP_VBIN_I:
-                vop = ins[4]
-                ebits = ins[5]
-                regs[ins[1]] = tuple(
-                    _int_bin(vop, x, y, ebits) for x, y in zip(regs[ins[2]], regs[ins[3]])
-                )
+                regs[ins[1]] = vbin_int(ins[4], regs[ins[2]], regs[ins[3]], ins[5])
                 pc += 1
             elif op == OP_VBIN_F:
-                vop = ins[4]
-                regs[ins[1]] = tuple(
-                    _float_bin(vop, x, y) for x, y in zip(regs[ins[2]], regs[ins[3]])
-                )
+                regs[ins[1]] = vbin_float(ins[4], regs[ins[2]], regs[ins[3]])
                 pc += 1
             elif op == OP_VLOAD:
-                addr = regs[ins[2]]
-                esz = ins[3]
-                regs[ins[1]] = tuple(
-                    mem_get(addr + k * esz, 0) for k in range(ins[4])
-                )
+                regs[ins[1]] = vload(mem_get, regs[ins[2]], ins[3], ins[4])
                 pc += 1
             elif op == OP_VSTORE:
-                vals = regs[ins[1]]
-                addr = regs[ins[2]]
-                esz = ins[3]
-                for k, v in enumerate(vals):
-                    mem[addr + k * esz] = v
+                vstore(mem, regs[ins[1]], regs[ins[2]], ins[3])
                 pc += 1
             elif op == OP_BROADCAST:
                 regs[ins[1]] = (regs[ins[2]],) * ins[3]
@@ -984,37 +1049,16 @@ class BytecodeVM:
                 regs[ins[1]] = regs[ins[2]][regs[ins[3]]]
                 pc += 1
             elif op == OP_INSERT:
-                vals = list(regs[ins[2]])
-                vals[regs[ins[4]]] = regs[ins[3]]
-                regs[ins[1]] = tuple(vals)
+                regs[ins[1]] = vinsert(regs[ins[2]], regs[ins[3]], regs[ins[4]])
                 pc += 1
             elif op == OP_REDUCE:
-                vals = regs[ins[2]]
-                rop = ins[3]
-                acc = vals[0]
-                if ins[4]:
-                    bits = ins[5]
-                    for v in vals[1:]:
-                        acc = _int_bin(rop, acc, v, bits)
-                else:
-                    for v in vals[1:]:
-                        acc = _float_bin(rop, acc, v)
-                regs[ins[1]] = acc
+                regs[ins[1]] = vreduce(regs[ins[2]], ins[3], ins[4], ins[5])
                 pc += 1
             elif op == OP_MEMSET:
-                addr = regs[ins[1]]
-                val = regs[ins[2]]
-                esz = ins[4]
-                for k in range(regs[ins[3]]):
-                    mem[addr + k * esz] = val
+                memset(mem, regs[ins[1]], regs[ins[2]], regs[ins[3]], ins[4])
                 pc += 1
             elif op == OP_MEMCPY:
-                dst = regs[ins[1]]
-                src = regs[ins[2]]
-                esz = ins[4]
-                vals = [mem_get(src + k * esz, 0) for k in range(regs[ins[3]])]
-                for k, v in enumerate(vals):
-                    mem[dst + k * esz] = v
+                memcpy(mem, regs[ins[1]], regs[ins[2]], regs[ins[3]], ins[4])
                 pc += 1
             else:
                 raise InterpError(f"bytecode VM: bad opcode {op!r}")
@@ -1022,12 +1066,13 @@ class BytecodeVM:
 
 def run_bytecode(
     modules: List[Module], entry: str = "main", fuel: int = 2_000_000,
-    fuse: bool = False,
+    translate: bool = False,
 ) -> ExecutionResult:
-    """Convenience wrapper: compile ``modules`` and run ``entry`` once."""
+    """Convenience wrapper: compile ``modules`` and run ``entry`` once, on
+    the dispatch loop or (``translate``) on the generated translations."""
     bms = [compile_module(m) for m in modules]
-    if fuse:
-        from repro.machine.fuse import fuse_module
+    if translate:
+        from repro.machine.codegen import translate_module
 
-        bms = [fuse_module(bm)[0] for bm in bms]
+        bms = [translate_module(bm) for bm in bms]
     return BytecodeVM(bms, fuel=fuel).run(entry)

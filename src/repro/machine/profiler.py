@@ -1,7 +1,7 @@
 """Noisy runtime measurement and ``perf``-like per-function profiling.
 
 ``Profiler.measure`` is the expensive black-box evaluation in every tuner:
-it interprets the program once (semantics + exact block counts), converts
+it executes the program once (semantics + exact block counts), converts
 counts to cycles with the platform cost model, and perturbs the result with
 multiplicative Gaussian noise like a real wall-clock measurement.  The
 paper's methodology of averaging several runs per search point (§4.2.2)
@@ -22,13 +22,16 @@ import numpy as np
 from repro.compiler.ir import Module
 from repro.machine.artifacts import ArtifactStore, ir_fingerprint
 from repro.machine.bytecode import BytecodeModule, BytecodeVM, compile_module
+from repro.machine.codegen import translate_module
 from repro.machine.cost_model import block_cycles, estimate_cycles
-from repro.machine.fuse import fuse_module
 from repro.machine.interp import ExecutionResult, InterpError
 from repro.machine.platforms import Platform
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = ["Measurement", "FunctionProfile", "Profiler"]
+
+#: the translation step under the name perfbench times as ``fuse.fuse_module``
+fuse_module = translate_module
 
 
 @dataclass
@@ -68,17 +71,21 @@ class FunctionProfile:
 class Profiler:
     """Executes linked modules on a simulated platform.
 
-    Programs run on the flat register VM with fused superblock kernels.
-    Its :class:`ExecutionResult`s are bit-identical to the reference
-    tree walker's (:func:`~repro.machine.interp.run_program`, the
-    differential oracle), so every measurement is too.
+    Each module is compiled to bytecode and each of its functions
+    translated once into one generated Python function
+    (:mod:`repro.machine.codegen`); programs run on those translations
+    through :class:`BytecodeVM`.  Their :class:`ExecutionResult`s are
+    bit-identical to the reference tree walker's
+    (:func:`~repro.machine.interp.run_program`, the differential oracle),
+    block-count order included, so every measurement is too.
 
     :attr:`artifacts` is the one :class:`ArtifactStore` between a module
-    and its verdict: fused bytecode per IR fingerprint, and the recorded
-    execution outcome (the execution memo) per ``(entry, fuel,
+    and its verdict: the translated module per IR fingerprint, and the
+    recorded execution outcome (the execution memo) per ``(entry, fuel,
     fingerprints)``.  Every method that runs a program takes optional
     ``fingerprints`` (one per module, ``None`` where unknown) so callers
-    that already hold them skip re-printing the IR.
+    that already hold them skip re-printing the IR; :meth:`record` seeds
+    the memo with an outcome already known from elsewhere.
     """
 
     def __init__(
@@ -92,8 +99,7 @@ class Profiler:
         self.fuel = fuel
         self.artifacts = ArtifactStore()
         self.execution_memo_hits = 0
-        self.fused_kernels = 0
-        self.fused_ops = 0
+        self.functions_translated = 0
 
     # -- executable artifacts -------------------------------------------------
     def _fingerprints(
@@ -107,10 +113,9 @@ class Profiler:
         ]
 
     def _build(self, module: Module) -> BytecodeModule:
-        """Compile one module to its executable (fused) form."""
-        bc, stats = fuse_module(compile_module(module))
-        self.fused_kernels += stats["kernels"]
-        self.fused_ops += stats["fused_ops"]
+        """Compile one module to its executable (translated) form."""
+        bc = fuse_module(compile_module(module))
+        self.functions_translated += len(bc.functions)
         return bc
 
     def _execute(
@@ -147,9 +152,27 @@ class Profiler:
         except InterpError as exc:
             self.artifacts.put(key, ("err", type(exc), str(exc)))
             raise
+        return self._put_ok(key, modules, result), result
+
+    def _put_ok(self, key, modules: List[Module], result: ExecutionResult) -> float:
         cycles = estimate_cycles(modules, result.block_counts, self.platform)
         self.artifacts.put(key, ("ok", cycles, result))
-        return cycles, result
+        return cycles
+
+    def record(
+        self,
+        modules: List[Module],
+        result: ExecutionResult,
+        entry: str = "main",
+        fingerprints: Optional[Sequence[Optional[str]]] = None,
+    ) -> None:
+        """Seed the execution memo with ``result``, an execution of
+        ``modules`` from ``entry`` at this profiler's fuel that is already
+        known (e.g. the tree walker's reference run of a program), so a
+        later measurement of the same IR replays it instead of translating
+        and running the modules."""
+        fps = self._fingerprints(modules, fingerprints)
+        self._put_ok((entry, self.fuel, tuple(fps)), modules, result)
 
     # -- runtime measurement -------------------------------------------------
     def measure(
@@ -206,8 +229,11 @@ class Profiler:
         entry: str = "main",
         fingerprints: Optional[Sequence[Optional[str]]] = None,
     ) -> FunctionProfile:
-        """Perf-like self-time profile per function and module."""
-        result = self.execute(modules, entry, fingerprints)
+        """Perf-like self-time profile per function and module.
+
+        Served by the execution memo when the program was just measured
+        (as the -O3 anchor is at task set-up)."""
+        _cycles, result = self._outcome(modules, entry, fingerprints)
         fn_seconds: Dict[Tuple[str, str], float] = {}
         cost_cache: Dict[Tuple[str, str], Dict[str, float]] = {}
         fn_index = {}

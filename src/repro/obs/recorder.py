@@ -44,8 +44,8 @@ The recorder also accounts for its own cost: wall seconds spent
 serialising events and artifacts accumulate in
 :attr:`RunRecorder.overhead_seconds`, surface as the ``obs.overhead``
 span in the event stream at close, and as the ``obs.overhead_seconds``
-counter — the self-overhead guard (tests assert it stays under 5% of a
-traced tune) reads exactly these.
+counter — the self-overhead guard (tests bound it per written event, and
+the fsyncs per event) reads exactly these.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 Each builder takes an iteration count and returns a module whose ``main``
 exercises one family of VM instructions (integer ALU, division, floats,
-compares and branches, memory, calls, SLP vectors, and two shapes the
-superblock fusion pass turns into fused kernels).  The differential tests
-run them under the tree walker, the bytecode VM and the fused VM.
+compares and branches, memory, calls, SLP vectors, long straight-line ALU
+chains, wide independent lanes, and phis that swap and rotate values).
+The differential tests run them under the tree walker, the bytecode
+dispatch loop and the translated code.
 """
 
 from repro.compiler.builder import FunctionBuilder, c
@@ -181,8 +182,8 @@ def _kernel_calls(iters: int):
 
 
 def _kernel_fused_chain(iters: int):
-    """one long straight-line int+float ALU chain per iteration — the
-    superblock fusion pass lowers nearly the whole body to one kernel."""
+    """one long straight-line int+float ALU chain per iteration: one block
+    of nearly pure register arithmetic."""
     mod = Module("k_fused_chain")
     b = FunctionBuilder(mod, "main", [], I64)
     acc = b.alloca(I64, hint="acc")
@@ -214,8 +215,8 @@ def _kernel_fused_chain(iters: int):
 
 
 def _kernel_fused_wide(iters: int, lanes: int = 64):
-    """64 independent lanes of identical int ALU work per iteration —
-    wide dependence levels inside one long fused kernel."""
+    """64 independent lanes of identical int ALU work per iteration: wide
+    dependence levels inside one long block."""
     mod = Module("k_fused_wide")
     mod.add_global(
         GlobalVar("src", I64, [((k * 2654435761) & ((1 << 63) - 1)) for k in range(lanes)])
@@ -233,7 +234,7 @@ def _kernel_fused_wide(iters: int, lanes: int = 64):
         iw = bb.sext(i, I64)
         vals = [bb.load(I64, bb.gep(src, c(k, I64), I64)) for k in range(lanes)]
         accs = [bb.load(I64, bb.gep(acc, c(k, I64), I64)) for k in range(lanes)]
-        # three wide dependence levels: one numpy cohort per (level, op)
+        # three wide dependence levels
         t = [bb.mul(v, c(2654435761, I64), I64) for v in vals]
         t = [bb.xor(x, iw, I64) for x in t]
         t = [bb.add(a, x, I64) for a, x in zip(accs, t)]
@@ -285,6 +286,39 @@ def _kernel_vector(iters: int):
     return cr.module
 
 
+def _kernel_phi_swap(iters: int):
+    """phis that swap two values and rotate three around a loop, so each
+    back edge's copies must read every source before writing any
+    destination (and a Fibonacci pair that reads the old values)."""
+    mod = Module("k_phi_swap")
+    b = FunctionBuilder(mod, "main", [], I64)
+    b.jmp("loop")
+    b.block("loop")
+    i = b.phi(I32, [("entry", c(0, I32))])
+    x = b.phi(I64, [("entry", c(1, I64))])
+    y = b.phi(I64, [("entry", c(2, I64))])
+    p = b.phi(I64, [("entry", c(3, I64))])
+    q = b.phi(I64, [("entry", c(5, I64))])
+    r = b.phi(I64, [("entry", c(7, I64))])
+    f0 = b.phi(I64, [("entry", c(0, I64))])
+    f1 = b.phi(I64, [("entry", c(1, I64))])
+    b.output(b.sub(x, y, I64))
+    b.output(b.add(b.mul(p, c(100, I64), I64), b.sub(q, r, I64), I64))
+    fsum = b.add(f0, f1, I64)
+    i_next = b.add(i, c(1, I32), I32)
+    latch = b.current
+    b.br(b.icmp("slt", i_next, c(iters, I32)), "loop", "done")
+    back = {i: i_next, x: y, y: x, p: q, q: r, r: p, f0: f1, f1: fsum}
+    for ins in latch.instrs:
+        if ins.op == "phi":
+            ins.attrs["incoming"].append(("loop", back[ins.res]))
+    b.block("done")
+    out = b.add(b.mul(x, c(1000, I64), I64), b.add(p, f1, I64), I64)
+    b.output(out)
+    b.ret(out)
+    return mod
+
+
 #: family name -> builder
 KERNEL_FAMILIES = {
     "int_alu": _kernel_int_alu,
@@ -296,5 +330,6 @@ KERNEL_FAMILIES = {
     "vector": _kernel_vector,
     "fused_chain": _kernel_fused_chain,
     "fused_wide": _kernel_fused_wide,
+    "phi_swap": _kernel_phi_swap,
 }
 

@@ -47,13 +47,16 @@ def _outcome(runner, modules, entry="main", fuel=2_000_000):
         return ("err", str(exc))
     except KeyError as exc:
         return ("key", str(exc))
-    return ("ok", res.output_signature(), dict(res.block_counts), res.steps)
+    return ("ok", res.output_signature(), list(res.block_counts.items()), res.steps)
 
 
 def _assert_parity(modules, entry="main", fuel=2_000_000):
     tree = _outcome(run_program, modules, entry, fuel)
     bc = _outcome(run_bytecode, modules, entry, fuel)
-    assert tree == bc
+    translated = _outcome(
+        lambda m, e, fuel: run_bytecode(m, e, fuel=fuel, translate=True), modules, entry, fuel
+    )
+    assert tree == bc == translated
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +331,7 @@ def _make_task(**kw):
 
 
 def test_task_engine_transparent_histories():
-    """Every candidate the task measures runs on its profiler (fused VM,
+    """Every candidate the task measures runs on its profiler (translated VM,
     execution memo) exactly as on the tree-walking interpreter, and a
     fresh profiler measures the cycles the tree walker's block counts
     give."""

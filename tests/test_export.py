@@ -1,6 +1,7 @@
 """Exporters (Chrome trace, Prometheus) and the observability overhead guard."""
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from repro.obs.export import (
     write_prometheus,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import RunRecorder, read_events
+from repro.obs.recorder import EVENT_FSYNC_INTERVAL, RunRecorder, read_events
 from repro.obs.trace import Tracer
 
 
@@ -184,9 +185,17 @@ class TestPrometheus:
 
 
 class TestOverheadGuard:
-    def test_overhead_under_5_percent_and_histories_bit_identical(self, tmp_path):
-        """Tracing + recording must cost <5% of a seeded tune's wall time
-        and must not perturb the search by a single bit."""
+    #: wall seconds the recorder may spend per event it writes (encoding,
+    #: write, flush, and its share of the periodic fsync); 0.06-0.12 ms
+    #: over 10 tunes on a 2-core x86-64 VM
+    MAX_SECONDS_PER_EVENT = 0.5e-3
+
+    def test_overhead_per_event_bounded_and_histories_bit_identical(
+        self, tmp_path, monkeypatch
+    ):
+        """Tracing + recording costs a bounded amount per written event,
+        whatever the tune's speed, and does not perturb the search by a
+        single bit."""
 
         def run(recorder):
             with AutotuningTask(
@@ -200,18 +209,19 @@ class TestOverheadGuard:
                 res = Citroen(task, seed=3).tune(30)
             return res
 
-        t0 = time.perf_counter()
         plain = run(None)
-        plain_elapsed = time.perf_counter() - t0
 
         recorder = RunRecorder(
             tmp_path / "run", manifest={"command": "tune", "program": "security_sha"}
         )
-        t0 = time.perf_counter()
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
         traced = run(recorder)
+        # so far the recorder has only written events
+        event_seconds, event_fsyncs = recorder.overhead_seconds, len(fsyncs)
         recorder.write_result(traced)
         recorder.write_metrics()
-        traced_elapsed = time.perf_counter() - t0
         recorder.close()
 
         history = lambda r: [  # noqa: E731
@@ -225,17 +235,21 @@ class TestOverheadGuard:
         # the counter was synced at write_metrics time; the recorder keeps
         # accruing through close(), so the live total can only be larger
         assert 0 < counter <= recorder.overhead_seconds
-        overhead_events = [
-            e
-            for e in read_events(tmp_path / "run" / "events.jsonl")
-            if e.get("name") == "obs.overhead"
-        ]
+        events = read_events(tmp_path / "run" / "events.jsonl")
+        overhead_events = [e for e in events if e.get("name") == "obs.overhead"]
         assert len(overhead_events) == 1
         assert overhead_events[0]["wall"] >= counter * 0.5
 
-        ratio = recorder.overhead_seconds / traced_elapsed
-        assert ratio < 0.05, (
-            f"observability overhead {ratio:.1%} of traced wall "
-            f"({recorder.overhead_seconds:.4f}s / {traced_elapsed:.4f}s; "
-            f"untraced arm took {plain_elapsed:.4f}s)"
+        # the cost per event, not per tune second: a faster tune writes the
+        # same events, so this bound does not move with the tune's speed
+        written = len(events) - 1  # all but close()'s obs.overhead span
+        assert written > 100
+        per_event = event_seconds / written
+        assert per_event < self.MAX_SECONDS_PER_EVENT, (
+            f"recorder spent {per_event * 1e3:.3f} ms per event "
+            f"({event_seconds:.4f}s over {written} events)"
+        )
+        # one fsync per EVENT_FSYNC_INTERVAL events, not per event
+        assert event_fsyncs <= written // EVENT_FSYNC_INTERVAL, (
+            f"{event_fsyncs} fsyncs for {written} events"
         )
