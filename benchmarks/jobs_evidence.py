@@ -12,8 +12,9 @@ perfbench does not print, read from outside the program:
 * ``compile_cpu_wall_ratio``: the engine's worker-timed compile seconds
   over the wall spent in engine calls (``compile_seconds /
   compile_wall_seconds`` from each task's ``timing_breakdown()``, summed
-  over the run's tasks).  Under a thread pool each item's time includes
-  waiting for the GIL, so this ratio overstates the work done;
+  over the run's tasks).  In a checkout that still compiles on a thread
+  pool, each item's time includes waiting for the GIL, so there this
+  ratio overstates the work done;
 * ``compile_cores_used``: CPU seconds spent while ``compile_batch`` ran
   (this process, all threads, plus the CPU of the worker processes, read
   from ``getrusage(RUSAGE_CHILDREN)`` as each task closes and joins them)

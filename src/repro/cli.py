@@ -376,7 +376,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                     f"{int(timing.get('measure_crashes', 0))} crashes, "
                     f"{int(timing.get('measure_incorrect', 0))} miscompiles"
                 )
-                log.info(f"injected     : {task.fault_injector.stats()}")
+                inj = task.fault_injector
+                log.info(
+                    f"injected     : {','.join(inj.kinds)} at rate {inj.rate:g} "
+                    f"(fault seed {inj.seed})"
+                )
             if args.show_sequences:
                 for module, seq in result.best_config.items():
                     log.info(f"\n[{module}]\n  {' '.join(seq)}")

@@ -10,15 +10,14 @@ that batch explicit:
   sequence)`` pairs and returns results *in input order* regardless of
   execution order, so tuner behaviour is identical at any ``jobs`` setting
   (the compile function must be a pure function of its inputs);
-* **configurable executor** — ``jobs=1`` is a deterministic serial loop
-  (no pool, no threads); ``jobs>1`` shares each batch between this
-  process and ``jobs-1`` forked workers by default (``executor="auto"``),
-  or runs it on a thread pool on request (``executor="thread"``, for
-  compile functions that cannot cross a process boundary).  Workers are
-  forked lazily, on the first batch with two or more items to compile,
-  and inherit the compile function; each sits on one duplex pipe.  Each
-  batch is split round-robin, and the caller compiles the first share
-  in-line while the workers compile theirs;
+* **two ways to run a batch** — in-line, or on forked process workers.
+  ``jobs=1`` without a timeout is a deterministic serial loop in this
+  process (no workers); ``jobs>1`` shares each batch between this
+  process and ``jobs-1`` forked workers.  Workers are forked lazily, on
+  the first batch with two or more items to compile (any batch, under a
+  timeout), and inherit the compile function; each sits on one duplex
+  pipe.  Each batch is split round-robin, and the caller compiles the
+  first share in-line while the workers compile theirs;
 * **one compile graph** — a compile function that grows a
   :class:`~repro.compiler.opt_tool.CompileGraph` (the ``graph``
   argument) would otherwise grow one private copy per process.  Each
@@ -28,10 +27,10 @@ that batch explicit:
   included).  Every process then walks one logical graph;
 * **stats-only compiles** — ``compile_batch(..., stats_only=True)``
   calls the compile function as ``compile_fn(name, seq,
-  stats_only=True)``, on every executor alike: a compile function that
-  can leave the module out of its result (the task's returns
-  ``CompiledModule(None, stats)``) builds none, and a process worker
-  pickles only the statistics back;
+  stats_only=True)``, in-line and in the workers alike: a compile
+  function that can leave the module out of its result (the task's
+  returns ``CompiledModule(None, stats)``) builds none, and a process
+  worker pickles only the statistics back;
 * **within-batch dedup** — candidates sharing a key (``(module_name,
   decoded-sequence)`` by default) compile once per batch; the duplicates
   count as ``cache_hits``.  Nothing is kept across batches: a compiled
@@ -45,10 +44,11 @@ that batch explicit:
   than pretending the batch ran serially;
 * **fault tolerance** — real phase orders crash compilers, hang them, and
   fail transiently.  Every candidate runs through a bounded
-  retry-with-backoff loop, an optional per-candidate ``timeout``, and a
-  *quarantine*: keys that failed deterministically (crashed through every
-  retry, or timed out) are never compiled again — later requests get
-  their failure back instantly.  ``compile_batch(..., outcomes=True)``
+  retry-with-backoff loop, an optional per-candidate ``timeout``
+  (enforced by killing the worker that overran), and a *quarantine*:
+  keys that failed deterministically (crashed through every retry, or
+  timed out) are never compiled again — later requests get their
+  failure back instantly.  ``compile_batch(..., outcomes=True)``
   returns a :class:`CompileOutcome` per candidate instead of raising, so
   one failing worker can neither drop sibling results nor skew counters;
   failure/timeout/retry/quarantine counts flow into :meth:`stats`.
@@ -80,8 +80,6 @@ import sys
 import time
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing.connection import Connection, wait as _wait_any
@@ -167,9 +165,9 @@ def _attempt_invoke(
 #: stands and any pass registered at run time, and starts in
 #: milliseconds, where a spawned one re-imports the package.  A fork is
 #: safe while no other thread holds a lock the compile needs: the package
-#: runs no threads besides its thread pools, and the compile graph re-arms
-#: its lock in the child.  Elsewhere (where fork is unsafe or missing) the
-#: platform's default start method is used.
+#: starts no threads, and the compile graph re-arms its lock in the
+#: child.  Elsewhere (where fork is unsafe or missing) the platform's
+#: default start method is used, and the compile function must pickle.
 _POOL_CONTEXT = (
     multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
 )
@@ -260,51 +258,34 @@ class _Worker:
 _LOST: _Out = ("error", None, "compile worker exited before answering", 1, 0.0, 0.0)
 
 
-def _resolve_executor(executor: str, jobs: int, timeout: Optional[float]) -> str:
-    """The executor that actually serves compiles: ``"serial"``,
-    ``"thread"`` or ``"process"``.
-
-    One worker is a serial loop, unless a timeout needs a pool to enforce
-    it: then a single worker thread serves the compiles.  ``"auto"`` at
-    ``jobs>1`` is process workers."""
-    if executor == "serial" or jobs <= 1:
-        return "serial" if timeout is None else "thread"
-    return "process" if executor == "auto" else executor
-
-
 class CompileEngine:
-    """Batch compiler with within-batch dedup and a pluggable executor.
+    """Batch compiler with within-batch dedup, run in-line or on forked
+    process workers.
 
     Parameters
     ----------
     compile_fn:
         ``compile_fn(module_name, sequence) -> result``; must be pure
         (deterministic, no observable side effects) — dedup, the
-        quarantine and the parallel executor all assume call order is
+        quarantine and the process workers all assume call order is
         irrelevant.
     jobs:
-        worker count; ``1`` selects the deterministic serial path.  Under
-        the process executor it counts this process: ``jobs-1`` workers
-        are forked (``jobs`` with a timeout set, as this process then
-        compiles nothing in-line).
-    executor:
-        ``"auto"`` (serial at ``jobs=1``, process workers otherwise),
-        ``"serial"``, ``"thread"``, or ``"process"``.  The executor that
-        actually serves compiles is :attr:`kind`.
+        process count; ``1`` without a timeout selects the deterministic
+        serial path.  It counts this process: ``jobs-1`` workers are
+        forked (``jobs`` with a timeout set, as this process then
+        compiles nothing in-line).  How batches run is :attr:`kind`.
     key_fn:
         maps ``(module_name, sequence)`` to the hashable dedup/quarantine key;
         defaults to ``(module_name, tuple(sequence))``.
     timeout:
         per-candidate compile timeout in seconds (``None`` disables).
-        Enforcing a timeout requires a pool, so when set the serial path
-        routes through a single worker thread; a candidate that trips it
-        is quarantined (a deterministic hang would only hang again) and
-        its worker is abandoned, so a hung candidate cannot starve the
-        rest of the batch into spurious timeouts.  A thread pool is
-        replaced and its still-queued siblings are rescued onto the
-        fresh one; a process worker streams one result per item, and
-        one whose item overruns is killed and forked afresh, and its
-        unfinished items are sent to the new worker.
+        Enforcing a timeout needs a worker that can be killed, so when
+        set every batch runs on ``jobs`` process workers (one at
+        ``jobs=1``), each streaming one result per item.  A candidate
+        that trips it is quarantined (a deterministic hang would only
+        hang again), and its worker is killed and forked afresh, and its
+        unfinished items are sent to the new worker, so a hung candidate
+        cannot starve the rest of the batch into spurious timeouts.
     max_retries:
         extra compile attempts for a candidate whose compile *raised*
         (transient faults); a candidate still failing after the last retry
@@ -323,14 +304,13 @@ class CompileEngine:
     graph:
         the :class:`~repro.compiler.opt_tool.CompileGraph` the compile
         function grows, kept as one logical graph across process workers
-        (see the module docstring); ignored by the other executors.
+        (see the module docstring); unused by the serial path.
     """
 
     def __init__(
         self,
         compile_fn: Callable[[str, Sequence[int]], object],
         jobs: int = 1,
-        executor: str = "auto",
         key_fn: Optional[Callable[[str, Sequence[int]], Hashable]] = None,
         timeout: Optional[float] = None,
         max_retries: int = 2,
@@ -341,16 +321,12 @@ class CompileEngine:
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if executor not in ("auto", "serial", "thread", "process"):
-            raise ValueError(f"unknown executor {executor!r}")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive or None, got {timeout}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.compile_fn = compile_fn
         self.jobs = int(jobs)
-        #: the resolved executor: ``"serial"``, ``"thread"`` or ``"process"``
-        self.kind = _resolve_executor(executor, self.jobs, timeout)
         self.key_fn = key_fn or (lambda name, seq: (name, tuple(int(i) for i in seq)))
         self.timeout = timeout
         self.max_retries = int(max_retries)
@@ -360,8 +336,6 @@ class CompileEngine:
 
         self._quarantine: Dict[Hashable, CompileOutcome] = {}
         self._lock = Lock()
-        #: the thread pool (``kind == "thread"``), started on first use
-        self._pool: Optional[ThreadPoolExecutor] = None
         #: the process workers (``kind == "process"``), forked on first use;
         #: batches take turns on them
         self._workers: List[_Worker] = []
@@ -430,15 +404,13 @@ class CompileEngine:
         """Requests served a stored failure without compiling."""
         return int(self._m_qhits.value)
 
-    # -- executor plumbing ------------------------------------------------------
-    def _get_pool(self) -> ThreadPoolExecutor:
-        """The thread pool, started on first use."""
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.jobs, thread_name_prefix="compile-engine"
-            )
-        return self._pool
+    @property
+    def kind(self) -> str:
+        """How batches run: ``"serial"`` (in-line, at ``jobs=1`` without
+        a timeout) or ``"process"`` (on forked workers)."""
+        return "serial" if self.jobs == 1 and self.timeout is None else "process"
 
+    # -- process workers --------------------------------------------------------
     def _fork(self) -> _Worker:
         """A new process worker, forked from this process as it stands
         (its compile graph included)."""
@@ -490,12 +462,18 @@ class CompileEngine:
         self._workers.remove(worker)
         worker.stop(kill=kill)
 
+    def _replace(self, worker: _Worker, kill: bool = False) -> _Worker:
+        """Stop a worker and fork its successor in its place.  The
+        successor starts from this process's graph, which holds every
+        journal queued for the old worker, so its outbox is empty."""
+        slot = self._workers.index(worker)
+        worker.stop(kill=kill)
+        fresh = self._workers[slot] = self._fork()
+        return fresh
+
     def close(self) -> None:
-        """Shut the thread pool and the process workers down (idempotent;
-        the engine stays usable and starts them again on demand)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Shut the process workers down (idempotent; the engine stays
+        usable and forks them again on demand)."""
         with self._dispatch:
             workers, self._workers = self._workers, []
             for worker in workers:
@@ -570,8 +548,8 @@ class CompileEngine:
 
         Results come back in input order.  Duplicates within the batch and
         quarantined keys are served without compiling; the remaining unique
-        keys run on the configured executor with retry, timeout and
-        quarantine handling.
+        keys run in-line or on the process workers (see :attr:`kind`) with
+        retry, timeout and quarantine handling.
 
         With ``outcomes=True`` every slot is a :class:`CompileOutcome`
         (failures included) and nothing raises.  With ``outcomes=False``
@@ -581,8 +559,8 @@ class CompileEngine:
         stay consistent.
 
         With ``stats_only=True`` every candidate compiles as
-        ``compile_fn(name, seq, stats_only=True)``, whichever executor
-        serves it (the compile function must accept the keyword).
+        ``compile_fn(name, seq, stats_only=True)``, in whichever process
+        it compiles (the compile function must accept the keyword).
         """
         t_wall = time.perf_counter()
         span = self.tracer.span("compile_batch", size=len(items))
@@ -617,13 +595,9 @@ class CompileEngine:
             if self.kind == "process" and (len(work) > 1 or self.timeout is not None):
                 with self._dispatch:
                     outs = self._run_on_workers(fn, attempt, stats_only, work)
-            elif self.timeout is not None:
-                outs = self._run_with_timeout(partial(_attempt_invoke, fn, *attempt), work)
-            elif self.kind == "thread" and len(work) > 1:
-                worker = partial(_attempt_invoke, fn, *attempt)
-                outs = list(self._get_pool().map(worker, *zip(*work)))
             else:
-                # one item: compiling it here beats a round trip
+                # serial, or one item without a timeout: compiling it here
+                # beats a round trip
                 outs = [_attempt_invoke(fn, *attempt, n, s) for n, s in work]
             with self._lock:
                 for (key, slots), (status, out, err, attempts, dt, wait) in zip(
@@ -716,10 +690,14 @@ class CompileEngine:
         it in-line while the workers compile theirs, then merges their
         journals as their answers arrive.  With one, this process
         compiles nothing, the workers stream one result per item, and an
-        item's clock starts when its worker finished the one before it
-        (or got the batch); a worker whose item overruns is killed and
-        forked afresh from this process's graph, and its unfinished items
-        go to the new worker."""
+        item's clock starts when this process read the answer before it
+        (or sent the batch); a worker whose item overruns, with no answer
+        waiting in its pipe, is killed and forked afresh from this
+        process's graph, and its unfinished items go to the new worker.
+        A worker found dead when its share is sent
+        (it died since the last batch) is forked afresh too, and the new
+        one compiles the share; the items of a worker that dies while
+        compiling come back as errors."""
         submit_t = attempt[2]
         stream = self.timeout is not None
         workers = self._start_workers()
@@ -730,12 +708,12 @@ class CompileEngine:
         started: Dict[_Worker, float] = {}
 
         def dispatch(worker: _Worker, slots: List[int]) -> None:
+            share = [work[i] for i in slots]
             try:
-                worker.conn.send((worker.outbox, stats_only, stream, submit_t,
-                                  [work[i] for i in slots]))
+                worker.conn.send((worker.outbox, stats_only, stream, submit_t, share))
             except OSError:  # the worker died since the last batch
-                self._retire(worker)
-                return
+                worker = self._replace(worker)
+                worker.conn.send(([], stats_only, stream, submit_t, share))
             worker.outbox = []
             queues[worker] = slots
             started[worker] = time.perf_counter()
@@ -751,18 +729,22 @@ class CompileEngine:
                 if stream:
                     now = time.perf_counter()
                     for worker, slots in list(queues.items()):
-                        if slots and now - started[worker] >= self.timeout:
+                        # an answer already waiting came in time, however
+                        # long this process paused (a collection, say)
+                        # before reading it
+                        if (slots and now - started[worker] >= self.timeout
+                                and not worker.conn.poll()):
                             outs[slots[0]] = (
                                 "timeout", None,
                                 f"compile timed out after {self.timeout:.4g}s",
                                 1, float(self.timeout), 0.0,
                             )
                             del queues[worker]
-                            self._retire(worker, kill=True)
-                            fresh = self._fork()
-                            self._workers.append(fresh)
+                            fresh = self._replace(worker, kill=True)
                             if slots[1:]:
                                 dispatch(fresh, slots[1:])
+                    if not queues:  # the item that overran was the last
+                        break
                     deadlines = [started[w] + self.timeout for w, s in queues.items() if s]
                     left = max(0.0, min(deadlines) - time.perf_counter()) if deadlines else None
                 else:
@@ -790,41 +772,3 @@ class CompileEngine:
                 self._retire(worker, kill=True)
             raise
         return [_LOST if out is None else out for out in outs]
-
-    def _run_with_timeout(
-        self, worker: Callable, work: List[Tuple[str, Sequence[int]]]
-    ) -> List[_Out]:
-        """Run work items on the thread pool as individual futures with a
-        per-candidate timeout.
-
-        The timeout clock for item *i* starts when the engine begins
-        waiting on it (items are awaited in input order, so earlier waits
-        already covered most of its queue time).  On a timeout the pool is
-        replaced and still-queued futures are resubmitted to the fresh
-        one — the abandoned thread finishes (or sleeps) in the background
-        without blocking anyone, and its late result is discarded.
-        """
-        pool = self._get_pool()
-        futs = [pool.submit(worker, n, s) for n, s in work]
-        outs: List[_Out] = [None] * len(work)
-        for i in range(len(work)):
-            try:
-                outs[i] = futs[i].result(timeout=self.timeout)
-            except _FuturesTimeout:
-                outs[i] = (
-                    "timeout",
-                    None,
-                    f"compile timed out after {self.timeout:.4g}s",
-                    1,
-                    float(self.timeout),
-                    0.0,
-                )
-                with self._lock:
-                    old, self._pool = self._pool, None
-                pool = self._get_pool()
-                for j in range(i + 1, len(futs)):
-                    if futs[j].cancel():
-                        futs[j] = pool.submit(worker, work[j][0], work[j][1])
-                if old is not None:
-                    old.shutdown(wait=False)
-        return outs

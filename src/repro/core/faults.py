@@ -130,7 +130,9 @@ class FaultInjector:
         ``timeout`` to exercise the timeout path).
     transient_failures:
         how many attempts a ``transient`` key fails before succeeding
-        (pair with the engine's ``max_retries``).
+        (pair with the engine's ``max_retries``).  Attempts are counted
+        per process, so a key compiled again in another process fails
+        anew.
     corrupt_fn:
         maps a successful result to its miscompiled form; required for the
         ``miscompile`` kind to have any effect (``None`` leaves the result
@@ -162,7 +164,6 @@ class FaultInjector:
 
         self._lock = Lock()
         self._transient_attempts: Dict[Hashable, int] = {}
-        self.injected: Dict[str, int] = {k: 0 for k in FAULT_KINDS}
 
     # -- deterministic fault assignment ------------------------------------
     def _digest(self, module_name: str, seq: Sequence) -> bytes:
@@ -198,8 +199,6 @@ class FaultInjector:
             kind = self.fault_for(module_name, seq)
             if kind is None:
                 return fn(module_name, seq)
-            with self._lock:
-                self.injected[kind] += 1
             if kind == "crash":
                 raise CompilerCrash(
                     f"injected compiler crash on ({module_name}, seed={self.seed})"
@@ -223,8 +222,3 @@ class FaultInjector:
             return self.corrupt_fn(out) if self.corrupt_fn is not None else out
 
         return faulty
-
-    def stats(self) -> Dict[str, int]:
-        """Counts of faults actually injected so far, by kind."""
-        with self._lock:
-            return dict(self.injected)

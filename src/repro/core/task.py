@@ -67,7 +67,7 @@ def _compile_candidate(
     stats_only: bool = False,
 ) -> CompiledModule:
     """The raw compile of a decoded pass-name sequence — a pure function
-    of its arguments, as the engine's cache and parallel executor both
+    of its arguments, as the engine's dedup and process workers both
     require (``graph`` only saves work).  Module-level and bound with
     ``functools.partial`` over picklable values only, so a process worker
     started without fork can still be handed it.  ``stats_only`` returns
@@ -97,7 +97,6 @@ class AutotuningTask:
         check_outputs: bool = True,
         objective: str = "runtime",
         jobs: int = 1,
-        executor: str = "auto",
         fault_injector: Optional[FaultInjector] = None,
         compile_timeout: Optional[float] = None,
         compile_retries: int = 2,
@@ -114,15 +113,14 @@ class AutotuningTask:
         executing the program, though differential testing still runs it
         once for correctness).
 
-        ``jobs``/``executor`` configure the
+        ``jobs`` is the process count of the
         :class:`~repro.core.eval_engine.CompileEngine` behind
-        :meth:`compile_module`/:meth:`compile_batch`: worker count
-        (``jobs=1`` is a deterministic serial loop) and the pool flavour
-        (``"auto"``, ``"serial"``, ``"thread"``, ``"process"``).  ``"auto"``
-        at ``jobs>1`` is ``jobs-1`` process workers, forked on the first
-        batch that needs them (this process compiles items of each batch
-        too, and all of them walk one compile graph), or a thread pool
-        when a fault injector is attached.
+        :meth:`compile_module`/:meth:`compile_batch`: ``jobs=1`` is a
+        deterministic serial loop, and ``jobs>1`` forks ``jobs-1`` process
+        workers on the first batch that needs them (this process compiles
+        items of each batch too, and all of them walk one compile graph).
+        A ``compile_timeout`` runs every batch on ``jobs`` workers, which
+        can be killed when a compile overruns.
 
         ``fault_injector`` wraps candidate compiles with seeded chaos
         (:mod:`repro.core.faults`); ``compile_timeout``/``compile_retries``/
@@ -131,9 +129,11 @@ class AutotuningTask:
         ``REPRO_INJECT_FAULTS``/``REPRO_FAULT_RATE``/``REPRO_FAULT_SEED``/
         ``REPRO_FAULT_HANG_SECONDS`` environment variables build one — the
         hook CI's chaos job uses to run whole suites under fault injection.
-        An injector's lock and counters are process-local: with one
-        attached, ``executor="auto"`` compiles on threads, and an explicit
-        ``executor="process"`` raises :class:`ValueError`.
+        Faults are a pure function of each candidate
+        (:meth:`~repro.core.faults.FaultInjector.fault_for`), so they hit
+        alike in whichever process a candidate compiles; their effect is
+        counted by the engine's failure, timeout, retry and quarantine
+        counters and by ``measure_incorrect``.
 
         ``tracer``/``metrics`` wire the observability stack
         (:mod:`repro.obs`) through the task: measurement spans and
@@ -191,15 +191,6 @@ class AutotuningTask:
                         os.environ.get("REPRO_FAULT_HANG_SECONDS", "0.05")
                     ),
                 )
-        if fault_injector is not None:
-            if executor == "process":
-                raise ValueError(
-                    "fault injection cannot run in process workers: the "
-                    "injector's lock and counters are process-local (unset "
-                    "REPRO_INJECT_FAULTS, or use executor='auto' or 'thread')"
-                )
-            if executor == "auto":
-                executor = "thread"
         self.objective = objective
         self.program = program
         self.platform: Platform = get_platform(platform)
@@ -279,7 +270,6 @@ class AutotuningTask:
         self.engine = CompileEngine(
             compile_fn,
             jobs=self.jobs,
-            executor=executor,
             key_fn=_named_key,
             timeout=compile_timeout,
             max_retries=compile_retries,
@@ -450,10 +440,10 @@ class AutotuningTask:
         failures (crash/timeout/quarantine) are returned, not raised — the
         fault-tolerant interface every tuner uses.  With
         ``stats_only=True`` each result carries ``module=None``: no module
-        is built, on any executor; recompile the one you measure with
-        :meth:`compile_module`.  A task with a fault injector ignores the
-        flag, since the injector's ``miscompile`` fault corrupts the
-        module."""
+        is built, in-line or in a process worker; recompile the one you
+        measure with :meth:`compile_module`.  A task with a fault injector
+        ignores the flag, since the injector's ``miscompile`` fault
+        corrupts the module."""
         return self.engine.compile_batch(
             [(name, tuple(self.decode(seq))) for name, seq in items],
             outcomes=outcomes,
@@ -755,10 +745,10 @@ class AutotuningTask:
         ``compile_wall_seconds`` is wall clock spent inside the engine —
         under process workers their ratio is the parallel speedup (each
         item's time is its wall time, so it also counts time a process
-        waited for a core; under threads, waiting for the GIL).
-        ``executor`` names the executor that served the compiles
-        (``serial``, ``thread`` or ``process``).  Within-batch duplicates
-        compile once, so ``n_compiles`` counts real work only.  The fault-tolerance counters
+        waited for a core).  ``executor`` names how the compiles ran
+        (``serial`` or ``process``, the engine's ``kind``).  Within-batch
+        duplicates compile once, so ``n_compiles`` counts real work only.
+        The fault-tolerance counters
         (failures/timeouts/retries/quarantine from the engine, plus crashed
         and incorrect measurements) make chaos runs auditable.
 

@@ -186,11 +186,10 @@ class TestCitroen:
                 ]
 
         _, n_serial, serial = history(jobs=1)
-        for executor in ("process", "auto"):
-            workers, n_proc, proc = history(jobs=2, executor=executor)
-            assert workers == 1
-            assert proc == serial
-            assert n_proc == n_serial
+        workers, n_proc, proc = history(jobs=2)
+        assert workers == 1
+        assert proc == serial
+        assert n_proc == n_serial
 
     def test_ablation_configs_construct_and_run(self):
         task = AutotuningTask(

@@ -44,7 +44,9 @@ class TestCompileEngine:
         with pytest.raises(ValueError):
             CompileEngine(lambda n, s: None, jobs=0)
         with pytest.raises(ValueError):
-            CompileEngine(lambda n, s: None, executor="gpu")
+            CompileEngine(lambda n, s: None, timeout=0)
+        with pytest.raises(TypeError):  # no executor to choose
+            CompileEngine(lambda n, s: None, executor="process")
 
     def test_batch_results_in_input_order_parallel(self):
         def slow_compile(name, seq):
@@ -52,7 +54,7 @@ class TestCompileEngine:
             time.sleep(0.03 / (int(seq[0]) + 1))
             return (name, tuple(seq))
 
-        eng = CompileEngine(slow_compile, jobs=4, executor="thread")
+        eng = CompileEngine(slow_compile, jobs=4)
         items = [("m", [i]) for i in range(8)]
         try:
             out = eng.compile_batch(items)
@@ -90,7 +92,7 @@ class TestCompileEngine:
             time.sleep(0.0005)
             return tuple(seq)
 
-        eng = CompileEngine(compile_fn, jobs=4, executor="thread")
+        eng = CompileEngine(compile_fn, jobs=4)
         n_threads, uniques, repeats = 6, 20, 3
 
         def client(tid):
@@ -115,7 +117,7 @@ class TestCompileEngine:
             time.sleep(0.02)
             return 0
 
-        par = CompileEngine(compile_fn, jobs=4, executor="thread")
+        par = CompileEngine(compile_fn, jobs=4)
         par.compile_batch([("m", [i]) for i in range(8)])
         par.close()
         assert par.wall_seconds < par.cpu_seconds

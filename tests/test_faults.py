@@ -14,9 +14,10 @@ Covers:
 * end-to-end — ``Citroen.tune`` and a baseline complete their full budget
   at a 5% fault rate, report nonzero fault counters, keep a best config
   that passes differential testing, and reproduce bit-identical
-  measurement histories under the same fault seed.
+  measurement histories under the same fault seed, at any ``jobs``.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -106,7 +107,6 @@ class TestFaultInjector:
         inj = FaultInjector(rate=0.0, seed=0)
         fn = inj.wrap(lambda n, s: (n, tuple(s)))
         assert fn("m", [1, 2]) == ("m", (1, 2))
-        assert inj.stats() == {k: 0 for k in FAULT_KINDS}
 
 
 class TestEngineFaultPaths:
@@ -116,9 +116,7 @@ class TestEngineFaultPaths:
                 raise RuntimeError("boom")
             return tuple(seq)
 
-        eng = CompileEngine(
-            compile_fn, jobs=4, executor="thread", max_retries=1, retry_backoff=0.001
-        )
+        eng = CompileEngine(compile_fn, jobs=4, max_retries=1, retry_backoff=0.001)
         items = [("m", [i]) for i in range(8)]
         outs = eng.compile_batch(items, outcomes=True)
         eng.close()
@@ -188,9 +186,23 @@ class TestEngineFaultPaths:
                 time.sleep(0.5)
             return tuple(seq)
 
-        eng = CompileEngine(compile_fn, jobs=2, executor="thread", timeout=0.1)
-        outs = eng.compile_batch([("m", [0]), ("m", [1]), ("m", [2])], outcomes=True)
-        assert outs[0].ok and outs[2].ok  # siblings rescued from the hung pool
+        # the other worker answers items 0 and 2 before item 1 overruns,
+        # which leaves no worker to wait on: the batch must end there.  It
+        # runs on a daemon thread so that a hang fails this test, not the
+        # whole suite
+        eng = CompileEngine(compile_fn, jobs=2, timeout=0.1)
+        batch = []
+        thread = threading.Thread(
+            target=lambda: batch.append(
+                eng.compile_batch([("m", [0]), ("m", [1]), ("m", [2])], outcomes=True)
+            ),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "the batch hung after its last item timed out"
+        (outs,) = batch
+        assert outs[0].ok and outs[2].ok  # siblings unharmed by the hung worker
         assert outs[1].status == "timeout"
         assert eng.n_timeouts == 1
         assert eng.in_quarantine("m", [1])
@@ -205,8 +217,8 @@ class TestEngineFaultPaths:
                 time.sleep(0.5)
             return tuple(seq)
 
-        # enforcing a timeout at jobs=1 routes through a worker thread; a
-        # hung first candidate must not starve the rest of the batch
+        # enforcing a timeout at jobs=1 forks one worker; a hung first
+        # candidate must not starve the rest of the batch
         eng = CompileEngine(compile_fn, jobs=1, timeout=0.1)
         outs = eng.compile_batch([("m", [0]), ("m", [1]), ("m", [2])], outcomes=True)
         assert outs[0].status == "timeout"
@@ -229,12 +241,15 @@ class TestEngineFaultPaths:
         assert eng.in_quarantine("m", [1])
 
     def test_context_manager_closes_pool(self):
-        with CompileEngine(lambda n, s: tuple(s), jobs=2, executor="thread") as eng:
+        with CompileEngine(lambda n, s: tuple(s), jobs=2) as eng:
             assert eng.compile_batch([("m", [i]) for i in range(4)]) == [
                 (i,) for i in range(4)
             ]
-            assert eng._pool is not None
-        assert eng._pool is None
+            processes = [w.process for w in eng._workers]
+            assert len(processes) == 1 and processes[0].is_alive()
+        assert not eng._workers
+        # reaped: joined, so each has an exit code and is no zombie child
+        assert all(p.exitcode is not None for p in processes)
 
 
 @pytest.fixture(scope="module")
@@ -352,19 +367,9 @@ class TestTaskDegradation:
         assert task.fault_injector.seed == 9
         task.close()
 
-    @pytest.mark.parametrize("source", ["explicit", "env"])
-    def test_process_executor_rejects_fault_injection(self, monkeypatch, source):
-        monkeypatch.setenv("REPRO_INJECT_FAULTS", "crash")
-        kw = {"fault_injector": FaultInjector(rate=0.5)} if source == "explicit" else {}
-        with pytest.raises(ValueError, match="process-local"):
-            AutotuningTask(
-                cbench_program("security_sha"), seed=0, seq_length=8,
-                jobs=2, executor="process", **kw,
-            )
-
-    def test_env_chaos_with_auto_jobs_compiles_on_threads(self, monkeypatch):
-        # the injector's lock and counters are process-local, so "auto"
-        # keeps it in this process instead of refusing the combination
+    def test_env_chaos_with_jobs_compiles_on_process_workers(self, monkeypatch):
+        # faults are a pure function of the candidate, so the forked
+        # workers inject them as this process would
         monkeypatch.setenv("REPRO_INJECT_FAULTS", "crash,transient")
         monkeypatch.setenv("REPRO_FAULT_RATE", "0.3")
         monkeypatch.setenv("REPRO_FAULT_SEED", "2")
@@ -372,13 +377,13 @@ class TestTaskDegradation:
             cbench_program("security_sha"), platform="arm-a57", seed=0,
             seq_length=8, jobs=2,
         ) as task:
-            assert task.engine.kind == "thread"
-            assert task.timing_breakdown()["executor"] == "thread"
+            assert task.engine.kind == "process"
             res = Citroen(task, seed=1, n_init=3, per_strategy=2).tune(8)
             assert len(res.measurements) == 8
-            assert type(task.engine._pool).__name__ == "ThreadPoolExecutor"
-            injected = task.fault_injector.stats()
-        assert sum(injected.values()) > 0
+            assert len(task.engine._workers) == 1
+            tb = task.timing_breakdown()
+        assert tb["executor"] == "process"
+        assert tb["compile_failures"] > 0 and tb["compile_retries"] > 0
 
     def test_env_chaos_ignored_when_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_INJECT_FAULTS", raising=False)
@@ -388,7 +393,7 @@ class TestTaskDegradation:
             assert task.fault_injector is None
 
 
-def _chaos_tune(fault_seed, budget=15):
+def _chaos_tune(fault_seed, budget=15, jobs=1):
     # hang_seconds is well above compile_timeout, and compile_timeout is
     # well above a real compile (~ms): injected hangs always trip the
     # timeout, legitimate compiles never do, even on a loaded machine —
@@ -401,12 +406,17 @@ def _chaos_tune(fault_seed, budget=15):
         seq_length=12,
         fault_injector=inj,
         compile_timeout=0.1,
+        jobs=jobs,
     )
     try:
         res = Citroen(task, seed=7, n_init=3, per_strategy=2).tune(budget)
         return task, res, dict(task.timing_breakdown())
     finally:
         task.close()
+
+
+def _history(res):
+    return [(m.module, m.sequence, m.runtime, m.correct, m.status) for m in res.measurements]
 
 
 class TestChaosEndToEnd:
@@ -428,9 +438,16 @@ class TestChaosEndToEnd:
     def test_same_fault_seed_identical_histories(self):
         _, r1, _ = _chaos_tune(fault_seed=11)
         _, r2, _ = _chaos_tune(fault_seed=11)
-        h1 = [(m.module, m.sequence, m.runtime, m.correct, m.status) for m in r1.measurements]
-        h2 = [(m.module, m.sequence, m.runtime, m.correct, m.status) for m in r2.measurements]
-        assert h1 == h2
+        assert _history(r1) == _history(r2)
+
+    def test_chaos_history_does_not_depend_on_jobs(self):
+        # at jobs=1 one forked worker compiles everything (the timeout
+        # needs a worker it can kill); at jobs=2 two do
+        _, r1, tb1 = _chaos_tune(fault_seed=11, jobs=1)
+        _, r2, tb2 = _chaos_tune(fault_seed=11, jobs=2)
+        assert tb1["executor"] == tb2["executor"] == "process"
+        assert tb1["compile_timeouts"] > 0
+        assert _history(r1) == _history(r2)
 
     def test_baseline_survives_crash_faults(self):
         inj = FaultInjector(rate=0.3, kinds=("crash",), seed=2)

@@ -1,11 +1,12 @@
-"""The process-pool compile path behind ``jobs>1``.
+"""The process-worker compile path behind ``jobs>1`` and timeouts.
 
-Covers stats-only compiles (no module built, on every executor; the
+Covers stats-only compiles (no module built, in-line or in a worker; the
 measured winner is recompiled in the parent), bit-identical CITROEN
 histories against ``jobs=1``, worker lifecycle (lazy fork, reaping on
-close, a hung candidate's worker forked afresh, workers exiting when
-their parent is killed), and the resolved executor reported by the
-engine, the task and ``result.json``.
+close, a hung candidate's worker forked afresh, a worker that died
+between batches forked afresh, workers exiting when their parent is
+killed), and how compiles ran as
+reported by the engine, the task and ``result.json``.
 """
 
 import json
@@ -30,7 +31,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 @pytest.fixture(autouse=True)
 def _no_chaos(monkeypatch):
-    # an injector would keep the compiles on threads
+    # injected faults would change the outcomes these tests pin
     for var in ("REPRO_INJECT_FAULTS", "REPRO_FAULT_RATE", "REPRO_FAULT_SEED",
                 "REPRO_FAULT_HANG_SECONDS"):
         monkeypatch.delenv(var, raising=False)
@@ -140,11 +141,11 @@ def test_serial_measured_modules_match_cold_compile(monkeypatch):
     _assert_measured_match_cold(measured, target)
 
 
-@pytest.mark.parametrize("jobs, executor", [(1, "auto"), (2, "thread"), (2, "process")])
-def test_stats_only_builds_no_module_on_any_executor(jobs, executor):
+@pytest.mark.parametrize("jobs, timeout", [(1, None), (1, 5.0), (2, None)])
+def test_stats_only_builds_no_module_on_any_executor(jobs, timeout):
     items = [("lpc", [i, i + 1, i + 2]) for i in range(6)]
-    with _task(jobs, executor=executor) as task:
-        assert task.engine.kind == ("serial" if jobs == 1 else executor)
+    with _task(jobs, compile_timeout=timeout) as task:
+        assert task.engine.kind == ("serial" if (jobs, timeout) == (1, None) else "process")
         bare = task.compile_batch(items, stats_only=True)
         single = task.compile_batch(items[:1], stats_only=True)
         kept = task.compile_batch(items)
@@ -159,10 +160,16 @@ def test_a_fault_injected_task_keeps_its_modules():
     injector = FaultInjector(rate=1.0, seed=0, kinds=("miscompile",))
     items = [("lpc", [i, i + 1, i + 2]) for i in range(3)]
     with _task(2, fault_injector=injector) as task:
-        assert task.engine.kind == "thread"
+        assert task.engine.kind == "process"
         out = task.compile_batch(items, stats_only=True)
     assert all(c.module is not None for c in out)
-    assert injector.stats()["miscompile"] == len(items)
+    # every module, the worker's share included, carries the corruption:
+    # each function's entry block outputs the sentinel first
+    for c in out:
+        for fn in c.module.functions.values():
+            assert any(
+                i.op == "output" and i.args[0].value == 0x5EED for i in fn.entry.instrs
+            )
 
 
 def test_close_reaps_pool_workers():
@@ -195,7 +202,7 @@ def _hangs_on_three(name, seq):
 def test_a_hung_candidate_is_quarantined_and_its_worker_forked_afresh():
     before = set(multiprocessing.active_children())
     with CompileEngine(
-        _hangs_on_three, jobs=2, executor="process", timeout=1.0, max_retries=0
+        _hangs_on_three, jobs=2, timeout=1.0, max_retries=0
     ) as eng:
         first = eng.compile_batch([("m", [i]) for i in range(2)])
         pids = {w.process.pid for w in eng._workers}
@@ -216,6 +223,62 @@ def test_a_hung_candidate_is_quarantined_and_its_worker_forked_afresh():
     assert not set(multiprocessing.active_children()) - before
 
 
+def _after_a_pause(value):
+    time.sleep(0.3)
+    return value
+
+
+class _PausesOnLoad:
+    """A result whose unpickling, in the engine's process, stalls it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        return _after_a_pause, (self.value,)
+
+
+def _stalls_the_caller(name, seq):
+    # the second worker answers item 1 while the first compiles item 2;
+    # reading that answer stalls the caller past item 2's timeout
+    if seq[0] == 1:
+        time.sleep(0.02)
+        return _PausesOnLoad(1)
+    if seq[0] == 2:
+        time.sleep(0.05)
+    return seq[0]
+
+
+def test_an_answer_waiting_while_the_caller_stalls_is_not_a_timeout():
+    # a caller's pause (a long collection, say) must not time out an item
+    # whose answer came in time and waits in the pipe
+    with CompileEngine(_stalls_the_caller, jobs=2, timeout=0.1, max_retries=0) as eng:
+        out = eng.compile_batch([("m", [i]) for i in range(3)], outcomes=True)
+    assert [o.status for o in out] == ["ok"] * 3
+    assert [o.value for o in out] == [0, 1, 2]
+
+
+def _pid(name, seq):
+    return os.getpid()
+
+
+def test_a_worker_killed_between_batches_is_forked_afresh():
+    # its share was never attempted: the successor compiles it, and
+    # nothing is quarantined
+    with CompileEngine(_pid, jobs=3) as eng:
+        eng.compile_batch([("m", [i]) for i in range(6)])
+        victim = eng._workers[0].process
+        victim.kill()
+        victim.join()
+        out = eng.compile_batch([("m", [i]) for i in range(6, 12)], outcomes=True)
+        assert [o.status for o in out] == ["ok"] * 6
+        assert eng.quarantine_size == 0
+        pids = [w.process.pid for w in eng._workers]
+        assert len(pids) == 2 and victim.pid not in pids
+        # the round-robin share of the dead worker went to its successor
+        assert out[1].value == out[4].value == pids[0]
+
+
 _PARENT = os.getpid()
 
 
@@ -228,7 +291,7 @@ def _interrupted_here(name, seq):
 def test_an_interrupted_batch_leaves_the_workers_in_step():
     # the caller's own share raises while the workers still hold answers;
     # the next batch must not read them as its own
-    with CompileEngine(_interrupted_here, jobs=3, executor="process") as eng:
+    with CompileEngine(_interrupted_here, jobs=3) as eng:
         with pytest.raises(KeyboardInterrupt):
             eng.compile_batch([("m", [i]) for i in range(6)])
         assert eng.compile_batch([("m", [i]) for i in range(1, 7)]) == list(range(1, 7))
@@ -243,7 +306,7 @@ def test_a_batch_message_larger_than_the_pipe_buffer_does_not_stall():
     # each worker's share (like a journal of new states in its outbox)
     # pickles to several times a socket buffer (~200 KB); the worker must
     # read it as it is written, not when it next looks at its pipe
-    with CompileEngine(_length, jobs=3, executor="process") as eng:
+    with CompileEngine(_length, jobs=3) as eng:
         assert eng.compile_batch([("m", [0]), ("m", [0, 1])]) == [1, 2]
         items = [("m", [k] * 200_000) for k in range(6)]
         t0 = time.perf_counter()
@@ -259,7 +322,7 @@ from repro import CompileEngine
 def compile_fn(name, seq):
     return os.getpid()
 
-engine = CompileEngine(compile_fn, jobs=3, executor="process")
+engine = CompileEngine(compile_fn, jobs=3)
 engine.compile_batch([("m", [i]) for i in range(6)])
 print(" ".join(str(w.process.pid) for w in engine._workers), flush=True)
 time.sleep(120)
@@ -293,22 +356,21 @@ def test_workers_exit_when_their_parent_is_killed():
 
 
 @pytest.mark.parametrize(
-    "jobs, executor, timeout, kind",
+    "jobs, timeout, kind, workers",
     [
-        (1, "auto", None, "serial"),
-        (1, "process", None, "serial"),
-        (1, "auto", 5.0, "thread"),
-        (2, "auto", None, "process"),
-        (2, "thread", None, "thread"),
-        (2, "serial", None, "serial"),
+        (1, None, "serial", 0),
+        (1, 5.0, "process", 1),
+        (2, None, "process", 1),
+        (2, 5.0, "process", 2),
     ],
 )
-def test_engine_reports_resolved_executor(jobs, executor, timeout, kind):
-    with CompileEngine(
-        _sleepy_compile, jobs=jobs, executor=executor, timeout=timeout
-    ) as eng:
+def test_engine_reports_resolved_executor(jobs, timeout, kind, workers):
+    # under a timeout this process compiles nothing, so jobs workers fork
+    with CompileEngine(_sleepy_compile, jobs=jobs, timeout=timeout) as eng:
         assert eng.kind == kind
         assert eng.stats()["executor"] == kind
+        eng.compile_batch([("m", [0]), ("m", [1])])
+        assert len(eng._workers) == workers
 
 
 def test_worker_timing_gives_parallel_ratio():
