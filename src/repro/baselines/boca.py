@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy import stats as _st
+from scipy.special import ndtr
 
 from repro.baselines.base import BaseTuner
 from repro.bo.random_forest import RandomForestRegressor
@@ -28,6 +28,8 @@ from repro.core.task import AutotuningTask
 from repro.features.seq_features import sequence_features
 from repro.heuristics.operators import seq_point_mutation
 from repro.utils.rng import SeedLike
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 __all__ = ["BOCATuner"]
 
@@ -75,7 +77,9 @@ class BOCATuner(BaseTuner):
         mu, sigma = rf.predict(F)
         sigma = np.maximum(sigma, 1e-9)
         z = (best_y - mu) / sigma
-        ei = sigma * (z * _st.norm.cdf(z) + _st.norm.pdf(z))
+        # the normal pdf in scipy.stats.norm's own expression, so EI matches
+        # norm.cdf/norm.pdf bit for bit
+        ei = sigma * (z * ndtr(z) + np.exp(-z**2/2.0) / _SQRT_2PI)
         return m, cands[int(np.argmax(ei))]
 
     def observe(self, module: str, seq: np.ndarray, runtime: float) -> None:

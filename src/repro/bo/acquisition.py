@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from repro.bo.gp import GaussianProcess
 from repro.utils.rng import SeedLike, as_generator
@@ -35,7 +35,7 @@ def _phi(z: np.ndarray) -> np.ndarray:
 
 
 def _Phi(z: np.ndarray) -> np.ndarray:
-    return stats.norm.cdf(z)
+    return ndtr(z)
 
 
 class AcquisitionFunction:

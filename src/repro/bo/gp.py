@@ -5,6 +5,12 @@ Matérn-5/2 ARD kernel, constant (zero, after standardisation) mean,
 Yeo-Johnson + standardisation output transform, hyperparameters fitted by
 L-BFGS-B on the exact log marginal likelihood with analytic gradients, and
 the parameter bounds length-scale in [5e-3, 20], noise in [1e-6, 1e-2].
+
+Cholesky factorisations and solves call LAPACK's ``dpotrf``/``dpotrs``
+with the arguments ``scipy.linalg.cholesky(lower=True)`` and ``cho_solve``
+pass, after the same finiteness checks, so they return SciPy's bits and
+raise SciPy's errors without its per-call dispatch, which cost more than
+the factorisation at the GP's sizes (``tests/test_surrogate_parity.py``).
 """
 
 from __future__ import annotations
@@ -14,12 +20,50 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy import linalg, optimize
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from repro.bo.kernels import Kernel, Matern52
 from repro.bo.transforms import Standardizer, YeoJohnson
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = ["GaussianProcess"]
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def cholesky(K: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``K`` (``scipy.linalg.cholesky(K, lower=True)``).
+
+    Raises ``ValueError`` when ``K`` holds a NaN or infinity and
+    ``LinAlgError`` when it is not positive definite.
+    """
+    _check_finite(K)
+    L, info = dpotrf(K, lower=True, clean=True)
+    if info > 0:
+        raise linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(
+            f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".'
+        )
+    return L
+
+
+def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``K x = b`` from the lower factor ``L`` of ``K``
+    (``scipy.linalg.cho_solve((L, True), b)``)."""
+    _check_finite(b)
+    _check_finite(L)
+    if b.size == 0:
+        return np.empty_like(b)
+    x, info = dpotrs(L, b, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 class GaussianProcess:
@@ -76,10 +120,10 @@ class GaussianProcess:
     def _factorise(self) -> None:
         K = self.kernel(self._X, self._X)
         K[np.diag_indices_from(K)] += self.noise + 1e-8
-        self._L = linalg.cholesky(K, lower=True)
-        self._alpha = linalg.cho_solve((self._L, True), self._z)
+        self._L = cholesky(K)
+        self._alpha = cho_solve(self._L, self._z)
         # cached inverse makes posterior gradients O(n^2) instead of O(n^2 d)
-        self._Kinv = linalg.cho_solve((self._L, True), np.eye(len(self._X)))
+        self._Kinv = cho_solve(self._L, np.eye(len(self._X)))
 
     # -- fitting -------------------------------------------------------------------
     def fit(
@@ -122,10 +166,10 @@ class GaussianProcess:
         K, cache = self.kernel.eval_with_cache(X)
         K[np.diag_indices_from(K)] += self.noise + 1e-8
         try:
-            L = linalg.cholesky(K, lower=True)
+            L = cholesky(K)
         except linalg.LinAlgError:
             return 1e10, np.zeros_like(theta)
-        alpha = linalg.cho_solve((L, True), z)
+        alpha = cho_solve(L, z)
         nll = (
             0.5 * float(z @ alpha)
             + float(np.log(np.diag(L)).sum())
@@ -134,7 +178,7 @@ class GaussianProcess:
         # dNLL/dtheta = -0.5 tr((aa^T - K^-1) dK/dtheta); the kernel
         # accumulates every per-dim trace via matrix products instead of
         # materialising dim separate (n, n) derivative matrices
-        Kinv = linalg.cho_solve((L, True), np.eye(n))
+        Kinv = cho_solve(L, np.eye(n))
         W = np.outer(alpha, alpha) - Kinv
         grad = np.empty_like(theta)
         grad[:-1] = -0.5 * self.kernel.grad_hyper_quadform(X, W, cache)
@@ -252,7 +296,7 @@ class GaussianProcess:
             self._factorise()
             return False
         self._L, self._Kinv = ext
-        self._alpha = linalg.cho_solve((self._L, True), self._z)
+        self._alpha = cho_solve(self._L, self._z)
         return True
 
     def fantasize(self, x: np.ndarray, z_value: float) -> "GaussianProcess":
@@ -279,7 +323,7 @@ class GaussianProcess:
             clone._factorise()
             return clone
         clone._L, clone._Kinv = ext
-        clone._alpha = linalg.cho_solve((clone._L, True), clone._z)
+        clone._alpha = cho_solve(clone._L, clone._z)
         return clone
 
     # -- transforms back to the original objective scale --------------------------------
@@ -314,9 +358,7 @@ class GaussianProcess:
         Lp = None
         for jitter in (1e-10, 1e-8, 1e-6, 1e-4):
             try:
-                Lp = linalg.cholesky(
-                    cov + jitter * np.eye(len(X)), lower=True
-                )
+                Lp = cholesky(cov + jitter * np.eye(len(X)))
                 break
             except linalg.LinAlgError:
                 continue

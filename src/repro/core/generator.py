@@ -85,11 +85,12 @@ class CandidateGenerator:
         seen = set()
         for name, opt in self.strategies.items():
             for seq in opt.ask(per_strategy):
-                key = tuple(int(i) for i in seq)
+                seq = np.asarray(seq, dtype=int)
+                key = tuple(seq.tolist())
                 if key in seen:
                     continue
                 seen.add(key)
-                out.append((name, np.asarray(seq, dtype=int)))
+                out.append((name, seq))
                 if self.track_provenance:
                     self.provenance_counts[name]["proposals"] += 1
         return out
