@@ -178,7 +178,3 @@ class Standardizer:
     def inverse(self, z: np.ndarray) -> np.ndarray:
         """Undo the standardisation."""
         return np.asarray(z, dtype=float) * self.std + self.mean
-
-    def inverse_std(self, s: np.ndarray) -> np.ndarray:
-        """Map a posterior standard deviation back to the original scale."""
-        return np.asarray(s, dtype=float) * self.std

@@ -10,7 +10,7 @@ AAResults in a crude alloca-escape form).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.compiler.ir import Const, Function, Instr, Module, Operand
 
@@ -152,10 +152,6 @@ class Loop:
     exits: Set[str] = field(default_factory=set)
     depth: int = 1
     parent: Optional["Loop"] = None
-
-    def is_innermost(self, loops: Sequence["Loop"]) -> bool:
-        """Whether no other loop nests strictly inside this one."""
-        return not any(l is not self and l.header in self.blocks and l.blocks < self.blocks for l in loops)
 
 
 def find_loops(fn: Function) -> List[Loop]:

@@ -67,10 +67,6 @@ class FunctionBuilder:
         self._cur = blk
         return blk
 
-    def switch_to(self, block: Block) -> None:
-        """Make an existing block current."""
-        self._cur = block
-
     @property
     def current(self) -> Block:
         assert self._cur is not None

@@ -23,8 +23,9 @@ Per iteration:
    whose statistics lie outside the observed feature coverage have their
    uncertainty bonus damped, curing the over-exploration the sparse
    feature space otherwise causes (Table 5.2);
-5. the argmax pair is **measured** (expensive); the observation updates the
-   cost model and that module's generators.
+5. the argmax pair is **measured** (expensive) through
+   ``task.evaluate``, the one budget-slot path every tuner shares; the
+   observation updates the cost model and that module's generators.
 
 Because the AF argmax ranges over modules as well as sequences, the search
 budget flows to whichever module currently promises the most improvement —
@@ -35,16 +36,14 @@ round-robin in ``benchmarks/test_multimodule_budget.py``.
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.compiler.ir import Module
-from repro.compiler.pipelines import pipeline
 from repro.core.cost_model import CitroenCostModel
 from repro.core.generator import CandidateGenerator, base_strategy
-from repro.core.result import Measurement, TuningResult
+from repro.core.result import TuningResult
 from repro.core.task import AutotuningTask
 from repro.machine.artifacts import CompiledModule
 from repro.utils.rng import SeedLike, as_generator, spawn
@@ -54,6 +53,9 @@ __all__ = ["Citroen"]
 #: feature modes computed from statistics or the sequence alone, never
 #: from the optimised IR
 _IR_FREE_FEATURES = ("stats", "seq")
+
+#: exponent of the coverage damping of the acquisition's uncertainty bonus
+_COVERAGE_GAMMA = 2.0
 
 
 class Citroen:
@@ -67,13 +69,11 @@ class Citroen:
         per_strategy: int = 6,
         beta: float = 1.96,
         coverage_floor: float = 0.3,
-        coverage_gamma: float = 2.0,
         novelty_epsilon: float = 0.25,
         use_coverage: bool = True,
         use_dedup: bool = True,
         generators: Sequence[str] = ("des", "ga", "random"),
         feature_mode: str = "stats",
-        seed_with_o3: bool = True,
         module_policy: str = "adaptive",
         pass_prior=None,
         diagnostics: bool = True,
@@ -106,12 +106,10 @@ class Citroen:
         self.per_strategy = per_strategy
         self.beta = beta
         self.coverage_floor = coverage_floor
-        self.coverage_gamma = coverage_gamma
         self.novelty_epsilon = novelty_epsilon
         self.use_coverage = use_coverage
         self.use_dedup = use_dedup
         self.feature_mode = feature_mode
-        self.seed_with_o3 = seed_with_o3
         self.module_policy = module_policy
         self.diagnostics = bool(diagnostics)
         self._pending_decision: Optional[Dict[str, object]] = None
@@ -158,28 +156,6 @@ class Citroen:
             return {f"pos{i}": int(v) + 1 for i, v in enumerate(seq)}
         raise KeyError(f"unknown feature mode {self.feature_mode!r}")
 
-    def _o3_seed_sequence(self) -> np.ndarray:
-        """The -O3 pipeline encoded (and padded/cut) to the search length.
-
-        With a pass alphabet disjoint from the -O3 pipeline (custom/reduced
-        subsets, cf. the Fig 5.10 LLVM-10-like config) there is nothing to
-        encode; fall back to a random seed sequence instead of dividing by
-        zero."""
-        index = {p: i for i, p in enumerate(self.task.passes)}
-        ids = [index[p] for p in pipeline("-O3") if p in index]
-        L = self.task.seq_length
-        if not ids:
-            warnings.warn(
-                "no -O3 pipeline pass is in the search alphabet; "
-                "seeding with a random sequence instead",
-                stacklevel=2,
-            )
-            return self.rng.integers(0, self.task.alphabet, size=L)
-        if len(ids) >= L:
-            return np.asarray(ids[:L], dtype=int)
-        reps = ids * (L // len(ids) + 1)
-        return np.asarray(reps[:L], dtype=int)
-
     # -- main loop ----------------------------------------------------------------
     def tune(self, budget: int) -> TuningResult:
         """Run the CITROEN search for ``budget`` measurements."""
@@ -202,9 +178,7 @@ class Citroen:
 
         # ---- initial design -------------------------------------------------
         n_init = min(self.n_init, budget)
-        init_configs: List[Dict[str, np.ndarray]] = []
-        if self.seed_with_o3:
-            init_configs.append({m: self._o3_seed_sequence() for m in task.hot_modules})
+        init_configs = [{m: task.o3_sequence(self.rng) for m in task.hot_modules}]
         while len(init_configs) < n_init:
             cfg = {
                 m: self.rng.integers(0, task.alphabet, size=task.seq_length)
@@ -215,7 +189,7 @@ class Citroen:
             for cfg in init_configs[:n_init]:
                 if task.stop_requested:
                     break
-                self._measure_config(cfg, result, winner="init")
+                self._evaluate(cfg, result, winner="init")
 
         # ---- BO loop ----------------------------------------------------------
         it = 0
@@ -238,22 +212,18 @@ class Citroen:
                 m = self._pick_module_random()
                 cfg = dict(self._best_seq)
                 cfg[m] = self.rng.integers(0, task.alphabet, size=task.seq_length)
-                self._measure_config(cfg, result, winner="random-fallback", module=m)
+                self._evaluate(cfg, result, winner="random-fallback", module=m)
                 self._record_decision(result, it, m, "random-fallback", prev_best)
             else:
                 module_name, seq, compiled, provenance, cov = chosen
-                if compiled.module is None:
-                    # a stats-only result: compiles are pure, so this is
-                    # the module the proposal compile would have built
-                    compiled = task.compile_module(module_name, seq)
                 cfg = dict(self._best_seq)
                 cfg[module_name] = seq
-                self._measure_config(
+                self._evaluate(
                     cfg,
                     result,
                     winner=provenance,
                     module=module_name,
-                    precompiled=(module_name, compiled),
+                    compiled=compiled,
                     coverage=cov,
                 )
                 self._record_decision(result, it, module_name, provenance, prev_best)
@@ -375,8 +345,8 @@ class Citroen:
         # the whole candidate population compiles in one batch — the engine
         # fans it out over `jobs` workers and compiles repeated candidates
         # once (the engine traces this as its own `compile_batch` span).
-        # Features that need no IR build no modules; tune() recompiles
-        # the one winner it measures.
+        # Features that need no IR build no modules; task.evaluate
+        # recompiles the one winner it measures.
         batch = task.compile_batch(
             [(m, seq) for m, _prov, seq in raw],
             outcomes=True,
@@ -453,7 +423,7 @@ class Citroen:
             # statistic dimensions keep entering the model's coverage.
             damp = (
                 self.coverage_floor
-                + (1.0 - self.coverage_floor) * coverages**self.coverage_gamma
+                + (1.0 - self.coverage_floor) * coverages**_COVERAGE_GAMMA
             )
             af = -mu + np.sqrt(self.beta) * sigma * damp
             novel_mask = coverages < 1.0 - 1e-9
@@ -524,91 +494,32 @@ class Citroen:
         return self._best_feats_cache
 
     # -- measurement ------------------------------------------------------------------
-    def _measure_config(
+    def _evaluate(
         self,
         cfg: Dict[str, np.ndarray],
         result: TuningResult,
         winner: str,
         module: Optional[str] = None,
-        precompiled: Optional[Tuple[str, CompiledModule]] = None,
+        compiled: Optional[CompiledModule] = None,
         coverage: float = float("nan"),
     ) -> None:
+        """Spend one budget slot on ``cfg`` through ``task.evaluate``, then
+        update the cost model, the generators and the incumbent."""
         task = self.task
-        compiled: Dict[str, CompiledModule] = {}
-        feats_all: Dict[str, Dict[str, int]] = {}
-        missing: List[Tuple[str, np.ndarray]] = []
-        for name, seq in cfg.items():
-            if precompiled is not None and precompiled[0] == name:
-                compiled[name] = precompiled[1]
-            elif name in self._best_seq and np.array_equal(seq, self._best_seq[name]) and name in self._best_compiled:
-                compiled[name] = self._best_compiled[name]
-            else:
-                missing.append((name, seq))
-        status = "ok"
-        if missing:  # init/fallback configs: compile every module in one batch
-            for (name, _seq), outcome in zip(
-                missing, task.compile_batch(missing, outcomes=True)
-            ):
-                if not outcome.ok:
-                    if status == "ok":
-                        status = outcome.status
-                    continue
-                compiled[name] = outcome.value
-        per_module_seqs = {name: tuple(task.decode(seq)) for name, seq in cfg.items()}
-        if status == "ok":
-            for name, seq in cfg.items():
-                feats_all[name] = self._features_of(
-                    name, seq, compiled[name].module, compiled[name].stats
-                )
-            runtime, ok = task.measure(compiled, sequences=per_module_seqs)
-            if not ok:
-                status = task.last_failure or "incorrect"
-        else:
-            # a module failed to compile: the whole configuration is
-            # infeasible — record it and keep searching
-            runtime, ok = task.penalty_runtime, False
-        idx = len(result.measurements)
-        changed = module if module is not None else "all"
-        if module is not None:
-            seq_names = per_module_seqs[module]
-        else:
-            # whole-config measurement (init/fallback): the flat field holds
-            # every module's passes, not an arbitrary module's presented as
-            # representative
-            seq_names = tuple(
-                p for name in sorted(per_module_seqs) for p in per_module_seqs[name]
-            )
-        result.measurements.append(
-            Measurement(
-                index=idx,
-                module=changed,
-                sequence=seq_names,
-                runtime=runtime if ok else float("inf"),
-                speedup_vs_o3=task.o3_runtime / runtime if ok else 0.0,
-                correct=ok,
-                sequences=per_module_seqs,
-                status=status,
-            )
+        meas, modules = task.evaluate(
+            result,
+            cfg,
+            winner,
+            module,
+            coverage=coverage,
+            incumbent=self._best_seq,
+            incumbent_compiled=self._best_compiled,
+            compiled=compiled,
         )
         result.extras["winner_strategies"].append(winner)
-        result.extras["chosen_modules"].append(changed)
+        result.extras["chosen_modules"].append(meas.module)
         result.extras["chosen_coverage"].append(coverage)
-        # one durable slot record per budget slot: what was tried and what
-        # came back — the audit trail `repro analyze` reads off an
-        # interrupted run (no-op without a WAL; suppressed during replay)
-        task.wal_slot(
-            {
-                "index": idx,
-                "module": changed,
-                "winner": winner,
-                "sequences": {n: list(s) for n, s in per_module_seqs.items()},
-                "runtime": runtime if ok else float("inf"),
-                "correct": ok,
-                "status": status,
-                "coverage": coverage,
-            }
-        )
-        if not ok:
+        if not meas.correct:
             # infeasible (failed compile, crash, or differential mismatch):
             # penalty feedback to the generators so the search moves away,
             # but the observation never enters the cost model, the dedup
@@ -617,6 +528,11 @@ class Citroen:
                 self.generators[name].tell(seq, task.penalty_runtime)
             return
 
+        runtime = meas.runtime
+        feats_all = {
+            name: self._features_of(name, seq, modules[name].module, modules[name].stats)
+            for name, seq in cfg.items()
+        }
         t0 = time.perf_counter()
         self.model.add_observation(feats_all, runtime)
         self.model_seconds += time.perf_counter() - t0
@@ -629,5 +545,5 @@ class Citroen:
         if runtime < self._best_runtime:
             self._best_runtime = runtime
             self._best_seq = {n: np.asarray(s, dtype=int).copy() for n, s in cfg.items()}
-            self._best_compiled = dict(compiled)
+            self._best_compiled = modules
             self._best_feats_cache = dict(feats_all)

@@ -32,14 +32,14 @@ that batch explicit:
   returns ``CompiledModule(None, stats)``) builds none, and a process
   worker pickles only the statistics back;
 * **within-batch dedup** — candidates sharing a key (``(module_name,
-  decoded-sequence)`` by default) compile once per batch; the duplicates
-  count as ``cache_hits``.  Nothing is kept across batches: a compiled
+  tuple(sequence))``) compile once per batch; the duplicates count as
+  ``cache_hits``.  Nothing is kept across batches: a compiled
   module lives only as long as its caller holds it (repeated candidates
   across iterations are rare, and the task's verdict cache already spares
   their measurement);
 * **honest timing** — cumulative per-candidate compile seconds
-  (``cpu_seconds``, summed across workers) versus wall-clock spent inside
-  engine calls (``wall_seconds``), plus hit/miss counters, so
+  (``compile_cpu_seconds``, summed across workers) versus wall-clock spent
+  inside engine calls (``compile_wall_seconds``), plus hit/miss counters, so
   ``timing_breakdown()``/Fig 5.12 can report the parallel speedup rather
   than pretending the batch ran serially;
 * **fault tolerance** — real phase orders crash compilers, hang them, and
@@ -64,9 +64,7 @@ streaming histograms of per-candidate compile seconds, per-batch wall
 time, and queue wait), and every :meth:`compile_batch` runs inside a
 ``compile_batch`` span on the engine's
 :class:`~repro.obs.trace.Tracer` carrying that batch's dedup/fault
-deltas.  The legacy attribute counters (``engine.hits``,
-``engine.n_compiles``, ...) are retained as read-only properties over the
-registry — prefer ``engine.metrics``/:meth:`stats` in new code.
+deltas.  :meth:`stats` reads them back in one dict.
 """
 
 from __future__ import annotations
@@ -274,9 +272,6 @@ class CompileEngine:
         serial path.  It counts this process: ``jobs-1`` workers are
         forked (``jobs`` with a timeout set, as this process then
         compiles nothing in-line).  How batches run is :attr:`kind`.
-    key_fn:
-        maps ``(module_name, sequence)`` to the hashable dedup/quarantine key;
-        defaults to ``(module_name, tuple(sequence))``.
     timeout:
         per-candidate compile timeout in seconds (``None`` disables).
         Enforcing a timeout needs a worker that can be killed, so when
@@ -311,7 +306,6 @@ class CompileEngine:
         self,
         compile_fn: Callable[[str, Sequence[int]], object],
         jobs: int = 1,
-        key_fn: Optional[Callable[[str, Sequence[int]], Hashable]] = None,
         timeout: Optional[float] = None,
         max_retries: int = 2,
         retry_backoff: float = 0.01,
@@ -327,7 +321,6 @@ class CompileEngine:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.compile_fn = compile_fn
         self.jobs = int(jobs)
-        self.key_fn = key_fn or (lambda name, seq: (name, tuple(int(i) for i in seq)))
         self.timeout = timeout
         self.max_retries = int(max_retries)
         self.retry_backoff = float(retry_backoff)
@@ -358,51 +351,6 @@ class CompileEngine:
         self._m_batch_wall = m.histogram("engine.batch_wall_seconds")
         self._m_batch_size = m.histogram("engine.batch_size")
         self._m_queue_wait = m.histogram("engine.queue_wait_seconds")
-
-    # -- legacy counter attributes (now registry-backed, read-only) ------------
-    # Deprecated: these exist for back-compat with pre-observability callers;
-    # prefer `engine.metrics` / `stats()`.
-    @property
-    def n_compiles(self) -> int:
-        return int(self._m_compiles.value)
-
-    @property
-    def cpu_seconds(self) -> float:
-        """Cumulative per-candidate compile time (sum over workers)."""
-        return self._m_cpu.value
-
-    @property
-    def wall_seconds(self) -> float:
-        """Wall clock spent inside engine calls."""
-        return self._m_wall.value
-
-    @property
-    def hits(self) -> int:
-        return int(self._m_hits.value)
-
-    @property
-    def misses(self) -> int:
-        return int(self._m_misses.value)
-
-    @property
-    def n_failures(self) -> int:
-        """Candidates that raised through every retry."""
-        return int(self._m_failures.value)
-
-    @property
-    def n_timeouts(self) -> int:
-        """Candidates that tripped the per-candidate timeout."""
-        return int(self._m_timeouts.value)
-
-    @property
-    def n_retries(self) -> int:
-        """Extra attempts beyond the first, across all candidates."""
-        return int(self._m_retries.value)
-
-    @property
-    def quarantine_hits(self) -> int:
-        """Requests served a stored failure without compiling."""
-        return int(self._m_qhits.value)
 
     @property
     def kind(self) -> str:
@@ -487,56 +435,29 @@ class CompileEngine:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # -- dedup ------------------------------------------------------------------
-    def hit_rate(self) -> float:
-        """Fraction of requests served by within-batch dedup (0.0 when
-        none yet)."""
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
-    # -- quarantine -------------------------------------------------------------
-    def in_quarantine(self, module_name: str, seq: Sequence[int]) -> bool:
-        """Whether this candidate's key holds a stored deterministic failure."""
-        with self._lock:
-            return self.key_fn(module_name, seq) in self._quarantine
-
-    @property
-    def quarantine_size(self) -> int:
-        with self._lock:
-            return len(self._quarantine)
-
-    def quarantine_clear(self) -> None:
-        with self._lock:
-            self._quarantine.clear()
-
     def stats(self) -> Dict[str, float]:
-        """Counters for ``timing_breakdown()`` / Fig 5.12 reporting.
-
-        Reads from :attr:`metrics` (the
-        :class:`~repro.obs.metrics.MetricsRegistry`); the dict keys are
-        the historical ones, so Fig 5.12 tooling needs no changes."""
+        """The engine's counters, read from :attr:`metrics` (the
+        :class:`~repro.obs.metrics.MetricsRegistry`): compiles, worker
+        and wall seconds, dedup hits and misses, and the failure,
+        timeout, retry and quarantine counts."""
         with self._lock:
             qsize = len(self._quarantine)
         return {
-            "n_compiles": self.n_compiles,
-            "compile_cpu_seconds": self.cpu_seconds,
-            "compile_wall_seconds": self.wall_seconds,
-            "cache_hits": self.hits,
-            "cache_misses": self.misses,
+            "n_compiles": int(self._m_compiles.value),
+            "compile_cpu_seconds": self._m_cpu.value,
+            "compile_wall_seconds": self._m_wall.value,
+            "cache_hits": int(self._m_hits.value),
+            "cache_misses": int(self._m_misses.value),
             "jobs": self.jobs,
             "executor": self.kind,
-            "compile_failures": self.n_failures,
-            "compile_timeouts": self.n_timeouts,
-            "compile_retries": self.n_retries,
+            "compile_failures": int(self._m_failures.value),
+            "compile_timeouts": int(self._m_timeouts.value),
+            "compile_retries": int(self._m_retries.value),
             "quarantine_size": qsize,
-            "quarantine_hits": self.quarantine_hits,
+            "quarantine_hits": int(self._m_qhits.value),
         }
 
     # -- evaluation -------------------------------------------------------------------
-    def compile_one(self, module_name: str, seq: Sequence[int], outcomes: bool = False):
-        """Compile a single candidate (a batch of one)."""
-        return self.compile_batch([(module_name, seq)], outcomes=outcomes)[0]
 
     def compile_batch(
         self,
@@ -574,7 +495,7 @@ class CompileEngine:
         b_cpu = b_wait = 0.0
         with self._lock:
             for i, (name, seq) in enumerate(items):
-                key = self.key_fn(name, seq)
+                key = (name, tuple(seq))
                 if key in self._quarantine:
                     results[i] = self._quarantine[key]
                     b_qhits += 1
@@ -653,32 +574,6 @@ class CompileEngine:
         if failed is not None:
             raise CompileError(failed)
         return [o.value for o in results]
-
-    def compile_configs(
-        self,
-        configs: Sequence[Dict[str, Sequence[int]]],
-        outcomes: bool = True,
-    ) -> List[Dict[str, object]]:
-        """Compile many per-module configurations in ONE batch dispatch.
-
-        Flattens every ``{module_name: sequence}`` mapping into a single
-        :meth:`compile_batch` call — duplicates across configurations are
-        deduped by the batch's pending-key machinery and the whole
-        population pays one pool dispatch — then regroups the results per
-        configuration, preserving each config's key order."""
-        flat: List[Tuple[str, Sequence[int]]] = []
-        spans: List[Tuple[int, List[str]]] = []
-        for cfg in configs:
-            names = list(cfg.keys())
-            spans.append((len(flat), names))
-            flat.extend((name, cfg[name]) for name in names)
-        flat_results = self.compile_batch(flat, outcomes=outcomes)
-        grouped: List[Dict[str, object]] = []
-        for start, names in spans:
-            grouped.append(
-                {name: flat_results[start + i] for i, name in enumerate(names)}
-            )
-        return grouped
 
     def _run_on_workers(
         self, fn: Callable, attempt: Tuple[int, float, float], stats_only: bool,

@@ -15,7 +15,11 @@
   memoisation keyed by the full configuration and, below it, the
   profiler's fingerprint-keyed measurement store;
 * **correctness** — differential testing of every measured binary against
-  the unoptimised program's output (§1.1).
+  the unoptimised program's output (§1.1);
+* **one budget slot** — ``evaluate`` compiles a configuration over the
+  tuner's incumbent, measures it once, and records the slot (the
+  :class:`~repro.core.result.Measurement` and its WAL ``slot`` record):
+  CITROEN and every baseline only propose configurations.
 
 Users point it at a :class:`~repro.workloads.Program`; no re-implementation
 of the build process is needed — the practicality barrier of §1.2.3.
@@ -27,6 +31,7 @@ import os
 import signal
 import threading
 import time
+import warnings
 from collections import deque
 from functools import partial
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
@@ -39,6 +44,7 @@ from repro.compiler.pass_manager import PassTrace, TargetInfo
 from repro.compiler.pipelines import SEARCH_PASSES, pipeline
 from repro.core.eval_engine import CompileEngine, CompileOutcome
 from repro.core.faults import FaultInjector, corrupt_module, parse_fault_kinds
+from repro.core.result import Measurement, TuningResult
 from repro.machine.interp import InterpError
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -77,13 +83,11 @@ def _compile_candidate(
     return CompiledModule(cr.module, cr.stats_json())
 
 
-def _named_key(module_name: str, seq: Tuple[str, ...]) -> Tuple[str, Tuple[str, ...]]:
-    """The engine's dedup/quarantine key of a decoded candidate."""
-    return module_name, seq
-
-
 class AutotuningTask:
     """Compile/measure/verify interface over one program on one platform."""
+
+    #: profiler runs per measurement (their noisy timings are averaged)
+    repeats = 3
 
     def __init__(
         self,
@@ -92,9 +96,6 @@ class AutotuningTask:
         seed: SeedLike = None,
         passes: Optional[Sequence[str]] = None,
         seq_length: int = 32,
-        repeats: int = 3,
-        hot_coverage: float = 0.9,
-        check_outputs: bool = True,
         objective: str = "runtime",
         jobs: int = 1,
         fault_injector: Optional[FaultInjector] = None,
@@ -201,8 +202,6 @@ class AutotuningTask:
         self.artifacts: ArtifactStore = self.profiler.artifacts
         self.passes: List[str] = list(passes) if passes is not None else list(SEARCH_PASSES)
         self.seq_length = seq_length
-        self.repeats = repeats
-        self.check_outputs = check_outputs
 
         # one-off reference + O3/O0 anchors
         reference = program.reference_output()
@@ -221,18 +220,18 @@ class AutotuningTask:
             self.o0_runtime = float(sum(m.num_instrs() for m in program.modules))
         else:
             self.o3_runtime = self.profiler.measure(
-                o3_linked, repeats=repeats, fingerprints=o3_fps
+                o3_linked, repeats=self.repeats, fingerprints=o3_fps
             ).seconds
             # the reference run is the -O0 program's execution: the -O0
             # measurement replays it (and draws its noise as a live run)
             o0_linked = list(program.modules)
             self.profiler.record(o0_linked, reference, entry=program.entry)
-            self.o0_runtime = self.profiler.measure(o0_linked, repeats=repeats).seconds
+            self.o0_runtime = self.profiler.measure(o0_linked, repeats=self.repeats).seconds
 
         # hot module identification from the -O3 profile (perf stand-in),
         # served by the execution memo when -O3 was just measured
         prof = self.profiler.function_profile(o3_linked, fingerprints=o3_fps)
-        self.hot_modules: List[str] = prof.hot_modules(hot_coverage)
+        self.hot_modules: List[str] = prof.hot_modules()
         self.module_weights: Dict[str, float] = {
             name: prof.module_seconds.get(name, 0.0) / max(prof.total_seconds, 1e-12)
             for name in self.hot_modules
@@ -270,7 +269,6 @@ class AutotuningTask:
         self.engine = CompileEngine(
             compile_fn,
             jobs=self.jobs,
-            key_fn=_named_key,
             timeout=compile_timeout,
             max_retries=compile_retries,
             retry_backoff=retry_backoff,
@@ -401,17 +399,27 @@ class AutotuningTask:
         """Map integer gene indices to pass names."""
         return [self.passes[int(i)] for i in seq_indices]
 
+    def o3_sequence(self, rng: np.random.Generator) -> np.ndarray:
+        """The -O3 pipeline encoded in the search alphabet, repeated or cut
+        to the search length: every tuner's first configuration.
+
+        With a pass alphabet disjoint from the -O3 pipeline (custom or
+        reduced subsets, cf. the Fig 5.10 LLVM-10-like config) there is
+        nothing to encode; this warns and draws a random sequence from the
+        tuner's ``rng`` instead."""
+        index = {p: i for i, p in enumerate(self.passes)}
+        ids = [index[p] for p in pipeline("-O3") if p in index]
+        if not ids:
+            warnings.warn(
+                "no -O3 pipeline pass is in the search alphabet; "
+                "seeding with a random sequence instead",
+                stacklevel=2,
+            )
+            return rng.integers(0, self.alphabet, size=self.seq_length)
+        reps = ids * (self.seq_length // len(ids) + 1)
+        return np.asarray(reps[: self.seq_length], dtype=int)
+
     # -- cheap compilation --------------------------------------------------------
-    @property
-    def n_compiles(self) -> int:
-        """Actual compilations performed (cache hits excluded)."""
-        return self.engine.n_compiles
-
-    @property
-    def compile_seconds(self) -> float:
-        """Cumulative per-candidate compile time, summed across workers."""
-        return self.engine.cpu_seconds
-
     def compile_module(
         self, module_name: str, seq_indices: Sequence[int]
     ) -> CompiledModule:
@@ -423,7 +431,7 @@ class AutotuningTask:
         batches).  Returned modules must be treated as immutable; the
         result carries the module's IR fingerprint once it has been
         measured."""
-        return self.engine.compile_one(module_name, tuple(self.decode(seq_indices)))
+        return self.compile_batch([(module_name, seq_indices)])[0]
 
     def compile_batch(
         self,
@@ -440,8 +448,8 @@ class AutotuningTask:
         failures (crash/timeout/quarantine) are returned, not raised — the
         fault-tolerant interface every tuner uses.  With
         ``stats_only=True`` each result carries ``module=None``: no module
-        is built, in-line or in a process worker; recompile the one you
-        measure with :meth:`compile_module`.  A task with a fault injector
+        is built, in-line or in a process worker; :meth:`evaluate`
+        recompiles the one a tuner measures.  A task with a fault injector
         ignores the flag, since the injector's ``miscompile`` fault
         corrupts the module."""
         return self.engine.compile_batch(
@@ -549,18 +557,14 @@ class AutotuningTask:
             try:
                 if self.objective == "codesize":
                     value = float(sum(mod.num_instrs() for mod in linked))
-                    ok = True
-                    if self.check_outputs:  # still verify semantics once
-                        result = self.profiler.execute(linked, fingerprints=fps)
-                        ok = result.output_signature() == self._reference_sig
+                    # still verify semantics once
+                    run = self.profiler.execute(linked, fingerprints=fps)
                 else:
                     m = self.profiler.measure(
                         linked, repeats=self.repeats, fingerprints=fps
                     )
-                    value = m.seconds
-                    ok = True
-                    if self.check_outputs:
-                        ok = m.result.output_signature() == self._reference_sig
+                    value, run = m.seconds, m.result
+                ok = run.output_signature() == self._reference_sig
                 if not ok:
                     failure = "incorrect"
                     self.n_incorrect += 1
@@ -677,50 +681,101 @@ class AutotuningTask:
         self.n_pass_traces += 1
         self.pass_trace_seconds += time.perf_counter() - t0
 
-    def measure_config(self, config: Dict[str, Sequence[int]]) -> Tuple[float, bool]:
-        """Compile every module in ``config`` and measure the linked binary.
+    def evaluate(
+        self,
+        result: TuningResult,
+        config: Dict[str, np.ndarray],
+        winner: str,
+        module: Optional[str] = None,
+        coverage: float = float("nan"),
+        incumbent: Optional[Dict[str, np.ndarray]] = None,
+        incumbent_compiled: Optional[Dict[str, CompiledModule]] = None,
+        compiled: Optional[CompiledModule] = None,
+        cache: bool = False,
+    ) -> Tuple[Measurement, Dict[str, CompiledModule]]:
+        """Spend one budget slot on ``config`` and record it.
 
-        A configuration containing a candidate that fails to compile
-        (crash, timeout, quarantined key) is infeasible: returns
-        ``(penalty_runtime, False)`` without measuring."""
-        compiled = {}
-        items = [(name, seq) for name, seq in config.items()]
-        for (name, _seq), outcome in zip(items, self.compile_batch(items, outcomes=True)):
-            if not outcome.ok:
-                self.last_failure = outcome.status
-                return self.penalty_runtime, False
-            compiled[name] = outcome.value
-        key = tuple(sorted((n, tuple(int(i) for i in s)) for n, s in config.items()))
-        sequences = {n: tuple(self.decode(s)) for n, s in config.items()}
-        return self.measure(compiled, config_key=key, sequences=sequences)
+        ``config`` maps modules to index sequences (other modules link at
+        -O3); ``module`` names the module a tuner changed (``None`` for a
+        whole-configuration slot, recorded as ``"all"``).  A module whose
+        sequence equals the tuner's ``incumbent`` reuses its
+        ``incumbent_compiled`` module, and ``compiled`` (the changed
+        module's compile result, unless stats-only) is used as it is;
+        every other module compiles in one batch.  A failed compile makes
+        the slot infeasible with the first failing status, unmeasured.
+        Otherwise :meth:`measure` runs once, its verdict cached under the
+        configuration when ``cache`` is set (a revisit is then never
+        re-measured).
 
-    def measure_batch(
-        self, configs: Sequence[Dict[str, Sequence[int]]]
-    ) -> List[Tuple[float, bool]]:
-        """Measure many configurations with ONE compile-engine dispatch.
-
-        All candidates across all configurations are flattened into a single
-        ``compile_batch`` call — one dispatch amortises pickling and worker
-        wake-ups over the whole population, and the engine dedups
-        repeated (module, sequence) pairs across configurations.
-        Measurements then run in input order, so results (and the seeded
-        noise stream) are bit-identical to calling :meth:`measure_config`
-        in a loop."""
-        named = [{n: tuple(self.decode(s)) for n, s in c.items()} for c in configs]
-        grouped = self.engine.compile_configs(named, outcomes=True)
-        results: List[Tuple[float, bool]] = []
-        for config, sequences, outcomes in zip(configs, named, grouped):
-            bad = next((o for o in outcomes.values() if not o.ok), None)
-            if bad is not None:
-                self.last_failure = bad.status
-                results.append((self.penalty_runtime, False))
-                continue
-            compiled = {name: o.value for name, o in outcomes.items()}
-            key = tuple(
-                sorted((n, tuple(int(i) for i in s)) for n, s in config.items())
-            )
-            results.append(self.measure(compiled, config_key=key, sequences=sequences))
-        return results
+        Appends the slot's :class:`~repro.core.result.Measurement` to
+        ``result`` and logs its WAL ``slot`` record.  Returns that
+        measurement and the configuration's compiled modules."""
+        incumbent = incumbent or {}
+        incumbent_compiled = incumbent_compiled or {}
+        modules: Dict[str, CompiledModule] = {}
+        missing: List[Tuple[str, np.ndarray]] = []
+        for name, seq in config.items():
+            if name == module and compiled is not None and compiled.module is not None:
+                modules[name] = compiled
+            elif name in incumbent_compiled and np.array_equal(seq, incumbent[name]):
+                modules[name] = incumbent_compiled[name]
+            else:
+                missing.append((name, seq))
+        status = "ok"
+        if missing:
+            for (name, _seq), outcome in zip(
+                missing, self.compile_batch(missing, outcomes=True)
+            ):
+                if outcome.ok:
+                    modules[name] = outcome.value
+                elif status == "ok":
+                    status = outcome.status
+        sequences = {name: tuple(self.decode(seq)) for name, seq in config.items()}
+        if status == "ok":
+            key = None
+            if cache:
+                key = tuple(
+                    sorted((n, tuple(int(i) for i in s)) for n, s in config.items())
+                )
+            runtime, ok = self.measure(modules, config_key=key, sequences=sequences)
+            if not ok:
+                status = self.last_failure or "incorrect"
+        else:
+            runtime, ok = self.penalty_runtime, False
+        if module is not None:
+            changed, flat = module, sequences[module]
+        else:
+            # a whole-configuration slot: the flat field holds every
+            # module's passes, in module-name order
+            changed = "all"
+            flat = tuple(p for name in sorted(sequences) for p in sequences[name])
+        meas = Measurement(
+            index=len(result.measurements),
+            module=changed,
+            sequence=flat,
+            runtime=runtime if ok else float("inf"),
+            speedup_vs_o3=self.o3_runtime / runtime if ok else 0.0,
+            correct=ok,
+            sequences=sequences,
+            status=status,
+        )
+        result.measurements.append(meas)
+        # one durable slot record per budget slot: what was tried and what
+        # came back — the audit trail `repro analyze` reads off an
+        # interrupted run (no-op without a WAL; suppressed during replay)
+        self.wal_slot(
+            {
+                "index": meas.index,
+                "module": changed,
+                "winner": winner,
+                "sequences": {n: list(s) for n, s in sequences.items()},
+                "runtime": meas.runtime,
+                "correct": ok,
+                "status": status,
+                "coverage": coverage,
+            }
+        )
+        return meas, modules
 
     def _sync_graph_metrics(self) -> Dict[str, int]:
         """Set the ``compiler.graph_nodes``/``graph_edges`` gauges and add
@@ -762,22 +817,26 @@ class AutotuningTask:
         process and its process workers, which send theirs back with
         their journals."""
         graph = self._sync_graph_metrics()
+        engine = self.engine.stats()
+        requests = engine["cache_hits"] + engine["cache_misses"]
         return {
-            "compile_seconds": self.compile_seconds,
+            "compile_seconds": engine["compile_cpu_seconds"],
             "measure_seconds": self.measure_seconds,
-            "n_compiles": self.n_compiles,
+            "n_compiles": engine["n_compiles"],
             "n_measurements": self.n_measurements,
-            "compile_wall_seconds": self.engine.wall_seconds,
-            "compile_cache_hits": self.engine.hits,
-            "compile_cache_misses": self.engine.misses,
-            "compile_cache_hit_rate": self.engine.hit_rate(),
+            "compile_wall_seconds": engine["compile_wall_seconds"],
+            "compile_cache_hits": engine["cache_hits"],
+            "compile_cache_misses": engine["cache_misses"],
+            "compile_cache_hit_rate": (
+                engine["cache_hits"] / requests if requests else 0.0
+            ),
             "jobs": self.jobs,
-            "executor": self.engine.kind,
-            "compile_failures": self.engine.n_failures,
-            "compile_timeouts": self.engine.n_timeouts,
-            "compile_retries": self.engine.n_retries,
-            "quarantine_size": self.engine.quarantine_size,
-            "quarantine_hits": self.engine.quarantine_hits,
+            "executor": engine["executor"],
+            "compile_failures": engine["compile_failures"],
+            "compile_timeouts": engine["compile_timeouts"],
+            "compile_retries": engine["compile_retries"],
+            "quarantine_size": engine["quarantine_size"],
+            "quarantine_hits": engine["quarantine_hits"],
             "measure_crashes": self.n_crashes,
             "measure_incorrect": self.n_incorrect,
             "bytecode_compiles": self.artifacts.misses,

@@ -43,10 +43,6 @@ class ContinuousGA(ContinuousOptimizer):
         self.pop_x = np.empty((0, dim))
         self.pop_y = np.empty((0,))
 
-    def seed_population(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Insert initial samples into the population."""
-        self.tell(X, y)
-
     def ask(self, n: int) -> np.ndarray:
         """Breed ``n`` children via tournament + crossover + mutation."""
         if len(self.pop_x) < 2:

@@ -8,11 +8,13 @@ measurement's WAL record is durable), resumes the corpse with
 bit-identical to the control's (wall-clock ``timing`` excluded).
 ``--jobs N`` runs every tune with N compile processes (the resumed run
 takes its ``jobs`` from the killed run's manifest), so the kill also
-orphans forked compile workers.
+orphans forked compile workers.  ``--tuner`` picks the tuner (any of
+``repro tune --tuner``; the resumed run takes it from the manifest).
 
 Exit 0 only if every kill point recovers bit-identically.  CI runs this
-as the blocking ``chaos-resume`` job, at ``--jobs 1`` and ``--jobs 2``;
-locally::
+as the blocking ``chaos-resume`` job, with CITROEN at ``--jobs 1`` and
+``--jobs 2`` and with the BOCA baseline, whose control history includes
+a verdict-cache hit; locally::
 
     PYTHONPATH=src python tests/chaos_resume.py --jobs 2 --out /tmp/chaos-runs
 """
@@ -40,6 +42,7 @@ def _env() -> dict:
 def _tune(args: argparse.Namespace, run_dir: Path, *extra: str) -> int:
     cmd = [
         sys.executable, "-m", "repro", "tune", args.program,
+        "--tuner", args.tuner,
         "--budget", str(args.budget),
         "--seed", str(args.seed),
         "--seq-length", str(args.seq_length),
@@ -69,6 +72,7 @@ def _result_sans_timing(run_dir: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--program", default="security_sha")
+    parser.add_argument("--tuner", default="citroen")
     parser.add_argument("--budget", type=int, default=24)
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--seq-length", type=int, default=10)
@@ -86,8 +90,8 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     control = out / "control"
-    print(f"[chaos] control tune: {args.program} budget={args.budget} "
-          f"seed={args.seed} jobs={args.jobs}")
+    print(f"[chaos] control tune: {args.tuner} on {args.program} "
+          f"budget={args.budget} seed={args.seed} jobs={args.jobs}")
     rc = _tune(args, control)
     if rc != 0:
         print(f"[chaos] FAIL: control run exited {rc}")

@@ -359,25 +359,3 @@ def test_task_engine_transparent_histories():
             cycles, tree = _tree_oracle(linked, plat, entry=entry, fuel=fuel)
             assert measured.cycles == cycles
             assert measured.output_signature() == tree.output_signature()
-
-
-def test_measure_batch_matches_sequential():
-    import numpy as np
-
-    with _make_task() as task:
-        rng = np.random.default_rng(7)
-        configs = [
-            {m: tuple(int(x) for x in rng.integers(0, len(task.passes), 5))
-             for m in task.hot_modules}
-            for _ in range(4)
-        ]
-    with _make_task() as task:
-        sequential = [task.measure_config(cfg) for cfg in configs]
-    with _make_task() as task:
-        batched = task.measure_batch(configs)
-    assert batched == sequential
-
-
-def test_measure_batch_empty():
-    with _make_task() as task:
-        assert task.measure_batch([]) == []

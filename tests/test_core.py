@@ -108,12 +108,14 @@ class TestAutotuningTask:
 
     def test_measure_config_and_cache(self, gsm_task):
         before = gsm_task.n_measurements
-        cfg = {"long_term": [0] * 20}
-        r1, ok1 = gsm_task.measure_config(cfg)
-        r2, ok2 = gsm_task.measure_config(cfg)
-        assert ok1 and ok2
-        assert r1 == r2  # memoised
+        cfg = {"long_term": np.zeros(20, dtype=int)}
+        result = TuningResult(program="telecom_gsm", tuner="t")
+        m1, _ = gsm_task.evaluate(result, cfg, "t", "long_term", cache=True)
+        m2, _ = gsm_task.evaluate(result, cfg, "t", "long_term", cache=True)
+        assert m1.correct and m2.correct
+        assert m1.runtime == m2.runtime  # memoised
         assert gsm_task.n_measurements == before + 1
+        assert result.measurements == [m1, m2]
 
     def test_decode_roundtrip(self, gsm_task):
         seq = list(range(min(5, gsm_task.alphabet)))
@@ -180,7 +182,7 @@ class TestCitroen:
                 # the engine only forks workers for a batch of 2+ uncached
                 # candidates: jobs-1 of them, as this process compiles too
                 workers = len(task.engine._workers)
-                return workers, task.n_compiles, [
+                return workers, task.timing_breakdown()["n_compiles"], [
                     (m.module, m.sequence, m.runtime, m.correct, m.status)
                     for m in res.measurements
                 ]
@@ -203,7 +205,6 @@ class TestCitroen:
             dict(feature_mode="seq"),
             dict(feature_mode="tokens"),
             dict(module_policy="round-robin"),
-            dict(seed_with_o3=False),
         ):
             res = Citroen(task, seed=1, n_init=4, per_strategy=2, **kw).tune(8)
             assert len(res.measurements) == 8

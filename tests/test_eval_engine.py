@@ -7,10 +7,13 @@ Covers:
   wall-vs-worker time accounting;
 * ``AutotuningTask.compile_batch`` — parity with ``compile_module``,
   dedup accounting, jobs-invariant results;
+* ``AutotuningTask.evaluate`` — the one budget-slot path: incumbent
+  reuse, infeasible compiles, whole-configuration records, the verdict
+  cache;
 * the stale cross-config dedup regression (per-module signature keys
   wrongly reused whole-program runtimes across incumbents);
-* ``_o3_seed_sequence`` fallback when the pass alphabet is disjoint from
-  the -O3 pipeline;
+* ``AutotuningTask.o3_sequence`` fallback when the pass alphabet is
+  disjoint from the -O3 pipeline;
 * truthful per-module sequence logging for whole-config measurements.
 """
 
@@ -22,15 +25,23 @@ import weakref
 import numpy as np
 import pytest
 
-from repro import AutotuningTask, Citroen, CompileEngine, cbench_program, spec_program
+from repro import (
+    AutotuningTask,
+    Citroen,
+    CompileEngine,
+    FaultInjector,
+    cbench_program,
+    spec_program,
+)
 from repro.baselines import RandomSearchTuner
 from repro.compiler.opt_tool import available_passes
 from repro.compiler.pipelines import pipeline
 from repro.core.result import TuningResult
+from repro.core.wal import WriteAheadLog, read_wal
 
 
 def _fresh_result(task):
-    """A TuningResult with the extras Citroen._measure_config appends to."""
+    """A TuningResult with the extras Citroen._evaluate appends to."""
     r = TuningResult(program=task.program.name, tuner="t", o3_runtime=task.o3_runtime)
     r.extras["winner_strategies"] = []
     r.extras["chosen_modules"] = []
@@ -73,7 +84,8 @@ class TestCompileEngine:
         out = eng.compile_batch([("m", [1]), ("m", [1]), ("m", [2]), ("m", [1])])
         assert out == [(1,), (1,), (2,), (1,)]
         assert len(calls) == 2
-        assert eng.hits == 2 and eng.misses == 2
+        stats = eng.stats()
+        assert stats["cache_hits"] == 2 and stats["cache_misses"] == 2
 
     def test_results_die_with_the_caller(self):
         class Result:
@@ -107,10 +119,11 @@ class TestCompileEngine:
             t.join()
         eng.close()
         total = n_threads * uniques * repeats
-        assert eng.n_compiles == n_threads * uniques
-        assert eng.misses == n_threads * uniques
-        assert eng.hits == total - n_threads * uniques
-        assert eng.cpu_seconds > 0
+        stats = eng.stats()
+        assert stats["n_compiles"] == n_threads * uniques
+        assert stats["cache_misses"] == n_threads * uniques
+        assert stats["cache_hits"] == total - n_threads * uniques
+        assert stats["compile_cpu_seconds"] > 0
 
     def test_wall_time_below_worker_time_when_parallel(self):
         def compile_fn(name, seq):
@@ -120,12 +133,14 @@ class TestCompileEngine:
         par = CompileEngine(compile_fn, jobs=4)
         par.compile_batch([("m", [i]) for i in range(8)])
         par.close()
-        assert par.wall_seconds < par.cpu_seconds
+        stats = par.stats()
+        assert stats["compile_wall_seconds"] < stats["compile_cpu_seconds"]
 
         ser = CompileEngine(compile_fn, jobs=1)
         ser.compile_batch([("m", [i]) for i in range(8)])
         # serial: wall covers the same work plus bookkeeping
-        assert ser.wall_seconds >= ser.cpu_seconds
+        stats = ser.stats()
+        assert stats["compile_wall_seconds"] >= stats["compile_cpu_seconds"]
 
 
 @pytest.fixture(scope="module")
@@ -159,10 +174,10 @@ class TestTaskCompileBatch:
         )
         name = task.hot_modules[0]
         seq = [0] * 8
-        before = task.n_compiles
+        before = task.timing_breakdown()["n_compiles"]
         task.compile_batch([(name, seq), (name, seq)])  # duplicate: compiled once
-        assert task.n_compiles == before + 1
-        assert task.engine.hits == 1
+        assert task.timing_breakdown()["n_compiles"] == before + 1
+        assert task.engine.stats()["cache_hits"] == 1
         t = task.timing_breakdown()
         assert {
             "compile_wall_seconds",
@@ -185,9 +200,121 @@ class TestTaskCompileBatch:
         items = [(name, rng.integers(0, task.alphabet, size=8)) for _ in range(20)]
         task.compile_batch(items)
         keys = {(n, tuple(task.decode(s))) for n, s in items}
-        assert task.n_compiles == len(keys)
-        assert task.compile_seconds > 0
+        timing = task.timing_breakdown()
+        assert timing["n_compiles"] == len(keys)
+        assert timing["compile_seconds"] > 0
         task.engine.close()
+
+
+def _sha_task(**kw):
+    return AutotuningTask(
+        cbench_program("security_sha"), platform="arm-a57", seed=0, seq_length=8, **kw
+    )
+
+
+def _counting_measure(task):
+    """Count calls to ``task.measure`` through the instance attribute, the
+    way a benchmark harness wraps it."""
+    calls = []
+    measure = task.measure
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("config_key"))
+        return measure(*args, **kwargs)
+
+    task.measure = counted
+    return calls
+
+
+class TestEvaluate:
+    def test_failed_compile_records_infeasible_slot_unmeasured(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal.jsonl")
+        task = _sha_task(
+            fault_injector=FaultInjector(rate=1.0, kinds=("crash",), seed=0),
+            compile_retries=0,
+            wal=wal,
+        )
+        calls = _counting_measure(task)
+        result = TuningResult(program="security_sha", tuner="t")
+        name = task.hot_modules[0]
+        meas, compiled = task.evaluate(
+            result, {name: np.zeros(8, dtype=int)}, "probe", name, coverage=0.5
+        )
+        wal.close()
+        assert calls == [] and task.n_measurements == 0
+        assert result.measurements == [meas] and compiled == {}
+        assert (meas.index, meas.module, meas.status) == (0, name, "error")
+        assert not meas.correct
+        assert meas.runtime == float("inf") and meas.speedup_vs_o3 == 0.0
+        (slot,) = [r for r in read_wal(tmp_path / "wal.jsonl") if r["type"] == "slot"]
+        assert slot["status"] == "error" and slot["correct"] is False
+        assert slot["winner"] == "probe" and slot["module"] == name
+        assert slot["coverage"] == 0.5
+        assert slot["sequences"] == {name: list(task.decode([0] * 8))}
+
+    def test_whole_configuration_slot(self, x264_task):
+        task = x264_task
+        rng = np.random.default_rng(4)
+        cfg = {m: rng.integers(0, task.alphabet, size=12) for m in task.hot_modules}
+        result = TuningResult(program="525.x264_r", tuner="t")
+        meas, compiled = task.evaluate(result, cfg, "init")
+        assert meas.correct and set(compiled) == set(cfg)
+        assert meas.module == "all"
+        assert meas.sequences == {m: tuple(task.decode(s)) for m, s in cfg.items()}
+        assert meas.sequence == tuple(
+            p for m in sorted(cfg) for p in task.decode(cfg[m])
+        )
+        assert meas.speedup_vs_o3 == task.o3_runtime / meas.runtime
+
+    def test_incumbent_and_handed_in_modules_are_not_recompiled(self, x264_task):
+        task = x264_task
+        rng = np.random.default_rng(5)
+        best = {m: rng.integers(0, task.alphabet, size=12) for m in task.hot_modules}
+        result = TuningResult(program="525.x264_r", tuner="t")
+        _, best_compiled = task.evaluate(result, best, "init")
+        changed = task.hot_modules[0]
+        seq = rng.integers(0, task.alphabet, size=12)
+        proposal = task.compile_batch([(changed, seq)])[0]
+        cfg = dict(best)
+        cfg[changed] = seq
+        before = task.timing_breakdown()["n_compiles"]
+        _, compiled = task.evaluate(
+            result, cfg, "t", changed, incumbent=best,
+            incumbent_compiled=best_compiled, compiled=proposal,
+        )
+        assert task.timing_breakdown()["n_compiles"] == before
+        assert compiled[changed] is proposal
+        for m in task.hot_modules[1:]:
+            assert compiled[m] is best_compiled[m]
+        # a stats-only compile result carries no module: it compiles again
+        stats_only = task.compile_batch([(changed, seq)], stats_only=True)[0]
+        assert stats_only.module is None
+        _, compiled = task.evaluate(
+            result, cfg, "t", changed, incumbent=best,
+            incumbent_compiled=best_compiled, compiled=stats_only,
+        )
+        assert task.timing_breakdown()["n_compiles"] == before + 2
+        assert compiled[changed].module is not None
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_verdict_cache_serves_revisits(self, cache):
+        with _sha_task() as task:
+            calls = _counting_measure(task)
+            result = TuningResult(program="security_sha", tuner="t")
+            cfg = {task.hot_modules[0]: np.arange(8) % task.alphabet}
+            first, _ = task.evaluate(result, cfg, "t", cache=cache)
+            state = task.profiler.rng.bit_generator.state
+            again, _ = task.evaluate(result, cfg, "t", cache=cache)
+            assert len(calls) == 2  # measure runs once per slot either way
+            assert first.correct and again.correct
+            if cache:
+                # the first verdict, no noise drawn
+                assert again.runtime == first.runtime
+                assert task.profiler.rng.bit_generator.state == state
+                assert task.n_measurements == 1
+            else:
+                assert task.profiler.rng.bit_generator.state != state
+                assert task.n_measurements == 2
 
 
 class TestJobsDeterminism:
@@ -222,10 +349,10 @@ class TestStaleDedupRegression:
         cfg_b = dict(base)
         cfg_b[m2] = rng.integers(0, task.alphabet, size=12)  # new incumbent on m2
 
-        tuner._measure_config(cfg_a, result, winner="t")
+        tuner._evaluate(cfg_a, result, winner="t")
         assert result.measurements[-1].correct
         runtime_a = result.measurements[-1].runtime
-        tuner._measure_config(cfg_b, result, winner="t")
+        tuner._evaluate(cfg_b, result, winner="t")
         assert result.measurements[-1].correct
         runtime_b = result.measurements[-1].runtime
 
@@ -257,8 +384,8 @@ class TestStaleDedupRegression:
         tuner = Citroen(task, seed=2, n_init=2, per_strategy=2)
         result = _fresh_result(task)
         cfg = {m: np.zeros(12, dtype=int) for m in task.hot_modules}
-        tuner._measure_config(cfg, result, winner="t")
-        tuner._measure_config(cfg, result, winner="t")
+        tuner._evaluate(cfg, result, winner="t")
+        tuner._evaluate(cfg, result, winner="t")
         assert result.measurements[-1].correct
         latest = result.measurements[-1].runtime
         assert len(tuner._sig_runtime) == 1
@@ -278,15 +405,27 @@ class TestO3SeedFallback:
             **kw,
         )
 
-    @pytest.mark.filterwarnings("ignore:no -O3 pipeline pass")
+    def test_o3_sequence_falls_back_to_random(self):
+        task = self._reduced_task()
+        rng, twin = np.random.default_rng(1), np.random.default_rng(1)
+        with pytest.warns(UserWarning, match="no -O3 pipeline pass"):
+            seq = task.o3_sequence(rng)
+        # drawn from the caller's rng, as a random sequence would be
+        assert np.array_equal(seq, twin.integers(0, task.alphabet, size=8))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_o3_sequence_encodes_the_pipeline(self, gsm_task):
+        o3 = pipeline("-O3")
+        seq = gsm_task.o3_sequence(np.random.default_rng(0))
+        assert seq.shape == (12,)
+        names = gsm_task.decode(seq)
+        assert names == [p for p in o3 if p in gsm_task.passes][:12]
+
     def test_citroen_seed_falls_back_to_random(self):
         task = self._reduced_task()
         tuner = Citroen(task, seed=1, n_init=2, per_strategy=2)
         with pytest.warns(UserWarning, match="no -O3 pipeline pass"):
-            seq = tuner._o3_seed_sequence()
-        assert seq.shape == (8,)
-        assert ((0 <= seq) & (seq < task.alphabet)).all()
-        res = tuner.tune(4)
+            res = tuner.tune(4)
         assert len(res.measurements) == 4
 
     def test_baseline_seed_falls_back_to_random(self):

@@ -41,6 +41,7 @@ from repro.core.faults import (
     corrupt_module,
     parse_fault_kinds,
 )
+from repro.core.result import TuningResult
 from repro.machine.interp import FuelExhausted, InterpError
 
 
@@ -128,11 +129,12 @@ class TestEngineFaultPaths:
                 assert o.attempts == 2  # first try + one retry
             else:
                 assert o.ok and o.value == (i,)
-        assert eng.misses == 8
-        assert eng.n_compiles == 7  # failed candidate is not a compile
-        assert eng.n_failures == 1
-        assert eng.n_retries == 1
-        assert eng.quarantine_size == 1
+        stats = eng.stats()
+        assert stats["cache_misses"] == 8
+        assert stats["n_compiles"] == 7  # failed candidate is not a compile
+        assert stats["compile_failures"] == 1
+        assert stats["compile_retries"] == 1
+        assert stats["quarantine_size"] == 1
 
     def test_quarantine_serves_stored_failure(self):
         calls = []
@@ -142,16 +144,16 @@ class TestEngineFaultPaths:
             raise RuntimeError("always")
 
         eng = CompileEngine(compile_fn, jobs=1, max_retries=1, retry_backoff=0.001)
-        first = eng.compile_one("m", [0], outcomes=True)
+        first = eng.compile_batch([("m", [0])], outcomes=True)[0]
         assert first.status == "error"
         assert len(calls) == 2  # original + retry
-        assert eng.in_quarantine("m", [0])
-        again = eng.compile_one("m", [0], outcomes=True)
+        assert ("m", (0,)) in eng._quarantine
+        again = eng.compile_batch([("m", [0])], outcomes=True)[0]
         assert again.status == "quarantined"
         assert again.attempts == 0
         assert len(calls) == 2  # never recompiled
-        assert eng.quarantine_hits == 1
-        assert eng.n_failures == 1  # counted once, not per request
+        assert eng.stats()["quarantine_hits"] == 1
+        assert eng.stats()["compile_failures"] == 1  # counted once, not per request
 
     def test_retry_backoff_recovers_transient(self):
         attempts = {}
@@ -164,21 +166,21 @@ class TestEngineFaultPaths:
             return "ok"
 
         eng = CompileEngine(flaky, jobs=1, max_retries=2, retry_backoff=0.001)
-        out = eng.compile_one("m", [0], outcomes=True)
+        out = eng.compile_batch([("m", [0])], outcomes=True)[0]
         assert out.ok and out.value == "ok"
         assert out.attempts == 3
-        assert eng.n_retries == 2
-        assert eng.n_failures == 0
-        assert not eng.in_quarantine("m", [0])
+        assert eng.stats()["compile_retries"] == 2
+        assert eng.stats()["compile_failures"] == 0
+        assert ("m", (0,)) not in eng._quarantine
 
     def test_insufficient_retries_quarantine(self):
         inj = FaultInjector(rate=1.0, kinds=("transient",), seed=0, transient_failures=3)
         eng = CompileEngine(
             inj.wrap(lambda n, s: "ok"), jobs=1, max_retries=1, retry_backoff=0.001
         )
-        out = eng.compile_one("m", [0], outcomes=True)
+        out = eng.compile_batch([("m", [0])], outcomes=True)[0]
         assert out.status == "error"
-        assert eng.in_quarantine("m", [0])
+        assert ("m", (0,)) in eng._quarantine
 
     def test_timeout_path_and_quarantine(self):
         def compile_fn(name, seq):
@@ -204,11 +206,11 @@ class TestEngineFaultPaths:
         (outs,) = batch
         assert outs[0].ok and outs[2].ok  # siblings unharmed by the hung worker
         assert outs[1].status == "timeout"
-        assert eng.n_timeouts == 1
-        assert eng.in_quarantine("m", [1])
-        again = eng.compile_one("m", [1], outcomes=True)
+        assert eng.stats()["compile_timeouts"] == 1
+        assert ("m", (1,)) in eng._quarantine
+        again = eng.compile_batch([("m", [1])], outcomes=True)[0]
         assert again.status == "quarantined"
-        assert eng.quarantine_hits == 1
+        assert eng.stats()["quarantine_hits"] == 1
         eng.close()
 
     def test_timeout_with_serial_jobs(self):
@@ -236,9 +238,9 @@ class TestEngineFaultPaths:
             eng.compile_batch([("m", [0]), ("m", [1]), ("m", [2])])
         # the raise happened after the whole batch ran: siblings compiled,
         # the failure is quarantined and every counter is consistent
-        assert eng.n_compiles == 2
-        assert eng.n_failures == 1
-        assert eng.in_quarantine("m", [1])
+        assert eng.stats()["n_compiles"] == 2
+        assert eng.stats()["compile_failures"] == 1
+        assert ("m", (1,)) in eng._quarantine
 
     def test_context_manager_closes_pool(self):
         with CompileEngine(lambda n, s: tuple(s), jobs=2) as eng:
@@ -332,14 +334,18 @@ class TestTaskDegradation:
             fault_injector=inj,
             compile_retries=0,
         )
-        value, ok = task.measure_config({task.hot_modules[0]: [0] * 8})
-        assert not ok and value == task.penalty_runtime
-        assert task.engine.n_failures == 1
+        result = TuningResult(program="security_sha", tuner="t")
+        cfg = {task.hot_modules[0]: np.zeros(8, dtype=int)}
+        first, _ = task.evaluate(result, cfg, "t", cache=True)
+        assert not first.correct and first.runtime == float("inf")
+        assert first.status == "error"
+        assert task.engine.stats()["compile_failures"] == 1
         # revisit: served from quarantine, not recompiled
-        value2, ok2 = task.measure_config({task.hot_modules[0]: [0] * 8})
-        assert (value2, ok2) == (value, ok)
-        assert task.engine.n_failures == 1
-        assert task.engine.quarantine_hits >= 1
+        again, _ = task.evaluate(result, cfg, "t", cache=True)
+        assert (again.correct, again.status) == (False, "quarantined")
+        assert task.n_measurements == 0  # a failed compile is never measured
+        assert task.engine.stats()["compile_failures"] == 1
+        assert task.engine.stats()["quarantine_hits"] >= 1
         task.close()
 
     def test_task_context_manager(self):

@@ -209,8 +209,8 @@ def test_a_hung_candidate_is_quarantined_and_its_worker_forked_afresh():
         assert set(first) <= pids  # with a timeout the workers compile everything
         out = eng.compile_batch([("m", [i]) for i in range(8)], outcomes=True)
         assert [o.status for o in out] == ["ok"] * 3 + ["timeout"] + ["ok"] * 4
-        assert eng.in_quarantine("m", [3])
-        assert eng.n_timeouts == 1
+        assert ("m", (3,)) in eng._quarantine
+        assert eng.stats()["compile_timeouts"] == 1
         # the hung worker was killed and replaced; its unfinished items
         # ran on the new one
         now = {w.process.pid for w in eng._workers}
@@ -272,7 +272,7 @@ def test_a_worker_killed_between_batches_is_forked_afresh():
         victim.join()
         out = eng.compile_batch([("m", [i]) for i in range(6, 12)], outcomes=True)
         assert [o.status for o in out] == ["ok"] * 6
-        assert eng.quarantine_size == 0
+        assert eng.stats()["quarantine_size"] == 0
         pids = [w.process.pid for w in eng._workers]
         assert len(pids) == 2 and victim.pid not in pids
         # the round-robin share of the dead worker went to its successor

@@ -36,7 +36,7 @@ def _result_sans_timing(run_dir):
     return data
 
 
-def _tune(run_dir, *extra, program="security_sha", budget=14, seed=7):
+def _tune(run_dir, *extra, program="security_sha", budget=14, seed=7, seq_length=8):
     return main(
         [
             "tune",
@@ -46,7 +46,7 @@ def _tune(run_dir, *extra, program="security_sha", budget=14, seed=7):
             "--seed",
             str(seed),
             "--seq-length",
-            "8",
+            str(seq_length),
             "--trace-out",
             str(run_dir),
             "--log-level",
@@ -173,6 +173,15 @@ def control_run(tmp_path_factory):
     return run_dir
 
 
+@pytest.fixture(scope="module")
+def baseline_control_run(tmp_path_factory):
+    """A BOCA tune whose history revisits a configuration: slot 17 is
+    served by the task's verdict cache, not measured."""
+    run_dir = tmp_path_factory.mktemp("durable-boca") / "control"
+    assert _tune(run_dir, "--tuner", "boca", budget=24, seed=3, seq_length=10) == 0
+    return run_dir
+
+
 class TestKillAndResume:
     @pytest.mark.parametrize("k", [1, 5, 9])
     def test_resume_is_bit_identical(self, control_run, tmp_path, k):
@@ -180,6 +189,20 @@ class TestKillAndResume:
         _simulate_kill(control_run, killed, k)
         assert main(["tune", "--resume", str(killed), "--log-level", "warning"]) == 0
         assert _result_sans_timing(killed) == _result_sans_timing(control_run)
+
+    @pytest.mark.parametrize("k", [9, 20])
+    def test_baseline_resume_is_bit_identical(self, baseline_control_run, tmp_path, k):
+        """Killed before the cache hit, the resumed run serves it live;
+        killed after it, the replay must rebuild the cache and serve it
+        without consuming a WAL record."""
+        metrics = json.loads((baseline_control_run / "metrics.json").read_text())
+        assert metrics["counters"]["task.measure_cache_hits"] > 0
+        killed = tmp_path / f"killed-{k}"
+        _simulate_kill(baseline_control_run, killed, k)
+        assert main(["tune", "--resume", str(killed), "--log-level", "warning"]) == 0
+        resumed = _result_sans_timing(killed)
+        assert resumed["tuner"] == "boca"
+        assert resumed == _result_sans_timing(baseline_control_run)
 
     def test_resume_with_faults_is_bit_identical(self, tmp_path):
         fault_flags = (
