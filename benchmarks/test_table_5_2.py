@@ -30,7 +30,7 @@ def _run():
     o3_idx = [i for i, p in enumerate(task.passes)]
     seed_seqs = [rng.integers(0, task.alphabet, size=task.seq_length) for _ in range(8)]
     for seq in seed_seqs:
-        _, stats = task.compile_module(module, seq)
+        _, stats = task.compile_batch([(module, seq)])[0].value
         model.add_observation({module: stats}, float(rng.random() + 0.5))
     model.fit()
 
@@ -43,7 +43,7 @@ def _run():
     for name, gen in (("des-near-incumbent", des), ("random", rnd)):
         covs, sigmas = [], []
         for seq in gen.ask(n):
-            _, stats = task.compile_module(module, seq)
+            _, stats = task.compile_batch([(module, seq)])[0].value
             covs.append(model.coverage({module: stats}))
             _, sigma = model.predict([{module: stats}])
             sigmas.append(float(sigma[0]))

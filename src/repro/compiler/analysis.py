@@ -10,7 +10,7 @@ AAResults in a crude alloca-escape form).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.compiler.ir import Const, Function, Instr, Module, Operand
 

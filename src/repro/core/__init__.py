@@ -12,7 +12,7 @@ points:
 """
 
 from repro.core.task import AutotuningTask
-from repro.core.eval_engine import CompileEngine, CompileError, CompileOutcome
+from repro.core.eval_engine import CompileEngine, CompileOutcome
 from repro.core.faults import FaultInjector, corrupt_module, parse_fault_kinds
 from repro.core.result import Measurement, TuningResult
 from repro.core.cost_model import CitroenCostModel
@@ -28,7 +28,6 @@ __all__ = [
     "Citroen",
     "CitroenCostModel",
     "CompileEngine",
-    "CompileError",
     "CompileOutcome",
     "FaultInjector",
     "Measurement",

@@ -349,7 +349,6 @@ class Citroen:
         # recompiles the one winner it measures.
         batch = task.compile_batch(
             [(m, seq) for m, _prov, seq in raw],
-            outcomes=True,
             stats_only=self.feature_mode in _IR_FREE_FEATURES,
         )
         span_feat = tracer.span("featurize", candidates=len(batch))

@@ -48,9 +48,9 @@ that batch explicit:
   (enforced by killing the worker that overran), and a *quarantine*:
   keys that failed deterministically (crashed through every retry, or
   timed out) are never compiled again — later requests get their
-  failure back instantly.  ``compile_batch(..., outcomes=True)``
-  returns a :class:`CompileOutcome` per candidate instead of raising, so
-  one failing worker can neither drop sibling results nor skew counters;
+  failure back instantly.  :meth:`compile_batch` returns a
+  :class:`CompileOutcome` per candidate and never raises, so one failing
+  worker can neither drop sibling results nor skew counters;
   failure/timeout/retry/quarantine counts flow into :meth:`stats`.
 
 All counters and the quarantine are guarded by one lock; the engine is
@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
-import os
 import pickle
 import signal
 import sys
@@ -90,7 +89,7 @@ from repro.obs.trace import NULL_TRACER, Tracer
 if TYPE_CHECKING:
     from repro.compiler.opt_tool import CompileGraph
 
-__all__ = ["CompileEngine", "CompileOutcome", "CompileError"]
+__all__ = ["CompileEngine", "CompileOutcome"]
 
 
 @dataclass
@@ -113,20 +112,6 @@ class CompileOutcome:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-
-class CompileError(RuntimeError):
-    """A candidate failed to compile (legacy raising interface).
-
-    Raised by ``compile_batch(..., outcomes=False)`` after the whole batch
-    has been processed — the failure is quarantined and every counter
-    updated, so nothing is lost besides this call's return value.
-    Prefer ``outcomes=True`` to handle failures gracefully.
-    """
-
-    def __init__(self, outcome: CompileOutcome) -> None:
-        super().__init__(f"compile {outcome.status}: {outcome.error}")
-        self.outcome = outcome
 
 
 def _attempt_invoke(
@@ -462,22 +447,15 @@ class CompileEngine:
     def compile_batch(
         self,
         items: Sequence[Tuple[str, Sequence[int]]],
-        outcomes: bool = False,
         stats_only: bool = False,
-    ) -> List[object]:
+    ) -> List[CompileOutcome]:
         """Compile a batch of ``(module_name, sequence)`` candidates.
 
-        Results come back in input order.  Duplicates within the batch and
-        quarantined keys are served without compiling; the remaining unique
-        keys run in-line or on the process workers (see :attr:`kind`) with
-        retry, timeout and quarantine handling.
-
-        With ``outcomes=True`` every slot is a :class:`CompileOutcome`
-        (failures included) and nothing raises.  With ``outcomes=False``
-        (legacy) slots are the raw compile results; if any candidate
-        failed, :class:`CompileError` is raised — but only *after* the
-        whole batch ran, so the failure is quarantined and all counters
-        stay consistent.
+        Returns one :class:`CompileOutcome` per item, in input order,
+        failures included; nothing raises.  Duplicates within the batch
+        and quarantined keys are served without compiling; the remaining
+        unique keys run in-line or on the process workers (see
+        :attr:`kind`) with retry, timeout and quarantine handling.
 
         With ``stats_only=True`` every candidate compiles as
         ``compile_fn(name, seq, stats_only=True)``, in whichever process
@@ -568,12 +546,7 @@ class CompileEngine:
             queue_wait_seconds=b_wait,
         )
         span.__exit__(None, None, None)
-        if outcomes:
-            return results
-        failed = next((o for o in results if not o.ok), None)
-        if failed is not None:
-            raise CompileError(failed)
-        return [o.value for o in results]
+        return results
 
     def _run_on_workers(
         self, fn: Callable, attempt: Tuple[int, float, float], stats_only: bool,

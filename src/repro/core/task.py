@@ -4,9 +4,9 @@
 
 * **hot-module identification** — a one-off profile of the ``-O3`` binary
   (our ``perf`` stand-in) selects the modules covering 90% of runtime;
-* **cheap compilation** — ``compile_module`` applies a pass sequence to one
-  source module and returns its statistics (``opt -stats-json``);
-  ``compile_batch`` evaluates a whole candidate population through the
+* **cheap compilation** — ``compile_batch`` applies pass sequences to
+  source modules and returns their statistics (``opt -stats-json``),
+  a whole candidate population at a time, through the
   :class:`~repro.core.eval_engine.CompileEngine` — parallel workers
   (``jobs=N``) with within-batch dedup, the "cheap and parallelisable"
   claim of §5.3 made real;
@@ -116,7 +116,7 @@ class AutotuningTask:
 
         ``jobs`` is the process count of the
         :class:`~repro.core.eval_engine.CompileEngine` behind
-        :meth:`compile_module`/:meth:`compile_batch`: ``jobs=1`` is a
+        :meth:`compile_batch`: ``jobs=1`` is a
         deterministic serial loop, and ``jobs>1`` forks ``jobs-1`` process
         workers on the first batch that needs them (this process compiles
         items of each batch too, and all of them walk one compile graph).
@@ -420,41 +420,27 @@ class AutotuningTask:
         return np.asarray(reps[: self.seq_length], dtype=int)
 
     # -- cheap compilation --------------------------------------------------------
-    def compile_module(
-        self, module_name: str, seq_indices: Sequence[int]
-    ) -> CompiledModule:
-        """Compile one source module; returns optimised IR + statistics
-        (a :class:`~repro.machine.artifacts.CompiledModule`, which unpacks
-        as ``module, stats``).
-
-        Each call compiles afresh (the engine keeps no results across
-        batches).  Returned modules must be treated as immutable; the
-        result carries the module's IR fingerprint once it has been
-        measured."""
-        return self.compile_batch([(module_name, seq_indices)])[0]
-
     def compile_batch(
         self,
         items: Sequence[Tuple[str, Sequence[int]]],
-        outcomes: bool = False,
         stats_only: bool = False,
-    ) -> List[CompiledModule]:
+    ) -> List[CompileOutcome]:
         """Compile a batch of ``(module_name, sequence)`` candidates.
 
-        Results come back in input order regardless of ``jobs``, so tuner
-        behaviour is bit-identical at any parallelism level.  With
-        ``outcomes=True`` each slot is a
-        :class:`~repro.core.eval_engine.CompileOutcome` and candidate
-        failures (crash/timeout/quarantine) are returned, not raised — the
-        fault-tolerant interface every tuner uses.  With
-        ``stats_only=True`` each result carries ``module=None``: no module
-        is built, in-line or in a process worker; :meth:`evaluate`
-        recompiles the one a tuner measures.  A task with a fault injector
+        Returns one :class:`~repro.core.eval_engine.CompileOutcome` per
+        item, in input order regardless of ``jobs``, so tuner behaviour
+        is bit-identical at any parallelism level.  Candidate failures
+        (crash/timeout/quarantine) are returned, not raised; an ok
+        outcome's ``value`` is a
+        :class:`~repro.machine.artifacts.CompiledModule`, which unpacks
+        as ``module, stats``.  Returned modules must be treated as
+        immutable.  With ``stats_only=True`` each result carries
+        ``module=None``: no module is built, in-line or in a process
+        worker; :meth:`evaluate` recompiles the one a tuner measures.  A task with a fault injector
         ignores the flag, since the injector's ``miscompile`` fault
         corrupts the module."""
         return self.engine.compile_batch(
             [(name, tuple(self.decode(seq))) for name, seq in items],
-            outcomes=outcomes,
             stats_only=stats_only and self.fault_injector is None,
         )
 
@@ -724,7 +710,7 @@ class AutotuningTask:
         status = "ok"
         if missing:
             for (name, _seq), outcome in zip(
-                missing, self.compile_batch(missing, outcomes=True)
+                missing, self.compile_batch(missing)
             ):
                 if outcome.ok:
                     modules[name] = outcome.value

@@ -51,7 +51,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 __all__ = ["WAL_SCHEMA", "WriteAheadLog", "read_wal", "split_wal"]
 
@@ -78,21 +78,12 @@ class WriteAheadLog:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.resume = bool(resume)
-        had_records = (
-            resume and self.path.exists() and self.path.stat().st_size > 0
-        )
-        needs_newline = False
-        if had_records:
-            with open(self.path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                needs_newline = fh.read(1) != b"\n"
-        self._fh = open(self.path, "a" if resume else "w")
+        from repro.obs.recorder import _open_jsonl
+
+        self._fh = _open_jsonl(self.path, self.resume)
         self._closed = False
         self.n_appended = 0
-        if needs_newline:
-            self._fh.write("\n")
-            self._fh.flush()
-        if not had_records:
+        if self._fh.tell() == 0:
             self.append({"type": "wal", "schema": WAL_SCHEMA})
 
     def append(self, record: Dict[str, object]) -> None:
@@ -127,26 +118,17 @@ class WriteAheadLog:
 def read_wal(path: Union[str, Path]) -> List[Dict[str, object]]:
     """Parse a ``wal.jsonl`` back into its records, header excluded.
 
-    Tolerant by design: a process killed mid-append leaves a truncated
-    final line, and a resume seam may leave an empty line — both are
-    skipped, never fatal.  A missing file reads as no records (a run that
-    never measured)."""
-    p = Path(path)
-    if not p.exists():
-        return []
-    records: List[Dict[str, object]] = []
-    with open(p) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail of a killed run
-            if isinstance(rec, dict) and rec.get("type") != "wal":
-                records.append(rec)
-    return records
+    Tolerant by design (:func:`~repro.obs.recorder.tail_jsonl` reads it):
+    a process killed mid-append leaves a torn final line, and a resume
+    seam may leave an unparseable line — both are skipped, never fatal.
+    A missing file reads as no records (a run that never measured)."""
+    from repro.obs.recorder import tail_jsonl
+
+    return [
+        rec
+        for rec in tail_jsonl(path)[0]
+        if isinstance(rec, dict) and rec.get("type") != "wal"
+    ]
 
 
 def split_wal(

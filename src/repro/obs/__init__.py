@@ -27,7 +27,9 @@ consumers of the recorded artifacts:
 and the fleet layer built on top of them:
 
 * :mod:`repro.obs.stream` — the incremental follow-mode reader and the
-  live terminal dashboard behind ``repro watch``;
+  live terminal dashboard behind ``repro watch``, and the one fold of a
+  run directory's progress and epoch (:class:`WatchState`), which
+  :func:`load_run` shares;
 * :mod:`repro.obs.warehouse` — the sqlite cross-run warehouse behind
   ``repro obs index`` / ``repro obs history`` and the
   ``repro diff --against warehouse:last-N`` fleet gate;
@@ -67,7 +69,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.recorder import (
     RunRecorder,
-    count_malformed_lines,
     git_revision,
     read_events,
     tail_jsonl,
@@ -96,7 +97,6 @@ __all__ = [
     "calibration_table",
     "chrome_trace",
     "configure_logging",
-    "count_malformed_lines",
     "decision_records",
     "diff_against_warehouse",
     "diff_runs",

@@ -24,7 +24,6 @@ Everything reads the JSON artifacts only; no pickles, no live tuner.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +31,8 @@ from typing import Dict, List, Optional, Union
 
 from repro.core.result import TuningResult
 from repro.obs.diagnostics import attribution_table, calibration, calibration_table
-from repro.obs.recorder import count_malformed_lines, read_events
+from repro.obs.recorder import _load_json, tail_jsonl
+from repro.obs.stream import WatchState
 
 __all__ = [
     "DiffThresholds",
@@ -53,8 +53,10 @@ class RunData:
     Missing artifacts load as empty (``result`` as ``None``) rather than
     raising — an interrupted run leaves a manifest and an event prefix,
     and those alone must still analyze.  ``truncated_events`` counts
-    unparseable ``events.jsonl`` lines (a mid-write kill leaves at most
-    one)."""
+    unparseable ``events.jsonl`` lines plus a torn final line (a
+    mid-write kill leaves at most one).  ``wal_measurements`` and
+    ``epoch`` come from the same :class:`~repro.obs.stream.WatchState`
+    fold ``repro watch`` uses."""
 
     path: Path
     manifest: Dict[str, object] = field(default_factory=dict)
@@ -64,6 +66,11 @@ class RunData:
     compare: Optional[Dict[str, object]] = None
     truncated_events: int = 0
     wal: List[Dict[str, object]] = field(default_factory=list)
+    #: budget slots the write-ahead log proves completed — the honest
+    #: progress count for a run that never wrote a result.json
+    wal_measurements: int = 0
+    #: recorder processes that wrote the run (1 = never resumed)
+    epoch: int = 1
 
     @property
     def interrupted(self) -> bool:
@@ -72,14 +79,6 @@ class RunData:
         if self.result is None or self.truncated_events > 0:
             return True
         return bool(self.result.extras.get("interrupted", False))
-
-    @property
-    def wal_measurements(self) -> int:
-        """Measurements the write-ahead log proves completed — the honest
-        progress count for a run that never wrote a result.json."""
-        measures = sum(1 for r in self.wal if r.get("type") == "measure")
-        slots = sum(1 for r in self.wal if r.get("type") == "slot")
-        return max(measures, slots)
 
     @property
     def resumable(self) -> bool:
@@ -130,24 +129,6 @@ class RunData:
         return cal["rmse"] if cal["n"] and math.isfinite(cal["rmse"]) else None
 
 
-def _load_json(path: Path) -> Dict[str, object]:
-    """Load a JSON artifact; a leftover ``*.tmp`` sibling is recoverable.
-
-    The recorder writes atomically (tmp + ``os.replace``), so a ``*.tmp``
-    next to a missing/corrupt artifact is a fully-serialized payload whose
-    final rename never happened — use it rather than dropping data."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        pass
-    try:
-        with open(path.with_name(path.name + ".tmp")) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {}
-
-
 def resolve_run_dir(run_dir: Union[str, Path]) -> Path:
     """Resolve a path to one concrete run directory.
 
@@ -192,18 +173,19 @@ def load_run(run_dir: Union[str, Path]) -> RunData:
     run.metrics = _load_json(path / "metrics.json")
     compare = _load_json(path / "compare.json")
     run.compare = compare or None
-    events_path = path / "events.jsonl"
-    if events_path.exists():
-        # the same incremental reader `repro watch` polls with; offset 0
-        # reads the whole complete-line prefix of a possibly-torn file
-        run.events, _ = read_events(events_path, follow=True)
-        run.truncated_events = count_malformed_lines(events_path)
+    run.events, _, malformed, torn = tail_jsonl(path / "events.jsonl")
+    run.truncated_events = malformed + torn
     result_data = _load_json(path / "result.json")
     if result_data:
         run.result = TuningResult.from_dict(result_data)
     from repro.core.wal import read_wal
 
     run.wal = read_wal(path / "wal.jsonl")
+    state = WatchState(path=path)
+    state.fold_wal(run.wal)
+    state.fold_events(run.events, malformed)
+    state.fold_metrics(run.metrics)
+    run.wal_measurements, run.epoch = state.progress, state.epoch
     return run
 
 
@@ -331,15 +313,16 @@ def analyze_run(run_dir: Union[str, Path]) -> str:
                 f"- resumable: `repro tune --resume {run.path}` continues "
                 "the remaining budget bit-identically"
             )
-    epoch = run.metrics.get("epoch")
-    if isinstance(epoch, (int, float)) and epoch > 1:
+    if run.epoch > 1:
         # the epoch boundary: this run was resumed; the events.jsonl ts
         # clock restarted at each `resume_epoch` marker
-        lines.append(
-            f"- **resumed run**: epoch {int(epoch)} of a resumed session — "
-            "metrics below merge all epochs; per-epoch snapshots are kept "
-            "under `epochs` in metrics.json"
-        )
+        line = f"- **resumed run**: epoch {run.epoch} of a resumed session"
+        if run.metrics.get("epoch") == run.epoch:
+            line += (
+                " — metrics below merge all epochs; per-epoch snapshots "
+                "are kept under `epochs` in metrics.json"
+            )
+        lines.append(line)
     lines.append("")
 
     lines.append("## Outcome")

@@ -30,8 +30,7 @@ recorded run directory's ``events.jsonl`` feed the same functions here.
 from __future__ import annotations
 
 import math
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -47,32 +46,17 @@ __all__ = [
 
 
 def decision_records(source) -> List[Dict[str, object]]:
-    """Extract decision records from wherever they live.
+    """Extract decision records from a run.
 
-    ``source`` may be a :class:`~repro.core.result.TuningResult` (reads
-    ``extras["decisions"]``), a :class:`~repro.obs.trace.Tracer` or
-    :class:`~repro.obs.recorder.RunRecorder` (reads retained ``decision``
-    events), a path to a run directory or an ``events.jsonl`` file, or a
-    plain list of event dicts / records.  Returns the records in
-    measurement order.
+    ``source`` may be ``None``, a :class:`~repro.core.result.TuningResult`
+    (reads ``extras["decisions"]``), or a list of event dicts (e.g.
+    :func:`~repro.obs.recorder.read_events` of a run's ``events.jsonl``)
+    or bare records.  Returns the records in measurement order.
     """
     if source is None:
         return []
     if hasattr(source, "extras"):  # TuningResult
         return list(source.extras.get("decisions") or [])
-    if hasattr(source, "tracer"):  # RunRecorder
-        source = source.tracer
-    if hasattr(source, "events"):  # Tracer
-        source = source.events()
-    if isinstance(source, (str, Path)):
-        from repro.obs.recorder import read_events
-
-        path = Path(source)
-        if path.is_dir():
-            path = path / "events.jsonl"
-        if not path.exists():
-            return []
-        source = read_events(path)
     records = []
     for item in source:
         if not isinstance(item, dict):

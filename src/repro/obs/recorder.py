@@ -64,7 +64,6 @@ from repro.obs.trace import Tracer
 __all__ = [
     "EVENT_FSYNC_INTERVAL",
     "RunRecorder",
-    "count_malformed_lines",
     "git_revision",
     "read_events",
     "tail_jsonl",
@@ -82,6 +81,44 @@ def _atomic_write_json(path: Path, payload: object) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def _load_json(path: Path) -> Dict[str, object]:
+    """Load a JSON object artifact; ``{}`` when missing or unreadable.
+
+    :func:`_atomic_write_json` writes atomically, so a ``*.tmp`` sibling
+    next to a missing/corrupt artifact is a fully-serialized payload
+    whose final rename never happened — use it rather than dropping
+    data."""
+    for candidate in (path, path.with_name(path.name + ".tmp")):
+        try:
+            with open(candidate) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError):
+            continue
+        if isinstance(data, dict):
+            return data
+    return {}
+
+
+def _open_jsonl(path: Path, resume: bool):
+    """Open a JSONL stream for writing: truncated when fresh; on resume,
+    appended to, after newline-terminating a torn final line (a kill
+    mid-write leaves at most one) so the records across the seam parse
+    as one stream."""
+    torn = False
+    if resume:
+        try:
+            with open(path, "rb") as fh:
+                fh.seek(-1, os.SEEK_END)
+                torn = fh.read(1) != b"\n"
+        except OSError:  # missing or empty: nothing to repair
+            pass
+    fh = open(path, "a" if resume else "w")
+    if torn:
+        fh.write("\n")
+        fh.flush()
+    return fh
 
 
 def git_revision(cwd: Optional[str] = None) -> str:
@@ -186,15 +223,16 @@ class RunRecorder:
         # resume: fold the killed/stopped process's metrics snapshot into
         # the epoch history so cumulative counts survive the process swap.
         # (A SIGKILL'd run never wrote metrics.json — then there is simply
-        # no epoch-1 snapshot to preserve, and the WAL remains the honest
+        # no snapshot to preserve, and the WAL remains the honest
         # progress record.)
         self._prior_epochs: List[Dict[str, object]] = []
-        #: processes that wrote this run dir before us (0 on a fresh run);
-        #: counted from durable evidence, not metrics snapshots, so a
-        #: SIGKILL'd first epoch still advances the epoch index
-        self._prior_processes = 0
+        #: 1-based index of the process writing the run dir right now,
+        #: one past the epoch every reader folds from the directory
+        self.epoch = 1
         if resume:
-            prior = self._load_prior_metrics()
+            from repro.obs.stream import WatchState
+
+            prior = _load_json(self.path / "metrics.json")
             if prior:
                 kept = {
                     k: prior[k]
@@ -202,7 +240,10 @@ class RunRecorder:
                     if k in prior
                 }
                 self._prior_epochs = list(prior.get("epochs") or []) + [kept]
-            self._prior_processes = 1 + self._count_resume_markers()
+            seen = WatchState(path=self.path)
+            seen.fold_events(read_events(self.path / "events.jsonl"))
+            seen.fold_metrics(prior)
+            self.epoch = seen.epoch + 1
 
         manifest_path = self.path / "manifest.json"
         if resume and manifest_path.exists():
@@ -216,18 +257,7 @@ class RunRecorder:
             self.manifest = base
             _atomic_write_json(manifest_path, base)
 
-        events_path = self.path / "events.jsonl"
-        # a resumed run appends; a kill mid-write leaves at most one torn
-        # trailing line, which gets its newline here so the seam parses
-        needs_newline = False
-        if resume and events_path.exists() and events_path.stat().st_size > 0:
-            with open(events_path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                needs_newline = fh.read(1) != b"\n"
-        self._events_file = open(events_path, "a" if resume else "w")
-        if needs_newline:
-            self._events_file.write("\n")
-            self._events_file.flush()
+        self._events_file = _open_jsonl(self.path / "events.jsonl", resume)
         self.tracer = Tracer(sink=self.write_event, keep=keep)
         if resume:
             # seam marker: the relative `ts` clock restarts with this
@@ -236,34 +266,6 @@ class RunRecorder:
             self.write_event(
                 {"type": "event", "name": "resume_epoch", "epoch": self.epoch}
             )
-
-    def _load_prior_metrics(self) -> Dict[str, object]:
-        try:
-            with open(self.path / "metrics.json") as fh:
-                prior = json.load(fh)
-            return prior if isinstance(prior, dict) else {}
-        except (OSError, json.JSONDecodeError):
-            return {}
-
-    def _count_resume_markers(self) -> int:
-        """Prior ``resume_epoch`` seam markers in the existing event log."""
-        markers = 0
-        try:
-            with open(self.path / "events.jsonl", "rb") as fh:
-                for raw in fh:
-                    if b'"resume_epoch"' in raw:
-                        markers += 1
-        except OSError:
-            pass
-        return markers
-
-    @property
-    def epoch(self) -> int:
-        """1-based index of the process writing the run dir right now.
-
-        A graceful predecessor leaves a metrics snapshot per epoch; a
-        SIGKILL'd one leaves only its seam-marker trail — both count."""
-        return max(len(self._prior_epochs), self._prior_processes) + 1
 
     def _sync_overhead_counter(self, reg: MetricsRegistry) -> None:
         """Bring ``obs.overhead_seconds`` up to the accumulated total."""
@@ -315,7 +317,7 @@ class RunRecorder:
         reg = registry if registry is not None else self.registry
         self._sync_overhead_counter(reg)
         snap = reg.snapshot()
-        if self._prior_epochs or self.epoch > 1:
+        if self.epoch > 1:
             current = {k: dict(v) for k, v in snap.items()}
             snap["epoch"] = self.epoch
             snap["epochs"] = self._prior_epochs
@@ -374,39 +376,41 @@ class RunRecorder:
 
 def tail_jsonl(
     path: Union[str, Path], offset: int = 0
-) -> Tuple[List[Dict[str, object]], int, int]:
+) -> Tuple[List[Dict[str, object]], int, int, bool]:
     """Incrementally read complete JSONL records starting at byte ``offset``.
 
-    Returns ``(records, new_offset, n_malformed)``.  The contract that
-    makes this safe to poll against a *live* writer:
+    Returns ``(records, new_offset, n_malformed, torn)``.  This is the one
+    JSONL line reader; the contract that makes it safe to poll against a
+    *live* writer:
 
     * only newline-**terminated** lines are consumed — a torn trailing
       line (the writer flushed mid-record, or the process died there) is
-      left unconsumed, so ``new_offset`` points at its first byte and the
-      next call re-reads it once the writer completes it;
+      left unconsumed, so ``new_offset`` points at its first byte, ``torn``
+      is true, and the next call re-reads it once the writer completes it;
     * newline-terminated lines that still fail to parse are permanently
       malformed (e.g. the pre-kill tail a resuming writer newline-
       terminated): they are skipped, counted in ``n_malformed``, and the
       offset moves past them;
-    * a missing file reads as ``([], offset, 0)`` — the watcher may start
-      polling before the run's first event.
+    * a missing file reads as ``([], offset, 0, False)`` — the watcher may
+      start polling before the run's first event.
 
     Byte offsets (not line numbers) are the resume token: they stay valid
     across process restarts and never require re-reading the prefix.
     """
-    p = Path(path)
     records: List[Dict[str, object]] = []
+    pos = int(offset)
     malformed = 0
+    torn = False
     try:
-        fh = open(p, "rb")
+        fh = open(Path(path), "rb")
     except OSError:
-        return records, int(offset), malformed
+        return records, pos, malformed, torn
     with fh:
-        fh.seek(int(offset))
-        pos = int(offset)
+        fh.seek(pos)
         for raw in fh:
             if not raw.endswith(b"\n"):
-                break  # torn tail: leave unconsumed for the next poll
+                torn = True  # leave unconsumed for the next poll
+                break
             pos += len(raw)
             line = raw.strip()
             if not line:
@@ -415,59 +419,13 @@ def tail_jsonl(
                 records.append(json.loads(line.decode("utf-8", "replace")))
             except json.JSONDecodeError:
                 malformed += 1
-    return records, pos, malformed
+    return records, pos, malformed, torn
 
 
-def read_events(
-    path: Union[str, Path],
-    strict: bool = False,
-    follow: bool = False,
-    offset: int = 0,
-):
+def read_events(path: Union[str, Path]) -> List[Dict[str, object]]:
     """Parse an ``events.jsonl`` back into a list of event dicts.
 
-    A run killed mid-write leaves a truncated final line; by default such
-    unparseable lines are skipped so an interrupted run still loads (the
-    complete-line prefix is exactly what the recorder guarantees).  Pass
-    ``strict=True`` to raise on any malformed line instead.  Use
-    :func:`count_malformed_lines` to detect truncation explicitly.
-
-    ``follow=True`` switches to the incremental-tail contract of
-    :func:`tail_jsonl`: reading starts at byte ``offset``, only complete
-    lines are consumed (a torn tail is *not* skipped-and-passed, it stays
-    unconsumed for the next call), and the return value becomes the pair
-    ``(events, new_offset)`` — feed ``new_offset`` back in to stream a
-    live run without re-reading its prefix.  ``repro watch`` and the run
-    analyzer both read through this path."""
-    if follow:
-        events, new_offset, _ = tail_jsonl(path, offset=offset)
-        return events, new_offset
-    events = []
-    with open(Path(path)) as fh:
-        if offset:
-            fh.seek(int(offset))
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                if strict:
-                    raise
-    return events
-
-
-def count_malformed_lines(path: Union[str, Path]) -> int:
-    """Non-empty ``events.jsonl`` lines that fail to parse (truncation)."""
-    bad = 0
-    with open(Path(path)) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                json.loads(line)
-            except json.JSONDecodeError:
-                bad += 1
-    return bad
+    The complete lines of the file, read by :func:`tail_jsonl`: a run
+    killed mid-write still loads (its malformed lines and torn tail are
+    skipped), and a missing file reads as no events."""
+    return tail_jsonl(path)[0]

@@ -8,7 +8,9 @@ streams *incrementally* and keeps a rolling picture of the run:
 * :class:`RunWatcher` — owns the byte offsets into both streams
   (:func:`repro.obs.recorder.tail_jsonl` semantics: torn tails are left
   unconsumed, so polling a live writer is race-free) and folds every new
-  record into a :class:`WatchState`;
+  record into a :class:`WatchState` — the same fold
+  :func:`repro.obs.analysis.load_run` runs over a whole directory and a
+  resuming :class:`~repro.obs.recorder.RunRecorder` counts its epoch with;
 * :func:`render` — the terminal dashboard: progress, incumbent curve,
   cache/failure/quarantine/GP-refit counters, ETA;
 * :func:`watch` — the poll loop behind ``repro watch RUN_DIR``.
@@ -33,14 +35,13 @@ it can outlive (and predate) the writer.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.obs.recorder import tail_jsonl
+from repro.obs.recorder import _load_json, tail_jsonl
 
 __all__ = ["RunWatcher", "WatchState", "normalize_epochs", "render", "watch"]
 
@@ -82,9 +83,9 @@ class WatchState:
 
     path: Path
     manifest: Dict[str, object] = field(default_factory=dict)
-    #: measurements proven durable by the WAL (continuous across resumes)
+    #: WAL measure records: live measurements (continuous across resumes)
     n_measurements: int = 0
-    #: budget slots the tuner has recorded (<= n_measurements)
+    #: WAL slot records: budget slots the tuner has recorded
     n_slots: int = 0
     #: best-so-far runtime after each slot (the incumbent curve)
     best_history: List[float] = field(default_factory=list)
@@ -98,8 +99,10 @@ class WatchState:
     counters: Dict[str, float] = field(default_factory=dict)
     #: monotonic traced seconds (epoch-normalized last span end)
     elapsed: float = 0.0
-    #: recorder epoch currently writing (1 = never resumed)
-    epoch: int = 1
+    #: ``resume_epoch`` seam markers in the event stream
+    n_resumes: int = 0
+    #: the ``epoch`` metrics.json records (1 when absent)
+    metrics_epoch: int = 1
     #: total events parsed so far / permanently malformed lines
     n_events: int = 0
     n_malformed: int = 0
@@ -108,6 +111,21 @@ class WatchState:
     result: Dict[str, object] = field(default_factory=dict)
     #: seconds since the WAL or event stream last grew (None: no file yet)
     stale_seconds: Optional[float] = None
+
+    @property
+    def progress(self) -> int:
+        """Budget slots the WAL proves completed.  A slot served by the
+        verdict cache logs no measure record, and a killed run's last
+        measurement may lack its slot record, so neither count alone is
+        the progress."""
+        return max(self.n_measurements, self.n_slots)
+
+    @property
+    def epoch(self) -> int:
+        """Recorder processes that wrote the run (1 = never resumed): each
+        resume leaves a seam marker, and a graceful stop leaves its epoch
+        in metrics.json."""
+        return max(1 + self.n_resumes, self.metrics_epoch)
 
     @property
     def budget(self) -> Optional[int]:
@@ -127,16 +145,16 @@ class WatchState:
         slots in near-zero traced time) and converges as live slots
         accumulate."""
         budget = self.budget
-        if budget is None or self.n_measurements <= 0 or self.elapsed <= 0:
+        if budget is None or self.progress <= 0 or self.elapsed <= 0:
             return None
-        remaining = max(0, budget - self.n_measurements)
-        return remaining * (self.elapsed / self.n_measurements)
+        remaining = max(0, budget - self.progress)
+        return remaining * (self.elapsed / self.progress)
 
     @property
     def resumable(self) -> bool:
         return (
             not self.finished
-            and self.n_measurements > 0
+            and self.progress > 0
             and self.manifest.get("command") == "tune"
         )
 
@@ -144,6 +162,57 @@ class WatchState:
         if runtime is None or not self.o3_runtime:
             return None
         return self.o3_runtime / runtime if runtime > 0 else None
+
+    # -- the fold: every reader of a run directory feeds its records here ----
+    def fold_wal(self, records: List[Dict[str, object]]) -> None:
+        """Fold WAL records (in log order) into progress and the
+        incumbent curve."""
+        for rec in records:
+            kind = rec.get("type")
+            if kind == "measure":
+                self.n_measurements += 1
+            elif kind == "slot":
+                self.n_slots += 1
+                runtime = rec.get("runtime")
+                try:
+                    runtime = float(runtime)
+                except (TypeError, ValueError):
+                    runtime = math.inf
+                self.last_runtime = runtime
+                prev = self.best_history[-1] if self.best_history else math.inf
+                self.best_history.append(min(prev, runtime))
+                status = str(rec.get("status") or "")
+                if status and status != "ok":
+                    self.failures[status] = self.failures.get(status, 0) + 1
+            elif kind == "anchor":
+                o3 = rec.get("o3_runtime")
+                if isinstance(o3, (int, float)) and o3 > 0:
+                    self.o3_runtime = float(o3)
+
+    def fold_events(
+        self, events: List[Dict[str, object]], malformed: int = 0
+    ) -> None:
+        """Fold trace events (in stream order) into the epoch, traced
+        time and the mid-run counters."""
+        self.n_malformed += malformed
+        self.n_resumes += sum(1 for e in events if e.get("name") == "resume_epoch")
+        for e in normalize_epochs(events):
+            self.n_events += 1
+            ts = e.get("ts")
+            if ts is not None:
+                self.elapsed = max(self.elapsed, float(ts) + (e.get("wall") or 0.0))
+            if e.get("name") == "metrics":
+                attrs = e.get("attrs") or {}
+                flat = attrs.get("metrics")
+                if isinstance(flat, dict):
+                    self.counters.update(flat)
+
+    def fold_metrics(self, metrics: Dict[str, object]) -> None:
+        """Fold a metrics.json snapshot: it beats any mid-run metrics
+        event, and a resumed run's merged totals sit in ``cumulative``."""
+        source = metrics.get("cumulative") or metrics
+        self.counters.update(source.get("counters") or {})
+        self.metrics_epoch = max(self.metrics_epoch, int(metrics.get("epoch") or 1))
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe snapshot (``repro watch --json``).
@@ -165,6 +234,7 @@ class WatchState:
             "manifest": dict(self.manifest),
             "n_measurements": self.n_measurements,
             "n_slots": self.n_slots,
+            "progress": self.progress,
             "budget": self.budget,
             "best_runtime": _num(self.best_runtime),
             "best_history": [_num(v) for v in self.best_history],
@@ -206,93 +276,26 @@ class RunWatcher:
     def refresh(self) -> WatchState:
         st = self.state
         if not self._manifest_loaded:
-            st.manifest = self._load_json(self.path / "manifest.json")
+            st.manifest = _load_json(self.path / "manifest.json")
             self._manifest_loaded = bool(st.manifest)
-        self._consume_wal()
-        self._consume_events()
-        self._read_result()
+        records, self._wal_offset, _, _ = tail_jsonl(
+            self.path / "wal.jsonl", offset=self._wal_offset
+        )
+        st.fold_wal(records)
+        events, self._events_offset, malformed, _ = tail_jsonl(
+            self.path / "events.jsonl", offset=self._events_offset
+        )
+        st.fold_events(events, malformed)
+        if not st.finished:
+            st.result = _load_json(self.path / "result.json")
+            if st.result:
+                st.finished = True
+                st.interrupted = bool((st.result.get("extras") or {}).get("interrupted"))
+                st.fold_metrics(_load_json(self.path / "metrics.json"))
         st.stale_seconds = self._staleness()
         return st
 
-    # -- stream consumption -----------------------------------------------------
-    def _consume_wal(self) -> None:
-        records, self._wal_offset, _ = tail_jsonl(
-            self.path / "wal.jsonl", offset=self._wal_offset
-        )
-        st = self.state
-        for rec in records:
-            kind = rec.get("type")
-            if kind == "measure":
-                st.n_measurements += 1
-            elif kind == "slot":
-                st.n_slots += 1
-                runtime = rec.get("runtime")
-                try:
-                    runtime = float(runtime)
-                except (TypeError, ValueError):
-                    runtime = math.inf
-                st.last_runtime = runtime
-                prev = st.best_history[-1] if st.best_history else math.inf
-                st.best_history.append(min(prev, runtime))
-                status = str(rec.get("status") or "")
-                if status and status != "ok":
-                    st.failures[status] = st.failures.get(status, 0) + 1
-            elif kind == "anchor":
-                o3 = rec.get("o3_runtime")
-                if isinstance(o3, (int, float)) and o3 > 0:
-                    st.o3_runtime = float(o3)
-
-    def _consume_events(self) -> None:
-        events, self._events_offset, malformed = tail_jsonl(
-            self.path / "events.jsonl", offset=self._events_offset
-        )
-        st = self.state
-        st.n_malformed += malformed
-        for e in normalize_epochs(events):
-            st.n_events += 1
-            ts = e.get("ts")
-            if ts is not None:
-                st.elapsed = max(st.elapsed, float(ts) + (e.get("wall") or 0.0))
-            if e.get("name") == "metrics":
-                attrs = e.get("attrs") or {}
-                flat = attrs.get("metrics")
-                if isinstance(flat, dict):
-                    st.counters.update(flat)
-        # the raw (pre-splice) stream carries the epoch markers
-        for e in events:
-            if e.get("name") == "resume_epoch":
-                epoch = e.get("epoch")
-                if isinstance(epoch, (int, float)):
-                    st.epoch = max(st.epoch, int(epoch))
-
-    def _read_result(self) -> None:
-        st = self.state
-        if st.finished:
-            return
-        result = self._load_json(self.path / "result.json")
-        if result:
-            st.finished = True
-            st.result = result
-            extras = result.get("extras") or {}
-            st.interrupted = bool(extras.get("interrupted"))
-            metrics = self._load_json(self.path / "metrics.json")
-            if metrics:
-                # a finished run's snapshot beats any mid-run metrics
-                # event; resumed runs expose merged totals in cumulative
-                source = metrics.get("cumulative") or metrics
-                st.counters.update(source.get("counters") or {})
-                st.epoch = max(st.epoch, int(metrics.get("epoch") or 1))
-
     # -- helpers ----------------------------------------------------------------
-    @staticmethod
-    def _load_json(path: Path) -> Dict[str, object]:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-            return data if isinstance(data, dict) else {}
-        except (OSError, json.JSONDecodeError):
-            return {}
-
     def _staleness(self) -> Optional[float]:
         newest = None
         for name in ("wal.jsonl", "events.jsonl"):
@@ -353,14 +356,14 @@ def render(state: WatchState, width: int = 58) -> str:
         status = "FINISHED"
     elif state.finished:
         status = "STOPPED (graceful, resumable)"
-    elif state.n_measurements == 0 and state.n_events == 0:
+    elif state.progress == 0 and state.n_events == 0:
         status = "WAITING (no artifacts yet)"
     elif state.stale_seconds is not None and state.stale_seconds > 15.0:
         status = f"STALLED? (no writes for {_fmt_seconds(state.stale_seconds)})"
     else:
         status = "RUNNING"
     lines.append(
-        f"state: {status} | {_progress_bar(state.n_measurements, state.budget)}"
+        f"state: {status} | {_progress_bar(state.progress, state.budget)}"
         f" | elapsed {_fmt_seconds(state.elapsed)}"
         + (
             f" | eta ~{_fmt_seconds(state.eta_seconds)}"

@@ -42,6 +42,7 @@ from repro.obs.analysis import (
     load_run,
     resolve_run_dir,
 )
+from repro.obs.recorder import _load_json
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -175,7 +176,7 @@ class Warehouse:
             "version": man.get("version"),
             "command": man.get("command"),
             "interrupted": int(run.interrupted),
-            "epoch": int(run.metrics.get("epoch") or 1),
+            "epoch": run.epoch,
             "n_measurements": n_meas,
             "n_infeasible": res.n_infeasible if res is not None else None,
             "best_runtime": _finite(metrics["best_runtime"]),
@@ -287,12 +288,7 @@ def _pass_rows(run, run_path: str, program) -> List[Dict[str, object]]:
     leave-one-out attribution; absent that, ``pass.run`` spans from a
     ``--pipeline-trace`` tune still yield timing/changed/IR-delta rows
     (without marginals — those need the ablation replay)."""
-    explain = {}
-    try:
-        with open(run.path / "explain.json") as fh:
-            explain = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        pass
+    explain = _load_json(run.path / "explain.json")
     rows: List[Dict[str, object]] = []
     if explain.get("modules"):
         for mod in explain["modules"]:

@@ -5,13 +5,17 @@ randomly drawn kill points — launches the same tune with
 ``--kill-after-iter N`` (the child SIGKILLs itself the instant the Nth
 measurement's WAL record is durable), resumes the corpse with
 ``repro tune --resume``, and asserts the final ``result.json`` is
-bit-identical to the control's (wall-clock ``timing`` excluded).
+bit-identical to the control's (wall-clock ``timing`` excluded).  After
+each resume, ``load_run`` (behind ``repro analyze``) and ``RunWatcher``
+(behind ``repro watch``) must agree with the WAL on progress and report
+epoch 2, and the progress must equal the budget.
 ``--jobs N`` runs every tune with N compile processes (the resumed run
 takes its ``jobs`` from the killed run's manifest), so the kill also
 orphans forked compile workers.  ``--tuner`` picks the tuner (any of
 ``repro tune --tuner``; the resumed run takes it from the manifest).
 
-Exit 0 only if every kill point recovers bit-identically.  CI runs this
+Exit 0 only if every kill point recovers bit-identically and its
+readers agree.  CI runs this
 as the blocking ``chaos-resume`` job, with CITROEN at ``--jobs 1`` and
 ``--jobs 2`` and with the BOCA baseline, whose control history includes
 a verdict-cache hit; locally::
@@ -31,6 +35,7 @@ import sys
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)  # the run readers are checked in this process
 
 
 def _env() -> dict:
@@ -67,6 +72,29 @@ def _result_sans_timing(run_dir: Path) -> dict:
     data = json.loads((run_dir / "result.json").read_text())
     data.pop("timing", None)
     return data
+
+
+def _readers_disagree(run_dir: Path, budget: int) -> str:
+    """Why the run directory's readers disagree on a resumed, finished
+    run (empty when they agree)."""
+    sys.path.insert(0, SRC)
+    from repro.core.wal import read_wal
+    from repro.obs.analysis import load_run
+    from repro.obs.stream import RunWatcher
+
+    wal = read_wal(run_dir / "wal.jsonl")
+    progress = max(
+        sum(1 for r in wal if r.get("type") == kind) for kind in ("measure", "slot")
+    )
+    run, state = load_run(run_dir), RunWatcher(run_dir).refresh()
+    seen = {
+        "wal": (progress, 2),
+        "load_run": (run.wal_measurements, run.epoch),
+        "watch": (state.progress, state.epoch),
+    }
+    if len(set(seen.values())) > 1 or progress != budget:
+        return f"(progress, epoch) {seen}, budget {budget}"
+    return ""
 
 
 def main(argv=None) -> int:
@@ -125,7 +153,13 @@ def main(argv=None) -> int:
             print(f"[chaos] FAIL k={k}: resumed history diverged from control")
             failures += 1
             continue
-        print(f"[chaos] ok k={k}: resumed bit-identical to control")
+        why = _readers_disagree(run_dir, args.budget)
+        if why:
+            print(f"[chaos] FAIL k={k}: run readers disagree: {why}")
+            failures += 1
+            continue
+        print(f"[chaos] ok k={k}: resumed bit-identical to control, "
+              "readers agree")
 
     if failures:
         print(f"[chaos] {failures}/{len(points)} kill points FAILED")

@@ -231,7 +231,7 @@ class TestTaskDeterminism:
         with _task() as task:
             name = task.hot_modules[0]
             seqs = [[i, i + 1, i + 2] for i in range(6)]
-            recs = task.compile_batch([(name, s) for s in seqs])
+            recs = [o.value for o in task.compile_batch([(name, s) for s in seqs])]
             assert all(r._fingerprint is None for r in recs)
             task.measure({name: recs[0]})
             assert recs[0]._fingerprint == ir_fingerprint(recs[0].module)

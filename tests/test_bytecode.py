@@ -35,7 +35,7 @@ from repro.machine.platforms import get_platform
 from repro.machine.profiler import Profiler
 from repro.workloads import cbench_program
 
-from tests.conftest import build_dot_kernel, build_sum_loop_module
+from tests.conftest import build_sum_loop_module
 
 
 def _outcome(runner, modules, entry="main", fuel=2_000_000):
@@ -345,7 +345,10 @@ def test_task_engine_transparent_histories():
                 m: tuple(int(x) for x in rng.integers(0, len(task.passes), 4))
                 for m in task.hot_modules
             }
-            compiled = {m: task.compile_module(m, s) for m, s in config.items()}
+            compiled = {
+                m: o.value
+                for m, o in zip(config, task.compile_batch(list(config.items())))
+            }
             linked, _fps = task._link(compiled)
             entry, fuel = task.program.entry, task.program.fuel
 

@@ -100,10 +100,11 @@ class TestAutotuningTask:
     def test_o3_beats_o0(self, gsm_task):
         assert gsm_task.o3_runtime < gsm_task.o0_runtime
 
-    def test_compile_module_returns_stats(self, gsm_task):
+    def test_compile_batch_returns_stats(self, gsm_task):
         idx = {p: i for i, p in enumerate(gsm_task.passes)}
         seq = [idx["mem2reg"], idx["slp-vectorizer"]] + [idx["dce"]] * 18
-        mod, stats = gsm_task.compile_module("long_term", seq)
+        (outcome,) = gsm_task.compile_batch([("long_term", seq)])
+        mod, stats = outcome.value
         assert stats.get("slp-vectorizer.NumVectorInstructions", 0) > 0
 
     def test_measure_config_and_cache(self, gsm_task):
@@ -136,8 +137,6 @@ class TestDifferentialTest:
     def test_detects_broken_module(self):
         prog = cbench_program("security_sha")
         # sabotage: swap the outputs by mutilating a cloned module
-        import copy
-
         broken = prog.get_module("sha_transform").clone()
         fn = broken.functions["transform"]
         for inst in fn.instructions():

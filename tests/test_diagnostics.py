@@ -3,12 +3,11 @@ and surrogate-calibration statistics (repro.obs.diagnostics)."""
 
 import math
 
-import numpy as np
 import pytest
 
 from repro import AutotuningTask, Citroen, cbench_program
 from repro.core.generator import CandidateGenerator, base_strategy
-from repro.obs import RunRecorder, Tracer
+from repro.obs import RunRecorder, Tracer, read_events
 from repro.obs.diagnostics import (
     attribution_table,
     calibration,
@@ -86,7 +85,7 @@ class TestDecisionRecords:
     def test_records_flow_to_tracer_events(self, diagnosed_run):
         result, _, tracer = diagnosed_run
         live = decision_records(result)
-        via_events = decision_records(tracer)
+        via_events = decision_records(tracer.events())
         assert len(via_events) == len(live)
         assert [r["measurement"] for r in via_events] == [
             r["measurement"] for r in live
@@ -269,7 +268,7 @@ class TestGeneratorAttribution:
         for event in tracer.events():
             rec.write_event(event)
         rec.close()
-        offline = generator_attribution(str(tmp_path / "run"))
+        offline = generator_attribution(read_events(tmp_path / "run" / "events.jsonl"))
         live = generator_attribution(result)
         assert offline == live
 

@@ -5,7 +5,7 @@ Covers:
 * ``CompileEngine`` — batch order preservation under parallelism,
   within-batch dedup, no results kept past a batch, thread-safe counters,
   wall-vs-worker time accounting;
-* ``AutotuningTask.compile_batch`` — parity with ``compile_module``,
+* ``AutotuningTask.compile_batch`` — parity with one-item batches,
   dedup accounting, jobs-invariant results;
 * ``AutotuningTask.evaluate`` — the one budget-slot path: incumbent
   reuse, infeasible compiles, whole-configuration records, the verdict
@@ -71,7 +71,7 @@ class TestCompileEngine:
             out = eng.compile_batch(items)
         finally:
             eng.close()
-        assert out == [("m", (i,)) for i in range(8)]
+        assert [o.value for o in out] == [("m", (i,)) for i in range(8)]
 
     def test_within_batch_duplicates_compile_once(self):
         calls = []
@@ -82,7 +82,7 @@ class TestCompileEngine:
 
         eng = CompileEngine(compile_fn, jobs=1)
         out = eng.compile_batch([("m", [1]), ("m", [1]), ("m", [2]), ("m", [1])])
-        assert out == [(1,), (1,), (2,), (1,)]
+        assert [o.value for o in out] == [(1,), (1,), (2,), (1,)]
         assert len(calls) == 2
         stats = eng.stats()
         assert stats["cache_hits"] == 2 and stats["cache_misses"] == 2
@@ -92,7 +92,7 @@ class TestCompileEngine:
             pass
 
         eng = CompileEngine(lambda name, seq: Result(), jobs=1)
-        out = eng.compile_batch([("m", [1]), ("m", [1]), ("m", [2])])
+        out = [o.value for o in eng.compile_batch([("m", [1]), ("m", [1]), ("m", [2])])]
         assert out[0] is out[1]  # within-batch duplicates share one result
         ref = weakref.ref(out[0])
         del out
@@ -158,13 +158,14 @@ def x264_task():
 
 
 class TestTaskCompileBatch:
-    def test_batch_matches_compile_module(self, gsm_task):
+    def test_batch_matches_single_item_batches(self, gsm_task):
         rng = np.random.default_rng(0)
         seqs = [rng.integers(0, gsm_task.alphabet, size=12) for _ in range(3)]
         name = gsm_task.hot_modules[0]
         batch = gsm_task.compile_batch([(name, s) for s in seqs])
-        for s, (mod, stats) in zip(seqs, batch):
-            mod2, stats2 = gsm_task.compile_module(name, s)
+        for s, outcome in zip(seqs, batch):
+            mod, stats = outcome.value
+            mod2, stats2 = gsm_task.compile_batch([(name, s)])[0].value
             assert stats == stats2
             assert mod.num_instrs() == mod2.num_instrs()
 
@@ -274,7 +275,7 @@ class TestEvaluate:
         _, best_compiled = task.evaluate(result, best, "init")
         changed = task.hot_modules[0]
         seq = rng.integers(0, task.alphabet, size=12)
-        proposal = task.compile_batch([(changed, seq)])[0]
+        proposal = task.compile_batch([(changed, seq)])[0].value
         cfg = dict(best)
         cfg[changed] = seq
         before = task.timing_breakdown()["n_compiles"]
@@ -287,7 +288,7 @@ class TestEvaluate:
         for m in task.hot_modules[1:]:
             assert compiled[m] is best_compiled[m]
         # a stats-only compile result carries no module: it compiles again
-        stats_only = task.compile_batch([(changed, seq)], stats_only=True)[0]
+        stats_only = task.compile_batch([(changed, seq)], stats_only=True)[0].value
         assert stats_only.module is None
         _, compiled = task.evaluate(
             result, cfg, "t", changed, incumbent=best,
@@ -359,7 +360,7 @@ class TestStaleDedupRegression:
         def feats(cfg):
             out = {}
             for name, seq in cfg.items():
-                mod, stats = task.compile_module(name, seq)
+                mod, stats = task.compile_batch([(name, seq)])[0].value
                 out[name] = tuner._features_of(name, seq, mod, stats)
             return out
 

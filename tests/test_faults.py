@@ -33,7 +33,6 @@ from repro import (
 )
 from repro.baselines import RandomSearchTuner
 from repro.cli import main
-from repro.core.eval_engine import CompileError
 from repro.core.faults import (
     FAULT_KINDS,
     CompilerCrash,
@@ -119,7 +118,7 @@ class TestEngineFaultPaths:
 
         eng = CompileEngine(compile_fn, jobs=4, max_retries=1, retry_backoff=0.001)
         items = [("m", [i]) for i in range(8)]
-        outs = eng.compile_batch(items, outcomes=True)
+        outs = eng.compile_batch(items)
         eng.close()
         # siblings survive, in input order
         for i, o in enumerate(outs):
@@ -144,11 +143,11 @@ class TestEngineFaultPaths:
             raise RuntimeError("always")
 
         eng = CompileEngine(compile_fn, jobs=1, max_retries=1, retry_backoff=0.001)
-        first = eng.compile_batch([("m", [0])], outcomes=True)[0]
+        first = eng.compile_batch([("m", [0])])[0]
         assert first.status == "error"
         assert len(calls) == 2  # original + retry
         assert ("m", (0,)) in eng._quarantine
-        again = eng.compile_batch([("m", [0])], outcomes=True)[0]
+        again = eng.compile_batch([("m", [0])])[0]
         assert again.status == "quarantined"
         assert again.attempts == 0
         assert len(calls) == 2  # never recompiled
@@ -166,7 +165,7 @@ class TestEngineFaultPaths:
             return "ok"
 
         eng = CompileEngine(flaky, jobs=1, max_retries=2, retry_backoff=0.001)
-        out = eng.compile_batch([("m", [0])], outcomes=True)[0]
+        out = eng.compile_batch([("m", [0])])[0]
         assert out.ok and out.value == "ok"
         assert out.attempts == 3
         assert eng.stats()["compile_retries"] == 2
@@ -178,7 +177,7 @@ class TestEngineFaultPaths:
         eng = CompileEngine(
             inj.wrap(lambda n, s: "ok"), jobs=1, max_retries=1, retry_backoff=0.001
         )
-        out = eng.compile_batch([("m", [0])], outcomes=True)[0]
+        out = eng.compile_batch([("m", [0])])[0]
         assert out.status == "error"
         assert ("m", (0,)) in eng._quarantine
 
@@ -196,7 +195,7 @@ class TestEngineFaultPaths:
         batch = []
         thread = threading.Thread(
             target=lambda: batch.append(
-                eng.compile_batch([("m", [0]), ("m", [1]), ("m", [2])], outcomes=True)
+                eng.compile_batch([("m", [0]), ("m", [1]), ("m", [2])])
             ),
             daemon=True,
         )
@@ -208,7 +207,7 @@ class TestEngineFaultPaths:
         assert outs[1].status == "timeout"
         assert eng.stats()["compile_timeouts"] == 1
         assert ("m", (1,)) in eng._quarantine
-        again = eng.compile_batch([("m", [1])], outcomes=True)[0]
+        again = eng.compile_batch([("m", [1])])[0]
         assert again.status == "quarantined"
         assert eng.stats()["quarantine_hits"] == 1
         eng.close()
@@ -222,31 +221,15 @@ class TestEngineFaultPaths:
         # enforcing a timeout at jobs=1 forks one worker; a hung first
         # candidate must not starve the rest of the batch
         eng = CompileEngine(compile_fn, jobs=1, timeout=0.1)
-        outs = eng.compile_batch([("m", [0]), ("m", [1]), ("m", [2])], outcomes=True)
+        outs = eng.compile_batch([("m", [0]), ("m", [1]), ("m", [2])])
         assert outs[0].status == "timeout"
         assert outs[1].ok and outs[2].ok
         eng.close()
 
-    def test_legacy_interface_raises_after_bookkeeping(self):
-        def compile_fn(name, seq):
-            if seq[0] == 1:
-                raise RuntimeError("boom")
-            return tuple(seq)
-
-        eng = CompileEngine(compile_fn, jobs=1, max_retries=0)
-        with pytest.raises(CompileError):
-            eng.compile_batch([("m", [0]), ("m", [1]), ("m", [2])])
-        # the raise happened after the whole batch ran: siblings compiled,
-        # the failure is quarantined and every counter is consistent
-        assert eng.stats()["n_compiles"] == 2
-        assert eng.stats()["compile_failures"] == 1
-        assert ("m", (1,)) in eng._quarantine
-
     def test_context_manager_closes_pool(self):
         with CompileEngine(lambda n, s: tuple(s), jobs=2) as eng:
-            assert eng.compile_batch([("m", [i]) for i in range(4)]) == [
-                (i,) for i in range(4)
-            ]
+            out = eng.compile_batch([("m", [i]) for i in range(4)])
+            assert [o.value for o in out] == [(i,) for i in range(4)]
             processes = [w.process for w in eng._workers]
             assert len(processes) == 1 and processes[0].is_alive()
         assert not eng._workers
@@ -301,7 +284,7 @@ class TestTaskDegradation:
     def test_miscompile_verdict_cached(self, sha_task):
         task = sha_task
         name = task.hot_modules[0]
-        mod, stats = task.compile_module(name, [0] * 8)
+        mod, stats = task.compile_batch([(name, [0] * 8)])[0].value
         bad, _ = corrupt_module((mod, stats))
         n = task.n_measurements
         value, ok = task.measure({name: bad}, config_key=("badcfg",))
@@ -314,11 +297,11 @@ class TestTaskDegradation:
     def test_corrupt_module_changes_output(self, sha_task):
         task = sha_task
         name = task.hot_modules[0]
-        mod, stats = task.compile_module(name, [0] * 8)
+        mod, stats = task.compile_batch([(name, [0] * 8)])[0].value
         bad, bad_stats = corrupt_module((mod, stats))
         assert bad_stats == stats
         assert bad.num_instrs() > mod.num_instrs()
-        assert mod.num_instrs() == task.compile_module(name, [0] * 8)[0].num_instrs(), (
+        assert mod.num_instrs() == task.compile_batch([(name, [0] * 8)])[0].value.module.num_instrs(), (
             "corruption must not mutate the compiled module"
         )
         _, ok = task.measure({name: bad})

@@ -1,7 +1,6 @@
 """Tests for the observability subsystem (repro.obs)."""
 
 import json
-import logging
 import time
 
 import pytest
@@ -201,7 +200,7 @@ class TestEngineMetrics:
 
         tracer = Tracer()
         eng = CompileEngine(flaky, max_retries=1, retry_backoff=0.0, tracer=tracer)
-        out = eng.compile_batch([("m", (1,))], outcomes=True)[0]
+        out = eng.compile_batch([("m", (1,))])[0]
         assert out.status == "error"
         attrs = tracer.spans()[0]["attrs"]
         assert attrs["failures"] == 1 and attrs["retries"] == 1

@@ -316,8 +316,7 @@ def test_an_injected_crash_leaves_the_task_graph_untouched():
     injector = FaultInjector(rate=1.0, seed=0, kinds=("crash",))
     with _task(fault_injector=injector) as task:
         before = task.graph.stats()
-        outcomes = task.compile_batch([("lpc", [1, 2, 3]), ("lpc", [4, 5, 6])],
-                                      outcomes=True)
+        outcomes = task.compile_batch([("lpc", [1, 2, 3]), ("lpc", [4, 5, 6])])
         assert not any(o.ok for o in outcomes)
         assert task.graph.stats() == before
 

@@ -55,8 +55,8 @@ def _tune(jobs, feature_mode):
             measured.append((dict(compiled), sequences))
             return measure(compiled, config_key=config_key, sequences=sequences)
 
-        def spy_batch(items, outcomes=False, stats_only=False):
-            out = compile_batch(items, outcomes=outcomes, stats_only=stats_only)
+        def spy_batch(items, stats_only=False):
+            out = compile_batch(items, stats_only=stats_only)
             batches.append((stats_only, out))
             return out
 
@@ -146,9 +146,9 @@ def test_stats_only_builds_no_module_on_any_executor(jobs, timeout):
     items = [("lpc", [i, i + 1, i + 2]) for i in range(6)]
     with _task(jobs, compile_timeout=timeout) as task:
         assert task.engine.kind == ("serial" if (jobs, timeout) == (1, None) else "process")
-        bare = task.compile_batch(items, stats_only=True)
-        single = task.compile_batch(items[:1], stats_only=True)
-        kept = task.compile_batch(items)
+        bare = [o.value for o in task.compile_batch(items, stats_only=True)]
+        single = [o.value for o in task.compile_batch(items[:1], stats_only=True)]
+        kept = [o.value for o in task.compile_batch(items)]
     assert all(c.module is None for c in bare + single)
     assert all(c.module is not None for c in kept)
     assert [c.stats for c in bare] == [c.stats for c in kept]
@@ -161,7 +161,7 @@ def test_a_fault_injected_task_keeps_its_modules():
     items = [("lpc", [i, i + 1, i + 2]) for i in range(3)]
     with _task(2, fault_injector=injector) as task:
         assert task.engine.kind == "process"
-        out = task.compile_batch(items, stats_only=True)
+        out = [o.value for o in task.compile_batch(items, stats_only=True)]
     assert all(c.module is not None for c in out)
     # every module, the worker's share included, carries the corruption:
     # each function's entry block outputs the sentinel first
@@ -204,10 +204,10 @@ def test_a_hung_candidate_is_quarantined_and_its_worker_forked_afresh():
     with CompileEngine(
         _hangs_on_three, jobs=2, timeout=1.0, max_retries=0
     ) as eng:
-        first = eng.compile_batch([("m", [i]) for i in range(2)])
+        first = [o.value for o in eng.compile_batch([("m", [i]) for i in range(2)])]
         pids = {w.process.pid for w in eng._workers}
         assert set(first) <= pids  # with a timeout the workers compile everything
-        out = eng.compile_batch([("m", [i]) for i in range(8)], outcomes=True)
+        out = eng.compile_batch([("m", [i]) for i in range(8)])
         assert [o.status for o in out] == ["ok"] * 3 + ["timeout"] + ["ok"] * 4
         assert ("m", (3,)) in eng._quarantine
         assert eng.stats()["compile_timeouts"] == 1
@@ -217,7 +217,7 @@ def test_a_hung_candidate_is_quarantined_and_its_worker_forked_afresh():
         assert len(now) == 2 and len(now & pids) == 1
         assert {o.value for o in out if o.ok} <= now | pids
         assert {out[5].value, out[7].value} == now - pids
-        again = eng.compile_batch([("m", [3]), ("m", [9])], outcomes=True)
+        again = eng.compile_batch([("m", [3]), ("m", [9])])
         assert [o.status for o in again] == ["quarantined", "ok"]
         assert len(set(multiprocessing.active_children()) - before) == 2
     assert not set(multiprocessing.active_children()) - before
@@ -253,7 +253,7 @@ def test_an_answer_waiting_while_the_caller_stalls_is_not_a_timeout():
     # a caller's pause (a long collection, say) must not time out an item
     # whose answer came in time and waits in the pipe
     with CompileEngine(_stalls_the_caller, jobs=2, timeout=0.1, max_retries=0) as eng:
-        out = eng.compile_batch([("m", [i]) for i in range(3)], outcomes=True)
+        out = eng.compile_batch([("m", [i]) for i in range(3)])
     assert [o.status for o in out] == ["ok"] * 3
     assert [o.value for o in out] == [0, 1, 2]
 
@@ -270,7 +270,7 @@ def test_a_worker_killed_between_batches_is_forked_afresh():
         victim = eng._workers[0].process
         victim.kill()
         victim.join()
-        out = eng.compile_batch([("m", [i]) for i in range(6, 12)], outcomes=True)
+        out = eng.compile_batch([("m", [i]) for i in range(6, 12)])
         assert [o.status for o in out] == ["ok"] * 6
         assert eng.stats()["quarantine_size"] == 0
         pids = [w.process.pid for w in eng._workers]
@@ -294,8 +294,9 @@ def test_an_interrupted_batch_leaves_the_workers_in_step():
     with CompileEngine(_interrupted_here, jobs=3) as eng:
         with pytest.raises(KeyboardInterrupt):
             eng.compile_batch([("m", [i]) for i in range(6)])
-        assert eng.compile_batch([("m", [i]) for i in range(1, 7)]) == list(range(1, 7))
-        assert eng.compile_batch([("m", [i]) for i in range(7, 13)]) == list(range(7, 13))
+        for lo in (1, 7):
+            out = eng.compile_batch([("m", [i]) for i in range(lo, lo + 6)])
+            assert [o.value for o in out] == list(range(lo, lo + 6))
 
 
 def _length(name, seq):
@@ -307,12 +308,12 @@ def test_a_batch_message_larger_than_the_pipe_buffer_does_not_stall():
     # pickles to several times a socket buffer (~200 KB); the worker must
     # read it as it is written, not when it next looks at its pipe
     with CompileEngine(_length, jobs=3) as eng:
-        assert eng.compile_batch([("m", [0]), ("m", [0, 1])]) == [1, 2]
+        assert [o.value for o in eng.compile_batch([("m", [0]), ("m", [0, 1])])] == [1, 2]
         items = [("m", [k] * 200_000) for k in range(6)]
         t0 = time.perf_counter()
         out = eng.compile_batch(items)
         assert time.perf_counter() - t0 < 0.5
-    assert out == [200_000] * 6
+    assert [o.value for o in out] == [200_000] * 6
 
 
 _ORPHAN_SCRIPT = """
@@ -379,7 +380,7 @@ def test_worker_timing_gives_parallel_ratio():
     with CompileEngine(_sleepy_compile, jobs=2) as eng:
         out = eng.compile_batch([("m", [i]) for i in range(8)])
         stats = eng.stats()
-    assert out == [("m", (i,)) for i in range(8)]
+    assert [o.value for o in out] == [("m", (i,)) for i in range(8)]
     assert stats["executor"] == "process"
     assert stats["compile_cpu_seconds"] >= 0.8
     assert stats["compile_cpu_seconds"] / stats["compile_wall_seconds"] > 1.3

@@ -12,7 +12,7 @@ from repro.cli import main
 from repro.core.result import Measurement, TuningResult
 from repro.obs import configure_logging
 from repro.obs.analysis import DiffThresholds, analyze_run, diff_runs, load_run
-from repro.obs.recorder import count_malformed_lines, read_events
+from repro.obs.recorder import read_events, tail_jsonl
 from repro.reporting import span_table, timeline
 
 
@@ -126,12 +126,20 @@ class TestTolerantEventReading:
         path = broken / "events.jsonl"
         events = read_events(path)
         assert events, "valid prefix should still load"
-        assert count_malformed_lines(path) == 1
-        with pytest.raises(json.JSONDecodeError):
-            read_events(path, strict=True)
+        records, _, malformed, torn = tail_jsonl(path)
+        assert records == events
+        assert (malformed, torn) == (0, True)
+        # a resuming writer newline-terminates the torn line: it becomes
+        # malformed, and stays counted as one truncated line
+        with open(path, "a") as fh:
+            fh.write("\n")
+        assert read_events(path) == events
+        assert tail_jsonl(path)[2:] == (1, False)
+        assert load_run(broken).truncated_events == 1
 
     def test_clean_file_has_no_malformed_lines(self, run_dir):
-        assert count_malformed_lines(run_dir / "events.jsonl") == 0
+        assert tail_jsonl(run_dir / "events.jsonl")[2:] == (0, False)
+        assert load_run(run_dir).truncated_events == 0
 
 
 class TestTruncatedSpanRendering:

@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.obs.analysis import analyze_run, load_run
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.obs.recorder import RunRecorder, read_events, tail_jsonl
 from repro.obs.stream import RunWatcher, normalize_epochs, render, watch
+from repro.obs.warehouse import Warehouse
 
 
 @pytest.fixture(scope="module")
@@ -47,43 +49,41 @@ class TestTailJsonl:
     def test_torn_tail_left_unconsumed(self, tmp_path):
         p = tmp_path / "x.jsonl"
         p.write_text('{"a": 1}\n{"b": 2}\n{"c": ')
-        records, offset, malformed = tail_jsonl(p)
+        records, offset, malformed, torn = tail_jsonl(p)
         assert records == [{"a": 1}, {"b": 2}]
-        assert malformed == 0
+        assert malformed == 0 and torn
         # the offset points at the torn line's first byte; completing the
         # line makes the next poll pick it up without re-reading
         with open(p, "a") as fh:
             fh.write('3}\n{"d": 4}\n')
-        more, offset2, _ = tail_jsonl(p, offset=offset)
+        more, offset2, _, torn = tail_jsonl(p, offset=offset)
         assert more == [{"c": 3}, {"d": 4}]
-        assert offset2 > offset
+        assert offset2 > offset and not torn
 
     def test_complete_but_malformed_line_skipped_and_counted(self, tmp_path):
         p = tmp_path / "x.jsonl"
         p.write_text('{"a": 1}\nnot json\n{"b": 2}\n')
-        records, _, malformed = tail_jsonl(p)
+        records, _, malformed, torn = tail_jsonl(p)
         assert records == [{"a": 1}, {"b": 2}]
-        assert malformed == 1
+        assert malformed == 1 and not torn
 
     def test_missing_file_reads_empty(self, tmp_path):
-        records, offset, malformed = tail_jsonl(tmp_path / "nope.jsonl", offset=7)
-        assert (records, offset, malformed) == ([], 7, 0)
+        assert tail_jsonl(tmp_path / "nope.jsonl", offset=7) == ([], 7, 0, False)
+        assert read_events(tmp_path / "nope.jsonl") == []
 
-    def test_read_events_follow_mode(self, tmp_path):
-        p = tmp_path / "events.jsonl"
-        p.write_text('{"type": "event", "name": "a"}\n')
-        events, offset = read_events(p, follow=True)
-        assert [e["name"] for e in events] == ["a"]
-        with open(p, "a") as fh:
-            fh.write('{"type": "event", "name": "b"}\n')
-        events, offset2 = read_events(p, follow=True, offset=offset)
-        assert [e["name"] for e in events] == ["b"]
-        assert offset2 > offset
-
-    def test_follow_agrees_with_plain_read(self, run_dir):
-        plain = read_events(run_dir / "events.jsonl")
-        followed, _ = read_events(run_dir / "events.jsonl", follow=True)
-        assert followed == plain
+    def test_follow_agrees_with_plain_read(self, run_dir, tmp_path):
+        # a live copy grown in two writes, the first ending mid-line
+        data = (run_dir / "events.jsonl").read_bytes()
+        cut = data.index(b"\n", len(data) // 2) - 5
+        live = tmp_path / "events.jsonl"
+        live.write_bytes(data[:cut])
+        first, offset, _, torn = tail_jsonl(live)
+        assert torn
+        with open(live, "ab") as fh:
+            fh.write(data[cut:])
+        rest, _, _, torn = tail_jsonl(live, offset=offset)
+        assert not torn
+        assert first + rest == read_events(run_dir / "events.jsonl")
 
 
 class TestNormalizeEpochs:
@@ -271,3 +271,41 @@ class TestRunWatcher:
         state = watch(d, interval=0.01, max_frames=2, out=frames.append)
         assert len(frames) == 2
         assert not state.finished
+
+
+class TestReadersAgree:
+    """`repro watch`, `repro analyze` and `repro obs index` read progress
+    and epoch through one fold, so they report the same numbers."""
+
+    def test_cache_served_slot_counts_as_progress(self, tmp_path):
+        # this BOCA history revisits one configuration, which the task's
+        # verdict cache serves: a slot record with no measure record
+        d = tmp_path / "boca"
+        code = main(
+            [
+                "tune", "security_sha", "--tuner", "boca", "--budget", "24",
+                "--seed", "3", "--seq-length", "10", "--trace-out", str(d),
+                "--log-level", "warning",
+            ]
+        )
+        assert code == 0
+        state = RunWatcher(d).refresh()
+        assert state.n_measurements < state.n_slots == 24
+        assert state.progress == 24 == load_run(d).wal_measurements
+        assert state.to_dict()["progress"] == 24
+        assert "24/24" in render(state)
+
+    def test_killed_after_resume_epoch(self, tmp_path):
+        # a run SIGKILLed, resumed, and SIGKILLed again: two recorders
+        # that never close, so no metrics.json records the epoch
+        d = tmp_path / "run"
+        for resume in (False, True):
+            rec = RunRecorder(d, manifest={"command": "tune"}, resume=resume)
+            rec.write_event({"type": "event", "name": "tick", "ts": 0.0})
+            rec._events_file.close()
+        assert not (d / "metrics.json").exists()
+        assert RunWatcher(d).refresh().epoch == 2
+        assert load_run(d).epoch == 2
+        with Warehouse(tmp_path / "wh.sqlite") as wh:
+            assert wh.index_run(d)["epoch"] == 2
+        assert "**resumed run**: epoch 2" in analyze_run(d)
