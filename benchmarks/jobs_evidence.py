@@ -37,9 +37,15 @@ perfbench does not print, read from outside the program:
   fingerprinted — and ``passes_skipped``), summed over the run's tasks.
   The pass counters include the task's process workers, which send
   theirs back with their journals; a checkout from before that counts
-  the perfbench process only.  ``snapshot_*``: the prefix-snapshot
-  counters of checkouts that predate the graph.  A checkout that
-  reports neither shows 0.
+  the perfbench process only.  ``graph_rederived`` counts modules a
+  state re-derived from its parent's after handing its own on.
+  ``snapshot_*``: the prefix-snapshot counters of checkouts that predate
+  the graph.  A checkout that reports neither shows 0;
+* ``walked_share`` and ``dispatched_share``: the share of the run's
+  compiles that the walk answered in the tuning process, and that were
+  sent to a process worker (from ``compile_walked``,
+  ``compile_dispatched`` and ``n_compiles``; 0 in a checkout from
+  before the walk).
 
 Each ``--traced`` run per side is ``--trace 1``; it keeps the per-layer
 metrics in ``TRACED`` (compile, measurement and write-path layers) and
@@ -85,10 +91,14 @@ TRACED = ("bench.traced_tune_s", "eval_engine.compile_batch.s",
 #: compile-cache counters summed from each task's ``timing_breakdown()``:
 #: the compile graph's, and the prefix snapshots' it replaced
 GRAPH_KEYS = ("graph_nodes", "graph_edges", "graph_passes_run",
-              "graph_passes_unchanged", "graph_passes_skipped")
+              "graph_passes_unchanged", "graph_passes_skipped", "graph_rederived")
 SNAPSHOT_KEYS = ("snapshot_lookups", "snapshot_hits", "snapshot_captures",
                  "snapshot_skipped_passes")
 CACHE_KEYS = GRAPH_KEYS + SNAPSHOT_KEYS
+#: compile counts summed from each task's ``timing_breakdown()``: all of
+#: them, those the walk answered in the tuning process, and those sent to
+#: a process worker (a checkout from before the walk reports 0 for both)
+COMPILE_KEYS = ("n_compiles", "compile_walked", "compile_dispatched")
 #: fields of the ``perfbench`` record kept with each run
 PERFBENCH_KEPT = ("tunes", "calibration_s", "host_scale", "raw_wall_s", "digests",
                   "reproducible", "traced_identical", "git_rev", "source_sha256")
@@ -136,7 +146,8 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
             "batch_wall": 0.0, "batch_cpu": 0.0, "worker_cpu": 0.0,
             "executors": set(), "workers_peak_rss_mb": 0.0,
             "worker_hwm_mb": 0.0, "worker_private_mb": 0.0,
-            "gc_s": 0.0, "gc_gen2_s": 0.0, **dict.fromkeys(CACHE_KEYS, 0)}
+            "gc_s": 0.0, "gc_gen2_s": 0.0,
+            **dict.fromkeys(CACHE_KEYS + COMPILE_KEYS, 0)}
     compile_batch, close = CompileEngine.compile_batch, AutotuningTask.close
     gc_start = [0.0]
 
@@ -164,7 +175,7 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
         seen["tasks"] += 1
         seen["compile_seconds"] += timing["compile_seconds"]
         seen["compile_wall_seconds"] += timing["compile_wall_seconds"]
-        for key in CACHE_KEYS:
+        for key in CACHE_KEYS + COMPILE_KEYS:
             seen[key] += timing.get(key, 0)
         # a checkout that predates the "executor" key ran jobs>1 on threads
         seen["executors"].add(
@@ -193,6 +204,7 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
     except SystemExit as exc:
         code = int(exc.code or 0)
     wall = seen["compile_wall_seconds"]
+    compiles = seen["n_compiles"]
     print(json.dumps({"probe": {
         "tasks": seen["tasks"],
         "executors": sorted(seen["executors"]),
@@ -206,7 +218,9 @@ def probe(workload: str, seed: int, seconds: float, trace: int) -> int:
         "worker_private_mb": seen["worker_private_mb"],
         "gc_s": seen["gc_s"],
         "gc_gen2_s": seen["gc_gen2_s"],
-        **{key: seen[key] for key in CACHE_KEYS},
+        "walked_share": seen["compile_walked"] / compiles if compiles else 0.0,
+        "dispatched_share": seen["compile_dispatched"] / compiles if compiles else 0.0,
+        **{key: seen[key] for key in CACHE_KEYS + COMPILE_KEYS},
     }}), flush=True)
     return code
 
@@ -301,8 +315,10 @@ def summarize(runs: List[Dict]) -> Dict:
     out["executors"] = sorted({e for r in ok for e in r["probe"]["executors"]})
     out["compile_cpu_wall_ratio"] = spread(
         [r["probe"]["compile_cpu_wall_ratio"] for r in ok])
-    for name in ("compile_cores_used", "workers_peak_rss_mb", "worker_hwm_mb",
-                 "worker_private_mb", "gc_s", "gc_gen2_s") + CACHE_KEYS:
+    for name in ("compile_seconds", "compile_wall_seconds",
+                 "compile_cores_used", "workers_peak_rss_mb", "worker_hwm_mb",
+                 "worker_private_mb", "gc_s", "gc_gen2_s", "walked_share",
+                 "dispatched_share") + CACHE_KEYS + COMPILE_KEYS:
         out[name] = spread([r["probe"][name] for r in ok])
     return out
 

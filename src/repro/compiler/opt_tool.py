@@ -11,19 +11,21 @@ applications leave the module unchanged, and sequences that differ still
 meet in a few dozen distinct IR states.  A :class:`CompileGraph` passed
 to :func:`run_opt` remembers, for every IR state it has reached, where
 each pass leads from it, so a compile runs a pass only the first time it
-is applied to a state, fingerprints the result only when the pass
-reports that it changed the IR, and builds no module for a compile that
-wants only its statistics.
+is applied to a state, runs it on the state's own module in place (no
+clone for the many runs that change nothing), fingerprints the result
+only when the pass reports that it changed the IR, and builds no module
+for a compile that wants only its statistics.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.compiler import passes as _passes  # noqa: F401  (registers passes)
 from repro.compiler.ir import Module
@@ -40,8 +42,8 @@ __all__ = [
     "state_key",
 ]
 
-#: IR states one graph keeps (each holds a module, ~15 KB); the least
-#: recently used is evicted first.
+#: IR states one graph keeps (each holds at most one module, ~15 KB);
+#: the least recently used is evicted first.
 GRAPH_CAPACITY = 1024
 
 
@@ -65,8 +67,9 @@ _StateKey = Tuple[str, Tuple[int, ...]]
 _Counters = Dict[Tuple[str, str], int]
 #: a journal entry: from-key, target key, pass, to-key, statistics delta,
 #: and the module of a state that was new to the graph that wrote it
+#: (pickled once the entry is taken)
 _Entry = Tuple[Optional[_StateKey], Optional[Tuple], Optional[str], _StateKey,
-               Optional[_Counters], Optional[Module]]
+               Optional[_Counters], Union[Module, bytes, None]]
 
 
 def state_key(module: Module) -> _StateKey:
@@ -83,16 +86,28 @@ def _target_key(target: TargetInfo) -> Tuple:
 
 
 class _Node:
-    """One IR state: its key, a module nothing mutates, and the edges
-    leaving it, ``(target id, pass) -> (next state key, statistics the
-    pass bumped)``."""
+    """One IR state: its key, its module, the edges leaving it,
+    ``(target id, pass) -> (next state key, statistics the pass bumped)``,
+    and the edge that created it.
 
-    __slots__ = ("key", "module", "edges")
+    ``origin`` is ``(parent node, target, pass)``.  A node with an origin
+    hands its module on to the state a pass creates from it, and holds
+    ``None`` until it re-derives the module from its parent's.  A node
+    without one (a root, a merged state, or one whose parent was dropped)
+    is pinned: it keeps its module, and a pass runs on a clone of it.
+    ``children`` are the nodes whose origin is this one."""
 
-    def __init__(self, key: _StateKey, module: Module) -> None:
+    __slots__ = ("key", "module", "edges", "origin", "children")
+
+    def __init__(
+        self, key: _StateKey, module: Optional[Module],
+        origin: Optional[Tuple["_Node", TargetInfo, str]] = None,
+    ) -> None:
         self.key = key
         self.module = module
         self.edges: Dict[Tuple[int, str], Tuple[_StateKey, _Counters]] = {}
+        self.origin = origin
+        self.children: List["_Node"] = []
 
 
 class CompileGraph:
@@ -100,36 +115,47 @@ class CompileGraph:
 
     A node is one IR state, keyed by :func:`state_key`; an edge maps
     ``(state, target, pass)`` to the state the pass leads to and the
-    statistics it bumps on the way.  :meth:`compile` starts at the node
-    of its source module and follows one edge per pass, summing the
-    statistics; a stretch of known edges is walked under one lock
-    acquisition.  It runs a pass only where the edge is missing: on a
-    clone of the node's module, outside the lock.  The ``changed`` flag
-    the pass returns decides the rest: a pass that returns ``False``
-    leaves the state as it was, so the clone is dropped and the edge
-    loops back to the node unfingerprinted; any other value is keyed
-    (a pass that over-reports costs one fingerprint and still lands on
-    its own node).  Passes keep no state outside the module and the key
-    covers all of it (a test pins the IR fields the key covers), so the
-    module and statistics a compile returns equal a cold compile's
-    wherever the flag is sound; the tests use every registered pass as
-    the oracle for that.  A ``stats_only`` compile returns no module, so
-    it clones nothing it did not run a pass on.
+    statistics it bumps on the way.  A compile takes two steps.  The walk
+    starts at the node of its source module and follows one edge per
+    pass, summing the statistics, up to the first missing edge
+    (:meth:`walk` stops there).  The run step executes the missing pass
+    on that node's own module, in place.  The ``changed`` flag the pass
+    returns decides the rest: a pass that returns ``False`` leaves the
+    state as it was, so the module stays with the node and the edge loops
+    back to it unfingerprinted; any other value is keyed (a pass that
+    over-reports costs one fingerprint and still lands on its own node).
+    A pass that changes the IR hands the module on to the state it leads
+    to.  The node it left keeps its key and edges, and re-derives its
+    module (a clone of its parent's module plus the one pass that created
+    it) only when it is needed again.  Roots and merged states have no
+    creating edge, so a pass runs on a clone of their module.  The
+    compile then walks on from the state the pass reached.
 
-    At most :data:`GRAPH_CAPACITY` nodes are kept, least recently used
-    evicted first; an edge into an evicted node counts as missing.  Nodes
-    are never mutated and never handed out: a caller gets a clone.
-    Source modules are held by identity (weakly): a source must not
-    change while a graph is in use.  A pass that raises leaves no node or
-    edge behind.
+    Passes keep no state outside the module and the key covers all of it
+    (a test pins the IR fields the key covers), so the module and
+    statistics a compile returns equal a cold compile's wherever the flag
+    is sound; the tests use every registered pass as the oracle for that.
+    A ``stats_only`` compile returns no module; any other returns a clone
+    of the final state's module, never the graph's own.
 
-    Thread-safe.  A forked child keeps the nodes it inherits, with a
-    fresh lock and zeroed pass counters; the pickled form is empty.
-    Copies in several processes stay one logical graph through journals:
-    once :meth:`take_journal` has been called, the graph records every
-    edge and state it adds, and :meth:`merge` adds another copy's records
-    (see :class:`~repro.core.eval_engine.CompileEngine`).  A graph nobody
-    copies keeps no journal."""
+    At most :data:`GRAPH_CAPACITY` nodes are kept, so at most as many
+    modules, least recently used evicted first; an edge into an evicted
+    node counts as missing.  Evicting a node also drops the nodes that
+    would re-derive their module from it, and pins the ones that hold
+    theirs.  Source modules are held by identity (weakly): a source must
+    not change while a graph is in use.  A pass that raises adds no node
+    or edge, and leaves the node it ran on to re-derive its module.
+
+    Thread-safe: a compile holds the lock while it walks and runs, as its
+    passes mutate the graph's modules.  A forked child keeps the nodes it
+    inherits, with a fresh lock and zeroed counters; the pickled form is
+    empty.  Copies in several processes stay one logical graph through
+    journals: once :meth:`take_journal` has been called, the graph records
+    every edge and state it adds, and :meth:`merge` adds another copy's
+    records (see :class:`~repro.core.eval_engine.CompileEngine`).  A
+    module an entry holds must print to the entry's key until the entry
+    is taken (and pickled), so a run about to mutate it first leaves the
+    entry a clone.  A graph nobody copies keeps no journal."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -140,25 +166,30 @@ class CompileGraph:
         #: target key -> the small id edges carry (cheaper to hash)
         self._targets: Dict[Tuple, int] = {}
         #: pass applications run, ones of those that led back to the
-        #: state they started from, and ones an existing edge answered
+        #: state they started from, ones an existing edge answered, and
+        #: modules re-derived from a parent's
         self.passes_run = 0
         self.passes_unchanged = 0
         self.passes_skipped = 0
+        self.rederived = 0
         #: entries added since the last take_journal (None: not kept),
-        #: and the pass counters as of that call
+        #: and the counters as of that call
         self._journal: Optional[List[_Entry]] = None
-        self._taken = (0, 0, 0)
+        self._taken = (0, 0, 0, 0)
+        #: id of a module an entry not yet taken holds -> the entry's index
+        self._unsent: Dict[int, int] = {}
         _LIVE.add(self)
 
     def __reduce__(self):
         return (CompileGraph, ())
 
     def stats(self) -> Dict[str, int]:
-        """Live ``nodes`` and ``edges``, and the pass applications run
+        """Live ``nodes`` and ``edges``, the pass applications run
         (``passes_run``), run but led back to the state they started from
         (``passes_unchanged``, a subset of ``passes_run``: nearly all of
         them reported no change and were never fingerprinted), and
-        skipped (``passes_skipped``) so far."""
+        skipped (``passes_skipped``) so far, and the modules re-derived
+        from a parent's (``rederived``)."""
         with self._lock:
             return {
                 "nodes": len(self._nodes),
@@ -166,19 +197,62 @@ class CompileGraph:
                 "passes_run": self.passes_run,
                 "passes_unchanged": self.passes_unchanged,
                 "passes_skipped": self.passes_skipped,
+                "rederived": self.rederived,
             }
 
-    def _admit(self, key: _StateKey, module: Module) -> _Node:
-        """The node of ``key``, added with ``module`` if missing (call
-        with the lock held)."""
+    def _admit(
+        self, key: _StateKey, module: Module,
+        origin: Optional[Tuple[_Node, TargetInfo, str]] = None,
+    ) -> _Node:
+        """The node of ``key``, added with ``module`` and ``origin`` if
+        missing; an existing node without its module takes ``module``
+        (call with the lock held)."""
         node = self._nodes.get(key)
         if node is not None:
             self._nodes.move_to_end(key)
+            if node.module is None:
+                node.module = module
             return node
-        node = self._nodes[key] = _Node(key, module)
+        node = self._nodes[key] = _Node(key, module, origin)
+        if origin is not None:
+            origin[0].children.append(node)
         if len(self._nodes) > GRAPH_CAPACITY:
-            self._nodes.popitem(last=False)
+            self._drop(self._nodes.popitem(last=False)[1])
         return node
+
+    def _drop(self, node: _Node) -> None:
+        """Remove ``node`` and the nodes that would re-derive their module
+        from it, and pin those of its children that hold theirs (call
+        with the lock held)."""
+        if node.origin is not None:
+            node.origin[0].children.remove(node)
+            node.origin = None
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if self._nodes.get(node.key) is node:
+                del self._nodes[node.key]
+            for child in node.children:
+                child.origin = None
+                if child.module is None:
+                    stack.append(child)
+            node.children = []
+
+    def _module(self, node: _Node) -> Module:
+        """``node``'s module, re-derived along the creating edges of the
+        nodes that handed theirs on (call with the lock held)."""
+        chain = []
+        while node.module is None:
+            chain.append(node)
+            node = node.origin[0]
+        module = node.module
+        for node in reversed(chain):
+            _parent, target, name = node.origin
+            module = module.clone()
+            registry.create(name).run_on_module(module, StatsCollector(), target)
+            node.module = module
+            self.rederived += 1
+        return module
 
     def _root(self, module: Module) -> _Node:
         with self._lock:
@@ -195,37 +269,43 @@ class CompileGraph:
                 self._journal.append((None, None, None, key, None, work))
             return self._admit(key, work)
 
-    def take_journal(self) -> Tuple[List[_Entry], Tuple[int, int, int]]:
+    def take_journal(self) -> Tuple[List[_Entry], Tuple[int, int, int, int]]:
         """The entries this graph added since the last call, and its
-        ``(passes_run, passes_unchanged, passes_skipped)`` over that
-        stretch.  The first call starts the journal.
+        ``(passes_run, passes_unchanged, passes_skipped, rederived)`` over
+        that stretch.  The first call starts the journal.
 
         An entry is ``(from-key, target key, pass, to-key, statistics
-        delta, module)``: one edge, with the module of the state it
-        leads to when that state was new here (else ``None``).  A root
+        delta, module)``: one edge, with the pickled module of the state
+        it leads to when that state was new here (else ``None``).  A root
         state is an entry with no edge (``from-key`` ``None``)."""
         with self._lock:
-            entries = self._journal or []
+            entries = [
+                e if e[5] is None else e[:5] + (_pickled(e[5]),)
+                for e in self._journal or []
+            ]
             self._journal = []
-            counts = (self.passes_run, self.passes_unchanged, self.passes_skipped)
+            self._unsent.clear()
+            counts = (
+                self.passes_run, self.passes_unchanged, self.passes_skipped, self.rederived
+            )
             delta = tuple(a - b for a, b in zip(counts, self._taken))
             self._taken = counts
         return entries, delta
 
     def merge(
-        self, entries: Sequence[_Entry], counts: Tuple[int, int, int] = (0, 0, 0)
+        self, entries: Sequence[_Entry], counts: Tuple[int, ...] = (0, 0, 0, 0)
     ) -> None:
         """Add another copy's journal entries, and add ``counts`` (its
-        pass counters) to this graph's.  Merging the same entries twice
-        is a no-op, and merged entries are not journaled again.  An edge
-        whose from-state is missing here is dropped; one into a missing
-        state is kept, and counts as missing until a compile re-adds the
-        state."""
+        counters) to this graph's.  Merging the same entries twice is a
+        no-op, and merged entries are not journaled again.  A merged
+        state is pinned.  An edge whose from-state is missing here is
+        dropped; one into a missing state is kept, and counts as missing
+        until a compile re-adds the state."""
         with self._lock:
             nodes = self._nodes
             for src, tkey, name, key, delta, module in entries:
                 if module is not None and key not in nodes:
-                    self._admit(key, module)
+                    self._admit(key, pickle.loads(module))
                 node = nodes.get(src) if src is not None else None
                 if node is None:
                     continue
@@ -236,18 +316,16 @@ class CompileGraph:
             self.passes_run += counts[0]
             self.passes_unchanged += counts[1]
             self.passes_skipped += counts[2]
+            self.rederived += counts[3]
 
-    def compile(
-        self,
-        module: Module,
-        sequence: Sequence[str],
-        target: Optional[TargetInfo],
-        stats_only: bool = False,
-    ) -> CompileResult:
-        """:func:`run_opt` through the graph (no trace, no verifier)."""
+    def _prepare(
+        self, sequence: Sequence[str], target: Optional[TargetInfo]
+    ) -> Tuple[List[str], TargetInfo, Tuple, int]:
+        """The pass list, target, target key and target id of a compile;
+        unknown passes raise before any lock or edge work."""
         seq = list(sequence)
         unknown = registry.unknown(seq)
-        if unknown:  # before any lock or edge work
+        if unknown:
             raise KeyError(f"unknown passes: {unknown}")
         if target is None:
             target = TargetInfo()
@@ -256,59 +334,129 @@ class CompileGraph:
         if tid is None:
             with self._lock:
                 tid = self._targets.setdefault(tkey, len(self._targets))
+        return seq, target, tkey, tid
+
+    def _follow(
+        self, node: _Node, seq: List[str], tid: int, i: int, counters: _Counters
+    ) -> Tuple[_Node, int]:
+        """Follow known edges from ``node`` at pass ``i``, summing their
+        statistics into ``counters``; the node and position of the first
+        missing edge (or the end).  Call with the lock held."""
         nodes = self._nodes
-        node = self._root(module)
-        counters: _Counters = {}
-        i, n = 0, len(seq)
-        while True:
-            # follow known edges, under one lock, up to the first missing one
-            with self._lock:
-                start = i
-                while i < n:
-                    edge = node.edges.get((tid, seq[i]))
-                    if edge is None:
-                        break
-                    key, delta = edge
-                    if key is not node.key:
-                        nxt = nodes.get(key)
-                        if nxt is None:
-                            break
-                        nodes.move_to_end(key)
-                        node = nxt
-                    if delta:
-                        for stat, value in delta.items():
-                            counters[stat] = counters.get(stat, 0) + value
-                    i += 1
-                self.passes_skipped += i - start
-            if i == n:
+        n = len(seq)
+        while i < n:
+            edge = node.edges.get((tid, seq[i]))
+            if edge is None:
                 break
-            name = seq[i]
-            work = node.module.clone()
-            stats = StatsCollector()
-            changed = registry.create(name).run_on_module(work, stats, target)
-            # only an explicit False is trusted; any other value is keyed
-            key = node.key if changed is False else state_key(work)
-            delta = stats.snapshot()
-            with self._lock:
-                self.passes_run += 1
-                if key == node.key:
-                    # a self-loop carries the node's own key object, which
-                    # the walk above tells apart by identity
-                    self.passes_unchanged += 1
-                    node.edges[(tid, name)] = (node.key, delta)
-                    if self._journal is not None:
-                        self._journal.append((node.key, tkey, name, node.key, delta, None))
-                else:
-                    node.edges[(tid, name)] = (key, delta)
-                    if self._journal is not None:
-                        new = None if key in nodes else work
-                        self._journal.append((node.key, tkey, name, key, delta, new))
-                    node = self._admit(key, work)
-            for stat, value in delta.items():
-                counters[stat] = counters.get(stat, 0) + value
+            key, delta = edge
+            if key is not node.key:
+                nxt = nodes.get(key)
+                if nxt is None:
+                    break
+                nodes.move_to_end(key)
+                node = nxt
+            if delta:
+                for stat, value in delta.items():
+                    counters[stat] = counters.get(stat, 0) + value
             i += 1
-        result = None if stats_only else node.module.clone()
-        return CompileResult(result, StatsCollector.from_snapshot(counters), seq)
+        return node, i
+
+    def _run(
+        self, node: _Node, name: str, tid: int, tkey: Tuple, target: TargetInfo,
+        counters: _Counters,
+    ) -> _Node:
+        """Run pass ``name`` on ``node``'s module in place, add the edge,
+        and return the node it leads to (call with the lock held)."""
+        keep = node.origin is None  # a pinned node keeps its module
+        if keep:
+            work = node.module.clone()
+        else:
+            entry = self._unsent.pop(id(node.module), None) if self._unsent else None
+            if entry is not None:
+                # the journal keeps the state as it was added
+                self._journal[entry] = self._journal[entry][:5] + (node.module.clone(),)
+            work = self._module(node)
+            node.module = None  # back below, unless the pass moves the state
+        stats = StatsCollector()
+        changed = registry.create(name).run_on_module(work, stats, target)
+        # only an explicit False is trusted; any other value is keyed
+        key = node.key if changed is False else state_key(work)
+        delta = stats.snapshot()
+        self.passes_run += 1
+        new = None
+        if key == node.key:
+            # a self-loop carries the node's own key object, which the
+            # walk tells apart by identity
+            key = node.key
+            self.passes_unchanged += 1
+            if not keep:
+                node.module = work
+            nxt = node
+        else:
+            if self._journal is not None and key not in self._nodes:
+                new = work
+                self._unsent[id(work)] = len(self._journal)
+            live = self._nodes.get(node.key) is node
+            nxt = self._admit(key, work, (node, target, name) if live else None)
+        node.edges[(tid, name)] = (key, delta)
+        if self._journal is not None:
+            self._journal.append((node.key, tkey, name, key, delta, new))
+        for stat, value in delta.items():
+            counters[stat] = counters.get(stat, 0) + value
+        return nxt
+
+    def walk(
+        self,
+        module: Module,
+        sequence: Sequence[str],
+        target: Optional[TargetInfo],
+        stats_only: bool = False,
+    ) -> Tuple[Optional[CompileResult], int]:
+        """Answer a compile from known edges alone.
+
+        Returns ``(result, 0)`` when every pass follows a known edge (the
+        result :meth:`compile` would return), else ``(None, n)`` with
+        ``n`` the passes left from the first missing edge on.  Runs no
+        pass, except to re-derive the final state's module for a result
+        that carries one; skipped passes count only for a walk that
+        finishes (a compile walks a missed one again)."""
+        seq, target, _tkey, tid = self._prepare(sequence, target)
+        root = self._root(module)
+        counters: _Counters = {}
+        with self._lock:
+            node, i = self._follow(root, seq, tid, 0, counters)
+            if i < len(seq):
+                return None, len(seq) - i
+            self.passes_skipped += i
+            out = None if stats_only else self._module(node).clone()
+        return CompileResult(out, StatsCollector.from_snapshot(counters), seq), 0
+
+    def compile(
+        self,
+        module: Module,
+        sequence: Sequence[str],
+        target: Optional[TargetInfo],
+        stats_only: bool = False,
+    ) -> CompileResult:
+        """:func:`run_opt` through the graph (no trace, no verifier): walk,
+        and run each missing pass in place."""
+        seq, target, tkey, tid = self._prepare(sequence, target)
+        root = self._root(module)
+        counters: _Counters = {}
+        with self._lock:
+            node, i = self._follow(root, seq, tid, 0, counters)
+            self.passes_skipped += i
+            while i < len(seq):
+                node = self._run(node, seq[i], tid, tkey, target, counters)
+                node, j = self._follow(node, seq, tid, i + 1, counters)
+                self.passes_skipped += j - i - 1
+                i = j
+            out = None if stats_only else self._module(node).clone()
+        return CompileResult(out, StatsCollector.from_snapshot(counters), seq)
+
+
+def _pickled(module: Module) -> bytes:
+    return pickle.dumps(module, pickle.HIGHEST_PROTOCOL)
 
 
 #: every live graph, so that a forked child can re-arm each one
@@ -320,7 +468,9 @@ def _after_fork_in_child() -> None:
     for graph in list(_LIVE):
         graph._lock = threading.Lock()
         graph.passes_run = graph.passes_unchanged = graph.passes_skipped = 0
-        graph._taken = (0, 0, 0)
+        graph.rederived = 0
+        graph._taken = (0, 0, 0, 0)
+        graph._unsent = {}
         # the parent's unsent entries are already in the inherited nodes
         if graph._journal is not None:
             graph._journal = []

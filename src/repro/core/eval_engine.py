@@ -10,16 +10,23 @@ that batch explicit:
   sequence)`` pairs and returns results *in input order* regardless of
   execution order, so tuner behaviour is identical at any ``jobs`` setting
   (the compile function must be a pure function of its inputs);
-* **two ways to run a batch** — in-line, or on forked process workers.
-  ``jobs=1`` without a timeout is a deterministic serial loop in this
-  process (no workers); ``jobs>1`` shares each batch between this
-  process and ``jobs-1`` forked workers.  Workers are forked lazily, on
-  the first batch with two or more items to compile (any batch, under a
-  timeout), and inherit the compile function; each sits on one duplex
-  pipe.  Each batch is split round-robin, and the caller compiles the
-  first share in-line while the workers compile theirs;
-* **one compile graph** — a compile function that grows a
-  :class:`~repro.compiler.opt_tool.CompileGraph` (the ``graph``
+* **walk first** — a compile function that grows a
+  :class:`~repro.compiler.opt_tool.CompileGraph` can be paired with a
+  ``walk`` function that answers a candidate from the graph alone.  Each
+  unique key of a batch is walked in this process first; the graph
+  already knows most candidates, so only the misses (candidates with a
+  pass left to run) go through the compile function;
+* **two ways to run the misses** — in-line, or on forked process
+  workers.  ``jobs=1`` without a timeout is a deterministic serial loop
+  in this process (no workers).  At ``jobs>1`` the misses run in-line
+  unless their predicted pass work covers the round trip to a worker,
+  both measured by the engine as it goes (no knob); dispatched misses
+  are split by passes left to run between this process and ``jobs-1``
+  forked workers, and the caller compiles its share in-line while the
+  workers compile theirs.  Workers are forked lazily, on the first batch
+  dispatched (any batch with a miss, under a timeout), and inherit the
+  compile function; each sits on one duplex pipe;
+* **one compile graph** — the compile function's graph (the ``graph``
   argument) would otherwise grow one private copy per process.  Each
   batch message carries the graph's journal: the edges and states the
   other processes added since that worker's last batch, and each worker
@@ -38,8 +45,9 @@ that batch explicit:
   across iterations are rare, and the task's verdict cache already spares
   their measurement);
 * **honest timing** — cumulative per-candidate compile seconds
-  (``compile_cpu_seconds``, summed across workers) versus wall-clock spent
-  inside engine calls (``compile_wall_seconds``), plus hit/miss counters, so
+  (``compile_cpu_seconds``, summed across workers, walks included) versus
+  wall-clock spent inside engine calls (``compile_wall_seconds``), plus
+  hit/miss, walked and dispatched counters, so
   ``timing_breakdown()``/Fig 5.12 can report the parallel speedup rather
   than pretending the batch ran serially;
 * **fault tolerance** — real phase orders crash compilers, hang them, and
@@ -285,6 +293,13 @@ class CompileEngine:
         the :class:`~repro.compiler.opt_tool.CompileGraph` the compile
         function grows, kept as one logical graph across process workers
         (see the module docstring); unused by the serial path.
+    walk:
+        ``walk(module_name, sequence, stats_only) -> (result, passes
+        left)``: answers a candidate from what this process's compile
+        graph already knows, returning ``(result, 0)``, or ``(None, n)``
+        with ``n`` the passes a compile would still have to run.  Every
+        unique key of a batch is walked here first, and only the misses
+        go through ``compile_fn``.  ``None`` (the default) walks nothing.
     """
 
     def __init__(
@@ -297,6 +312,7 @@ class CompileEngine:
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         graph: Optional["CompileGraph"] = None,
+        walk: Optional[Callable] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -311,6 +327,15 @@ class CompileEngine:
         self.retry_backoff = float(retry_backoff)
 
         self.graph = graph
+        self.walk = walk
+        #: what the dispatch decision rests on, measured: the seconds and
+        #: passes left of the misses run in-line, and how much slower the
+        #: latest dispatched batch compiled, and how long it took beyond
+        #: its longest share
+        self._inline_seconds = 0.0
+        self._inline_passes = 0
+        self._slowdown = 1.0
+        self._round_trip = 0.0
 
         self._quarantine: Dict[Hashable, CompileOutcome] = {}
         self._lock = Lock()
@@ -332,6 +357,8 @@ class CompileEngine:
         self._m_retries = m.counter("engine.compile_retries")
         self._m_qhits = m.counter("engine.quarantine_hits")
         self._m_qsize = m.gauge("engine.quarantine_size")
+        self._m_walked = m.counter("engine.walked")
+        self._m_dispatched = m.counter("engine.dispatched")
         self._m_compile_hist = m.histogram("engine.compile_seconds")
         self._m_batch_wall = m.histogram("engine.batch_wall_seconds")
         self._m_batch_size = m.histogram("engine.batch_size")
@@ -360,14 +387,16 @@ class CompileEngine:
         theirs.close()
         return _Worker(process, ours)
 
-    def _start_workers(self) -> List[_Worker]:
-        """The process workers, forked if missing, with this process's
-        new journal entries queued for each."""
+    def _start_workers(self) -> float:
+        """Queue this process's new journal entries for each process
+        worker, and fork the missing workers; returns the seconds spent
+        forking."""
         self._forward_own()
         wanted = self.jobs if self.timeout is not None else self.jobs - 1
+        t0 = time.perf_counter()
         while len(self._workers) < wanted:
             self._workers.append(self._fork())
-        return list(self._workers)
+        return time.perf_counter() - t0
 
     def _forward_own(self) -> None:
         """Queue this process's new journal entries for every worker."""
@@ -423,8 +452,9 @@ class CompileEngine:
     def stats(self) -> Dict[str, float]:
         """The engine's counters, read from :attr:`metrics` (the
         :class:`~repro.obs.metrics.MetricsRegistry`): compiles, worker
-        and wall seconds, dedup hits and misses, and the failure,
-        timeout, retry and quarantine counts."""
+        and wall seconds, dedup hits and misses, the failure, timeout,
+        retry and quarantine counts, and the candidates answered by the
+        walk (``walked``) and sent to a process worker (``dispatched``)."""
         with self._lock:
             qsize = len(self._quarantine)
         return {
@@ -440,6 +470,8 @@ class CompileEngine:
             "compile_retries": int(self._m_retries.value),
             "quarantine_size": qsize,
             "quarantine_hits": int(self._m_qhits.value),
+            "walked": int(self._m_walked.value),
+            "dispatched": int(self._m_dispatched.value),
         }
 
     # -- evaluation -------------------------------------------------------------------
@@ -453,9 +485,13 @@ class CompileEngine:
 
         Returns one :class:`CompileOutcome` per item, in input order,
         failures included; nothing raises.  Duplicates within the batch
-        and quarantined keys are served without compiling; the remaining
-        unique keys run in-line or on the process workers (see
-        :attr:`kind`) with retry, timeout and quarantine handling.
+        and quarantined keys are served without compiling.  With a
+        :attr:`walk`, each remaining unique key is walked in this process
+        first, and a key the walk answers counts as a compile (its walk
+        time is its compile time).  The misses run with retry, timeout
+        and quarantine handling: in-line, or on the process workers when
+        their predicted pass work covers the round trip (see
+        :meth:`_plan`).
 
         With ``stats_only=True`` every candidate compiles as
         ``compile_fn(name, seq, stats_only=True)``, in whichever process
@@ -470,6 +506,7 @@ class CompileEngine:
         work: List[Tuple[str, Sequence[int]]] = []
         b_hits = b_misses = b_qhits = 0  # this batch's deltas (span attrs)
         b_compiles = b_failures = b_timeouts = b_retries = 0
+        b_walked = b_dispatched = 0
         b_cpu = b_wait = 0.0
         with self._lock:
             for i, (name, seq) in enumerate(items):
@@ -490,14 +527,31 @@ class CompileEngine:
 
         if work:
             attempt = (self.max_retries, self.retry_backoff, time.perf_counter())
-            fn = _flagged(self.compile_fn, stats_only)
-            if self.kind == "process" and (len(work) > 1 or self.timeout is not None):
-                with self._dispatch:
-                    outs = self._run_on_workers(fn, attempt, stats_only, work)
-            else:
-                # serial, or one item without a timeout: compiling it here
-                # beats a round trip
-                outs = [_attempt_invoke(fn, *attempt, n, s) for n, s in work]
+            outs: List[Optional[_Out]] = [None] * len(work)
+            left = [len(seq) for _name, seq in work]
+            if self.walk is not None:
+                for k, (name, seq) in enumerate(work):
+                    outs[k], left[k] = self._walk_one(name, seq, stats_only, attempt[2])
+            misses = [k for k, out in enumerate(outs) if out is None]
+            b_walked = len(work) - len(misses)
+            if misses:
+                fn = _flagged(self.compile_fn, stats_only)
+                shares = self._plan(misses, left)
+                if shares is None:
+                    for k in misses:
+                        outs[k] = _attempt_invoke(fn, *attempt, *work[k])
+                    ok = [k for k in misses if outs[k][0] == "ok"]
+                    with self._lock:
+                        self._inline_seconds += sum(outs[k][4] for k in ok)
+                        self._inline_passes += sum(left[k] for k in ok)
+                else:
+                    b_dispatched = sum(len(share) for share in shares[1:])
+                    with self._dispatch:
+                        elapsed = self._run_on_workers(
+                            fn, attempt, stats_only, work, shares, outs
+                        )
+                    if self.timeout is None:
+                        self._record_dispatch(elapsed, shares, left, outs)
             with self._lock:
                 for (key, slots), (status, out, err, attempts, dt, wait) in zip(
                     pending.items(), outs
@@ -529,6 +583,8 @@ class CompileEngine:
             self._m_failures.inc(b_failures)
             self._m_timeouts.inc(b_timeouts)
             self._m_retries.inc(b_retries)
+            self._m_walked.inc(b_walked)
+            self._m_dispatched.inc(b_dispatched)
 
         batch_wall = time.perf_counter() - t_wall
         self._m_wall.inc(batch_wall)
@@ -538,6 +594,8 @@ class CompileEngine:
             compiles=b_compiles,
             cache_hits=b_hits,
             cache_misses=b_misses,
+            walked=b_walked,
+            dispatched=b_dispatched,
             failures=b_failures,
             timeouts=b_timeouts,
             retries=b_retries,
@@ -548,29 +606,114 @@ class CompileEngine:
         span.__exit__(None, None, None)
         return results
 
+    def _walk_one(
+        self, name: str, seq: Sequence, stats_only: bool, submit_t: float
+    ) -> Tuple[Optional[_Out], int]:
+        """Walk one candidate: its result if the walk answered it, and the
+        passes a compile would still run.  A walk that raises (an unknown
+        pass, say) leaves the key to the compile function, which reports
+        the failure."""
+        t0 = time.perf_counter()
+        try:
+            value, left = self.walk(name, seq, stats_only)
+        except Exception:  # noqa: BLE001 - the compile reports it
+            return None, len(seq)
+        if value is None:
+            return None, left
+        return ("ok", value, "", 1, time.perf_counter() - t0, t0 - submit_t), 0
+
+    def _costs(self) -> Tuple[float, float, float]:
+        """The measured costs :meth:`_plan` weighs: the seconds a miss run
+        in-line takes per pass it has left (0.0 before the first), the
+        slowdown of a miss compiled while a batch is dispatched (1.0
+        before the first dispatch), and the round trip, the time a
+        dispatched batch takes beyond its longest share (0.0 before the
+        first dispatch).  The last two come from the latest dispatched
+        batch, so a dispatch that did not pay is not repeated until the
+        pass work grows."""
+        with self._lock:
+            per_pass = (
+                self._inline_seconds / self._inline_passes if self._inline_passes else 0.0
+            )
+            return per_pass, self._slowdown, self._round_trip
+
+    def _record_dispatch(
+        self, elapsed: float, shares: List[List[int]], left: List[int],
+        outs: List[Optional[_Out]],
+    ) -> None:
+        """Measure a dispatched batch: the seconds per pass left its misses
+        took, in every process, over the in-line figure (cores shared with
+        other work, a worker's cold caches), and the ``elapsed`` seconds,
+        from queueing journals to merging the last answer, beyond its
+        longest share at that rate (pickling, waking a worker, pipe waits
+        and merges)."""
+        per_pass, _slowdown, _round_trip = self._costs()
+        ok = [k for share in shares for k in share if outs[k][0] == "ok"]
+        passes = sum(left[k] for k in ok)
+        if not (per_pass and passes):
+            return
+        rate = sum(outs[k][4] for k in ok) / passes
+        longest = rate * max(sum(left[k] for k in share) for share in shares)
+        with self._lock:
+            self._slowdown = rate / per_pass
+            self._round_trip = max(0.0, elapsed - longest)
+
+    def _plan(self, misses: List[int], left: List[int]) -> Optional[List[List[int]]]:
+        """How to run a batch's misses: ``None`` to run them in-line, else
+        one share of slots for this process and one per worker.
+
+        Shares are split by passes left to run, heaviest first, each to
+        the share that finishes first.  Under a timeout every miss goes to
+        a worker that can be killed.  Otherwise the misses are dispatched
+        only when that split is predicted to finish before the in-line
+        run would, from the costs :meth:`_costs` measured: a miss takes
+        its passes left times the seconds per pass, times the slowdown
+        when dispatched, and each worker's share starts at the round
+        trip.  A batch whose pass work does not cover the round trip
+        stays in this process.  Misses run in-line until one has been
+        timed; the first batch dispatched after that measures the rest."""
+        if self.kind == "serial":
+            return None
+        if self.timeout is not None:
+            return [[]] + _split(misses, left, [0.0] * self.jobs)
+        if len(misses) < 2:
+            return None
+        per_pass, slowdown, round_trip = self._costs()
+        if not per_pass:
+            return None
+        loads = [0.0] + [round_trip] * (self.jobs - 1)
+        shares = _split(misses, [per_pass * slowdown * n for n in left], loads)
+        inline = per_pass * sum(left[k] for k in misses)
+        if not any(shares[1:]) or max(loads) >= inline:
+            return None
+        return shares
+
     def _run_on_workers(
         self, fn: Callable, attempt: Tuple[int, float, float], stats_only: bool,
-        work: List[Tuple[str, Sequence[int]]],
-    ) -> List[_Out]:
-        """Compile ``work`` on the process workers, split round-robin.
+        work: List[Tuple[str, Sequence[int]]], shares: List[List[int]],
+        outs: List[Optional[_Out]],
+    ) -> float:
+        """Compile the slots of ``work`` that ``shares`` names into
+        ``outs``: ``shares[0]`` in this process, the others on the
+        process workers, one share each.  Returns the seconds it took,
+        forking aside.
 
-        Without a timeout this process takes the first share and compiles
-        it in-line while the workers compile theirs, then merges their
-        journals as their answers arrive.  With one, this process
-        compiles nothing, the workers stream one result per item, and an
-        item's clock starts when this process read the answer before it
-        (or sent the batch); a worker whose item overruns, with no answer
-        waiting in its pipe, is killed and forked afresh from this
-        process's graph, and its unfinished items go to the new worker.
-        A worker found dead when its share is sent
-        (it died since the last batch) is forked afresh too, and the new
-        one compiles the share; the items of a worker that dies while
-        compiling come back as errors."""
+        Without a timeout this process compiles its share in-line while
+        the workers compile theirs, then merges their journals as their
+        answers arrive.  With one, this process compiles nothing, the
+        workers stream one result per item, and an item's clock starts
+        when this process read the answer before it (or sent the batch);
+        a worker whose item overruns, with no answer waiting in its pipe,
+        is killed and forked afresh from this process's graph, and its
+        unfinished items go to the new worker.  A worker found dead when
+        its share is sent (it died since the last batch) is forked afresh
+        too, and the new one compiles the share; the items of a worker
+        that dies while compiling come back as errors."""
         submit_t = attempt[2]
         stream = self.timeout is not None
-        workers = self._start_workers()
-        shares = len(workers) + (not stream)
-        outs: List[Optional[_Out]] = [None] * len(work)
+        t0 = time.perf_counter()
+        t0 += self._start_workers()  # a fork is paid once, not per batch
+        workers = list(self._workers)
         #: each busy worker's unanswered slots, and when its current item began
         queues: Dict[_Worker, List[int]] = {}
         started: Dict[_Worker, float] = {}
@@ -583,16 +726,15 @@ class CompileEngine:
                 worker = self._replace(worker)
                 worker.conn.send(([], stats_only, stream, submit_t, share))
             worker.outbox = []
-            queues[worker] = slots
+            queues[worker] = list(slots)
             started[worker] = time.perf_counter()
 
         try:
-            for k, worker in enumerate(workers, start=shares - len(workers)):
-                if k < len(work):
-                    dispatch(worker, list(range(k, len(work), shares)))
-            if not stream:
-                for i in range(0, len(work), shares):
-                    outs[i] = _attempt_invoke(fn, *attempt, *work[i])
+            for worker, slots in zip(workers, shares[1:]):
+                if slots:
+                    dispatch(worker, slots)
+            for i in shares[0]:
+                outs[i] = _attempt_invoke(fn, *attempt, *work[i])
             while queues:
                 if stream:
                     now = time.perf_counter()
@@ -639,4 +781,20 @@ class CompileEngine:
             for worker in queues:
                 self._retire(worker, kill=True)
             raise
-        return [_LOST if out is None else out for out in outs]
+        for share in shares[1:]:
+            for i in share:
+                if outs[i] is None:
+                    outs[i] = _LOST
+        return time.perf_counter() - t0
+
+
+def _split(slots: List[int], weights: Sequence[float], loads: List[float]) -> List[List[int]]:
+    """Split ``slots`` into ``len(loads)`` shares, heaviest first, each to
+    the share with the least load so far (``loads`` holds each share's
+    starting load and is updated in place); each share in slot order."""
+    shares: List[List[int]] = [[] for _ in loads]
+    for k in sorted(slots, key=lambda k: -weights[k]):
+        j = min(range(len(loads)), key=loads.__getitem__)
+        shares[j].append(k)
+        loads[j] += weights[k]
+    return [sorted(share) for share in shares]

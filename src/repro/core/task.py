@@ -83,6 +83,21 @@ def _compile_candidate(
     return CompiledModule(cr.module, cr.stats_json())
 
 
+def _walk_candidate(
+    program: Program,
+    target: TargetInfo,
+    graph: CompileGraph,
+    module_name: str,
+    seq: Sequence[str],
+    stats_only: bool = False,
+) -> Tuple[Optional[CompiledModule], int]:
+    """The engine's walk: :func:`_compile_candidate`'s result when
+    ``graph`` already knows every pass of ``seq``, else ``None`` and the
+    passes a compile would still run."""
+    cr, left = graph.walk(program.get_module(module_name), seq, target, stats_only)
+    return (CompiledModule(cr.module, cr.stats_json()) if cr is not None else None), left
+
+
 class AutotuningTask:
     """Compile/measure/verify interface over one program on one platform."""
 
@@ -118,10 +133,11 @@ class AutotuningTask:
         :class:`~repro.core.eval_engine.CompileEngine` behind
         :meth:`compile_batch`: ``jobs=1`` is a
         deterministic serial loop, and ``jobs>1`` forks ``jobs-1`` process
-        workers on the first batch that needs them (this process compiles
-        items of each batch too, and all of them walk one compile graph).
-        A ``compile_timeout`` runs every batch on ``jobs`` workers, which
-        can be killed when a compile overruns.
+        workers on the first batch whose pass work covers the round trip
+        (this process walks every candidate first and compiles items of
+        each batch too, and all of them walk one compile graph).  A
+        ``compile_timeout`` runs every compile that has a pass to run on
+        ``jobs`` workers, which can be killed when a compile overruns.
 
         ``fault_injector`` wraps candidate compiles with seeded chaos
         (:mod:`repro.core.faults`); ``compile_timeout``/``compile_retries``/
@@ -241,12 +257,15 @@ class AutotuningTask:
         if fault_injector is not None and fault_injector.corrupt_fn is None:
             fault_injector.corrupt_fn = _corrupt_compiled
         # candidate compiles run each pass once per distinct IR state; the
-        # engine keeps the copies of its process workers in sync
+        # engine walks the graph before it compiles, and keeps the copies
+        # of its process workers in sync.  Faults are injected on the
+        # compile path, so a task with an injector walks nothing.
         self.graph = CompileGraph()
         self._graph_reported: Dict[str, int] = {}
         compile_fn = partial(_compile_candidate, program, self.target, self.graph)
+        walk_fn = partial(_walk_candidate, program, self.target, self.graph)
         if fault_injector is not None:
-            compile_fn = fault_injector.wrap(compile_fn)
+            compile_fn, walk_fn = fault_injector.wrap(compile_fn), None
 
         # observability: one tracer + one registry shared with the engine,
         # so compile spans and engine counters land in the run's artifacts
@@ -275,6 +294,7 @@ class AutotuningTask:
             metrics=self.metrics,
             tracer=self.tracer,
             graph=self.graph,
+            walk=walk_fn,
         )
 
         # pipeline observability: sampled per-pass trace replays
@@ -788,7 +808,10 @@ class AutotuningTask:
         item's time is its wall time, so it also counts time a process
         waited for a core).  ``executor`` names how the compiles ran
         (``serial`` or ``process``, the engine's ``kind``).  Within-batch
-        duplicates compile once, so ``n_compiles`` counts real work only.
+        duplicates compile once, so ``n_compiles`` counts real work only;
+        ``compile_walked`` of them were answered by walking the compile
+        graph in this process, and ``compile_dispatched`` were sent to a
+        process worker.
         The fault-tolerance counters
         (failures/timeouts/retries/quarantine from the engine, plus crashed
         and incorrect measurements) make chaos runs auditable.
@@ -816,6 +839,8 @@ class AutotuningTask:
             "compile_cache_hit_rate": (
                 engine["cache_hits"] / requests if requests else 0.0
             ),
+            "compile_walked": engine["walked"],
+            "compile_dispatched": engine["dispatched"],
             "jobs": self.jobs,
             "executor": engine["executor"],
             "compile_failures": engine["compile_failures"],

@@ -74,9 +74,11 @@ class RunData:
 
     @property
     def interrupted(self) -> bool:
-        """Killed (no result.json / torn events) or gracefully stopped
-        short of its budget (the result says so itself)."""
-        if self.result is None or self.truncated_events > 0:
+        """Killed (no result.json) or gracefully stopped short of its
+        budget (the result says so itself).  The result decides: a torn
+        event line that a resume repaired stays in ``truncated_events``,
+        but the run it belongs to finished."""
+        if self.result is None:
             return True
         return bool(self.result.extras.get("interrupted", False))
 
@@ -313,6 +315,11 @@ def analyze_run(run_dir: Union[str, Path]) -> str:
                 f"- resumable: `repro tune --resume {run.path}` continues "
                 "the remaining budget bit-identically"
             )
+    elif run.truncated_events:
+        lines.append(
+            f"- {run.truncated_events} truncated event line(s) skipped "
+            "(a kill the resume recovered from)"
+        )
     if run.epoch > 1:
         # the epoch boundary: this run was resumed; the events.jsonl ts
         # clock restarted at each `resume_epoch` marker
@@ -343,6 +350,15 @@ def analyze_run(run_dir: Union[str, Path]) -> str:
             f"- wall time (traced): {_fmt(wall)} s  "
             f"cache hit rate: {_fmt(run.cache_hit_rate(), '.1%')}"
         )
+        timing = res.timing or {}
+        n = int(timing.get("n_compiles", 0))
+        if "compile_walked" in timing and n:
+            lines.append(
+                f"- compiles: {n} ({timing['compile_walked'] / n:.1%} walked in "
+                f"the tuning process, {timing['compile_dispatched'] / n:.1%} "
+                f"dispatched to workers; {int(timing.get('graph_rederived', 0))} "
+                "graph states re-derived)"
+            )
     else:
         lines.append("- (no measurements recorded)")
     lines.append("")

@@ -33,8 +33,6 @@ tuner, and the run's own RNG stream is never touched.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -45,6 +43,7 @@ from repro.machine.artifacts import CompiledModule
 from repro.machine.platforms import get_platform
 from repro.machine.profiler import Profiler
 from repro.obs.analysis import load_run
+from repro.obs.recorder import _atomic_write_json
 from repro.obs.trace import Tracer
 from repro.workloads import cbench_names, cbench_program, spec_names, spec_program
 
@@ -404,13 +403,5 @@ def explain_run(
         execution_stats=execution_stats,
     )
     if write_json:
-        _write_json_atomic(run.path / "explain.json", report.to_dict())
+        _atomic_write_json(run.path / "explain.json", report.to_dict())
     return report
-
-
-def _write_json_atomic(path: Path, payload: Dict[str, object]) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)

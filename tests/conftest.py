@@ -14,6 +14,16 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def dispatch_every_batch(monkeypatch):
+    """Test seam: the compile engine predicts that every miss outweighs
+    the round trip to a worker, so each batch of two or more misses (at
+    ``jobs > 1``) goes to its process workers, the first one included."""
+    from repro.core.eval_engine import CompileEngine
+
+    monkeypatch.setattr(CompileEngine, "_costs", lambda self: (1.0, 1.0, 0.0))
+
+
 def build_dot_kernel(acc_ty=I64, mul_ty=I32, elem_ty=I16, lanes=8) -> Module:
     """The Fig 5.1 manually-unrolled widening dot product as a main()."""
     mod = Module("dotmod")

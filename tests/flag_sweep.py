@@ -11,11 +11,18 @@ it reaches applies every registered pass to a clone: the flag must be a
 ``bool``, and a ``False`` must keep the key.  An over-report (``True``
 with the key unchanged) is sound, only slower, and is counted.
 
+The graph runs a missing pass in place on a stored state's module, so an
+unsound ``False`` would corrupt that stored state, not just one compile.
+Each prefix is therefore also compiled through a :class:`CompileGraph`
+kept to a few states (so compiles evict, hand modules on and re-derive
+them), and its module text and statistics must equal the cold
+:func:`run_opt` of the same prefix.
+
 Exit 0 when every requested seed completed within ``--budget`` seconds
 and every flag checked was a ``bool`` that never under-reported; a
 failure prints the seed, program, module, prefix and pass, and a budget
 that runs out names the seeds left unchecked, so the coverage of a
-passing run never varies.  The default 16 seeds take about 50 s on a
+passing run never varies.  The default 16 seeds take about 35 s on a
 2-core x86-64 VM.  CI runs this as the blocking ``flag-soundness`` job;
 tier-1 runs a short version (``tests/test_identical_ir.py``).  Locally::
 
@@ -31,17 +38,21 @@ import time
 from typing import Iterator, List, Tuple
 
 from repro import cbench_names, cbench_program, spec_names, spec_program
+from repro.compiler import opt_tool
 from repro.compiler.ir import Module
 from repro.compiler.opt_tool import CompileGraph, run_opt, state_key
 from repro.compiler.pass_manager import registry
 from repro.compiler.pipelines import SEARCH_PASSES
 from repro.compiler.statistics import StatsCollector
+from repro.compiler.textual import print_module
 from repro.machine.platforms import get_platform
 from repro.workloads.generator import random_program
 
 TARGET = get_platform("arm-a57").target_info()
 #: the longest prefix, prefixes per module and random programs per seed
 MAX_LEN, PREFIXES, RANDOM_PROGRAMS = 120, 3, 6
+#: states the sweep's compile graph keeps
+GRAPH_STATES = 8
 
 
 def workload_modules() -> List[Tuple[str, Module]]:
@@ -68,6 +79,7 @@ class Tally:
         self.checked = 0
         self.unchanged = 0
         self.over_reports = 0
+        self.graph_compiles = 0
         self.failures: List[str] = []
 
 
@@ -97,6 +109,29 @@ def check_state(
             tally.over_reports += 1
 
 
+def graph_compile(graph: CompileGraph, module: Module, prefix: List[str]):
+    """``prefix`` compiled through ``graph``, held to :data:`GRAPH_STATES`
+    states."""
+    capacity, opt_tool.GRAPH_CAPACITY = opt_tool.GRAPH_CAPACITY, GRAPH_STATES
+    try:
+        return run_opt(module, prefix, target=TARGET, graph=graph)
+    finally:
+        opt_tool.GRAPH_CAPACITY = capacity
+
+
+def check_graph(
+    tally: Tally, where: str, graph: CompileGraph, module: Module, prefix: List[str],
+    cold,
+) -> None:
+    """Compile ``prefix`` through ``graph`` and compare it with ``cold``."""
+    got = graph_compile(graph, module, prefix)
+    tally.graph_compiles += 1
+    if print_module(got.module) != print_module(cold.module):
+        tally.failures.append(f"{where} prefix={prefix}: graph module differs from cold")
+    elif list(got.stats.items()) != list(cold.stats.items()):
+        tally.failures.append(f"{where} prefix={prefix}: graph statistics differ from cold")
+
+
 def prefixes(rng: random.Random, n: int, max_len: int) -> Iterator[List[str]]:
     """``n`` random pass prefixes of 0 to ``max_len`` passes."""
     for _ in range(n):
@@ -112,16 +147,18 @@ def sweep(
     deadline: float = float("inf"),
 ) -> bool:
     """Check the states ``n_prefixes`` random prefixes reach on each
-    module; ``False`` if the deadline cut the sweep short."""
+    module, and the prefixes' compiles through a small graph; ``False``
+    if the deadline cut the sweep short."""
     rng = random.Random(seed)
     graph = CompileGraph()
     for program, module in modules:
         for prefix in prefixes(rng, n_prefixes, max_len):
             if time.monotonic() > deadline:
                 return False
-            state = run_opt(module, prefix, target=TARGET, graph=graph).module
+            cold = run_opt(module, prefix, target=TARGET)
             where = f"seed={seed} program={program} module={module.name}"
-            check_state(tally, where, state, prefix)
+            check_state(tally, where, cold.module, prefix)
+            check_graph(tally, where, graph, module, prefix, cold)
     return True
 
 
@@ -150,7 +187,8 @@ def main(argv=None) -> int:
     print(
         f"seeds {done or 'none'} complete in {time.monotonic() - t0:.1f}s: "
         f"{tally.checked} pass applications, {tally.unchanged} reported no change, "
-        f"{tally.over_reports} over-reports, {len(tally.failures)} failures"
+        f"{tally.over_reports} over-reports, {tally.graph_compiles} graph compiles "
+        f"checked against cold, {len(tally.failures)} failures"
     )
     for failure in tally.failures:
         print("FAIL", failure)

@@ -125,7 +125,7 @@ class TestCompileEngine:
         assert stats["cache_hits"] == total - n_threads * uniques
         assert stats["compile_cpu_seconds"] > 0
 
-    def test_wall_time_below_worker_time_when_parallel(self):
+    def test_wall_time_below_worker_time_when_parallel(self, dispatch_every_batch):
         def compile_fn(name, seq):
             time.sleep(0.02)
             return 0

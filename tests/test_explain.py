@@ -12,7 +12,7 @@ from repro.obs import configure_logging
 from repro.obs.analysis import analyze_run
 from repro.obs.explain import explain_run
 from repro.obs.export import chrome_trace
-from repro.obs.recorder import read_events
+from repro.obs.recorder import _atomic_write_json, read_events
 from repro.obs.warehouse import (
     SCHEMA_VERSION,
     Warehouse,
@@ -75,6 +75,13 @@ class TestExplainRun:
             assert mod.prefix_seconds[-1] == pytest.approx(
                 report.best_seconds
             )
+
+    def test_explain_json_is_written_as_the_recorder_writes(self, run_dir, report, tmp_path):
+        # one atomic writer (tmp + fsync + replace) for every run artifact
+        twin = tmp_path / "twin.json"
+        _atomic_write_json(twin, report.to_dict())
+        assert (run_dir / "explain.json").read_text() == twin.read_text()
+        assert not (run_dir / "explain.json.tmp").exists()
 
     def test_explain_json_written_with_schema(self, run_dir, report):
         payload = json.load(open(run_dir / "explain.json"))

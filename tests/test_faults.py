@@ -226,7 +226,7 @@ class TestEngineFaultPaths:
         assert outs[1].ok and outs[2].ok
         eng.close()
 
-    def test_context_manager_closes_pool(self):
+    def test_context_manager_closes_pool(self, dispatch_every_batch):
         with CompileEngine(lambda n, s: tuple(s), jobs=2) as eng:
             out = eng.compile_batch([("m", [i]) for i in range(4)])
             assert [o.value for o in out] == [(i,) for i in range(4)]
@@ -331,7 +331,7 @@ class TestTaskDegradation:
         assert task.engine.stats()["quarantine_hits"] >= 1
         task.close()
 
-    def test_task_context_manager(self):
+    def test_task_context_manager(self, dispatch_every_batch):
         with AutotuningTask(
             cbench_program("security_sha"),
             platform="arm-a57",

@@ -6,7 +6,9 @@ histories against ``jobs=1``, worker lifecycle (lazy fork, reaping on
 close, a hung candidate's worker forked afresh, a worker that died
 between batches forked afresh, workers exiting when their parent is
 killed), and how compiles ran as
-reported by the engine, the task and ``result.json``.
+reported by the engine, the task and ``result.json``.  The engine runs a
+batch's misses in-line unless its measured costs favour a worker; tests of
+the worker path force dispatch through the ``dispatch_every_batch`` seam.
 """
 
 import json
@@ -71,7 +73,7 @@ def _tune(jobs, feature_mode):
 
 
 @pytest.mark.parametrize("feature_mode", ["stats", "autophase"])
-def test_citroen_history_matches_serial(feature_mode):
+def test_citroen_history_matches_serial(dispatch_every_batch, feature_mode):
     kind1, serial, _, _, _ = _tune(1, feature_mode)
     kind2, pooled, _, batches, _ = _tune(2, feature_mode)
     assert (kind1, kind2) == ("serial", "process")
@@ -89,6 +91,30 @@ def test_citroen_history_matches_serial(feature_mode):
         # autophase features read the IR, so the modules come back
         assert not proposals
         assert all(c.module is not None for _, c in results)
+
+
+def test_history_matches_serial_with_every_batch_dispatched(dispatch_every_batch):
+    # measured costs rarely favour a worker on a small tune; the seam
+    # sends every batch's misses to one, while the parent also runs its
+    # share in place with its journal still unsent (at jobs=1 there are
+    # no workers to send to)
+    def tune(jobs):
+        with AutotuningTask(cbench_program("telecom_gsm"), platform="arm-a57",
+                            seed=0, seq_length=16, jobs=jobs) as task:
+            res = Citroen(task, seed=5, n_init=3, per_strategy=3).tune(12)
+            timing = task.timing_breakdown()
+        hist = [(m.module, m.sequence, m.runtime, m.correct, m.status)
+                for m in res.measurements]
+        return hist, timing
+
+    serial, t1 = tune(1)
+    pooled, t2 = tune(2)
+    assert pooled == serial
+    assert t2["n_compiles"] == t1["n_compiles"]
+    assert t1["compile_dispatched"] == 0 < t2["compile_dispatched"]
+    assert t1["compile_walked"] > 0 and t2["compile_walked"] > 0
+    applied = t2["graph_passes_run"] + t2["graph_passes_skipped"]
+    assert applied >= t1["graph_passes_run"] + t1["graph_passes_skipped"]
 
 
 def _assert_measured_match_cold(measured, target):
@@ -120,7 +146,7 @@ def _spy_graphs(monkeypatch):
     return graphs
 
 
-def test_measured_winner_matches_cold_compile(monkeypatch):
+def test_measured_winner_matches_cold_compile(monkeypatch, dispatch_every_batch):
     # init configurations are compiled in the pool workers, through each
     # worker's own graph; winners are recompiled through the parent's
     graphs = _spy_graphs(monkeypatch)
@@ -172,7 +198,7 @@ def test_a_fault_injected_task_keeps_its_modules():
             )
 
 
-def test_close_reaps_pool_workers():
+def test_close_reaps_pool_workers(dispatch_every_batch):
     before = set(multiprocessing.active_children())
     items = [("sha_transform", [i, i + 1]) for i in range(4)]
     task = _task(3, program="security_sha")
@@ -262,7 +288,7 @@ def _pid(name, seq):
     return os.getpid()
 
 
-def test_a_worker_killed_between_batches_is_forked_afresh():
+def test_a_worker_killed_between_batches_is_forked_afresh(dispatch_every_batch):
     # its share was never attempted: the successor compiles it, and
     # nothing is quarantined
     with CompileEngine(_pid, jobs=3) as eng:
@@ -275,7 +301,8 @@ def test_a_worker_killed_between_batches_is_forked_afresh():
         assert eng.stats()["quarantine_size"] == 0
         pids = [w.process.pid for w in eng._workers]
         assert len(pids) == 2 and victim.pid not in pids
-        # the round-robin share of the dead worker went to its successor
+        # equal misses split as round-robin does: the dead worker's share
+        # went to its successor
         assert out[1].value == out[4].value == pids[0]
 
 
@@ -323,6 +350,8 @@ from repro import CompileEngine
 def compile_fn(name, seq):
     return os.getpid()
 
+# test seam: dispatch the first batch, before any cost is measured
+CompileEngine._costs = lambda self: (1.0, 1.0, 0.0)
 engine = CompileEngine(compile_fn, jobs=3)
 engine.compile_batch([("m", [i]) for i in range(6)])
 print(" ".join(str(w.process.pid) for w in engine._workers), flush=True)
@@ -365,7 +394,7 @@ def test_workers_exit_when_their_parent_is_killed():
         (2, 5.0, "process", 2),
     ],
 )
-def test_engine_reports_resolved_executor(jobs, timeout, kind, workers):
+def test_engine_reports_resolved_executor(dispatch_every_batch, jobs, timeout, kind, workers):
     # under a timeout this process compiles nothing, so jobs workers fork
     with CompileEngine(_sleepy_compile, jobs=jobs, timeout=timeout) as eng:
         assert eng.kind == kind
@@ -374,7 +403,7 @@ def test_engine_reports_resolved_executor(jobs, timeout, kind, workers):
         assert len(eng._workers) == workers
 
 
-def test_worker_timing_gives_parallel_ratio():
+def test_worker_timing_gives_parallel_ratio(dispatch_every_batch):
     # compile seconds are timed inside each worker and summed; two
     # processes sleeping side by side overlap, so the sum exceeds the wall
     with CompileEngine(_sleepy_compile, jobs=2) as eng:

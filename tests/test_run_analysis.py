@@ -211,6 +211,21 @@ class TestLoadAndAnalyze:
             assert needle in report, needle
         assert "interrupted" not in report
 
+    def test_compile_paths_reach_result_metrics_and_report(self, run_dir):
+        # walked and dispatched compiles, and graph re-derivations, are
+        # counted in the registry and reported by result.json and analyze
+        run = load_run(run_dir)
+        timing = run.result.timing
+        counters = run.metrics["counters"]
+        assert timing["compile_walked"] == counters["engine.walked"]
+        assert timing["compile_dispatched"] == counters["engine.dispatched"] == 0
+        assert timing["graph_rederived"] == counters["compiler.graph_rederived"]
+        n = int(timing["n_compiles"])
+        assert (
+            f"- compiles: {n} ({timing['compile_walked'] / n:.1%} walked in the "
+            "tuning process, 0.0% dispatched to workers;"
+        ) in analyze_run(run_dir)
+
     def test_analyze_interrupted_run_still_reports(self, run_dir, tmp_path):
         broken = _interrupt(run_dir, tmp_path / "crash")
         run = load_run(broken)

@@ -26,6 +26,7 @@ from repro.core import AutotuningTask, Citroen
 from repro.core.wal import WAL_SCHEMA, WriteAheadLog, read_wal, split_wal
 from repro.obs.analysis import analyze_run, load_run
 from repro.obs.recorder import RunRecorder, read_events
+from repro.obs.warehouse import Warehouse
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -348,3 +349,25 @@ def test_analyze_interrupted_run_reports_progress(control_run, tmp_path, capsys)
     # the CLI path must not crash on the missing result.json either
     assert main(["analyze", str(killed)]) == 0
     capsys.readouterr()
+
+
+def test_a_torn_event_line_repaired_on_resume_is_not_an_interruption(
+    control_run, tmp_path
+):
+    # killed mid-write of an event: the resume newline-terminates the torn
+    # line, which stays as one malformed line beside a complete result.json
+    killed = tmp_path / "killed"
+    _simulate_kill(control_run, killed, 5)
+    with open(killed / "events.jsonl", "a") as fh:
+        fh.write('{"type": "span", "name": "meas')
+    assert main(["tune", "--resume", str(killed), "--log-level", "warning"]) == 0
+    assert _result_sans_timing(killed) == _result_sans_timing(control_run)
+    data = load_run(killed)
+    assert data.truncated_events == 1
+    assert not data.interrupted and data.wal_measurements == 14
+    report = analyze_run(killed)
+    assert "interrupted run" not in report
+    assert "1 truncated event line(s) skipped" in report
+    with Warehouse(tmp_path / "fleet.sqlite") as wh:
+        assert wh.index_run(killed)["interrupted"] == 0
+        assert len(wh.runs(include_interrupted=False)) == 1
