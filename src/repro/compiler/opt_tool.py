@@ -37,6 +37,7 @@ __all__ = [
     "CompileGraph",
     "CompileResult",
     "GRAPH_CAPACITY",
+    "Miss",
     "run_opt",
     "available_passes",
     "state_key",
@@ -66,10 +67,9 @@ class CompileResult:
 _StateKey = Tuple[str, Tuple[int, ...]]
 _Counters = Dict[Tuple[str, str], int]
 #: a journal entry: from-key, target key, pass, to-key, statistics delta,
-#: and the module of a state that was new to the graph that wrote it
-#: (pickled once the entry is taken)
+#: and the pickled module of a state that was new to the graph that wrote it
 _Entry = Tuple[Optional[_StateKey], Optional[Tuple], Optional[str], _StateKey,
-               Optional[_Counters], Union[Module, bytes, None]]
+               Optional[_Counters], Optional[bytes]]
 
 
 def state_key(module: Module) -> _StateKey:
@@ -116,10 +116,12 @@ class CompileGraph:
     A node is one IR state, keyed by :func:`state_key`; an edge maps
     ``(state, target, pass)`` to the state the pass leads to and the
     statistics it bumps on the way.  A compile takes two steps.  The walk
-    starts at the node of its source module and follows one edge per
-    pass, summing the statistics, up to the first missing edge
-    (:meth:`walk` stops there).  The run step executes the missing pass
-    on that node's own module, in place.  The ``changed`` flag the pass
+    (:meth:`walk`) starts at the node of its source module and follows
+    one edge per pass, summing the statistics, up to the first missing
+    edge, and returns the finished result or a :class:`Miss`: the node
+    and position it stopped at.  The run step (:meth:`resume`) continues
+    from there and executes the missing pass on that node's own module,
+    in place.  The ``changed`` flag the pass
     returns decides the rest: a pass that returns ``False`` leaves the
     state as it was, so the module stays with the node and the edge loops
     back to it unfingerprinted; any other value is keyed (a pass that
@@ -152,10 +154,10 @@ class CompileGraph:
     empty.  Copies in several processes stay one logical graph through
     journals: once :meth:`take_journal` has been called, the graph records
     every edge and state it adds, and :meth:`merge` adds another copy's
-    records (see :class:`~repro.core.eval_engine.CompileEngine`).  A
-    module an entry holds must print to the entry's key until the entry
-    is taken (and pickled), so a run about to mutate it first leaves the
-    entry a clone.  A graph nobody copies keeps no journal."""
+    records (see :class:`~repro.core.eval_engine.CompileEngine`), until
+    :meth:`end_journal`.  An entry pickles a new state's module when it
+    is written, before a later run mutates the module in place.  A graph
+    nobody copies keeps no journal."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -176,8 +178,6 @@ class CompileGraph:
         #: and the counters as of that call
         self._journal: Optional[List[_Entry]] = None
         self._taken = (0, 0, 0, 0)
-        #: id of a module an entry not yet taken holds -> the entry's index
-        self._unsent: Dict[int, int] = {}
         _LIVE.add(self)
 
     def __reduce__(self):
@@ -266,7 +266,7 @@ class CompileGraph:
         with self._lock:
             self._roots[module] = key
             if self._journal is not None and key not in self._nodes:
-                self._journal.append((None, None, None, key, None, work))
+                self._journal.append((None, None, None, key, None, _pickled(work)))
             return self._admit(key, work)
 
     def take_journal(self) -> Tuple[List[_Entry], Tuple[int, int, int, int]]:
@@ -279,18 +279,20 @@ class CompileGraph:
         it leads to when that state was new here (else ``None``).  A root
         state is an entry with no edge (``from-key`` ``None``)."""
         with self._lock:
-            entries = [
-                e if e[5] is None else e[:5] + (_pickled(e[5]),)
-                for e in self._journal or []
-            ]
+            entries = self._journal or []
             self._journal = []
-            self._unsent.clear()
             counts = (
                 self.passes_run, self.passes_unchanged, self.passes_skipped, self.rederived
             )
             delta = tuple(a - b for a, b in zip(counts, self._taken))
             self._taken = counts
         return entries, delta
+
+    def end_journal(self) -> None:
+        """Stop the journal and drop the entries not yet taken (no copy
+        will receive them); the next :meth:`take_journal` starts anew."""
+        with self._lock:
+            self._journal = None
 
     def merge(
         self, entries: Sequence[_Entry], counts: Tuple[int, ...] = (0, 0, 0, 0)
@@ -317,24 +319,6 @@ class CompileGraph:
             self.passes_unchanged += counts[1]
             self.passes_skipped += counts[2]
             self.rederived += counts[3]
-
-    def _prepare(
-        self, sequence: Sequence[str], target: Optional[TargetInfo]
-    ) -> Tuple[List[str], TargetInfo, Tuple, int]:
-        """The pass list, target, target key and target id of a compile;
-        unknown passes raise before any lock or edge work."""
-        seq = list(sequence)
-        unknown = registry.unknown(seq)
-        if unknown:
-            raise KeyError(f"unknown passes: {unknown}")
-        if target is None:
-            target = TargetInfo()
-        tkey = _target_key(target)
-        tid = self._targets.get(tkey)
-        if tid is None:
-            with self._lock:
-                tid = self._targets.setdefault(tkey, len(self._targets))
-        return seq, target, tkey, tid
 
     def _follow(
         self, node: _Node, seq: List[str], tid: int, i: int, counters: _Counters
@@ -371,10 +355,6 @@ class CompileGraph:
         if keep:
             work = node.module.clone()
         else:
-            entry = self._unsent.pop(id(node.module), None) if self._unsent else None
-            if entry is not None:
-                # the journal keeps the state as it was added
-                self._journal[entry] = self._journal[entry][:5] + (node.module.clone(),)
             work = self._module(node)
             node.module = None  # back below, unless the pass moves the state
         stats = StatsCollector()
@@ -394,8 +374,7 @@ class CompileGraph:
             nxt = node
         else:
             if self._journal is not None and key not in self._nodes:
-                new = work
-                self._unsent[id(work)] = len(self._journal)
+                new = _pickled(work)  # before a later run mutates it
             live = self._nodes.get(node.key) is node
             nxt = self._admit(key, work, (node, target, name) if live else None)
         node.edges[(tid, name)] = (key, delta)
@@ -411,25 +390,66 @@ class CompileGraph:
         sequence: Sequence[str],
         target: Optional[TargetInfo],
         stats_only: bool = False,
-    ) -> Tuple[Optional[CompileResult], int]:
-        """Answer a compile from known edges alone.
-
-        Returns ``(result, 0)`` when every pass follows a known edge (the
-        result :meth:`compile` would return), else ``(None, n)`` with
-        ``n`` the passes left from the first missing edge on.  Runs no
-        pass, except to re-derive the final state's module for a result
-        that carries one; skipped passes count only for a walk that
-        finishes (a compile walks a missed one again)."""
-        seq, target, _tkey, tid = self._prepare(sequence, target)
+    ) -> Union[CompileResult, "Miss"]:
+        """Follow known edges: the result :meth:`compile` would return when
+        every pass has one, else the :class:`Miss` that :meth:`resume`
+        continues from.  Runs no pass, except to re-derive the final
+        state's module for a result that carries one; unknown passes
+        raise before any edge work."""
+        seq = list(sequence)
+        unknown = registry.unknown(seq)
+        if unknown:
+            raise KeyError(f"unknown passes: {unknown}")
+        if target is None:
+            target = TargetInfo()
+        tkey = _target_key(target)
+        tid = self._targets.get(tkey)
+        if tid is None:
+            with self._lock:
+                tid = self._targets.setdefault(tkey, len(self._targets))
         root = self._root(module)
         counters: _Counters = {}
         with self._lock:
             node, i = self._follow(root, seq, tid, 0, counters)
-            if i < len(seq):
-                return None, len(seq) - i
-            self.passes_skipped += i
-            out = None if stats_only else self._module(node).clone()
-        return CompileResult(out, StatsCollector.from_snapshot(counters), seq), 0
+            if i == len(seq):
+                self.passes_skipped += i
+                return self._result(node, seq, counters, stats_only)
+        return Miss(module, seq, target, tkey, tid, stats_only, node, i, counters)
+
+    def resume(self, miss: "Miss") -> CompileResult:
+        """Finish the compile a walk stopped at ``miss``: run each missing
+        pass in place and walk on.  If the state it stopped at was dropped
+        since, start again from the source module.  Safe to call again
+        after a pass raised (its node re-derives its module)."""
+        with self._lock:
+            node = miss.node
+            if self._nodes.get(node.key) is node:
+                self.passes_skipped += miss.i
+                return self._finish(node, miss.i, miss, dict(miss.counters))
+        root = self._root(miss.module)
+        with self._lock:
+            return self._finish(root, 0, miss, {})
+
+    def _finish(self, node: _Node, i: int, miss: "Miss", counters: _Counters) -> CompileResult:
+        """Walk and run the rest of ``miss``'s compile from ``node`` at
+        pass ``i`` (call with the lock held).  It walks before it runs: a
+        compile since the walk may have added the edge it stopped at."""
+        seq, tid = miss.seq, miss.tid
+        while True:
+            node, j = self._follow(node, seq, tid, i, counters)
+            self.passes_skipped += j - i
+            if j == len(seq):
+                return self._result(node, seq, counters, miss.stats_only)
+            node = self._run(node, seq[j], tid, miss.tkey, miss.target, counters)
+            i = j + 1
+
+    def _result(
+        self, node: _Node, seq: List[str], counters: _Counters, stats_only: bool
+    ) -> CompileResult:
+        """The result of a compile that ended at ``node``: a clone of its
+        module, never the graph's own (call with the lock held)."""
+        out = None if stats_only else self._module(node).clone()
+        return CompileResult(out, StatsCollector.from_snapshot(counters), seq)
 
     def compile(
         self,
@@ -440,19 +460,33 @@ class CompileGraph:
     ) -> CompileResult:
         """:func:`run_opt` through the graph (no trace, no verifier): walk,
         and run each missing pass in place."""
-        seq, target, tkey, tid = self._prepare(sequence, target)
-        root = self._root(module)
-        counters: _Counters = {}
-        with self._lock:
-            node, i = self._follow(root, seq, tid, 0, counters)
-            self.passes_skipped += i
-            while i < len(seq):
-                node = self._run(node, seq[i], tid, tkey, target, counters)
-                node, j = self._follow(node, seq, tid, i + 1, counters)
-                self.passes_skipped += j - i - 1
-                i = j
-            out = None if stats_only else self._module(node).clone()
-        return CompileResult(out, StatsCollector.from_snapshot(counters), seq)
+        out = self.walk(module, sequence, target, stats_only)
+        return self.resume(out) if isinstance(out, Miss) else out
+
+
+class Miss:
+    """Where :meth:`CompileGraph.walk` stopped: the compile's arguments,
+    the node of the first missing edge, the pass position there, and the
+    statistics summed up to it.  ``left`` is the passes a
+    :meth:`CompileGraph.resume` still has to walk or run."""
+
+    __slots__ = ("module", "seq", "target", "tkey", "tid", "stats_only", "node", "i",
+                 "counters")
+
+    def __init__(self, module, seq, target, tkey, tid, stats_only, node, i, counters) -> None:
+        self.module = module
+        self.seq = seq
+        self.target = target
+        self.tkey = tkey
+        self.tid = tid
+        self.stats_only = stats_only
+        self.node = node
+        self.i = i
+        self.counters = counters
+
+    @property
+    def left(self) -> int:
+        return len(self.seq) - self.i
 
 
 def _pickled(module: Module) -> bytes:
@@ -470,7 +504,6 @@ def _after_fork_in_child() -> None:
         graph.passes_run = graph.passes_unchanged = graph.passes_skipped = 0
         graph.rederived = 0
         graph._taken = (0, 0, 0, 0)
-        graph._unsent = {}
         # the parent's unsent entries are already in the inherited nodes
         if graph._journal is not None:
             graph._journal = []
@@ -488,6 +521,7 @@ def run_opt(
     trace: Optional[PassTrace] = None,
     graph: Optional[CompileGraph] = None,
     stats_only: bool = False,
+    resume: Optional[Miss] = None,
 ) -> CompileResult:
     """Apply ``sequence`` to a *clone* of ``module``; the input is untouched.
 
@@ -497,12 +531,16 @@ def run_opt(
 
     With ``graph`` the compile runs only the passes the
     :class:`CompileGraph` has not yet applied to the state they meet;
-    module and statistics are the same.  A traced or per-pass-verified
-    compile bypasses the graph (both need every pass to run).
+    module and statistics are the same.  ``resume``, the :class:`Miss`
+    that ``graph.walk`` returned for this same compile, continues it from
+    where that walk stopped.  A traced or per-pass-verified compile
+    bypasses the graph (both need every pass to run).
 
     With ``stats_only`` the result carries ``module=None``: only the
     statistics are wanted, and through a graph no module is built."""
     if graph is not None and trace is None and not verify_each:
+        if resume is not None:
+            return graph.resume(resume)
         return graph.compile(module, sequence, target, stats_only=stats_only)
     work = module.clone()
     pm = PassManager(sequence, target=target, verify_each=verify_each)

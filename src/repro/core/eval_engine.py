@@ -15,17 +15,21 @@ that batch explicit:
   ``walk`` function that answers a candidate from the graph alone.  Each
   unique key of a batch is walked in this process first; the graph
   already knows most candidates, so only the misses (candidates with a
-  pass left to run) go through the compile function;
+  pass left to run) are compiled, and one compiled here continues from
+  where its walk stopped;
 * **two ways to run the misses** — in-line, or on forked process
   workers.  ``jobs=1`` without a timeout is a deterministic serial loop
   in this process (no workers).  At ``jobs>1`` the misses run in-line
-  unless their predicted pass work covers the round trip to a worker,
-  both measured by the engine as it goes (no knob); dispatched misses
-  are split by passes left to run between this process and ``jobs-1``
-  forked workers, and the caller compiles its share in-line while the
-  workers compile theirs.  Workers are forked lazily, on the first batch
-  dispatched (any batch with a miss, under a timeout), and inherit the
-  compile function; each sits on one duplex pipe;
+  unless their predicted pass work covers what a dispatch costs, both
+  measured (no knob): the seconds per pass from misses run in-line, and
+  the dispatch costs from one measuring dispatch per process, which
+  every engine of the process then shares.  Dispatched misses are split
+  by passes left to run between this process and ``jobs-1`` forked
+  workers, and the caller compiles its share in-line while the workers
+  compile theirs.  Workers are forked on a dispatched batch (any batch
+  with a miss, under a timeout), inherit the compile function, and each
+  sits on one duplex pipe; a batch run in-line stops them, so an idle
+  worker neither lingers nor lets the journal grow;
 * **one compile graph** — the compile function's graph (the ``graph``
   argument) would otherwise grow one private copy per process.  Each
   batch message carries the graph's journal: the edges and states the
@@ -170,6 +174,16 @@ _PARENT_ENDS: "weakref.WeakSet[Connection]" = weakref.WeakSet()
 
 _Out = Tuple[str, object, str, int, float, float]
 
+#: What a dispatch costs, as this process measured it, by ``jobs``: how
+#: many times slower a dispatched batch compiles per pass than an in-line
+#: one (cores shared with other work, a worker's cold caches), the seconds
+#: it takes beyond its longest share (pickling, waking a worker, pipe
+#: waits, merges), and the seconds forking its workers took.  The first
+#: engine of a process that would dispatch measures them with one batch;
+#: every later engine (a new task, say) reuses them, so a process pays one
+#: measuring fork per ``jobs``, not one per task.
+_MEASURED: Dict[int, Tuple[float, float, float]] = {}
+
 
 def _flagged(fn: Callable, stats_only: bool) -> Callable:
     """``fn``, told to build no module when only statistics are wanted."""
@@ -295,11 +309,15 @@ class CompileEngine:
         (see the module docstring); unused by the serial path.
     walk:
         ``walk(module_name, sequence, stats_only) -> (result, passes
-        left)``: answers a candidate from what this process's compile
-        graph already knows, returning ``(result, 0)``, or ``(None, n)``
-        with ``n`` the passes a compile would still have to run.  Every
-        unique key of a batch is walked here first, and only the misses
-        go through ``compile_fn``.  ``None`` (the default) walks nothing.
+        left, finish)``: answers a candidate from what this process's
+        compile graph already knows, returning ``(result, 0, None)``, or
+        ``(None, n, finish)`` with ``n`` the passes a compile would still
+        have to run and ``finish(module_name, sequence)`` the compile
+        function's result, continued from where the walk stopped.  Every
+        unique key of a batch is walked here first; a miss compiled in
+        this process goes through its ``finish`` (retries too), one
+        dispatched through ``compile_fn``.  ``None`` (the default) walks
+        nothing.
     """
 
     def __init__(
@@ -328,14 +346,10 @@ class CompileEngine:
 
         self.graph = graph
         self.walk = walk
-        #: what the dispatch decision rests on, measured: the seconds and
-        #: passes left of the misses run in-line, and how much slower the
-        #: latest dispatched batch compiled, and how long it took beyond
-        #: its longest share
+        #: the seconds and passes left of the misses run in-line (with the
+        #: process's dispatch costs, what the dispatch decision rests on)
         self._inline_seconds = 0.0
         self._inline_passes = 0
-        self._slowdown = 1.0
-        self._round_trip = 0.0
 
         self._quarantine: Dict[Hashable, CompileOutcome] = {}
         self._lock = Lock()
@@ -389,8 +403,8 @@ class CompileEngine:
 
     def _start_workers(self) -> float:
         """Queue this process's new journal entries for each process
-        worker, and fork the missing workers; returns the seconds spent
-        forking."""
+        worker, and fork the missing workers (starting the journal);
+        returns the seconds spent forking."""
         self._forward_own()
         wanted = self.jobs if self.timeout is not None else self.jobs - 1
         t0 = time.perf_counter()
@@ -434,14 +448,22 @@ class CompileEngine:
         return fresh
 
     def close(self) -> None:
-        """Shut the process workers down (idempotent; the engine stays
-        usable and forks them again on demand)."""
+        """Shut the process workers down and stop the compile graph's
+        journal (idempotent; the engine stays usable and forks them again
+        on demand)."""
         with self._dispatch:
-            workers, self._workers = self._workers, []
-            for worker in workers:
-                worker.conn.close()  # all exit at once
-            for worker in workers:
-                worker.stop()
+            self._stop_workers()
+
+    def _stop_workers(self) -> None:
+        """Stop every process worker and the journal kept for them (call
+        with ``_dispatch`` held)."""
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            worker.conn.close()  # all exit at once
+        for worker in workers:
+            worker.stop()
+        if self.graph is not None:
+            self.graph.end_journal()
 
     def __enter__(self) -> "CompileEngine":
         return self
@@ -490,8 +512,8 @@ class CompileEngine:
         first, and a key the walk answers counts as a compile (its walk
         time is its compile time).  The misses run with retry, timeout
         and quarantine handling: in-line, or on the process workers when
-        their predicted pass work covers the round trip (see
-        :meth:`_plan`).
+        their predicted pass work covers what a dispatch costs (see
+        :meth:`_plan`).  Misses run in-line stop any process workers.
 
         With ``stats_only=True`` every candidate compiles as
         ``compile_fn(name, seq, stats_only=True)``, in whichever process
@@ -529,17 +551,25 @@ class CompileEngine:
             attempt = (self.max_retries, self.retry_backoff, time.perf_counter())
             outs: List[Optional[_Out]] = [None] * len(work)
             left = [len(seq) for _name, seq in work]
+            fn = _flagged(self.compile_fn, stats_only)
+            #: how this process compiles each key: a walked miss continues
+            #: from where its walk stopped
+            here = [fn] * len(work)
             if self.walk is not None:
                 for k, (name, seq) in enumerate(work):
-                    outs[k], left[k] = self._walk_one(name, seq, stats_only, attempt[2])
+                    outs[k], left[k], finish = self._walk_one(name, seq, stats_only, attempt[2])
+                    if finish is not None:
+                        here[k] = finish
             misses = [k for k, out in enumerate(outs) if out is None]
             b_walked = len(work) - len(misses)
             if misses:
-                fn = _flagged(self.compile_fn, stats_only)
                 shares = self._plan(misses, left)
                 if shares is None:
+                    if self._workers:
+                        with self._dispatch:
+                            self._stop_workers()
                     for k in misses:
-                        outs[k] = _attempt_invoke(fn, *attempt, *work[k])
+                        outs[k] = _attempt_invoke(here[k], *attempt, *work[k])
                     ok = [k for k in misses if outs[k][0] == "ok"]
                     with self._lock:
                         self._inline_seconds += sum(outs[k][4] for k in ok)
@@ -547,11 +577,11 @@ class CompileEngine:
                 else:
                     b_dispatched = sum(len(share) for share in shares[1:])
                     with self._dispatch:
-                        elapsed = self._run_on_workers(
-                            fn, attempt, stats_only, work, shares, outs
+                        elapsed, forked = self._run_on_workers(
+                            here, attempt, stats_only, work, shares, outs
                         )
                     if self.timeout is None:
-                        self._record_dispatch(elapsed, shares, left, outs)
+                        self._record_dispatch(elapsed, forked, shares, left, outs)
             with self._lock:
                 for (key, slots), (status, out, err, attempts, dt, wait) in zip(
                     pending.items(), outs
@@ -608,55 +638,52 @@ class CompileEngine:
 
     def _walk_one(
         self, name: str, seq: Sequence, stats_only: bool, submit_t: float
-    ) -> Tuple[Optional[_Out], int]:
-        """Walk one candidate: its result if the walk answered it, and the
-        passes a compile would still run.  A walk that raises (an unknown
-        pass, say) leaves the key to the compile function, which reports
-        the failure."""
+    ) -> Tuple[Optional[_Out], int, Optional[Callable]]:
+        """Walk one candidate: its result if the walk answered it, the
+        passes a compile would still run, and the call that finishes it
+        here.  A walk that raises (an unknown pass, say) leaves the key
+        to the compile function, which reports the failure."""
         t0 = time.perf_counter()
         try:
-            value, left = self.walk(name, seq, stats_only)
+            value, left, finish = self.walk(name, seq, stats_only)
         except Exception:  # noqa: BLE001 - the compile reports it
-            return None, len(seq)
+            return None, len(seq), None
         if value is None:
-            return None, left
-        return ("ok", value, "", 1, time.perf_counter() - t0, t0 - submit_t), 0
+            return None, left, finish
+        return ("ok", value, "", 1, time.perf_counter() - t0, t0 - submit_t), 0, None
 
-    def _costs(self) -> Tuple[float, float, float]:
+    def _costs(self) -> Tuple[float, Optional[Tuple[float, float, float]]]:
         """The measured costs :meth:`_plan` weighs: the seconds a miss run
-        in-line takes per pass it has left (0.0 before the first), the
-        slowdown of a miss compiled while a batch is dispatched (1.0
-        before the first dispatch), and the round trip, the time a
-        dispatched batch takes beyond its longest share (0.0 before the
-        first dispatch).  The last two come from the latest dispatched
-        batch, so a dispatch that did not pay is not repeated until the
-        pass work grows."""
+        in-line takes per pass it has left (0.0 before the first), and
+        this process's dispatch costs at this ``jobs`` (``None`` before
+        its measuring dispatch; see :data:`_MEASURED`)."""
         with self._lock:
             per_pass = (
                 self._inline_seconds / self._inline_passes if self._inline_passes else 0.0
             )
-            return per_pass, self._slowdown, self._round_trip
+        return per_pass, _MEASURED.get(self.jobs)
 
     def _record_dispatch(
-        self, elapsed: float, shares: List[List[int]], left: List[int],
+        self, elapsed: float, forked: float, shares: List[List[int]], left: List[int],
         outs: List[Optional[_Out]],
     ) -> None:
-        """Measure a dispatched batch: the seconds per pass left its misses
-        took, in every process, over the in-line figure (cores shared with
-        other work, a worker's cold caches), and the ``elapsed`` seconds,
-        from queueing journals to merging the last answer, beyond its
-        longest share at that rate (pickling, waking a worker, pipe waits
-        and merges)."""
-        per_pass, _slowdown, _round_trip = self._costs()
+        """Measure a dispatched batch into :data:`_MEASURED`: the seconds
+        per pass left its misses took, in every process, over the in-line
+        figure; the ``elapsed`` seconds, from queueing journals to merging
+        the last answer, beyond its longest share at that rate and the
+        ``forked`` seconds; and ``forked``, when this batch forked."""
+        with self._lock:
+            if not self._inline_passes:
+                return
+            per_pass = self._inline_seconds / self._inline_passes
         ok = [k for share in shares for k in share if outs[k][0] == "ok"]
         passes = sum(left[k] for k in ok)
-        if not (per_pass and passes):
+        if not passes:
             return
         rate = sum(outs[k][4] for k in ok) / passes
         longest = rate * max(sum(left[k] for k in share) for share in shares)
-        with self._lock:
-            self._slowdown = rate / per_pass
-            self._round_trip = max(0.0, elapsed - longest)
+        fork = forked or _MEASURED.get(self.jobs, (0.0, 0.0, 0.0))[2]
+        _MEASURED[self.jobs] = (rate / per_pass, max(0.0, elapsed - forked - longest), fork)
 
     def _plan(self, misses: List[int], left: List[int]) -> Optional[List[List[int]]]:
         """How to run a batch's misses: ``None`` to run them in-line, else
@@ -668,20 +695,26 @@ class CompileEngine:
         only when that split is predicted to finish before the in-line
         run would, from the costs :meth:`_costs` measured: a miss takes
         its passes left times the seconds per pass, times the slowdown
-        when dispatched, and each worker's share starts at the round
-        trip.  A batch whose pass work does not cover the round trip
-        stays in this process.  Misses run in-line until one has been
-        timed; the first batch dispatched after that measures the rest."""
+        when dispatched, and each worker's share starts at the round trip
+        (plus the fork, when no workers are up).  A batch whose pass work
+        does not cover that stays in this process.  Misses run in-line
+        until one has been timed; if this process has not yet measured a
+        dispatch at this ``jobs``, the next batch of two or more misses
+        is dispatched to measure one."""
         if self.kind == "serial":
             return None
         if self.timeout is not None:
             return [[]] + _split(misses, left, [0.0] * self.jobs)
         if len(misses) < 2:
             return None
-        per_pass, slowdown, round_trip = self._costs()
+        per_pass, measured = self._costs()
         if not per_pass:
             return None
-        loads = [0.0] + [round_trip] * (self.jobs - 1)
+        if measured is None:
+            return _split(misses, left, [0.0] * self.jobs)
+        slowdown, round_trip, fork = measured
+        start = round_trip + (0.0 if self._workers else fork)
+        loads = [0.0] + [start] * (self.jobs - 1)
         shares = _split(misses, [per_pass * slowdown * n for n in left], loads)
         inline = per_pass * sum(left[k] for k in misses)
         if not any(shares[1:]) or max(loads) >= inline:
@@ -689,14 +722,15 @@ class CompileEngine:
         return shares
 
     def _run_on_workers(
-        self, fn: Callable, attempt: Tuple[int, float, float], stats_only: bool,
+        self, here: List[Callable], attempt: Tuple[int, float, float], stats_only: bool,
         work: List[Tuple[str, Sequence[int]]], shares: List[List[int]],
         outs: List[Optional[_Out]],
-    ) -> float:
+    ) -> Tuple[float, float]:
         """Compile the slots of ``work`` that ``shares`` names into
-        ``outs``: ``shares[0]`` in this process, the others on the
-        process workers, one share each.  Returns the seconds it took,
-        forking aside.
+        ``outs``: ``shares[0]`` in this process (slot ``k`` through
+        ``here[k]``), the others on the process workers, one share each.
+        Returns the seconds it took and the seconds of those spent
+        forking.
 
         Without a timeout this process compiles its share in-line while
         the workers compile theirs, then merges their journals as their
@@ -712,7 +746,7 @@ class CompileEngine:
         submit_t = attempt[2]
         stream = self.timeout is not None
         t0 = time.perf_counter()
-        t0 += self._start_workers()  # a fork is paid once, not per batch
+        forked = self._start_workers()
         workers = list(self._workers)
         #: each busy worker's unanswered slots, and when its current item began
         queues: Dict[_Worker, List[int]] = {}
@@ -734,7 +768,7 @@ class CompileEngine:
                 if slots:
                     dispatch(worker, slots)
             for i in shares[0]:
-                outs[i] = _attempt_invoke(fn, *attempt, *work[i])
+                outs[i] = _attempt_invoke(here[i], *attempt, *work[i])
             while queues:
                 if stream:
                     now = time.perf_counter()
@@ -785,7 +819,7 @@ class CompileEngine:
             for i in share:
                 if outs[i] is None:
                     outs[i] = _LOST
-        return time.perf_counter() - t0
+        return time.perf_counter() - t0, forked
 
 
 def _split(slots: List[int], weights: Sequence[float], loads: List[float]) -> List[List[int]]:

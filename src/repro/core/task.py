@@ -34,12 +34,12 @@ import time
 import warnings
 from collections import deque
 from functools import partial
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.compiler.ir import Module
-from repro.compiler.opt_tool import CompileGraph, run_opt
+from repro.compiler.opt_tool import CompileGraph, Miss, run_opt
 from repro.compiler.pass_manager import PassTrace, TargetInfo
 from repro.compiler.pipelines import SEARCH_PASSES, pipeline
 from repro.core.eval_engine import CompileEngine, CompileOutcome
@@ -71,15 +71,17 @@ def _compile_candidate(
     module_name: str,
     seq: Sequence[str],
     stats_only: bool = False,
+    miss: Optional[Miss] = None,
 ) -> CompiledModule:
     """The raw compile of a decoded pass-name sequence — a pure function
     of its arguments, as the engine's dedup and process workers both
     require (``graph`` only saves work).  Module-level and bound with
     ``functools.partial`` over picklable values only, so a process worker
     started without fork can still be handed it.  ``stats_only`` returns
-    ``CompiledModule(None, stats)``."""
+    ``CompiledModule(None, stats)``; ``miss``, where walking this same
+    candidate through ``graph`` stopped, continues the compile from there."""
     src = program.get_module(module_name)
-    cr = run_opt(src, seq, target=target, graph=graph, stats_only=stats_only)
+    cr = run_opt(src, seq, target=target, graph=graph, stats_only=stats_only, resume=miss)
     return CompiledModule(cr.module, cr.stats_json())
 
 
@@ -90,12 +92,18 @@ def _walk_candidate(
     module_name: str,
     seq: Sequence[str],
     stats_only: bool = False,
-) -> Tuple[Optional[CompiledModule], int]:
+) -> Tuple[Optional[CompiledModule], int, Optional[Callable[..., CompiledModule]]]:
     """The engine's walk: :func:`_compile_candidate`'s result when
-    ``graph`` already knows every pass of ``seq``, else ``None`` and the
-    passes a compile would still run."""
-    cr, left = graph.walk(program.get_module(module_name), seq, target, stats_only)
-    return (CompiledModule(cr.module, cr.stats_json()) if cr is not None else None), left
+    ``graph`` already knows every pass of ``seq``; else ``None``, the
+    passes left, and the compile function that finishes the compile from
+    where the walk stopped."""
+    out = graph.walk(program.get_module(module_name), seq, target, stats_only)
+    if isinstance(out, Miss):
+        finish = partial(
+            _compile_candidate, program, target, graph, stats_only=stats_only, miss=out
+        )
+        return None, out.left, finish
+    return CompiledModule(out.module, out.stats_json()), 0, None
 
 
 class AutotuningTask:
@@ -133,7 +141,7 @@ class AutotuningTask:
         :class:`~repro.core.eval_engine.CompileEngine` behind
         :meth:`compile_batch`: ``jobs=1`` is a
         deterministic serial loop, and ``jobs>1`` forks ``jobs-1`` process
-        workers on the first batch whose pass work covers the round trip
+        workers for a batch whose pass work covers what a dispatch costs
         (this process walks every candidate first and compiles items of
         each batch too, and all of them walk one compile graph).  A
         ``compile_timeout`` runs every compile that has a pass to run on

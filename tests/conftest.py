@@ -14,14 +14,23 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture(autouse=True)
+def _fresh_dispatch_costs(monkeypatch):
+    """Each test starts from a process that has measured no dispatch, so
+    whether an engine dispatches does not depend on the tests before."""
+    from repro.core import eval_engine
+
+    monkeypatch.setattr(eval_engine, "_MEASURED", {})
+
+
 @pytest.fixture
 def dispatch_every_batch(monkeypatch):
     """Test seam: the compile engine predicts that every miss outweighs
-    the round trip to a worker, so each batch of two or more misses (at
+    what a dispatch costs, so each batch of two or more misses (at
     ``jobs > 1``) goes to its process workers, the first one included."""
     from repro.core.eval_engine import CompileEngine
 
-    monkeypatch.setattr(CompileEngine, "_costs", lambda self: (1.0, 1.0, 0.0))
+    monkeypatch.setattr(CompileEngine, "_costs", lambda self: (1.0, (1.0, 0.0, 0.0)))
 
 
 def build_dot_kernel(acc_ty=I64, mul_ty=I32, elem_ty=I16, lanes=8) -> Module:

@@ -369,9 +369,8 @@ class TestTaskDegradation:
             assert task.engine.kind == "process"
             res = Citroen(task, seed=1, n_init=3, per_strategy=2).tune(8)
             assert len(res.measurements) == 8
-            assert len(task.engine._workers) == 1
             tb = task.timing_breakdown()
-        assert tb["executor"] == "process"
+        assert tb["executor"] == "process" and tb["compile_dispatched"] > 0
         assert tb["compile_failures"] > 0 and tb["compile_retries"] > 0
 
     def test_env_chaos_ignored_when_unset(self, monkeypatch):

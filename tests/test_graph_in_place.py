@@ -143,3 +143,55 @@ def test_small_capacity_re_derives_handed_on_modules(monkeypatch):
     assert stats["rederived"] > 0
     assert stats["passes_unchanged"] > stats["passes_run"] / 2
     _check_nodes(graph)
+
+
+def test_a_miss_resumes_where_its_walk_stopped(monkeypatch):
+    # the run step continues from the walk's node, walks nothing twice,
+    # can be called again after a pass raised, and starts from the source
+    # module once the node it stopped at was dropped
+    monkeypatch.setattr(opt_tool, "GRAPH_CAPACITY", CAPACITY)
+    rng = random.Random(3)
+    module = random_program(3, n_modules=1).modules[0]
+    seq = [rng.choice(SEARCH_PASSES) for _ in range(40)]
+    cold = _output(run_opt(module, seq, target=TARGET))
+    graph = CompileGraph()
+    run_opt(module, seq[:20], target=TARGET, graph=graph)
+    before = graph.stats()
+    miss = graph.walk(module, seq, TARGET)
+    assert isinstance(miss, opt_tool.Miss) and miss.i + miss.left == 40 and miss.i >= 20
+    with monkeypatch.context() as patch:
+        _raise_on(patch, seq[miss.i], 1)
+        with pytest.raises(RuntimeError, match="pass crashed"):
+            graph.resume(miss)
+    assert _output(graph.resume(miss)) == cold
+    stats = graph.stats()
+    assert stats["passes_run"] - before["passes_run"] <= miss.left + 1  # the raised run
+    assert stats["passes_skipped"] - before["passes_skipped"] >= miss.i
+    _check_nodes(graph)
+
+    graph = CompileGraph()
+    run_opt(module, seq[:20], target=TARGET, graph=graph)
+    miss = graph.walk(module, seq, TARGET)
+    for other in _sequences(rng, 4, max_len=30):
+        run_opt(module, other, target=TARGET, graph=graph)
+    assert _output(graph.resume(miss)) == cold
+    _check_nodes(graph)
+
+
+def test_a_resume_walks_the_edges_added_since_its_walk():
+    # two candidates of one batch share a prefix past where both walks
+    # stopped: compiling the first adds the edges the second then walks,
+    # so the shared passes run once, as in a compile from the root
+    rng = random.Random(5)
+    module = random_program(5, n_modules=1).modules[0]
+    head = [rng.choice(SEARCH_PASSES) for _ in range(20)]
+    first, second = head + ["dce"], head + ["adce"]
+    graph = CompileGraph()
+    run_opt(module, head[:5], target=TARGET, graph=graph)
+    misses = [graph.walk(module, seq, TARGET) for seq in (first, second)]
+    assert all(isinstance(miss, opt_tool.Miss) for miss in misses)
+    runs = graph.stats()["passes_run"]
+    graph.resume(misses[0])
+    shared = graph.stats()["passes_run"] - runs
+    assert _output(graph.resume(misses[1])) == _output(run_opt(module, second, target=TARGET))
+    assert graph.stats()["passes_run"] - runs == shared + 1

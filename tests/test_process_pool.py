@@ -14,6 +14,7 @@ the worker path force dispatch through the ``dispatch_every_batch`` seam.
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import time
@@ -23,7 +24,7 @@ import pytest
 
 from repro import AutotuningTask, Citroen, CompileEngine, cbench_program
 from repro.cli import main
-from repro.compiler.opt_tool import run_opt
+from repro.compiler.opt_tool import GRAPH_CAPACITY, run_opt
 from repro.compiler.textual import print_module
 from repro.core.faults import FaultInjector
 from repro.machine.artifacts import ir_fingerprint
@@ -96,8 +97,8 @@ def test_citroen_history_matches_serial(dispatch_every_batch, feature_mode):
 def test_history_matches_serial_with_every_batch_dispatched(dispatch_every_batch):
     # measured costs rarely favour a worker on a small tune; the seam
     # sends every batch's misses to one, while the parent also runs its
-    # share in place with its journal still unsent (at jobs=1 there are
-    # no workers to send to)
+    # share in place and journals it (at jobs=1 there are no workers to
+    # send to)
     def tune(jobs):
         with AutotuningTask(cbench_program("telecom_gsm"), platform="arm-a57",
                             seed=0, seq_length=16, jobs=jobs) as task:
@@ -115,6 +116,39 @@ def test_history_matches_serial_with_every_batch_dispatched(dispatch_every_batch
     assert t1["compile_walked"] > 0 and t2["compile_walked"] > 0
     applied = t2["graph_passes_run"] + t2["graph_passes_skipped"]
     assert applied >= t1["graph_passes_run"] + t1["graph_passes_skipped"]
+
+
+def test_batches_run_in_line_stop_the_workers_and_their_journal(monkeypatch):
+    # after a dispatch, batches whose pass work does not cover a dispatch
+    # run in-line; an idle worker must not linger, nor the journal keep
+    # every new state's module for it for the rest of the task
+    round_trip = [0.0]
+    monkeypatch.setattr(
+        CompileEngine, "_costs", lambda self: (1.0, (1.0, round_trip[0], 0.0))
+    )
+    rng = random.Random(7)
+
+    def batch(task):
+        names = [m.name for m in task.program.modules]
+        return [(rng.choice(names), [rng.randrange(len(task.passes)) for _ in range(10)])
+                for _ in range(8)]
+
+    with _task(2) as task, _task(1) as serial:
+        def compile_both(items):
+            out, ref = task.compile_batch(items, True), serial.compile_batch(items, True)
+            assert [o.value.stats for o in out] == [o.value.stats for o in ref]
+
+        compile_both(batch(task))
+        assert task.engine._workers and task.graph._journal is not None
+        round_trip[0] = float("inf")  # no batch covers a dispatch now
+        for _ in range(40):
+            compile_both(batch(task))
+            assert not task.engine._workers and task.graph._journal is None
+        assert len(task.graph._nodes) <= GRAPH_CAPACITY
+        round_trip[0] = 0.0  # workers fork afresh from the graph as it stands
+        dispatched = task.engine.stats()["dispatched"]
+        compile_both(batch(task))
+        assert task.engine._workers and task.engine.stats()["dispatched"] > dispatched
 
 
 def _assert_measured_match_cold(measured, target):
@@ -351,7 +385,7 @@ def compile_fn(name, seq):
     return os.getpid()
 
 # test seam: dispatch the first batch, before any cost is measured
-CompileEngine._costs = lambda self: (1.0, 1.0, 0.0)
+CompileEngine._costs = lambda self: (1.0, (1.0, 0.0, 0.0))
 engine = CompileEngine(compile_fn, jobs=3)
 engine.compile_batch([("m", [i]) for i in range(6)])
 print(" ".join(str(w.process.pid) for w in engine._workers), flush=True)
