@@ -45,7 +45,10 @@ perfbench does not print, read from outside the program:
   compiles that the walk answered in the tuning process, and that were
   sent to a process worker (from ``compile_walked``,
   ``compile_dispatched`` and ``n_compiles``; 0 in a checkout from
-  before the walk).
+  before the walk).  A checkout whose engine forks workers only to
+  enforce a compile timeout, as this one does, dispatches nothing on
+  the perfbench workloads, which set none: there ``dispatched_share``
+  and the worker figures read 0 at any ``--jobs``.
 
 Each ``--traced`` run per side is ``--trace 1``; it keeps the per-layer
 metrics in ``TRACED`` (compile, measurement and write-path layers) and
@@ -55,7 +58,9 @@ metrics in ``TRACED`` (compile, measurement and write-path layers) and
 that checkout, CITROEN tunes of ``525.x264_r`` at seeds 1-3 (budget 40,
 sequence length 16, platform ``arm-a57``) summed per jobs setting,
 ``--jobs 1`` and ``--jobs 2`` alternating over three repeats, plus the
-seed-1 tune's compile-graph counters at each setting.
+seed-1 tune's compile-graph counters at each setting.  The sweep sets no
+compile timeout, so in this checkout both settings compile in-line and
+it compares a checkout that splits batches against that.
 
 Run from the root of the checkout that holds this script::
 

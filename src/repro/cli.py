@@ -801,8 +801,9 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--show-sequences", action="store_true")
     tune.add_argument(
         "--jobs", type=_positive_int, default=1,
-        help="parallel compile workers (1 = deterministic serial loop; "
-        "proposals are identical at any setting)",
+        help="compile workers forked to enforce --compile-timeout (without "
+        "a timeout candidates compile in-line at any setting; proposals "
+        "are identical at any setting)",
     )
     _add_fault_flags(tune)
     _add_obs_flags(tune)

@@ -17,25 +17,22 @@ that batch explicit:
   already knows most candidates, so only the misses (candidates with a
   pass left to run) are compiled, and one compiled here continues from
   where its walk stopped;
-* **two ways to run the misses** — in-line, or on forked process
-  workers.  ``jobs=1`` without a timeout is a deterministic serial loop
-  in this process (no workers).  At ``jobs>1`` the misses run in-line
-  unless their predicted pass work covers what a dispatch costs, both
-  measured (no knob): the seconds per pass from misses run in-line, and
-  the dispatch costs from one measuring dispatch per process, which
-  every engine of the process then shares.  Dispatched misses are split
-  by passes left to run between this process and ``jobs-1`` forked
-  workers, and the caller compiles its share in-line while the workers
-  compile theirs.  Workers are forked on a dispatched batch (any batch
-  with a miss, under a timeout), inherit the compile function, and each
-  sits on one duplex pipe; a batch run in-line stops them, so an idle
-  worker neither lingers nor lets the journal grow;
+* **in-line unless a timeout is set** — without a timeout the misses run
+  in this process, in order, at any ``jobs``: on a 2-vCPU host a
+  dispatch to a forked worker cost more than the pass work it moved, so
+  no batch is split.  Enforcing a timeout needs a compile that can be
+  killed, so with one set every miss runs on ``jobs`` forked process
+  workers, split by passes left to run.  Workers are forked on the first
+  timed batch, inherit the compile function, and each sits on one duplex
+  pipe, streaming one result per item;
 * **one compile graph** — the compile function's graph (the ``graph``
-  argument) would otherwise grow one private copy per process.  Each
+  argument) would otherwise grow one private copy per worker.  Each
   batch message carries the graph's journal: the edges and states the
   other processes added since that worker's last batch, and each worker
   answers with its own, which this process merges (pass counters
-  included).  Every process then walks one logical graph;
+  included).  Every worker takes a message each batch, an empty share if
+  need be, so no journal waits on an idle worker.  Every process then
+  walks one logical graph;
 * **stats-only compiles** — ``compile_batch(..., stats_only=True)``
   calls the compile function as ``compile_fn(name, seq,
   stats_only=True)``, in-line and in the workers alike: a compile
@@ -174,16 +171,6 @@ _PARENT_ENDS: "weakref.WeakSet[Connection]" = weakref.WeakSet()
 
 _Out = Tuple[str, object, str, int, float, float]
 
-#: What a dispatch costs, as this process measured it, by ``jobs``: how
-#: many times slower a dispatched batch compiles per pass than an in-line
-#: one (cores shared with other work, a worker's cold caches), the seconds
-#: it takes beyond its longest share (pickling, waking a worker, pipe
-#: waits, merges), and the seconds forking its workers took.  The first
-#: engine of a process that would dispatch measures them with one batch;
-#: every later engine (a new task, say) reuses them, so a process pays one
-#: measuring fork per ``jobs``, not one per task.
-_MEASURED: Dict[int, Tuple[float, float, float]] = {}
-
 
 def _flagged(fn: Callable, stats_only: bool) -> Callable:
     """``fn``, told to build no module when only statistics are wanted."""
@@ -199,14 +186,13 @@ def _serve(
 ) -> None:
     """A process worker's loop: one batch message in, its results out.
 
-    A message is ``(journals, stats_only, stream, submit_t, items)``: the
-    worker merges the pickled journals into its copy of ``graph``,
-    compiles its share ``items`` in order through :func:`_attempt_invoke`
-    and answers ``("done", outs, journal, counts)`` with its own journal
+    A message is ``(journals, stats_only, submit_t, items)``: the worker
+    merges the pickled journals into its copy of ``graph``, compiles its
+    share ``items`` in order through :func:`_attempt_invoke`, sending
+    ``("item", out)`` as each item finishes (so the caller can time each
+    one), and ends with ``("done", journal, counts)``: its own journal
     (pickled once, so the caller can pass it on as it is) and pass
-    counters.  With ``stream`` set it sends ``("item", out)`` as each
-    item finishes instead, so the caller can time each one, and ``outs``
-    is empty.
+    counters.
 
     The worker ignores SIGINT (Ctrl-C is the caller's to handle) and
     freezes the objects it inherited, so its collector does not copy
@@ -217,20 +203,16 @@ def _serve(
         end.close()
     try:
         while True:
-            journals, stats_only, stream, submit_t, items = conn.recv()
+            journals, stats_only, submit_t, items = conn.recv()
             for journal in journals:
                 graph.merge(pickle.loads(journal))
             call = _flagged(fn, stats_only)
-            outs = []
             for name, seq in items:
                 out = _attempt_invoke(call, max_retries, backoff, submit_t, name, seq)
-                if stream:
-                    conn.send(("item", out))
-                else:
-                    outs.append(out)
+                conn.send(("item", out))
             entries, counts = graph.take_journal() if graph is not None else ([], None)
             journal = pickle.dumps(entries, pickle.HIGHEST_PROTOCOL) if entries else None
-            conn.send(("done", outs, journal, counts))
+            conn.send(("done", journal, counts))
     except (EOFError, OSError):
         return  # the caller closed the pipe, or died
 
@@ -275,15 +257,14 @@ class CompileEngine:
         quarantine and the process workers all assume call order is
         irrelevant.
     jobs:
-        process count; ``1`` without a timeout selects the deterministic
-        serial path.  It counts this process: ``jobs-1`` workers are
-        forked (``jobs`` with a timeout set, as this process then
-        compiles nothing in-line).  How batches run is :attr:`kind`.
+        the number of process workers forked to enforce a ``timeout``;
+        without one, batches run in-line at any ``jobs``.  How batches
+        run is :attr:`kind`.
     timeout:
         per-candidate compile timeout in seconds (``None`` disables).
         Enforcing a timeout needs a worker that can be killed, so when
-        set every batch runs on ``jobs`` process workers (one at
-        ``jobs=1``), each streaming one result per item.  A candidate
+        set every miss runs on ``jobs`` process workers, each streaming
+        one result per item.  A candidate
         that trips it is quarantined (a deterministic hang would only
         hang again), and its worker is killed and forked afresh, and its
         unfinished items are sent to the new worker, so a hung candidate
@@ -315,8 +296,8 @@ class CompileEngine:
         have to run and ``finish(module_name, sequence)`` the compile
         function's result, continued from where the walk stopped.  Every
         unique key of a batch is walked here first; a miss compiled in
-        this process goes through its ``finish`` (retries too), one
-        dispatched through ``compile_fn``.  ``None`` (the default) walks
+        this process goes through its ``finish`` (retries too), one sent
+        to a worker through ``compile_fn``.  ``None`` (the default) walks
         nothing.
     """
 
@@ -346,10 +327,6 @@ class CompileEngine:
 
         self.graph = graph
         self.walk = walk
-        #: the seconds and passes left of the misses run in-line (with the
-        #: process's dispatch costs, what the dispatch decision rests on)
-        self._inline_seconds = 0.0
-        self._inline_passes = 0
 
         self._quarantine: Dict[Hashable, CompileOutcome] = {}
         self._lock = Lock()
@@ -380,9 +357,9 @@ class CompileEngine:
 
     @property
     def kind(self) -> str:
-        """How batches run: ``"serial"`` (in-line, at ``jobs=1`` without
-        a timeout) or ``"process"`` (on forked workers)."""
-        return "serial" if self.jobs == 1 and self.timeout is None else "process"
+        """How batches run: ``"serial"`` (in-line, without a timeout) or
+        ``"process"`` (on forked workers, under a timeout)."""
+        return "serial" if self.timeout is None else "process"
 
     # -- process workers --------------------------------------------------------
     def _fork(self) -> _Worker:
@@ -401,23 +378,15 @@ class CompileEngine:
         theirs.close()
         return _Worker(process, ours)
 
-    def _start_workers(self) -> float:
+    def _start_workers(self) -> None:
         """Queue this process's new journal entries for each process
-        worker, and fork the missing workers (starting the journal);
-        returns the seconds spent forking."""
-        self._forward_own()
-        wanted = self.jobs if self.timeout is not None else self.jobs - 1
-        t0 = time.perf_counter()
-        while len(self._workers) < wanted:
-            self._workers.append(self._fork())
-        return time.perf_counter() - t0
-
-    def _forward_own(self) -> None:
-        """Queue this process's new journal entries for every worker."""
+        worker, and fork the missing workers (starting the journal)."""
         if self.graph is not None:
             entries, _ = self.graph.take_journal()
             if entries:
                 self._forward(pickle.dumps(entries, pickle.HIGHEST_PROTOCOL), None)
+        while len(self._workers) < self.jobs:
+            self._workers.append(self._fork())
 
     def _forward(self, journal: bytes, source: Optional[_Worker]) -> None:
         """Queue a pickled journal for every worker but ``source``."""
@@ -452,18 +421,13 @@ class CompileEngine:
         journal (idempotent; the engine stays usable and forks them again
         on demand)."""
         with self._dispatch:
-            self._stop_workers()
-
-    def _stop_workers(self) -> None:
-        """Stop every process worker and the journal kept for them (call
-        with ``_dispatch`` held)."""
-        workers, self._workers = self._workers, []
-        for worker in workers:
-            worker.conn.close()  # all exit at once
-        for worker in workers:
-            worker.stop()
-        if self.graph is not None:
-            self.graph.end_journal()
+            workers, self._workers = self._workers, []
+            for worker in workers:
+                worker.conn.close()  # all exit at once
+            for worker in workers:
+                worker.stop()
+            if self.graph is not None:
+                self.graph.end_journal()
 
     def __enter__(self) -> "CompileEngine":
         return self
@@ -512,8 +476,7 @@ class CompileEngine:
         first, and a key the walk answers counts as a compile (its walk
         time is its compile time).  The misses run with retry, timeout
         and quarantine handling: in-line, or on the process workers when
-        their predicted pass work covers what a dispatch costs (see
-        :meth:`_plan`).  Misses run in-line stop any process workers.
+        a timeout is set.
 
         With ``stats_only=True`` every candidate compiles as
         ``compile_fn(name, seq, stats_only=True)``, in whichever process
@@ -562,26 +525,14 @@ class CompileEngine:
                         here[k] = finish
             misses = [k for k, out in enumerate(outs) if out is None]
             b_walked = len(work) - len(misses)
-            if misses:
-                shares = self._plan(misses, left)
-                if shares is None:
-                    if self._workers:
-                        with self._dispatch:
-                            self._stop_workers()
-                    for k in misses:
-                        outs[k] = _attempt_invoke(here[k], *attempt, *work[k])
-                    ok = [k for k in misses if outs[k][0] == "ok"]
-                    with self._lock:
-                        self._inline_seconds += sum(outs[k][4] for k in ok)
-                        self._inline_passes += sum(left[k] for k in ok)
-                else:
-                    b_dispatched = sum(len(share) for share in shares[1:])
-                    with self._dispatch:
-                        elapsed, forked = self._run_on_workers(
-                            here, attempt, stats_only, work, shares, outs
-                        )
-                    if self.timeout is None:
-                        self._record_dispatch(elapsed, forked, shares, left, outs)
+            if misses and self.timeout is None:
+                for k in misses:
+                    outs[k] = _attempt_invoke(here[k], *attempt, *work[k])
+            elif misses:
+                b_dispatched = len(misses)
+                shares = _split(misses, left, self.jobs)
+                with self._dispatch:
+                    self._run_on_workers(attempt[2], stats_only, work, shares, outs)
             with self._lock:
                 for (key, slots), (status, out, err, attempts, dt, wait) in zip(
                     pending.items(), outs
@@ -652,102 +603,24 @@ class CompileEngine:
             return None, left, finish
         return ("ok", value, "", 1, time.perf_counter() - t0, t0 - submit_t), 0, None
 
-    def _costs(self) -> Tuple[float, Optional[Tuple[float, float, float]]]:
-        """The measured costs :meth:`_plan` weighs: the seconds a miss run
-        in-line takes per pass it has left (0.0 before the first), and
-        this process's dispatch costs at this ``jobs`` (``None`` before
-        its measuring dispatch; see :data:`_MEASURED`)."""
-        with self._lock:
-            per_pass = (
-                self._inline_seconds / self._inline_passes if self._inline_passes else 0.0
-            )
-        return per_pass, _MEASURED.get(self.jobs)
-
-    def _record_dispatch(
-        self, elapsed: float, forked: float, shares: List[List[int]], left: List[int],
-        outs: List[Optional[_Out]],
-    ) -> None:
-        """Measure a dispatched batch into :data:`_MEASURED`: the seconds
-        per pass left its misses took, in every process, over the in-line
-        figure; the ``elapsed`` seconds, from queueing journals to merging
-        the last answer, beyond its longest share at that rate and the
-        ``forked`` seconds; and ``forked``, when this batch forked."""
-        with self._lock:
-            if not self._inline_passes:
-                return
-            per_pass = self._inline_seconds / self._inline_passes
-        ok = [k for share in shares for k in share if outs[k][0] == "ok"]
-        passes = sum(left[k] for k in ok)
-        if not passes:
-            return
-        rate = sum(outs[k][4] for k in ok) / passes
-        longest = rate * max(sum(left[k] for k in share) for share in shares)
-        fork = forked or _MEASURED.get(self.jobs, (0.0, 0.0, 0.0))[2]
-        _MEASURED[self.jobs] = (rate / per_pass, max(0.0, elapsed - forked - longest), fork)
-
-    def _plan(self, misses: List[int], left: List[int]) -> Optional[List[List[int]]]:
-        """How to run a batch's misses: ``None`` to run them in-line, else
-        one share of slots for this process and one per worker.
-
-        Shares are split by passes left to run, heaviest first, each to
-        the share that finishes first.  Under a timeout every miss goes to
-        a worker that can be killed.  Otherwise the misses are dispatched
-        only when that split is predicted to finish before the in-line
-        run would, from the costs :meth:`_costs` measured: a miss takes
-        its passes left times the seconds per pass, times the slowdown
-        when dispatched, and each worker's share starts at the round trip
-        (plus the fork, when no workers are up).  A batch whose pass work
-        does not cover that stays in this process.  Misses run in-line
-        until one has been timed; if this process has not yet measured a
-        dispatch at this ``jobs``, the next batch of two or more misses
-        is dispatched to measure one."""
-        if self.kind == "serial":
-            return None
-        if self.timeout is not None:
-            return [[]] + _split(misses, left, [0.0] * self.jobs)
-        if len(misses) < 2:
-            return None
-        per_pass, measured = self._costs()
-        if not per_pass:
-            return None
-        if measured is None:
-            return _split(misses, left, [0.0] * self.jobs)
-        slowdown, round_trip, fork = measured
-        start = round_trip + (0.0 if self._workers else fork)
-        loads = [0.0] + [start] * (self.jobs - 1)
-        shares = _split(misses, [per_pass * slowdown * n for n in left], loads)
-        inline = per_pass * sum(left[k] for k in misses)
-        if not any(shares[1:]) or max(loads) >= inline:
-            return None
-        return shares
-
     def _run_on_workers(
-        self, here: List[Callable], attempt: Tuple[int, float, float], stats_only: bool,
-        work: List[Tuple[str, Sequence[int]]], shares: List[List[int]],
-        outs: List[Optional[_Out]],
-    ) -> Tuple[float, float]:
+        self, submit_t: float, stats_only: bool, work: List[Tuple[str, Sequence[int]]],
+        shares: List[List[int]], outs: List[Optional[_Out]],
+    ) -> None:
         """Compile the slots of ``work`` that ``shares`` names into
-        ``outs``: ``shares[0]`` in this process (slot ``k`` through
-        ``here[k]``), the others on the process workers, one share each.
-        Returns the seconds it took and the seconds of those spent
-        forking.
+        ``outs``, on the process workers, one share each.
 
-        Without a timeout this process compiles its share in-line while
-        the workers compile theirs, then merges their journals as their
-        answers arrive.  With one, this process compiles nothing, the
-        workers stream one result per item, and an item's clock starts
-        when this process read the answer before it (or sent the batch);
-        a worker whose item overruns, with no answer waiting in its pipe,
-        is killed and forked afresh from this process's graph, and its
-        unfinished items go to the new worker.  A worker found dead when
-        its share is sent (it died since the last batch) is forked afresh
-        too, and the new one compiles the share; the items of a worker
-        that dies while compiling come back as errors."""
-        submit_t = attempt[2]
-        stream = self.timeout is not None
-        t0 = time.perf_counter()
-        forked = self._start_workers()
-        workers = list(self._workers)
+        Every worker takes its share, empty or not, with the journals
+        queued for it, and streams one result per item; an item's clock
+        starts when this process read the answer before it (or sent the
+        batch).  A worker whose item overruns ``timeout``, with no
+        answer waiting in its pipe, is killed and forked afresh from
+        this process's graph, and its unfinished items go to the new
+        worker.  A worker found dead when its share is sent (it died
+        since the last batch) is forked afresh too, and the new one
+        compiles the share; the items of a worker that dies while
+        compiling come back as errors."""
+        self._start_workers()
         #: each busy worker's unanswered slots, and when its current item began
         queues: Dict[_Worker, List[int]] = {}
         started: Dict[_Worker, float] = {}
@@ -755,46 +628,39 @@ class CompileEngine:
         def dispatch(worker: _Worker, slots: List[int]) -> None:
             share = [work[i] for i in slots]
             try:
-                worker.conn.send((worker.outbox, stats_only, stream, submit_t, share))
+                worker.conn.send((worker.outbox, stats_only, submit_t, share))
             except OSError:  # the worker died since the last batch
                 worker = self._replace(worker)
-                worker.conn.send(([], stats_only, stream, submit_t, share))
+                worker.conn.send(([], stats_only, submit_t, share))
             worker.outbox = []
             queues[worker] = list(slots)
             started[worker] = time.perf_counter()
 
         try:
-            for worker, slots in zip(workers, shares[1:]):
-                if slots:
-                    dispatch(worker, slots)
-            for i in shares[0]:
-                outs[i] = _attempt_invoke(here[i], *attempt, *work[i])
+            for worker, slots in zip(list(self._workers), shares):
+                dispatch(worker, slots)
             while queues:
-                if stream:
-                    now = time.perf_counter()
-                    for worker, slots in list(queues.items()):
-                        # an answer already waiting came in time, however
-                        # long this process paused (a collection, say)
-                        # before reading it
-                        if (slots and now - started[worker] >= self.timeout
-                                and not worker.conn.poll()):
-                            outs[slots[0]] = (
-                                "timeout", None,
-                                f"compile timed out after {self.timeout:.4g}s",
-                                1, float(self.timeout), 0.0,
-                            )
-                            del queues[worker]
-                            fresh = self._replace(worker, kill=True)
-                            if slots[1:]:
-                                dispatch(fresh, slots[1:])
-                    if not queues:  # the item that overran was the last
-                        break
-                    deadlines = [started[w] + self.timeout for w, s in queues.items() if s]
-                    left = max(0.0, min(deadlines) - time.perf_counter()) if deadlines else None
-                else:
-                    left = None
+                now = time.perf_counter()
+                for worker, slots in list(queues.items()):
+                    # an answer already waiting came in time, however long
+                    # this process paused (a collection, say) before
+                    # reading it
+                    if (slots and now - started[worker] >= self.timeout
+                            and not worker.conn.poll()):
+                        outs[slots[0]] = (
+                            "timeout", None, f"compile timed out after {self.timeout:.4g}s",
+                            1, float(self.timeout), 0.0,
+                        )
+                        del queues[worker]
+                        fresh = self._replace(worker, kill=True)
+                        if slots[1:]:
+                            dispatch(fresh, slots[1:])
+                if not queues:  # the item that overran was the last
+                    break
+                deadlines = [started[w] + self.timeout for w, s in queues.items() if s]
+                wait = max(0.0, min(deadlines) - time.perf_counter()) if deadlines else None
                 by_conn = {w.conn: w for w in queues}
-                for conn in _wait_any(list(by_conn), timeout=left):
+                for conn in _wait_any(list(by_conn), timeout=wait):
                     worker = by_conn[conn]
                     try:
                         msg = conn.recv()
@@ -806,29 +672,27 @@ class CompileEngine:
                         outs[queues[worker].pop(0)] = msg[1]
                         started[worker] = time.perf_counter()
                         continue
-                    _, done, journal, counts = msg
-                    for i, out in zip(queues.pop(worker), done):
-                        outs[i] = out
+                    _, journal, counts = msg
+                    del queues[worker]
                     self._absorb(worker, journal, counts)
         except BaseException:
             # an interrupted batch leaves unread answers in these pipes
             for worker in queues:
                 self._retire(worker, kill=True)
             raise
-        for share in shares[1:]:
+        for share in shares:
             for i in share:
                 if outs[i] is None:
                     outs[i] = _LOST
-        return time.perf_counter() - t0, forked
 
 
-def _split(slots: List[int], weights: Sequence[float], loads: List[float]) -> List[List[int]]:
-    """Split ``slots`` into ``len(loads)`` shares, heaviest first, each to
-    the share with the least load so far (``loads`` holds each share's
-    starting load and is updated in place); each share in slot order."""
-    shares: List[List[int]] = [[] for _ in loads]
+def _split(slots: List[int], weights: Sequence[float], n: int) -> List[List[int]]:
+    """Split ``slots`` into ``n`` shares, heaviest first, each to the share
+    with the least weight so far; each share in slot order."""
+    shares: List[List[int]] = [[] for _ in range(n)]
+    loads = [0.0] * n
     for k in sorted(slots, key=lambda k: -weights[k]):
-        j = min(range(len(loads)), key=loads.__getitem__)
+        j = min(range(n), key=loads.__getitem__)
         shares[j].append(k)
         loads[j] += weights[k]
     return [sorted(share) for share in shares]

@@ -7,9 +7,10 @@
 * **cheap compilation** — ``compile_batch`` applies pass sequences to
   source modules and returns their statistics (``opt -stats-json``),
   a whole candidate population at a time, through the
-  :class:`~repro.core.eval_engine.CompileEngine` — parallel workers
-  (``jobs=N``) with within-batch dedup, the "cheap and parallelisable"
-  claim of §5.3 made real;
+  :class:`~repro.core.eval_engine.CompileEngine` — a walk of the
+  compile graph first, within-batch dedup, and ``jobs=N`` process
+  workers under a compile timeout (§5.3's "cheap and parallelisable"
+  compiles);
 * **expensive measurement** — ``measure`` links per-module binaries and
   runs the program on the simulated platform with noisy timing, with
   memoisation keyed by the full configuration and, below it, the
@@ -137,15 +138,14 @@ class AutotuningTask:
         executing the program, though differential testing still runs it
         once for correctness).
 
-        ``jobs`` is the process count of the
+        ``jobs`` is the worker count of the
         :class:`~repro.core.eval_engine.CompileEngine` behind
-        :meth:`compile_batch`: ``jobs=1`` is a
-        deterministic serial loop, and ``jobs>1`` forks ``jobs-1`` process
-        workers for a batch whose pass work covers what a dispatch costs
-        (this process walks every candidate first and compiles items of
-        each batch too, and all of them walk one compile graph).  A
-        ``compile_timeout`` runs every compile that has a pass to run on
-        ``jobs`` workers, which can be killed when a compile overruns.
+        :meth:`compile_batch`.  This process walks every candidate
+        through the compile graph first.  Without a ``compile_timeout``
+        it compiles the rest in a deterministic serial loop at any
+        ``jobs``; with one, every compile that has a pass to run goes
+        to ``jobs`` forked workers, which can be killed when a compile
+        overruns, and all of them walk one compile graph.
 
         ``fault_injector`` wraps candidate compiles with seeded chaos
         (:mod:`repro.core.faults`); ``compile_timeout``/``compile_retries``/

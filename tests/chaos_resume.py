@@ -9,18 +9,21 @@ bit-identical to the control's (wall-clock ``timing`` excluded).  After
 each resume, ``load_run`` (behind ``repro analyze``) and ``RunWatcher``
 (behind ``repro watch``) must agree with the WAL on progress and report
 epoch 2, and the progress must equal the budget.
-``--jobs N`` runs every tune with N compile processes (the resumed run
-takes its ``jobs`` from the killed run's manifest), so the kill also
-orphans forked compile workers.  ``--tuner`` picks the tuner (any of
-``repro tune --tuner``; the resumed run takes it from the manifest).
+``--compile-timeout S`` runs every tune with that compile timeout, and
+``--jobs N`` with N compile workers to enforce it (the resumed run takes
+both from the killed run's manifest), so the kill also orphans forked
+compile workers; without a timeout every tune compiles in-line at any
+``--jobs``.  ``--tuner`` picks the tuner (any of ``repro tune --tuner``;
+the resumed run takes it from the manifest).
 
 Exit 0 only if every kill point recovers bit-identically and its
 readers agree.  CI runs this
-as the blocking ``chaos-resume`` job, with CITROEN at ``--jobs 1`` and
-``--jobs 2`` and with the BOCA baseline, whose control history includes
-a verdict-cache hit; locally::
+as the blocking ``chaos-resume`` job, with CITROEN at ``--jobs 1`` and at
+``--jobs 2 --compile-timeout 5`` and with the BOCA baseline, whose
+control history includes a verdict-cache hit; locally::
 
-    PYTHONPATH=src python tests/chaos_resume.py --jobs 2 --out /tmp/chaos-runs
+    PYTHONPATH=src python tests/chaos_resume.py --jobs 2 --compile-timeout 5 \
+        --out /tmp/chaos-runs
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ def _tune(args: argparse.Namespace, run_dir: Path, *extra: str) -> int:
         "--log-level", "warning",
         *extra,
     ]
+    if args.compile_timeout is not None:
+        cmd += ["--compile-timeout", str(args.compile_timeout)]
     return subprocess.run(cmd, env=_env()).returncode
 
 
@@ -106,6 +111,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seq-length", type=int, default=10)
     parser.add_argument("--jobs", type=int, default=1,
                         help="compile workers of every tune (resume keeps them)")
+    parser.add_argument("--compile-timeout", type=float, default=None,
+                        help="compile timeout of every tune, enforced on "
+                        "--jobs forked workers (resume keeps it)")
     parser.add_argument("--kills", type=int, default=3,
                         help="number of random kill points to test")
     parser.add_argument("--chaos-seed", type=int, default=7,
@@ -119,7 +127,8 @@ def main(argv=None) -> int:
 
     control = out / "control"
     print(f"[chaos] control tune: {args.tuner} on {args.program} "
-          f"budget={args.budget} seed={args.seed} jobs={args.jobs}")
+          f"budget={args.budget} seed={args.seed} jobs={args.jobs} "
+          f"compile_timeout={args.compile_timeout}")
     rc = _tune(args, control)
     if rc != 0:
         print(f"[chaos] FAIL: control run exited {rc}")

@@ -226,12 +226,12 @@ class TestEngineFaultPaths:
         assert outs[1].ok and outs[2].ok
         eng.close()
 
-    def test_context_manager_closes_pool(self, dispatch_every_batch):
-        with CompileEngine(lambda n, s: tuple(s), jobs=2) as eng:
+    def test_context_manager_closes_pool(self):
+        with CompileEngine(lambda n, s: tuple(s), jobs=2, timeout=30.0) as eng:
             out = eng.compile_batch([("m", [i]) for i in range(4)])
             assert [o.value for o in out] == [(i,) for i in range(4)]
             processes = [w.process for w in eng._workers]
-            assert len(processes) == 1 and processes[0].is_alive()
+            assert len(processes) == 2 and all(p.is_alive() for p in processes)
         assert not eng._workers
         # reaped: joined, so each has an exit code and is no zombie child
         assert all(p.exitcode is not None for p in processes)
@@ -331,13 +331,14 @@ class TestTaskDegradation:
         assert task.engine.stats()["quarantine_hits"] >= 1
         task.close()
 
-    def test_task_context_manager(self, dispatch_every_batch):
+    def test_task_context_manager(self):
         with AutotuningTask(
             cbench_program("security_sha"),
             platform="arm-a57",
             seed=0,
             seq_length=8,
             jobs=2,
+            compile_timeout=30.0,
         ) as task:
             task.compile_batch([(task.hot_modules[0], [i] * 8) for i in range(4)])
             assert task.engine._workers
@@ -358,13 +359,14 @@ class TestTaskDegradation:
 
     def test_env_chaos_with_jobs_compiles_on_process_workers(self, monkeypatch):
         # faults are a pure function of the candidate, so the forked
-        # workers inject them as this process would
+        # workers (forked under a compile timeout) inject them as this
+        # process would
         monkeypatch.setenv("REPRO_INJECT_FAULTS", "crash,transient")
         monkeypatch.setenv("REPRO_FAULT_RATE", "0.3")
         monkeypatch.setenv("REPRO_FAULT_SEED", "2")
         with AutotuningTask(
             cbench_program("security_sha"), platform="arm-a57", seed=0,
-            seq_length=8, jobs=2,
+            seq_length=8, jobs=2, compile_timeout=30.0,
         ) as task:
             assert task.engine.kind == "process"
             res = Citroen(task, seed=1, n_init=3, per_strategy=2).tune(8)

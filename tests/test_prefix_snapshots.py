@@ -383,12 +383,12 @@ def test_pickled_task_compile_function_carries_no_snapshots():
     assert graphs[0].stats() == dict.fromkeys(graphs[0].stats(), 0)
 
 
-def _tune_history(jobs):
+def _tune_history(jobs, timeout=None):
     """A CITROEN tune of gsm; returns its history, compile count and
     the task's graph counters."""
-    with _task(jobs=jobs) as task:
+    with _task(jobs=jobs, compile_timeout=timeout) as task:
         res = Citroen(task, seed=2, n_init=3, per_strategy=3).tune(10)
-        assert task.engine.kind == ("serial" if jobs == 1 else "process")
+        assert task.engine.kind == ("serial" if timeout is None else "process")
         timing = task.timing_breakdown()
         graph = task.graph
     hist = [(m.module, m.sequence, m.runtime, m.correct, m.status)
@@ -398,8 +398,8 @@ def _tune_history(jobs):
 
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_pool_workers_and_the_parent_walk_one_graph(monkeypatch, jobs):
-    # at jobs=4 more processes than cores merge and forward each other's
-    # journals
+    # a timeout puts every miss on the workers; at jobs=4 more processes
+    # than cores merge and forward each other's journals
     absorbed = []
     absorb = CompileEngine._absorb
 
@@ -409,7 +409,7 @@ def test_pool_workers_and_the_parent_walk_one_graph(monkeypatch, jobs):
 
     monkeypatch.setattr(CompileEngine, "_absorb", spy_absorb)
     serial, t1, _ = _tune_history(1)
-    pooled, t2, graph = _tune_history(jobs)
+    pooled, t2, graph = _tune_history(jobs, timeout=30.0)
     assert pooled == serial
     assert t2["n_compiles"] == t1["n_compiles"]
     # the parent's graph holds every edge a worker learned ...

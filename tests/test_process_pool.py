@@ -1,14 +1,14 @@
-"""The process-worker compile path behind ``jobs>1`` and timeouts.
+"""The process-worker compile path behind compile timeouts.
 
 Covers stats-only compiles (no module built, in-line or in a worker; the
 measured winner is recompiled in the parent), bit-identical CITROEN
-histories against ``jobs=1``, worker lifecycle (lazy fork, reaping on
-close, a hung candidate's worker forked afresh, a worker that died
-between batches forked afresh, workers exiting when their parent is
-killed), and how compiles ran as
-reported by the engine, the task and ``result.json``.  The engine runs a
-batch's misses in-line unless its measured costs favour a worker; tests of
-the worker path force dispatch through the ``dispatch_every_batch`` seam.
+histories against serial, worker lifecycle (lazy fork, reaping on close,
+a hung candidate's worker forked afresh, a worker that died between
+batches forked afresh, workers exiting when their parent is killed), the
+journal kept for the workers, and how compiles ran as reported by the
+engine, the task and ``result.json``.  Without a timeout the engine runs
+every miss in-line at any ``jobs``; tests of the worker path set
+:data:`TIMEOUT`, which no real compile reaches.
 """
 
 import json
@@ -31,6 +31,9 @@ from repro.machine.artifacts import ir_fingerprint
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
+#: a compile timeout no compile here reaches: every miss runs on workers
+TIMEOUT = 30.0
+
 
 @pytest.fixture(autouse=True)
 def _no_chaos(monkeypatch):
@@ -47,11 +50,11 @@ def _task(jobs, program="telecom_gsm", **kw):
     )
 
 
-def _tune(jobs, feature_mode):
+def _tune(jobs, feature_mode, timeout=None):
     """One CITROEN tune; returns the executor, the history, every measured
     configuration and every compile batch's results."""
     measured, batches = [], []
-    with _task(jobs) as task:
+    with _task(jobs, compile_timeout=timeout) as task:
         measure, compile_batch = task.measure, task.compile_batch
 
         def spy_measure(compiled, config_key=None, sequences=None):
@@ -74,9 +77,9 @@ def _tune(jobs, feature_mode):
 
 
 @pytest.mark.parametrize("feature_mode", ["stats", "autophase"])
-def test_citroen_history_matches_serial(dispatch_every_batch, feature_mode):
+def test_citroen_history_matches_serial(feature_mode):
     kind1, serial, _, _, _ = _tune(1, feature_mode)
-    kind2, pooled, _, batches, _ = _tune(2, feature_mode)
+    kind2, pooled, _, batches, _ = _tune(2, feature_mode, TIMEOUT)
     assert (kind1, kind2) == ("serial", "process")
     assert pooled == serial
     results = [(stats_only, o.value) for stats_only, out in batches if len(out) > 1
@@ -94,14 +97,14 @@ def test_citroen_history_matches_serial(dispatch_every_batch, feature_mode):
         assert all(c.module is not None for _, c in results)
 
 
-def test_history_matches_serial_with_every_batch_dispatched(dispatch_every_batch):
-    # measured costs rarely favour a worker on a small tune; the seam
-    # sends every batch's misses to one, while the parent also runs its
-    # share in place and journals it (at jobs=1 there are no workers to
-    # send to)
-    def tune(jobs):
+def test_history_matches_serial_with_every_batch_dispatched():
+    # under a timeout every batch's misses go to the workers, which walk
+    # the parent's graph through their journals (without one, at jobs=1,
+    # the parent compiles them in place)
+    def tune(jobs, timeout=None):
         with AutotuningTask(cbench_program("telecom_gsm"), platform="arm-a57",
-                            seed=0, seq_length=16, jobs=jobs) as task:
+                            seed=0, seq_length=16, jobs=jobs,
+                            compile_timeout=timeout) as task:
             res = Citroen(task, seed=5, n_init=3, per_strategy=3).tune(12)
             timing = task.timing_breakdown()
         hist = [(m.module, m.sequence, m.runtime, m.correct, m.status)
@@ -109,7 +112,7 @@ def test_history_matches_serial_with_every_batch_dispatched(dispatch_every_batch
         return hist, timing
 
     serial, t1 = tune(1)
-    pooled, t2 = tune(2)
+    pooled, t2 = tune(2, TIMEOUT)
     assert pooled == serial
     assert t2["n_compiles"] == t1["n_compiles"]
     assert t1["compile_dispatched"] == 0 < t2["compile_dispatched"]
@@ -118,37 +121,56 @@ def test_history_matches_serial_with_every_batch_dispatched(dispatch_every_batch
     assert applied >= t1["graph_passes_run"] + t1["graph_passes_skipped"]
 
 
-def test_batches_run_in_line_stop_the_workers_and_their_journal(monkeypatch):
-    # after a dispatch, batches whose pass work does not cover a dispatch
-    # run in-line; an idle worker must not linger, nor the journal keep
-    # every new state's module for it for the rest of the task
-    round_trip = [0.0]
-    monkeypatch.setattr(
-        CompileEngine, "_costs", lambda self: (1.0, (1.0, round_trip[0], 0.0))
-    )
+def test_a_tune_without_a_timeout_forks_no_worker(monkeypatch):
+    # without a timeout every miss compiles in-line at any jobs: no
+    # process is forked and no journal is kept
+    forks = []
+    fork = CompileEngine._fork
+    monkeypatch.setattr(CompileEngine, "_fork", lambda self: forks.append(1) or fork(self))
+    before = set(multiprocessing.active_children())
+    kind1, serial, _, _, _ = _tune(1, "stats")
+    with _task(2) as task:
+        compile_batch = task.compile_batch
+
+        def spy_batch(items, stats_only=False):
+            out = compile_batch(items, stats_only=stats_only)
+            assert not task.engine._workers and task.graph._journal is None
+            return out
+
+        task.compile_batch = spy_batch
+        res = Citroen(task, seed=3, n_init=3, per_strategy=2, feature_mode="stats").tune(10)
+        assert task.engine.kind == kind1 == "serial"
+        assert task.engine.stats()["dispatched"] == 0
+        assert task.engine.stats()["walked"] > 0
+    assert not forks and not set(multiprocessing.active_children()) - before
+    assert [(m.module, m.sequence, m.runtime, m.correct, m.status)
+            for m in res.measurements] == serial
+
+
+def test_the_journal_stays_bounded_over_many_timed_batches():
+    # the parent's journal is taken at every timed batch and each worker
+    # takes its outbox with every batch, even with no item to compile, so
+    # neither grows past one batch's entries, however many batches run
     rng = random.Random(7)
 
     def batch(task):
         names = [m.name for m in task.program.modules]
+        size = rng.choice((1, 1, 2, 8))
         return [(rng.choice(names), [rng.randrange(len(task.passes)) for _ in range(10)])
-                for _ in range(8)]
+                for _ in range(size)]
 
-    with _task(2) as task, _task(1) as serial:
-        def compile_both(items):
-            out, ref = task.compile_batch(items, True), serial.compile_batch(items, True)
-            assert [o.value.stats for o in out] == [o.value.stats for o in ref]
-
-        compile_both(batch(task))
-        assert task.engine._workers and task.graph._journal is not None
-        round_trip[0] = float("inf")  # no batch covers a dispatch now
+    with _task(2, compile_timeout=TIMEOUT) as task, _task(1) as serial:
         for _ in range(40):
-            compile_both(batch(task))
-            assert not task.engine._workers and task.graph._journal is None
+            items = batch(task)
+            out = task.compile_batch(items, True)
+            ref = serial.compile_batch(items, True)
+            assert [o.value.stats for o in out] == [o.value.stats for o in ref]
+            assert len(task.engine._workers) == 2
+            assert len(task.graph._journal) <= len(task.program.modules)
+            # at most the other worker's journal from this batch
+            assert all(len(w.outbox) <= 1 for w in task.engine._workers)
+        assert task.engine.stats()["dispatched"] > 0
         assert len(task.graph._nodes) <= GRAPH_CAPACITY
-        round_trip[0] = 0.0  # workers fork afresh from the graph as it stands
-        dispatched = task.engine.stats()["dispatched"]
-        compile_both(batch(task))
-        assert task.engine._workers and task.engine.stats()["dispatched"] > dispatched
 
 
 def _assert_measured_match_cold(measured, target):
@@ -180,11 +202,11 @@ def _spy_graphs(monkeypatch):
     return graphs
 
 
-def test_measured_winner_matches_cold_compile(monkeypatch, dispatch_every_batch):
+def test_measured_winner_matches_cold_compile(monkeypatch):
     # init configurations are compiled in the pool workers, through each
-    # worker's own graph; winners are recompiled through the parent's
+    # worker's copy of the graph; winners are walked through the parent's
     graphs = _spy_graphs(monkeypatch)
-    _, _, measured, batches, target = _tune(2, "stats")
+    _, _, measured, batches, target = _tune(2, "stats", TIMEOUT)
     _assert_measured_match_cold(measured, target)
     from_workers = [o.value for stats_only, out in batches if len(out) > 1
                     for o in out if o.ok and not stats_only]
@@ -201,11 +223,11 @@ def test_serial_measured_modules_match_cold_compile(monkeypatch):
     _assert_measured_match_cold(measured, target)
 
 
-@pytest.mark.parametrize("jobs, timeout", [(1, None), (1, 5.0), (2, None)])
+@pytest.mark.parametrize("jobs, timeout", [(1, None), (1, 5.0), (2, None), (2, 5.0)])
 def test_stats_only_builds_no_module_on_any_executor(jobs, timeout):
     items = [("lpc", [i, i + 1, i + 2]) for i in range(6)]
     with _task(jobs, compile_timeout=timeout) as task:
-        assert task.engine.kind == ("serial" if (jobs, timeout) == (1, None) else "process")
+        assert task.engine.kind == ("serial" if timeout is None else "process")
         bare = [o.value for o in task.compile_batch(items, stats_only=True)]
         single = [o.value for o in task.compile_batch(items[:1], stats_only=True)]
         kept = [o.value for o in task.compile_batch(items)]
@@ -219,7 +241,7 @@ def test_a_fault_injected_task_keeps_its_modules():
     # the injector's miscompile fault corrupts the module, so it needs one
     injector = FaultInjector(rate=1.0, seed=0, kinds=("miscompile",))
     items = [("lpc", [i, i + 1, i + 2]) for i in range(3)]
-    with _task(2, fault_injector=injector) as task:
+    with _task(2, fault_injector=injector, compile_timeout=TIMEOUT) as task:
         assert task.engine.kind == "process"
         out = [o.value for o in task.compile_batch(items, stats_only=True)]
     assert all(c.module is not None for c in out)
@@ -232,18 +254,17 @@ def test_a_fault_injected_task_keeps_its_modules():
             )
 
 
-def test_close_reaps_pool_workers(dispatch_every_batch):
+def test_close_reaps_pool_workers():
     before = set(multiprocessing.active_children())
     items = [("sha_transform", [i, i + 1]) for i in range(4)]
-    task = _task(3, program="security_sha")
+    task = _task(3, program="security_sha", compile_timeout=TIMEOUT)
     assert not set(multiprocessing.active_children()) - before  # lazy start
     task.compile_batch(items)
-    # jobs-1 workers: the task's own process compiles a share too
-    assert len(set(multiprocessing.active_children()) - before) == 2
+    assert len(set(multiprocessing.active_children()) - before) == 3
     task.close()
     assert not set(multiprocessing.active_children()) - before
     for _ in range(5):
-        with _task(2, program="security_sha") as task:
+        with _task(2, program="security_sha", compile_timeout=TIMEOUT) as task:
             task.compile_batch(items)
     assert not set(multiprocessing.active_children()) - before
 
@@ -322,10 +343,10 @@ def _pid(name, seq):
     return os.getpid()
 
 
-def test_a_worker_killed_between_batches_is_forked_afresh(dispatch_every_batch):
+def test_a_worker_killed_between_batches_is_forked_afresh():
     # its share was never attempted: the successor compiles it, and
     # nothing is quarantined
-    with CompileEngine(_pid, jobs=3) as eng:
+    with CompileEngine(_pid, jobs=3, timeout=TIMEOUT) as eng:
         eng.compile_batch([("m", [i]) for i in range(6)])
         victim = eng._workers[0].process
         victim.kill()
@@ -334,25 +355,32 @@ def test_a_worker_killed_between_batches_is_forked_afresh(dispatch_every_batch):
         assert [o.status for o in out] == ["ok"] * 6
         assert eng.stats()["quarantine_size"] == 0
         pids = [w.process.pid for w in eng._workers]
-        assert len(pids) == 2 and victim.pid not in pids
+        assert len(pids) == 3 and victim.pid not in pids
         # equal misses split as round-robin does: the dead worker's share
         # went to its successor
-        assert out[1].value == out[4].value == pids[0]
+        assert out[0].value == out[3].value == pids[0]
 
 
-_PARENT = os.getpid()
+def _interrupt():
+    raise KeyboardInterrupt
 
 
-def _interrupted_here(name, seq):
-    if seq[0] == 0 and os.getpid() == _PARENT:
-        raise KeyboardInterrupt
-    return seq[0]
+class _InterruptsOnLoad:
+    """A result whose unpickling, in the engine's process, raises
+    KeyboardInterrupt there (Ctrl-C while the caller reads answers)."""
+
+    def __reduce__(self):
+        return _interrupt, ()
+
+
+def _interrupts_the_caller(name, seq):
+    return _InterruptsOnLoad() if seq[0] == 0 else seq[0]
 
 
 def test_an_interrupted_batch_leaves_the_workers_in_step():
-    # the caller's own share raises while the workers still hold answers;
-    # the next batch must not read them as its own
-    with CompileEngine(_interrupted_here, jobs=3) as eng:
+    # the caller is interrupted while the workers still hold answers; the
+    # next batch must not read them as its own
+    with CompileEngine(_interrupts_the_caller, jobs=3, timeout=TIMEOUT) as eng:
         with pytest.raises(KeyboardInterrupt):
             eng.compile_batch([("m", [i]) for i in range(6)])
         for lo in (1, 7):
@@ -368,7 +396,7 @@ def test_a_batch_message_larger_than_the_pipe_buffer_does_not_stall():
     # each worker's share (like a journal of new states in its outbox)
     # pickles to several times a socket buffer (~200 KB); the worker must
     # read it as it is written, not when it next looks at its pipe
-    with CompileEngine(_length, jobs=3) as eng:
+    with CompileEngine(_length, jobs=3, timeout=TIMEOUT) as eng:
         assert [o.value for o in eng.compile_batch([("m", [0]), ("m", [0, 1])])] == [1, 2]
         items = [("m", [k] * 200_000) for k in range(6)]
         t0 = time.perf_counter()
@@ -384,9 +412,8 @@ from repro import CompileEngine
 def compile_fn(name, seq):
     return os.getpid()
 
-# test seam: dispatch the first batch, before any cost is measured
-CompileEngine._costs = lambda self: (1.0, (1.0, 0.0, 0.0))
-engine = CompileEngine(compile_fn, jobs=3)
+# a timeout puts every batch on the workers
+engine = CompileEngine(compile_fn, jobs=3, timeout=30.0)
 engine.compile_batch([("m", [i]) for i in range(6)])
 print(" ".join(str(w.process.pid) for w in engine._workers), flush=True)
 time.sleep(120)
@@ -408,7 +435,7 @@ def test_workers_exit_when_their_parent_is_killed():
                             stdout=subprocess.PIPE, text=True)
     try:
         pids = [int(p) for p in proc.stdout.readline().split()]
-        assert len(pids) == 2 and not any(_gone(pid) for pid in pids)
+        assert len(pids) == 3 and not any(_gone(pid) for pid in pids)
     finally:
         proc.kill()
         proc.wait()
@@ -424,12 +451,12 @@ def test_workers_exit_when_their_parent_is_killed():
     [
         (1, None, "serial", 0),
         (1, 5.0, "process", 1),
-        (2, None, "process", 1),
+        (2, None, "serial", 0),
         (2, 5.0, "process", 2),
     ],
 )
-def test_engine_reports_resolved_executor(dispatch_every_batch, jobs, timeout, kind, workers):
-    # under a timeout this process compiles nothing, so jobs workers fork
+def test_engine_reports_resolved_executor(jobs, timeout, kind, workers):
+    # workers fork only to enforce a timeout, jobs of them
     with CompileEngine(_sleepy_compile, jobs=jobs, timeout=timeout) as eng:
         assert eng.kind == kind
         assert eng.stats()["executor"] == kind
@@ -437,10 +464,10 @@ def test_engine_reports_resolved_executor(dispatch_every_batch, jobs, timeout, k
         assert len(eng._workers) == workers
 
 
-def test_worker_timing_gives_parallel_ratio(dispatch_every_batch):
+def test_worker_timing_gives_parallel_ratio():
     # compile seconds are timed inside each worker and summed; two
     # processes sleeping side by side overlap, so the sum exceeds the wall
-    with CompileEngine(_sleepy_compile, jobs=2) as eng:
+    with CompileEngine(_sleepy_compile, jobs=2, timeout=TIMEOUT) as eng:
         out = eng.compile_batch([("m", [i]) for i in range(8)])
         stats = eng.stats()
     assert [o.value for o in out] == [("m", (i,)) for i in range(8)]
@@ -453,8 +480,8 @@ def test_result_json_names_the_executor(tmp_path):
     run_dir = tmp_path / "run"
     rc = main([
         "tune", "security_sha", "--budget", "6", "--seed", "1",
-        "--seq-length", "8", "--jobs", "2", "--trace-out", str(run_dir),
-        "--log-level", "warning",
+        "--seq-length", "8", "--jobs", "2", "--compile-timeout", str(TIMEOUT),
+        "--trace-out", str(run_dir), "--log-level", "warning",
     ])
     assert rc == 0
     timing = json.loads((Path(run_dir) / "result.json").read_text())["timing"]

@@ -2,6 +2,7 @@
 loading, the analyzer/differ (repro.obs.analysis), and the analyze/diff
 CLI — including interrupted-run tolerance."""
 
+import gc
 import json
 import math
 import shutil
@@ -27,6 +28,9 @@ def _info_logging():
 def run_dir(tmp_path_factory):
     """One recorded seeded tune, shared by the module's tests (read-only)."""
     out = tmp_path_factory.mktemp("runs") / "run-a"
+    # both twins start from an empty collector, so a full collection of
+    # earlier tests' garbage cannot land in one twin's wall time only
+    gc.collect()
     rc = main([
         "tune", "security_sha", "--budget", "12", "--seed", "1",
         "--seq-length", "8", "--trace-out", str(out),
@@ -40,6 +44,7 @@ def run_dir(tmp_path_factory):
 def run_dir_b(tmp_path_factory):
     """A second recording at the same seed — the diff baseline's twin."""
     out = tmp_path_factory.mktemp("runs") / "run-b"
+    gc.collect()
     rc = main([
         "tune", "security_sha", "--budget", "12", "--seed", "1",
         "--seq-length", "8", "--trace-out", str(out),
